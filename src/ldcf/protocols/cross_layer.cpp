@@ -1,52 +1,24 @@
 #include "ldcf/protocols/cross_layer.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 namespace ldcf::protocols {
 
 void CrossLayerFlooding::initialize(const SimContext& ctx) {
   DbaoFlooding::initialize(ctx);
-  delay_tree_ = topology::build_delay_tree(*ctx.topo, ctx.source, ctx.duty);
-  delay_ = topology::tree_delay_distribution(*ctx.topo, delay_tree_, ctx.duty);
-  generated_at_.assign(ctx.num_packets, kNeverSlot);
-  gambled_.assign(ctx.topo->num_nodes(),
-                  std::vector<std::vector<NodeId>>(ctx.num_packets));
-  max_quantile_ = -std::numeric_limits<double>::infinity();
-  for (NodeId r = 0; r < ctx.topo->num_nodes(); ++r) {
-    const double mean = delay_.mean[r];
-    if (std::isinf(mean)) continue;
-    max_quantile_ = std::max(
-        max_quantile_,
-        mean - config_.quantile_z * std::sqrt(delay_.variance[r]));
-  }
-  gamble_deadline_ = -std::numeric_limits<double>::infinity();
+  const topology::Tree delay_tree =
+      topology::build_delay_tree(*ctx.topo, ctx.source, ctx.duty);
+  gambles_.build(
+      ctx, topology::tree_delay_distribution(*ctx.topo, delay_tree, ctx.duty),
+      GambleFilter{.min_link_prr = config_.min_link_prr,
+                   .quantile_z = config_.quantile_z,
+                   .every_active_slot = true});
+  claimed_.assign(ctx.topo->num_nodes(), 0);
 }
 
 void CrossLayerFlooding::on_generate(PacketId packet, SlotIndex slot) {
-  generated_at_[packet] = slot;
-  gamble_deadline_ = std::max(gamble_deadline_,
-                              static_cast<double>(slot) + max_quantile_);
+  gambles_.on_generate(packet, slot);
   DbaoFlooding::on_generate(packet, slot);
-}
-
-bool CrossLayerFlooding::gamble_worthwhile(NodeId receiver, PacketId packet,
-                                           SlotIndex slot,
-                                           double link_prr) const {
-  if (link_prr < config_.min_link_prr) return false;
-  if (generated_at_[packet] == kNeverSlot) return false;
-  const double mean = delay_.mean[receiver];
-  if (std::isinf(mean)) return false;
-  // Optimistic tree ETA for this packet at the receiver.
-  const double eta =
-      static_cast<double>(generated_at_[packet]) + mean -
-      config_.quantile_z * std::sqrt(delay_.variance[receiver]);
-  // Duty-aware window: gamble only while the tree is still at least
-  // min_remaining_periods * T away.
-  const double window =
-      config_.min_remaining_periods * static_cast<double>(ctx().duty.period);
-  return static_cast<double>(slot) + window < eta;
 }
 
 void CrossLayerFlooding::propose_transmissions(
@@ -54,66 +26,59 @@ void CrossLayerFlooding::propose_transmissions(
     std::vector<TxIntent>& out) {
   // MAC layer first: DBAO's scheduled traffic with back-off/overhearing.
   DbaoFlooding::propose_transmissions(slot, active_receivers, out);
-
-  const auto& topo = *ctx().topo;
-  const auto& schedules = *ctx().schedules;
-
-  std::vector<bool> busy(topo.num_nodes(), false);
-  std::vector<bool> targeted(topo.num_nodes(), false);
-  for (const TxIntent& intent : out) {
-    busy[intent.sender] = true;
-    targeted[intent.receiver] = true;
+  const std::size_t mac_intents = out.size();
+  for (std::size_t i = 0; i < mac_intents; ++i) {
+    claimed_[out[i].sender] = claimed_[out[i].receiver] = 1;
   }
 
   // Opportunistic layer: idle nodes may gamble their newest packet toward
-  // an awake, untargeted, non-responsible neighbor.
-  std::vector<TxIntent> gambles;
-  const auto n = static_cast<NodeId>(topo.num_nodes());
-  for (NodeId node = 0; node < n; ++node) {
-    if (busy[node]) continue;
-    if (targeted[node]) continue;  // it is about to receive; stay silent.
-    TxIntent gamble{};
-    double best_prr = -1.0;
-    for (const topology::Link& link : topo.neighbors(node)) {
-      const NodeId j = link.to;
-      if (!schedules.is_active(j, slot)) continue;
-      if (targeted[j] || busy[j]) continue;  // MAC veto: channel claimed.
-      for (PacketId p = ctx().num_packets; p-- > 0;) {
-        if (!node_has(node, p)) continue;
-        const auto& tried = gambled_[node][p];
-        if (std::find(tried.begin(), tried.end(), j) != tried.end()) continue;
-        if (!gamble_worthwhile(j, p, slot, link.prr)) continue;
-        if (link.prr > best_prr) {
-          best_prr = link.prr;
-          gamble = TxIntent{node, j, p};
-        }
-        break;
-      }
-    }
-    if (best_prr > 0.0 && rng().bernoulli(best_prr)) {
-      gambles.push_back(gamble);
+  // an awake, untargeted neighbor while its optimistic tree ETA is still at
+  // least min_remaining_periods * T away (duty-aware window).
+  const double horizon =
+      static_cast<double>(slot) +
+      config_.min_remaining_periods * static_cast<double>(ctx().duty.period);
+  slot_gambles_.clear();
+  for (auto links = gambles_.candidates_at(slot); !links.empty();) {
+    const NodeId node = links.front().sender;
+    const auto own = GambleIndex::take_sender(links, node);
+    // A node sending, or about to receive, stays silent.
+    if (claimed_[node] != 0) continue;
+    const auto gamble = gambles_.best(
+        own, [&](PacketId p) { return node_has(node, p); },
+        [&](NodeId j, SlotIndex generated) {
+          if (claimed_[j] != 0) return false;  // MAC veto.
+          const auto& delay = gambles_.tree_delay(j);
+          return horizon <
+                 static_cast<double>(generated) + delay.mean - delay.spread;
+        });
+    if (gamble.prr > 0.0 && rng().bernoulli(gamble.prr)) {
+      slot_gambles_.push_back(gamble);
     }
   }
 
   // Gambles can still contend with each other: carrier-sensed gamblers for
   // the same receiver defer to the better link; hidden ones will collide.
-  for (std::size_t i = 0; i < gambles.size(); ++i) {
-    bool suppressed = false;
-    for (std::size_t j = 0; j < gambles.size() && !suppressed; ++j) {
-      if (i == j || gambles[i].receiver != gambles[j].receiver) continue;
-      const double pi = topo.prr(gambles[i].sender, gambles[i].receiver).value();
-      const double pj = topo.prr(gambles[j].sender, gambles[j].receiver).value();
-      const bool j_wins =
-          pj > pi || (pj == pi && gambles[j].sender < gambles[i].sender);
-      if (j_wins && carrier_sensed(gambles[i].sender, gambles[j].sender)) {
-        suppressed = true;
-      }
-    }
+  for (const auto& mine : slot_gambles_) {
+    const auto suppressed = std::any_of(
+        slot_gambles_.begin(), slot_gambles_.end(), [&](const auto& other) {
+          if (&other == &mine ||
+              other.link->receiver != mine.link->receiver) {
+            return false;
+          }
+          const bool other_wins =
+              other.prr > mine.prr || (other.prr == mine.prr &&
+                                       other.link->sender < mine.link->sender);
+          return other_wins &&
+                 carrier_sensed(mine.link->sender, other.link->sender);
+        });
     if (!suppressed) {
-      gambled_[gambles[i].sender][gambles[i].packet].push_back(
-          gambles[i].receiver);
-      out.push_back(gambles[i]);
+      gambles_.mark_gambled(mine);
+      out.push_back(mine.intent());
     }
+  }
+
+  for (std::size_t i = 0; i < mac_intents; ++i) {
+    claimed_[out[i].sender] = claimed_[out[i].receiver] = 0;
   }
 }
 

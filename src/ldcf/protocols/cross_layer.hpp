@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "ldcf/protocols/dbao.hpp"
-#include "ldcf/topology/tree.hpp"
+#include "ldcf/protocols/gamble_index.hpp"
 
 namespace ldcf::protocols {
 
@@ -58,25 +58,19 @@ class CrossLayerFlooding final : public DbaoFlooding {
   [[nodiscard]] SlotIndex next_busy_slot(SlotIndex from) const override {
     const double window = config_.min_remaining_periods *
                           static_cast<double>(ctx().duty.period);
-    if (static_cast<double>(from) + window < gamble_deadline_) return from;
+    if (static_cast<double>(from) + window < gambles_.deadline()) return from;
     return DbaoFlooding::next_busy_slot(from);
   }
 
  private:
-  [[nodiscard]] bool gamble_worthwhile(NodeId receiver, PacketId packet,
-                                       SlotIndex slot, double link_prr) const;
-
   CrossLayerConfig config_{};
-  topology::Tree delay_tree_;
-  topology::DelayDistribution delay_;
-  std::vector<SlotIndex> generated_at_;
-  std::vector<std::vector<std::vector<NodeId>>> gambled_;
-  /// max_r (mean_r - z * stddev_r) over on-tree receivers; upper-bounds
-  /// every packet's optimistic tree ETA offset.
-  double max_quantile_ = 0.0;
-  /// Exclusive busy horizon: no gamble_worthwhile can accept once
-  /// slot + min_remaining_periods * T >= this. Advanced per generation.
-  double gamble_deadline_ = 0.0;
+  /// Awake gamble links (every active slot of each receiver), the delay
+  /// tree's quantiles, and the gambles already made.
+  GambleIndex gambles_;
+  // Per-slot scratch, reset after each proposal: nodes sending or
+  // receiving a MAC-layer intent (N bytes), and this slot's gambles.
+  std::vector<std::uint8_t> claimed_;
+  std::vector<GambleIndex::Gamble> slot_gambles_;
 };
 
 }  // namespace ldcf::protocols

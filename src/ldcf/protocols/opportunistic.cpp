@@ -1,11 +1,5 @@
 #include "ldcf/protocols/opportunistic.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "ldcf/common/error.hpp"
-
 namespace ldcf::protocols {
 
 void OpportunisticFlooding::initialize(const SimContext& ctx) {
@@ -14,25 +8,17 @@ void OpportunisticFlooding::initialize(const SimContext& ctx) {
               ? *ctx.energy_tree
               : topology::build_etx_tree(*ctx.topo, ctx.source);
   children_ = tree_.children();
-  delay_ = topology::tree_delay_distribution(*ctx.topo, tree_, ctx.duty);
-  generated_at_.assign(ctx.num_packets, kNeverSlot);
-  gambled_.assign(ctx.topo->num_nodes(),
-                  std::vector<std::vector<NodeId>>(ctx.num_packets));
-  max_quantile_ = -std::numeric_limits<double>::infinity();
-  for (NodeId r = 0; r < ctx.topo->num_nodes(); ++r) {
-    const double mean = delay_.mean[r];
-    if (std::isinf(mean)) continue;
-    max_quantile_ = std::max(
-        max_quantile_,
-        mean - config_.quantile_z * std::sqrt(delay_.variance[r]));
-  }
-  gamble_deadline_ = -std::numeric_limits<double>::infinity();
+  // Tree children go through the pending machinery and the parent already
+  // has the packet, so only non-tree links are gamble candidates.
+  gambles_.build(ctx, topology::tree_delay_distribution(*ctx.topo, tree_,
+                                                         ctx.duty),
+                 GambleFilter{.min_link_prr = config_.min_link_prr,
+                              .quantile_z = config_.quantile_z,
+                              .tree_edges = &tree_});
 }
 
 void OpportunisticFlooding::on_generate(PacketId packet, SlotIndex slot) {
-  generated_at_[packet] = slot;
-  gamble_deadline_ = std::max(gamble_deadline_,
-                              static_cast<double>(slot) + max_quantile_);
+  gambles_.on_generate(packet, slot);
   PendingSetProtocol::on_generate(packet, slot);
 }
 
@@ -44,67 +30,42 @@ void OpportunisticFlooding::enqueue_forwarding(NodeId node, PacketId packet,
   }
 }
 
-bool OpportunisticFlooding::opportunistic_worthwhile(NodeId receiver,
-                                                     PacketId packet,
-                                                     SlotIndex slot,
-                                                     double link_prr) const {
-  if (link_prr < config_.min_link_prr) return false;
-  if (generated_at_[packet] == kNeverSlot) return false;
-  const double mean = delay_.mean[receiver];
-  if (std::isinf(mean)) return false;  // not on the tree: no baseline.
-  const double lower_quantile =
-      mean - config_.quantile_z * std::sqrt(delay_.variance[receiver]);
-  // Worth gambling only if the copy arrives before even an optimistic tree
-  // delivery (high confidence the tree has not served this node yet).
-  const double tree_eta =
-      static_cast<double>(generated_at_[packet]) + lower_quantile;
-  return static_cast<double>(slot + 1) < tree_eta;
-}
-
 void OpportunisticFlooding::propose_transmissions(
     SlotIndex slot, std::span<const NodeId> /*active_receivers*/,
     std::vector<TxIntent>& out) {
-  const auto& topo = *ctx().topo;
-  const auto& schedules = *ctx().schedules;
-  const auto n = static_cast<NodeId>(topo.num_nodes());
-  const auto phase =
-      static_cast<std::uint32_t>(slot % ctx().duty.period);
-
-  for (NodeId node = 0; node < n; ++node) {
+  // Only nodes with tree traffic due at this phase, or with a gamble link
+  // whose receiver wakes now, can act; once every gamble window has closed
+  // only the former remain. Both lists ascend, and so does their merge:
+  // the node order of a full scan, and therefore the RNG draw order.
+  const double next = static_cast<double>(slot + 1);
+  const std::span<const NodeId> pending = pending_senders_at(slot);
+  std::span<const GambleIndex::Candidate> links;
+  if (next < gambles_.deadline()) links = gambles_.candidates_at(slot);
+  auto pi = pending.begin();
+  while (pi != pending.end() || !links.empty()) {
+    const NodeId node =
+        links.empty() || (pi != pending.end() && *pi < links.front().sender)
+            ? *pi
+            : links.front().sender;
+    if (pi != pending.end() && *pi == node) ++pi;
+    const auto own = GambleIndex::take_sender(links, node);
     // Tree traffic has strict priority (it carries the delivery guarantee).
     if (const auto intent = select_fcfs(node, slot)) {
       out.push_back(*intent);
       continue;
     }
-    // Otherwise consider one opportunistic gamble toward an awake
-    // non-tree neighbor, newest packets first.
-    TxIntent gamble{};
-    double best_prr = -1.0;
-    for (const topology::Link& link : topo.neighbors(node)) {
-      const NodeId j = link.to;
-      if (schedules.active_slot(j) != phase) continue;
-      if (j == tree_.parent[node]) continue;
-      if (std::find(children_[node].begin(), children_[node].end(), j) !=
-          children_[node].end()) {
-        continue;  // tree children go through the pending machinery.
-      }
-      // Newest held packet whose tree ETA at j is still far out.
-      for (PacketId p = ctx().num_packets; p-- > 0;) {
-        if (!node_has(node, p)) continue;
-        const auto& tried = gambled_[node][p];
-        if (std::find(tried.begin(), tried.end(), j) != tried.end()) continue;
-        if (!opportunistic_worthwhile(j, p, slot, link.prr)) continue;
-        if (link.prr > best_prr) {
-          best_prr = link.prr;
-          gamble = TxIntent{node, j, p};
-        }
-        break;  // newest qualifying packet for this neighbor.
-      }
-    }
-    if (best_prr > 0.0 &&
-        rng().bernoulli(config_.decision_scale * best_prr)) {
-      gambled_[gamble.sender][gamble.packet].push_back(gamble.receiver);
-      out.push_back(gamble);
+    // Otherwise one gamble, only while the copy would arrive before even an
+    // optimistic tree delivery.
+    const auto gamble = gambles_.best(
+        own, [&](PacketId p) { return node_has(node, p); },
+        [&](NodeId j, SlotIndex generated) {
+          return next <
+                 static_cast<double>(generated) + gambles_.tree_delay(j).lower;
+        });
+    if (gamble.prr > 0.0 &&
+        rng().bernoulli(config_.decision_scale * gamble.prr)) {
+      gambles_.mark_gambled(gamble);
+      out.push_back(gamble.intent());
     }
   }
 }

@@ -18,8 +18,8 @@
 
 #include <vector>
 
+#include "ldcf/protocols/gamble_index.hpp"
 #include "ldcf/protocols/protocol.hpp"
-#include "ldcf/topology/tree.hpp"
 
 namespace ldcf::protocols {
 
@@ -52,7 +52,7 @@ class OpportunisticFlooding final : public PendingSetProtocol {
   /// window — a conservative horizon, never late); afterwards only the
   /// pending tree traffic can act.
   [[nodiscard]] SlotIndex next_busy_slot(SlotIndex from) const override {
-    if (static_cast<double>(from + 1) < gamble_deadline_) return from;
+    if (static_cast<double>(from + 1) < gambles_.deadline()) return from;
     return pending_next_busy_slot(from);
   }
 
@@ -63,26 +63,13 @@ class OpportunisticFlooding final : public PendingSetProtocol {
   void enqueue_forwarding(NodeId node, PacketId packet, NodeId from) override;
 
  private:
-  [[nodiscard]] bool opportunistic_worthwhile(NodeId receiver, PacketId packet,
-                                              SlotIndex slot,
-                                              double link_prr) const;
-
   OpportunisticConfig config_{};
   topology::Tree tree_;
   std::vector<std::vector<NodeId>> children_;
-  topology::DelayDistribution delay_;
-  std::vector<SlotIndex> generated_at_;
-  /// Opportunistic copies already ACKed per (node, packet, neighbor) are
-  /// retired through the shared pending machinery; this set tracks pairs a
-  /// node has already gambled on to avoid hammering the same neighbor every
-  /// period.
-  std::vector<std::vector<std::vector<NodeId>>> gambled_;
-  /// Largest optimistic tree-delay quantile over all on-tree receivers:
-  /// max_r (mean_r - z * stddev_r). Upper-bounds every per-receiver window.
-  double max_quantile_ = 0.0;
-  /// Exclusive busy horizon for gambling: no packet's quantile test can
-  /// accept once slot + 1 >= this. Advanced by each generation.
-  double gamble_deadline_ = 0.0;
+  /// Non-tree links worth gambling on, by receiver wake phase, plus the
+  /// gambles already made (one per node, packet and neighbor: a node does
+  /// not hammer the same neighbor with the same packet every period).
+  GambleIndex gambles_;
 };
 
 }  // namespace ldcf::protocols
