@@ -132,10 +132,14 @@ TEST(BlockingWindowTest, Corollary1) {
   EXPECT_EQ(knee_point(298), 9u);
 }
 
+// gtest names each case by printing the param's raw bytes, so the struct
+// must have no padding: uninitialised padding bytes made the test names
+// change from run to run.
 struct Fig5Case {
   std::uint64_t n;
-  std::uint32_t period;
+  std::uint64_t period;
 };
+static_assert(sizeof(Fig5Case) == 2 * sizeof(std::uint64_t));
 
 class Fig5Sweep : public ::testing::TestWithParam<Fig5Case> {};
 
@@ -143,7 +147,7 @@ TEST_P(Fig5Sweep, DelayIsNondecreasingInM) {
   const auto [n, period] = GetParam();
   double prev = 0.0;
   for (std::uint64_t big_m = 1; big_m <= 20; ++big_m) {
-    const double fdl = expected_fdl(n, big_m, DutyCycle{period});
+    const double fdl = expected_fdl(n, big_m, DutyCycle{static_cast<std::uint32_t>(period)});
     EXPECT_GE(fdl, prev);
     prev = fdl;
   }
@@ -152,8 +156,8 @@ TEST_P(Fig5Sweep, DelayIsNondecreasingInM) {
 TEST_P(Fig5Sweep, LargerNetworksAreSlower) {
   const auto [n, period] = GetParam();
   for (std::uint64_t big_m = 1; big_m <= 20; ++big_m) {
-    EXPECT_LE(expected_fdl(n, big_m, DutyCycle{period}),
-              expected_fdl(4 * n, big_m, DutyCycle{period}));
+    EXPECT_LE(expected_fdl(n, big_m, DutyCycle{static_cast<std::uint32_t>(period)}),
+              expected_fdl(4 * n, big_m, DutyCycle{static_cast<std::uint32_t>(period)}));
   }
 }
 
