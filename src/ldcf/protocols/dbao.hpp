@@ -75,12 +75,28 @@ class DbaoFlooding : public PendingSetProtocol {
  private:
   DbaoConfig config_{};
   double cs_range_ = 0.0;
-  /// responsible_[u] = receivers u serves (u is among their best senders).
-  std::vector<std::vector<NodeId>> responsible_;
+  /// responsible_[u] = receivers u serves (u is among their best senders),
+  /// each with its link PRR and wake phase.
+  std::vector<std::vector<PendTarget>> responsible_;
   /// Contenders that deferred this slot, per receiver: if the winner's
   /// transmission succeeds they overhear the exchange and cancel their own
   /// copy of that packet.
   std::vector<std::pair<NodeId, NodeId>> deferred_;  // (deferred sender, receiver)
+  /// Per-slot scratch: this slot's FCFS candidates, and the semi-duplex
+  /// marks of phase 3 (all-zero between proposals).
+  struct Candidate {
+    TxIntent intent;
+    double prr = 0.0;
+    bool suppressed = false;
+  };
+  std::vector<Candidate> candidates_;
+  /// Candidates grouped by receiver: first_for_rx_[r] heads a list chained
+  /// through next_same_rx_ in ascending candidate order.
+  static constexpr std::uint32_t kNoCandidate = 0xffffffffU;
+  std::vector<std::uint32_t> first_for_rx_;
+  std::vector<std::uint32_t> next_same_rx_;
+  std::vector<std::uint8_t> committed_tx_;
+  std::vector<std::uint8_t> reserved_rx_;
 };
 
 }  // namespace ldcf::protocols

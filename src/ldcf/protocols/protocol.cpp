@@ -30,14 +30,20 @@ void PendingSetProtocol::initialize(const SimContext& ctx) {
 void PendingSetProtocol::pend(NodeId node, PacketId packet, NodeId neighbor) {
   const auto prr = ctx_->topo->prr(node, neighbor);
   LDCF_REQUIRE(prr.has_value(), "pend over a non-existent link");
-  const std::uint32_t phase = ctx_->schedules->active_slot(neighbor);
+  pend(node, packet,
+       PendTarget{neighbor, *prr, ctx_->schedules->active_slot(neighbor)});
+}
+
+void PendingSetProtocol::pend(NodeId node, PacketId packet,
+                              const PendTarget& target) {
+  const std::uint32_t phase = target.phase;
   auto& bucket = buckets_[node][phase];
   const bool already = std::any_of(
       bucket.begin(), bucket.end(), [&](const PendingEntry& e) {
-        return e.packet == packet && e.neighbor == neighbor;
+        return e.packet == packet && e.neighbor == target.neighbor;
       });
   if (already) return;
-  bucket.push_back(PendingEntry{packet, neighbor, *prr});
+  bucket.push_back(PendingEntry{packet, target.neighbor, target.prr});
   pending_cal_.add(phase);
   if (bucket.size() == 1) {
     auto& members = senders_by_phase_[phase];
@@ -84,8 +90,8 @@ const std::vector<PendingEntry>& PendingSetProtocol::pending_at_phase(
   return buckets_[node][slot % ctx_->duty.period];
 }
 
-std::optional<TxIntent> PendingSetProtocol::select_fcfs(NodeId node,
-                                                        SlotIndex slot) const {
+const PendingEntry* PendingSetProtocol::fcfs_entry(NodeId node,
+                                                  SlotIndex slot) const {
   const auto& bucket = pending_at_phase(node, slot);
   const PendingEntry* best = nullptr;
   for (const PendingEntry& e : bucket) {
@@ -95,8 +101,7 @@ std::optional<TxIntent> PendingSetProtocol::select_fcfs(NodeId node,
       best = &e;
     }
   }
-  if (best == nullptr) return std::nullopt;
-  return TxIntent{node, best->neighbor, best->packet};
+  return best;
 }
 
 std::size_t PendingSetProtocol::pending_count(NodeId node) const {
@@ -109,7 +114,8 @@ void PendingSetProtocol::enqueue_forwarding(NodeId node, PacketId packet,
                                             NodeId from) {
   for (const topology::Link& link : ctx_->topo->neighbors(node)) {
     if (link.to == from) continue;
-    pend(node, packet, link.to);
+    pend(node, packet,
+         PendTarget{link.to, link.prr, ctx_->schedules->active_slot(link.to)});
   }
 }
 

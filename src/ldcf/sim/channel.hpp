@@ -155,6 +155,9 @@ class Channel {
   std::vector<std::uint32_t> listen_best_intent_;
   std::vector<std::uint32_t> listen_last_intent_;
   std::vector<NodeId> listen_dirty_;
+  // Awake marks of the slot's active receivers, set and cleared around the
+  // scatter (all-zero between calls).
+  std::vector<std::uint8_t> awake_;
 
   std::vector<NodeId> broadcast_senders_;  // recomputed each slot.
 

@@ -259,6 +259,142 @@ TEST(ChannelKeyed, SequentialAndKeyedAreDifferentRealizations) {
   EXPECT_NE(listeners(seq), listeners(keyed));
 }
 
+// Brute-force overhear reference for one keyed slot: every active listener
+// that neither transmits nor is addressed scans all intents in order, and
+// decodes the one audible transmission (or, with capture, a dominant one)
+// with its keyed overhear draw.
+std::vector<sim::OverhearEvent> reference_overhears(
+    const topology::Topology& topo, const std::vector<sim::TxIntent>& intents,
+    const std::vector<NodeId>& active, SlotIndex slot,
+    const sim::ChannelConfig& config) {
+  constexpr std::uint32_t kOverhearDrawKind = 1;  // vs 0 for unicast loss.
+  std::vector<sim::OverhearEvent> out;
+  for (const NodeId listener : active) {
+    const bool busy = std::any_of(
+        intents.begin(), intents.end(), [&](const sim::TxIntent& intent) {
+          return intent.sender == listener || intent.receiver == listener;
+        });
+    if (busy) continue;
+    std::uint32_t audible = 0;
+    double best = 0.0;
+    double second = 0.0;
+    std::size_t best_intent = intents.size();
+    std::size_t last_intent = intents.size();
+    for (std::size_t i = 0; i < intents.size(); ++i) {
+      const auto prr = topo.prr(intents[i].sender, listener);
+      if (!prr) continue;
+      ++audible;
+      last_intent = i;
+      if (*prr > best) {
+        second = best;
+        best = *prr;
+        best_intent = i;
+      } else if (*prr > second) {
+        second = *prr;
+      }
+    }
+    std::size_t decodable = intents.size();
+    if (audible == 1) {
+      decodable = last_intent;
+    } else if (audible > 1 && config.capture_ratio > 0.0 && second > 0.0 &&
+               best >= config.capture_ratio * second) {
+      decodable = best_intent;
+    }
+    if (decodable == intents.size()) continue;
+    const sim::TxIntent& heard = intents[decodable];
+    if (!heard.is_broadcast() && !config.overhearing) continue;
+    const std::uint64_t key =
+        channel_draw_seed(config.keyed_seed, slot, heard.sender, listener,
+                          heard.packet, kOverhearDrawKind);
+    if (keyed_unit(key) < std::min(best * config.prr_scale, 1.0)) {
+      out.push_back(sim::OverhearEvent{listener, heard.sender, heard.packet});
+    }
+  }
+  return out;
+}
+
+// The kernel's own choice between scattering sender neighborhoods and
+// scanning the intents per listener (channel.cpp), restated to check that
+// the test below exercises both.
+bool takes_scatter_path(const topology::Topology& topo,
+                        const std::vector<sim::TxIntent>& intents,
+                        const std::vector<NodeId>& active) {
+  std::size_t scatter_work = active.size();
+  for (const sim::TxIntent& intent : intents) {
+    scatter_work += topo.neighbors(intent.sender).size();
+  }
+  return scatter_work < active.size() * intents.size();
+}
+
+TEST(ChannelKeyed, OverhearsMatchABruteForcePerListenerReference) {
+  // Random directed links with random PRRs, so a sender's neighborhood
+  // mixes awake listeners with sleeping high-PRR neighbors; one Channel
+  // resolves every slot, so stale per-listener scratch would show.
+  constexpr NodeId kNodes = 160;
+  Rng gen(2024);
+  topology::Topology topo{std::vector<topology::Point2D>(kNodes)};
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (NodeId v = 0; v < kNodes; ++v) {
+      if (u != v && gen.bernoulli(0.08)) {
+        topo.add_link(u, v, 0.05 + 0.95 * gen.uniform());
+      }
+    }
+  }
+  sim::Channel channel(topo);
+  std::size_t scatter_slots = 0;
+  std::size_t scan_slots = 0;
+  std::size_t overheard = 0;
+  for (SlotIndex slot = 0; slot < 240; ++slot) {
+    const double awake_shares[] = {1.0, 0.05, 0.15, 0.3};
+    const double awake_share = awake_shares[slot % 4];
+    std::vector<NodeId> active;
+    std::vector<std::uint8_t> is_active(kNodes, 0);
+    for (NodeId n = 0; n < kNodes; ++n) {
+      if (gen.bernoulli(awake_share)) {
+        active.push_back(n);
+        is_active[n] = 1;
+      }
+    }
+    // 1..40 distinct senders; a quarter broadcast, the rest unicast to an
+    // awake out-neighbor (falling back to a broadcast when none is awake).
+    const auto senders = 1 + static_cast<std::uint32_t>(gen.below(40));
+    std::vector<std::uint8_t> sending(kNodes, 0);
+    std::vector<sim::TxIntent> intents;
+    for (std::uint32_t k = 0; k < senders; ++k) {
+      const auto sender = static_cast<NodeId>(gen.below(kNodes));
+      if (sending[sender] != 0) continue;
+      sending[sender] = 1;
+      sim::TxIntent intent{sender, kNoNode,
+                           static_cast<PacketId>(gen.below(3))};
+      if (!gen.bernoulli(0.25)) {
+        for (const topology::Link& link : topo.neighbors(sender)) {
+          if (is_active[link.to] != 0) {
+            intent.receiver = link.to;
+            break;
+          }
+        }
+      }
+      intents.push_back(intent);
+    }
+    sim::ChannelConfig config = keyed_config(1);
+    config.capture_ratio = slot % 2 == 0 ? 0.0 : 1.5;
+    config.overhearing = slot % 3 != 0;
+    (takes_scatter_path(topo, intents, active) ? scatter_slots : scan_slots)++;
+    Rng rng(1);
+    sim::SlotResolution out;
+    channel.resolve(intents, active, slot, config, rng, out);
+    SCOPED_TRACE(::testing::Message() << "slot " << slot);
+    const auto expected =
+        reference_overhears(topo, intents, active, slot, config);
+    expect_same_resolution(sim::SlotResolution{{}, expected},
+                           sim::SlotResolution{{}, out.overhears});
+    overheard += expected.size();
+  }
+  EXPECT_GT(scatter_slots, 20u);
+  EXPECT_GT(scan_slots, 20u);
+  EXPECT_GT(overheard, 100u);
+}
+
 // ---------------------------------------------------- engine-level contracts
 
 void expect_identical_results(const sim::SimResult& a,
