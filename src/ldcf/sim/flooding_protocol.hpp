@@ -110,7 +110,8 @@ class FloodingProtocol {
   }
 
   /// Propose this slot's unicasts. `active_receivers` lists nodes that can
-  /// receive in this slot (ascending ids).
+  /// receive in this slot (ascending ids): the schedule's wake bucket for
+  /// the slot (`schedules->active_nodes_at(slot)`) minus the dead nodes.
   virtual void propose_transmissions(SlotIndex slot,
                                      std::span<const NodeId> active_receivers,
                                      std::vector<TxIntent>& out) = 0;
