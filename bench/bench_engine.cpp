@@ -1,7 +1,7 @@
 // Engine throughput microbenchmark: slots simulated per second on a
 // 256-node clustered topology, per protocol, plus a saturated
 // channel-kernel segment (Bernoulli draws per second: the sequential stream
-// against the counter-based keyed kernel at 1 and 4 worker threads). These
+// against the counter-based keyed kernel). These
 // are the baseline hot-path numbers future engine PRs are measured against —
 // the trace-driven figure benches vary protocol behaviour, this one pins
 // raw slot-loop and draw-kernel cost.
@@ -298,8 +298,7 @@ int main() {
 
   // Channel-kernel segment: the same saturated star-forest slot resolved
   // under each draw realization. Draw counts are identical by construction
-  // (counts never depend on outcomes); only the realization and the
-  // threading differ.
+  // (counts never depend on outcomes); only the realization differs.
   const topology::Topology star = make_star_forest();
   sim::ChannelConfig channel_config;
   channel_config.collisions = true;
@@ -307,15 +306,11 @@ int main() {
   channel_config.keyed_seed = 0xb5eedULL;
   std::vector<ChannelRow> channel_rows;
   channel_config.rng_mode = sim::ChannelRngMode::kSequential;
-  channel_config.threads = 1;
   channel_rows.push_back(
       run_channel_bench("channel_seq", star, channel_config, reps));
   channel_config.rng_mode = sim::ChannelRngMode::kSlotKeyed;
   channel_rows.push_back(
       run_channel_bench("channel_keyed_t1", star, channel_config, reps));
-  channel_config.threads = 4;
-  channel_rows.push_back(
-      run_channel_bench("channel_keyed_t4", star, channel_config, reps));
 
   std::cout << "\n=== Channel kernel (" << kChannelHubs << " hubs x "
             << kChannelLeaves << " listeners, " << kChannelSlots
@@ -330,8 +325,7 @@ int main() {
 
   std::cout << "\nShape check: slots/sec is the hot-path budget; compare "
                "against EXPERIMENTS.md \"Engine throughput\" before/after "
-               "touching sim/. channel_keyed_t4 should beat channel_keyed_t1 "
-               "on a multicore host (the keyed draws commute).\n";
+               "touching sim/.\n";
   const std::string report = bench::report_path("engine");
   if (!report.empty()) {
     write_bench_report(report, topo, config, duty_pct, reps, rows,

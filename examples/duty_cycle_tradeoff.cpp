@@ -6,20 +6,26 @@
 // of the trade plus the gain curve.
 //
 //   ./duty_cycle_tradeoff [num_packets] [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "ldcf/analysis/experiment.hpp"
 #include "ldcf/analysis/table.hpp"
+#include "ldcf/common/error.hpp"
+#include "ldcf/common/parse.hpp"
 #include "ldcf/topology/generators.hpp"
 
 int main(int argc, char** argv) {
   using namespace ldcf;
 
-  const auto packets =
-      static_cast<std::uint32_t>(argc > 1 ? std::atoi(argv[1]) : 20);
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1;
+  std::uint32_t packets = 20;
+  std::uint64_t seed = 1;
+  try {
+    if (argc > 1) packets = common::parse_u32(argv[1], "num_packets");
+    if (argc > 2) seed = common::parse_u64(argv[2], "seed");
+  } catch (const InvalidArgument& error) {
+    std::cerr << "duty_cycle_tradeoff: " << error.what() << "\n";
+    return 2;
+  }
 
   const topology::Topology topo = topology::make_greenorbs_like(seed);
 

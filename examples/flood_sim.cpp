@@ -15,11 +15,8 @@
 //                        path; default is the sequential legacy stream)
 //     --channel-rng seq|keyed  channel draw realization (default seq, the
 //                        golden-pinned sequential stream; keyed switches to
-//                        counter-based slot-keyed draws — order-independent,
-//                        statistically equivalent, enables --channel-threads)
-//     --channel-threads N  worker threads for the keyed draw phase
-//                        (0 = all cores; ignored under seq; bit-identical
-//                        for every value)
+//                        counter-based slot-keyed draws — order-independent
+//                        and statistically equivalent)
 //     --topo-seed S      generator seed (default 1)
 //     --duty PCT         duty cycle percent (default 5)
 //     --source NODE      flooding source node (default 0)
@@ -362,8 +359,6 @@ int run_cli(int argc, char** argv) {
       } else {
         usage_error("--channel-rng wants seq|keyed");
       }
-    } else if (arg == "--channel-threads") {
-      config.channel_threads = static_cast<std::uint32_t>(parse_u64(next()));
     } else if (arg == "--compact-time") {
       const std::string mode = next();
       if (mode == "on") {

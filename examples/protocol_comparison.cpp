@@ -4,8 +4,7 @@
 // back, exactly as a real measurement trace would be.
 //
 //   ./protocol_comparison [--report PATH] [--channel-rng seq|keyed]
-//                         [--channel-threads N] [--heartbeat PATH]
-//                         [--watchdog SECONDS] [--series]
+//                         [--heartbeat PATH] [--watchdog SECONDS] [--series]
 //                         [duty_percent] [num_packets]
 //                         [seed] [threads] [event_trace_path]
 //
@@ -13,11 +12,11 @@
 // 1 = serial); the numbers are bit-identical at any thread count.
 // --channel-rng keyed switches the channel to counter-based slot-keyed
 // draws (order-independent, statistically equivalent to the default
-// sequential stream) and --channel-threads fans that draw phase out
-// inside each trial (0 = all cores; results identical for every value). When
+// sequential stream). Numeric arguments parse strictly: a malformed one
+// is a usage error (exit 2) naming the argument. When
 // event_trace_path is given, every trial writes a JSONL event trace there
 // with a per-trial "-<protocol>-T<period>-r<rep>" suffix. --report writes
-// a provenance-stamped ldcf.sweep_report.v1 JSON document with per-protocol
+// a provenance-stamped ldcf.sweep_report.v2 JSON document with per-protocol
 // delay/energy histograms and stage-profiler timings. --heartbeat streams
 // ldcf.heartbeat.v1 JSONL liveness records for every trial; --watchdog
 // attaches a stall watchdog (S wall-clock seconds without progress aborts
@@ -26,7 +25,6 @@
 // (merged per protocol across repetitions): a per-protocol summary prints
 // after the table, and with --report each point gains "timeseries" and
 // "netmap" sections in the sweep document.
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -35,6 +33,8 @@
 
 #include "ldcf/analysis/experiment.hpp"
 #include "ldcf/analysis/table.hpp"
+#include "ldcf/common/error.hpp"
+#include "ldcf/common/parse.hpp"
 #include "ldcf/obs/watchdog.hpp"
 #include "ldcf/protocols/registry.hpp"
 #include "ldcf/topology/generators.hpp"
@@ -46,10 +46,9 @@ int main(int argc, char** argv) {
   // Peel off the --flag options, leaving the positional args in place.
   std::string report_path;
   std::string heartbeat_path;
-  double watchdog_seconds = 0.0;
+  const char* watchdog_text = nullptr;
   bool collect_series = false;
   sim::ChannelRngMode channel_rng = sim::ChannelRngMode::kSequential;
-  std::uint32_t channel_threads = 1;
   std::vector<char*> positional;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--report") == 0) {
@@ -68,12 +67,6 @@ int main(int argc, char** argv) {
         std::cerr << "protocol_comparison: --channel-rng wants seq|keyed\n";
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--channel-threads") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "protocol_comparison: --channel-threads needs a count\n";
-        return 2;
-      }
-      channel_threads = static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--heartbeat") == 0) {
       if (i + 1 >= argc) {
         std::cerr << "protocol_comparison: --heartbeat needs a path\n";
@@ -85,7 +78,7 @@ int main(int argc, char** argv) {
         std::cerr << "protocol_comparison: --watchdog needs seconds\n";
         return 2;
       }
-      watchdog_seconds = std::atof(argv[++i]);
+      watchdog_text = argv[++i];
     } else if (std::strcmp(argv[i], "--series") == 0) {
       collect_series = true;
     } else {
@@ -94,13 +87,25 @@ int main(int argc, char** argv) {
   }
   const std::size_t nargs = positional.size();
 
-  const double duty_percent = nargs > 0 ? std::atof(positional[0]) : 5.0;
-  const auto packets =
-      static_cast<std::uint32_t>(nargs > 1 ? std::atoi(positional[1]) : 20);
-  const std::uint64_t seed =
-      nargs > 2 ? std::strtoull(positional[2], nullptr, 10) : 1;
-  const auto threads =
-      static_cast<std::uint32_t>(nargs > 3 ? std::atoi(positional[3]) : 0);
+  double watchdog_seconds = 0.0;
+  double duty_percent = 5.0;
+  std::uint32_t packets = 20;
+  std::uint64_t seed = 1;
+  std::uint32_t threads = 0;
+  try {
+    if (watchdog_text != nullptr) {
+      watchdog_seconds = common::parse_double(watchdog_text, "--watchdog");
+    }
+    if (nargs > 0) {
+      duty_percent = common::parse_double(positional[0], "duty_percent");
+    }
+    if (nargs > 1) packets = common::parse_u32(positional[1], "num_packets");
+    if (nargs > 2) seed = common::parse_u64(positional[2], "seed");
+    if (nargs > 3) threads = common::parse_u32(positional[3], "threads");
+  } catch (const InvalidArgument& error) {
+    std::cerr << "protocol_comparison: " << error.what() << "\n";
+    return 2;
+  }
   const std::string event_trace_path = nargs > 4 ? positional[4] : "";
 
   // Trace-driven: generate once, round-trip through the trace format.
@@ -117,7 +122,6 @@ int main(int argc, char** argv) {
   config.base.num_packets = packets;
   config.base.seed = seed;
   config.base.channel_rng = channel_rng;
-  config.base.channel_threads = channel_threads;
   config.threads = threads;
   config.trace_path = event_trace_path;
   config.report_path = report_path;

@@ -2,9 +2,10 @@
 // at a 5% duty cycle, and print the delay/energy summary.
 //
 //   ./quickstart [seed]
-#include <cstdlib>
 #include <iostream>
 
+#include "ldcf/common/error.hpp"
+#include "ldcf/common/parse.hpp"
 #include "ldcf/protocols/registry.hpp"
 #include "ldcf/sim/simulator.hpp"
 #include "ldcf/topology/generators.hpp"
@@ -12,8 +13,13 @@
 int main(int argc, char** argv) {
   using namespace ldcf;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
+  std::uint64_t seed = 1;
+  try {
+    if (argc > 1) seed = common::parse_u64(argv[1], "seed");
+  } catch (const InvalidArgument& error) {
+    std::cerr << "quickstart: " << error.what() << "\n";
+    return 2;
+  }
 
   // 1. A 298-sensor synthetic forest deployment (stand-in for the paper's
   //    GreenOrbs trace; see DESIGN.md).

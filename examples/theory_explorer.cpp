@@ -4,10 +4,11 @@
 // link-loss growth rate and the predicted flooding delay.
 //
 //   ./theory_explorer [N] [M] [T] [link_quality]
-#include <cstdlib>
 #include <iostream>
 
+#include "ldcf/common/error.hpp"
 #include "ldcf/common/math_utils.hpp"
+#include "ldcf/common/parse.hpp"
 #include "ldcf/theory/compact_flooding.hpp"
 #include "ldcf/theory/fdl.hpp"
 #include "ldcf/theory/fwl.hpp"
@@ -17,11 +18,19 @@ int main(int argc, char** argv) {
   using namespace ldcf;
   using namespace ldcf::theory;
 
-  const std::uint64_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 298;
-  const std::uint64_t m_pkts =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100;
-  const auto t = static_cast<std::uint32_t>(argc > 3 ? std::atoi(argv[3]) : 20);
-  const double quality = argc > 4 ? std::atof(argv[4]) : 0.7;
+  std::uint64_t n = 298;
+  std::uint64_t m_pkts = 100;
+  std::uint32_t t = 20;
+  double quality = 0.7;
+  try {
+    if (argc > 1) n = common::parse_u64(argv[1], "N");
+    if (argc > 2) m_pkts = common::parse_u64(argv[2], "M");
+    if (argc > 3) t = common::parse_u32(argv[3], "T");
+    if (argc > 4) quality = common::parse_double(argv[4], "link_quality");
+  } catch (const InvalidArgument& error) {
+    std::cerr << "theory_explorer: " << error.what() << "\n";
+    return 2;
+  }
   const DutyCycle duty{t};
 
   std::cout << "Network: N = " << n << " sensors + 1 source, M = " << m_pkts

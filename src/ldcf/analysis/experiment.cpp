@@ -23,18 +23,6 @@ namespace ldcf::analysis {
 TrialStats run_trial(const topology::Topology& topo,
                      const std::string& protocol,
                      const sim::SimConfig& config,
-                     const std::string& trace_path, bool collect_stats,
-                     bool check_conformance) {
-  TrialOptions options;
-  options.trace_path = trace_path;
-  options.collect_stats = collect_stats;
-  options.check_conformance = check_conformance;
-  return run_trial(topo, protocol, config, options);
-}
-
-TrialStats run_trial(const topology::Topology& topo,
-                     const std::string& protocol,
-                     const sim::SimConfig& config,
                      const TrialOptions& options) {
   obs::TimelineSpan trial_span(config.timeline, "trial", "executor", "trial",
                                options.trial_id);
@@ -404,8 +392,8 @@ std::vector<ScalePoint> run_scale_sweep(
     per_size.trace_path.clear();
     // Scale sweeps always run the channel keyed: like the pair-keyed link
     // RNG above, counter-based draws make large-N realizations independent
-    // of evaluation order, and they let channel_threads fan the draw phase
-    // out. Nothing pins sequential realizations at these sizes.
+    // of evaluation order. Nothing pins sequential realizations at these
+    // sizes.
     per_size.base.channel_rng = sim::ChannelRngMode::kSlotKeyed;
     sp.point = run_point(topo, protocol, DutyCycle::from_ratio(duty_ratio),
                          per_size);

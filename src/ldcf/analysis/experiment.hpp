@@ -169,14 +169,6 @@ struct TrialOptions {
                                    const sim::SimConfig& config,
                                    const TrialOptions& options);
 
-/// Compatibility overload predating TrialOptions.
-[[nodiscard]] TrialStats run_trial(const topology::Topology& topo,
-                                   const std::string& protocol,
-                                   const sim::SimConfig& config,
-                                   const std::string& trace_path = {},
-                                   bool collect_stats = false,
-                                   bool check_conformance = false);
-
 /// Index-ordered reduction of per-repetition trials into a ProtocolPoint.
 /// delay_stddev is the population stddev of the per-trial mean delays,
 /// computed two-pass (sum of squared deviations from the mean) so that
@@ -238,8 +230,8 @@ using TopologyFactory = std::function<topology::Topology(
 /// produces one result set the caller renders. The channel always runs in
 /// ChannelRngMode::kSlotKeyed here (config.base.channel_rng is overridden),
 /// matching the pair-keyed link RNG of the default factory: large-N sweeps
-/// care about order-independence and channel_threads fan-out, and no golden
-/// pins sequential realizations at these sizes.
+/// care about order-independence, and no golden pins sequential
+/// realizations at these sizes.
 [[nodiscard]] std::vector<ScalePoint> run_scale_sweep(
     const std::vector<std::uint32_t>& sensor_counts,
     const std::string& protocol, double duty_ratio,

@@ -73,7 +73,7 @@ void write_sweep_report(std::ostream& out,
                "sweep report needs topology, config and points");
   obs::JsonWriter json(out);
   json.begin_object()
-      .field("schema", "ldcf.sweep_report.v1")
+      .field("schema", "ldcf.sweep_report.v2")
       .field("tool", context.tool);
   json.key("provenance");
   obs::write_provenance(json, obs::Provenance::current());

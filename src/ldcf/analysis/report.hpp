@@ -6,7 +6,7 @@
 // across repetitions), and aggregated stage-profiler timings — under the
 // same provenance stamp as single-run reports.
 //
-// Schema (`ldcf.sweep_report.v1`): top-level keys `schema`, `tool`,
+// Schema (`ldcf.sweep_report.v2`): top-level keys `schema`, `tool`,
 // `provenance`, `config` (base SimConfig + repetitions/threads),
 // `topology`, `truncated_trials`, and `points` (array; each point carries
 // `protocol`, `duty_ratio`, the ProtocolPoint scalars, `profiler`, and
@@ -29,7 +29,7 @@ struct SweepReportContext {
   double wall_seconds = 0.0;  ///< end-to-end sweep wall time (0 = unknown).
 };
 
-/// Serialize a complete `ldcf.sweep_report.v1` document.
+/// Serialize a complete `ldcf.sweep_report.v2` document.
 void write_sweep_report(std::ostream& out, const SweepReportContext& context);
 
 /// File variant; throws InvalidArgument if `path` cannot be opened.

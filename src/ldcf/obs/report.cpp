@@ -96,7 +96,6 @@ void write_sim_config(JsonWriter& json, const sim::SimConfig& config) {
              config.channel_rng == sim::ChannelRngMode::kSlotKeyed
                  ? "slot_keyed"
                  : "sequential")
-      .field("channel_threads", config.channel_threads)
       .end_object();
 }
 
@@ -210,7 +209,7 @@ void write_run_report(std::ostream& out, const RunReportContext& context) {
                "run report needs topology, config and result");
   JsonWriter json(out);
   json.begin_object()
-      .field("schema", "ldcf.run_report.v1")
+      .field("schema", "ldcf.run_report.v2")
       .field("tool", context.tool)
       .field("protocol", context.protocol);
   json.key("provenance");

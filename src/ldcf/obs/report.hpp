@@ -11,7 +11,7 @@
 // telemetry-core code (timeline, trace_event_writer) can serialize without
 // depending on sim/.
 //
-// Schema (`ldcf.run_report.v1`): top-level keys `schema`, `tool`,
+// Schema (`ldcf.run_report.v2`): top-level keys `schema`, `tool`,
 // `provenance`, `config`, `topology`, `result`, `profiler`, `metrics`.
 // Histograms serialize sparsely: only non-empty bins, as
 // {"lower": L, "count": C} at the histogram's final bin width; delay
@@ -79,7 +79,7 @@ struct RunReportContext {
   double wall_seconds = 0.0;  ///< end-to-end tool wall time.
 };
 
-/// Serialize a complete `ldcf.run_report.v1` document.
+/// Serialize a complete `ldcf.run_report.v2` document.
 void write_run_report(std::ostream& out, const RunReportContext& context);
 
 /// File variant; throws InvalidArgument if `path` cannot be opened.

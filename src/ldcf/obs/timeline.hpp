@@ -1,14 +1,17 @@
 // Span-based timeline tracing: what every thread was doing, when.
 //
-// The stage profiler (sim/profiler.hpp) answers "where did the cycles go"
-// as end-of-run totals; the Timeline answers "what happened at 13.2 ms" —
+// The stage totals (sim/profiler.hpp) answer "where did the cycles go" at
+// the end of a run; the Timeline answers "what happened at 13.2 ms" —
 // the question flooding pathologies (suppression storms, back-to-back wake
 // floods, a stalled channel phase) are actually diagnosed with. Every
 // instrumented region records a SpanRecord (name, category, start, duration,
 // two numeric args) into a ring buffer owned by the recording thread;
 // counter tracks (coverage, holders, tx outcomes) ride alongside as sampled
-// CounterRecords. The whole capture flushes to Chrome trace_event JSON
-// (trace_event_writer.hpp) loadable in Perfetto / chrome://tracing.
+// CounterRecords. The engine's stage spans come from the same probe as the
+// stage totals (StageProfiler::Scope); TimelineSpan below covers the
+// regions outside the slot loop (trials, reductions). The whole capture
+// flushes to Chrome trace_event JSON (trace_event_writer.hpp) loadable in
+// Perfetto / chrome://tracing.
 //
 // Concurrency model — single-producer lanes, quiescent flush:
 //   * Each thread owns one Lane; only that thread ever writes it (the
@@ -20,14 +23,14 @@
 //   * snapshot()/write_chrome_trace() must only run while no instrumented
 //     code is executing (after SimEngine::run returns, after worker joins).
 //     Every producer handoff in the codebase already synchronizes through a
-//     mutex/condvar (WorkerPool::run) or thread join (parallel_for_indexed),
-//     so the flush observes fully written records without extra fences.
+//     thread join (parallel_for_indexed), so the flush observes fully
+//     written records without extra fences.
 //
 // Determinism contract: recording never touches simulation state or RNG —
 // results are bit-identical with tracing on or off, enforced the same way
 // profiling is (tests/sim/test_timeline_engine.cpp). With no Timeline
-// attached every probe is a null-pointer check: zero clock reads, zero
-// allocation on the hot path.
+// attached (and, for stage probes, profiling off) every probe is one
+// branch: zero clock reads, zero allocation on the hot path.
 //
 // Span names must be string literals (or otherwise outlive the Timeline):
 // records store the pointer, not a copy — that is what keeps record() at a
@@ -51,7 +54,7 @@ class TraceEventWriter;
 /// static strings, args are two optional (name, u64) pairs.
 struct SpanRecord {
   const char* name = nullptr;      ///< e.g. "channel_draw" (static storage).
-  const char* category = nullptr;  ///< "engine" | "channel" | "pool" | ...
+  const char* category = nullptr;  ///< "engine" | "channel" | "executor"
   std::uint64_t start_ns = 0;      ///< relative to the timeline epoch.
   std::uint64_t dur_ns = 0;
   const char* arg0_name = nullptr;  ///< nullptr = no arg.
@@ -129,8 +132,17 @@ class Timeline {
   /// Nanoseconds since the timeline epoch (steady clock; construction = 0).
   [[nodiscard]] std::uint64_t now_ns() const;
 
+  /// The epoch as a raw steady_clock reading in nanoseconds, for probes
+  /// that read the clock themselves: a reading r lies at r - epoch_ns().
+  [[nodiscard]] std::uint64_t epoch_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            epoch_.time_since_epoch())
+            .count());
+  }
+
   /// Label the *calling thread's* lane in the exported trace (e.g.
-  /// "engine", "pool-1", "trial-worker-3"). Later calls win.
+  /// "engine", "trial-worker-3"). Later calls win.
   void label_current_thread(std::string label);
 
   /// Record a counter sample on the calling thread's lane.

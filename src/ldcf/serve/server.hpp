@@ -8,7 +8,7 @@
 //   {"op":"submit","config":{...JobSpec}}  -> {"type":"accepted","job":N}
 //                                             {"type":"progress","job":N,...}*
 //                                             {"type":"result","job":N,
-//                                              "report":{ldcf.sweep_report.v1}}
+//                                              "report":{ldcf.sweep_report.v2}}
 //
 // Malformed frames and inadmissible jobs get structured {"type":"rejected"}
 // or {"type":"error"} frames; the daemon never dies on client input.

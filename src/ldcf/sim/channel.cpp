@@ -1,11 +1,9 @@
 #include "ldcf/sim/channel.hpp"
 
 #include <algorithm>
-#include <string>
+#include <optional>
 
 #include "ldcf/common/error.hpp"
-#include "ldcf/obs/timeline.hpp"
-#include "ldcf/sim/worker_pool.hpp"
 
 namespace ldcf::sim {
 
@@ -15,11 +13,6 @@ namespace {
 // opposed to Channel::kNoIntent = no draw at all). Distinct values let the
 // apply phase count attempts without a second per-listener array.
 constexpr std::uint32_t kOverhearLost = 0xfffffffeU;
-
-// Which Timeline this worker thread last labeled its lane for: labeling
-// takes the registry mutex, so do it once per (thread, timeline), not once
-// per slot.
-thread_local const obs::Timeline* t_labeled_for = nullptr;
 
 }  // namespace
 
@@ -37,8 +30,6 @@ Channel::Channel(const topology::Topology& topo)
       listen_best_intent_(topo.num_nodes(), kNoIntent),
       listen_last_intent_(topo.num_nodes(), kNoIntent),
       awake_(topo.num_nodes(), 0) {}
-
-Channel::~Channel() = default;
 
 void Channel::reset_scratch() {
   // Cleared at the *start* of resolve so that a throw mid-slot (duplicate
@@ -69,13 +60,6 @@ void Channel::reset_scratch() {
   uni_prob_.clear();
 }
 
-WorkerPool& Channel::pool(std::uint32_t threads) {
-  if (!pool_ || pool_->workers() != threads) {
-    pool_ = std::make_unique<WorkerPool>(threads - 1);
-  }
-  return *pool_;
-}
-
 void Channel::resolve(std::span<const TxIntent> intents,
                       std::span<const NodeId> active_receivers, SlotIndex slot,
                       const ChannelConfig& config, Rng& rng,
@@ -86,36 +70,17 @@ void Channel::resolve(std::span<const TxIntent> intents,
   last_draw_count_ = 0;
   if (intents.empty()) return;
   out.results.reserve(intents.size());
-
-  // Phase spans are recorded by hand (start captured here, closed at the
-  // phase boundary) because the three phases are not brace-nested scopes.
-  // Each span opens after its profiler interval starts and reads its end
-  // clock before the profiler does, so spans nest inside the stage totals
-  // by construction; the span is stored after the profiler interval closes.
-  obs::Timeline* const tl = config.timeline;
-  const auto close_phase = [&](Stage stage, std::uint64_t t0, const char* name,
-                               std::uint64_t start_ns, std::uint64_t items) {
-    const std::uint64_t end_ns = tl ? tl->now_ns() : 0;
-    if (profiler) profiler->add(stage, t0);
-    if (tl == nullptr) return;
-    obs::SpanRecord span;
-    span.name = name;
-    span.category = "channel";
-    span.start_ns = start_ns;
-    span.dur_ns = end_ns - start_ns;
-    span.arg0_name = "slot";
-    span.arg0 = slot;
-    span.arg1_name = "items";
-    span.arg1 = items;
-    tl->lane().record_span(span);
-  };
+  // One probe per kernel phase: each emplace closes the previous phase's
+  // interval before opening the next, and the last closes on return.
+  std::optional<StageProfiler::Scope> phase;
+  StageProfiler& timing = profiler != nullptr ? *profiler : untimed_;
 
   // ---- Phase 1: gather. Classify every intent, run the RNG-free channel
   // rules (busy / collision / capture), and collect each pending Bernoulli
   // draw into the flat SoA batch. No randomness is consumed here, so the
   // phase split cannot move a draw relative to the legacy interleaved loop.
-  const std::uint64_t gather_t0 = profiler ? profiler->now() : 0;
-  const std::uint64_t gather_ns0 = tl ? tl->now_ns() : 0;
+  phase.emplace(timing, Stage::kChannelGather, "slot", slot, "items",
+                intents.size());
 
   for (const TxIntent& intent : intents) {
     LDCF_CHECK(!transmitting_[intent.sender],
@@ -246,16 +211,11 @@ void Channel::resolve(std::span<const TxIntent> intents,
   }
 
   const std::size_t n_uni = uni_prob_.size();
-  const std::size_t n_words = (n_uni + 63) / 64;
   const std::size_t n_listen = need_listeners ? active_receivers.size() : 0;
-  uni_bits_.assign(n_words, 0);
-
-  close_phase(Stage::kChannelGather, gather_t0, "channel_gather", gather_ns0,
-              intents.size());
+  uni_bits_.assign((n_uni + 63) / 64, 0);
 
   // Decodability and draw probability for one listener: a pure function of
-  // the phase-1 scratch (or a read-only intent scan), so it is safe to
-  // evaluate from any worker and on any schedule.
+  // the phase-1 scratch (or a read-only intent scan).
   struct ListenerDraw {
     std::uint32_t hit;
     double prob;
@@ -308,15 +268,14 @@ void Channel::resolve(std::span<const TxIntent> intents,
     return {decodable, std::min(best_prr * config.prr_scale, 1.0)};
   };
 
-  // ---- Phase 2: realize the draws.
-  const std::uint64_t draw_t0 = profiler ? profiler->now() : 0;
-  const std::uint64_t draw_ns0 = tl ? tl->now_ns() : 0;
-
+  // ---- Phase 2: realize the draws, unicast draws in intent order, then
+  // overhear draws in ascending listener order.
+  phase.emplace(timing, Stage::kChannelDraw, "slot", slot, "items",
+                n_uni + n_listen);
   if (config.rng_mode == ChannelRngMode::kSequential) {
-    // Historical order on the shared stream: unicast draws in intent order,
-    // then overhear draws in ascending listener order. bernoulli() skips
-    // the stream entirely on degenerate probabilities, exactly as the
-    // interleaved loop did, so golden fingerprints are preserved.
+    // Historical order on the shared stream. bernoulli() skips the stream
+    // entirely on degenerate probabilities, exactly as the interleaved loop
+    // did, so golden fingerprints are preserved.
     for (std::size_t d = 0; d < n_uni; ++d) {
       if (rng.bernoulli(uni_prob_[d])) {
         uni_bits_[d >> 6] |= 1ULL << (d & 63);
@@ -329,63 +288,30 @@ void Channel::resolve(std::span<const TxIntent> intents,
     }
   } else {
     // Counter-based draws: each realization depends only on its key, so
-    // the loop order — and the worker partition — cannot change results.
-    // Workers own disjoint bitset words (64-draw aligned chunks) and
-    // disjoint listener ranges; no output location is shared.
-    const auto keyed_phase = [&](std::uint32_t worker, std::uint32_t workers) {
-      // Helper-thread lanes get a stable pool-N label (worker 0 is the
-      // caller — already labeled by the engine).
-      if (tl != nullptr && worker != 0 && t_labeled_for != tl) {
-        tl->label_current_thread("pool-" + std::to_string(worker));
-        t_labeled_for = tl;
+    // the loop order cannot change results.
+    for (std::size_t d = 0; d < n_uni; ++d) {
+      const std::uint64_t key =
+          channel_draw_seed(config.keyed_seed, slot, uni_sender_[d],
+                            uni_receiver_[d], uni_packet_[d], kDrawUnicast);
+      if (keyed_unit(key) < uni_prob_[d]) {
+        uni_bits_[d >> 6] |= 1ULL << (d & 63);
       }
-      obs::TimelineSpan chunk_span(tl, "channel_draw_chunk", "pool", "worker",
-                                   worker, "slot", slot);
-      const auto [wb, we] = WorkerPool::chunk(n_words, worker, workers, 1);
-      for (std::size_t w = wb; w < we; ++w) {
-        std::uint64_t bits = 0;
-        const std::size_t base = w * 64;
-        const std::size_t lim = std::min<std::size_t>(64, n_uni - base);
-        for (std::size_t k = 0; k < lim; ++k) {
-          const std::size_t d = base + k;
-          const std::uint64_t key =
-              channel_draw_seed(config.keyed_seed, slot, uni_sender_[d],
-                                uni_receiver_[d], uni_packet_[d], kDrawUnicast);
-          bits |= static_cast<std::uint64_t>(keyed_unit(key) < uni_prob_[d])
-                  << k;
-        }
-        uni_bits_[w] = bits;
-      }
-      const auto [lb, le] = WorkerPool::chunk(n_listen, worker, workers, 1);
-      for (std::size_t j = lb; j < le; ++j) {
-        const NodeId listener = active_receivers[j];
-        const ListenerDraw cand = listener_candidate(listener);
-        if (cand.hit == kNoIntent) continue;
-        const TxIntent& heard = intents[cand.hit];
-        const std::uint64_t key =
-            channel_draw_seed(config.keyed_seed, slot, heard.sender, listener,
-                              heard.packet, kDrawOverhear);
-        listen_hit_[j] =
-            keyed_unit(key) < cand.prob ? cand.hit : kOverhearLost;
-      }
-    };
-    if (config.threads > 1 && n_uni + n_listen >= kMinParallelItems) {
-      pool(config.threads).run(keyed_phase);
-    } else {
-      keyed_phase(0, 1);
+    }
+    for (std::size_t j = 0; j < n_listen; ++j) {
+      const NodeId listener = active_receivers[j];
+      const ListenerDraw cand = listener_candidate(listener);
+      if (cand.hit == kNoIntent) continue;
+      const TxIntent& heard = intents[cand.hit];
+      const std::uint64_t key =
+          channel_draw_seed(config.keyed_seed, slot, heard.sender, listener,
+                            heard.packet, kDrawOverhear);
+      listen_hit_[j] = keyed_unit(key) < cand.prob ? cand.hit : kOverhearLost;
     }
   }
 
-  close_phase(Stage::kChannelDraw, draw_t0, "channel_draw", draw_ns0,
-              n_uni + n_listen);
-
-  // ---- Phase 3: apply, serially and in fixed index order (the reduce
-  // discipline that makes the threaded draw phase bit-identical to the
-  // serial one): patch unicast winners, then append overhears in ascending
-  // listener order.
-  const std::uint64_t apply_t0 = profiler ? profiler->now() : 0;
-  const std::uint64_t apply_ns0 = tl ? tl->now_ns() : 0;
-
+  // ---- Phase 3: apply in fixed index order: patch unicast winners, then
+  // append overhears in ascending listener order.
+  phase.emplace(timing, Stage::kChannelApply, "slot", slot);
   for (std::size_t d = 0; d < n_uni; ++d) {
     if ((uni_bits_[d >> 6] >> (d & 63)) & 1ULL) {
       out.results[uni_result_[d]].outcome = TxOutcome::kDelivered;
@@ -402,9 +328,7 @@ void Channel::resolve(std::span<const TxIntent> intents,
         OverhearEvent{active_receivers[j], heard.sender, heard.packet});
   }
   last_draw_count_ = n_uni + overhear_draws;
-
-  close_phase(Stage::kChannelApply, apply_t0, "channel_apply", apply_ns0,
-              n_uni + overhear_draws);
+  phase->arg1("items", last_draw_count_);
 }
 
 SlotResolution resolve_slot(const topology::Topology& topo,

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,13 +29,7 @@
 #include "ldcf/sim/profiler.hpp"
 #include "ldcf/topology/topology.hpp"
 
-namespace ldcf::obs {
-class Timeline;  // obs/timeline.hpp; the kernel only carries the pointer.
-}
-
 namespace ldcf::sim {
-
-class WorkerPool;
 
 /// How channel loss draws are realized.
 enum class ChannelRngMode : std::uint8_t {
@@ -48,8 +41,8 @@ enum class ChannelRngMode : std::uint8_t {
   /// Counter-based draws keyed by (channel seed, slot, unordered link pair,
   /// packet, draw kind) via channel_draw_seed(). Each realization is a pure
   /// function of what is drawn, so results are independent of evaluation
-  /// order and commute with channel_threads. Statistically equivalent to
-  /// kSequential but a different realization, so fingerprints differ.
+  /// order. Statistically equivalent to kSequential but a different
+  /// realization, so fingerprints differ.
   kSlotKeyed = 1,
 };
 
@@ -67,15 +60,6 @@ struct ChannelConfig {
   /// its channel substream seed so keyed draws stay a function of
   /// SimConfig::seed).
   std::uint64_t keyed_seed = 0;
-  /// Worker count for the draw phase. Only kSlotKeyed can fan out (its
-  /// draws commute); kSequential ignores this and stays serial. Values
-  /// <= 1 mean no helper threads.
-  std::uint32_t threads = 1;
-  /// Span timeline, or nullptr for none. When attached, resolve records
-  /// channel_gather/channel_draw/channel_apply phase spans on the calling
-  /// thread and a channel_draw_chunk span per WorkerPool worker. Purely
-  /// observational; never affects draws or results.
-  obs::Timeline* timeline = nullptr;
 };
 
 /// One successful overhear: `listener` decoded `packet` sent by `sender`.
@@ -99,7 +83,6 @@ struct SlotResolution {
 class Channel {
  public:
   explicit Channel(const topology::Topology& topo);
-  ~Channel();
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -108,9 +91,10 @@ class Channel {
   /// reused). `active_receivers` must reflect the schedule; intents must
   /// already be validated (sender holds the packet, receiver is an active
   /// neighbor). `slot` keys the draws in kSlotKeyed mode (ignored under
-  /// kSequential). `profiler`, when non-null, receives the
-  /// channel_gather/channel_draw/channel_apply sub-stage timings. Throws
-  /// InternalError if a sender appears twice.
+  /// kSequential). `profiler`, when non-null, times the
+  /// channel_gather/channel_draw/channel_apply phases into whichever sinks
+  /// it holds (totals, timeline spans). Throws InternalError if a sender
+  /// appears twice.
   void resolve(std::span<const TxIntent> intents,
                std::span<const NodeId> active_receivers, SlotIndex slot,
                const ChannelConfig& config, Rng& rng, SlotResolution& out,
@@ -128,13 +112,8 @@ class Channel {
   // decode draw on the same (slot, pair, packet) must not share a key.
   static constexpr std::uint32_t kDrawUnicast = 0;
   static constexpr std::uint32_t kDrawOverhear = 1;
-  // Below this many phase-2 items the pool dispatch overhead dwarfs the
-  // draw work; run serially (a pure performance gate — keyed draws are
-  // order-independent, so the results are identical either way).
-  static constexpr std::size_t kMinParallelItems = 256;
 
   void reset_scratch();
-  WorkerPool& pool(std::uint32_t threads);
 
   const topology::Topology& topo_;
 
@@ -175,9 +154,8 @@ class Channel {
 
   std::uint64_t last_draw_count_ = 0;
 
-  // Lazily created when a kSlotKeyed resolve requests > 1 thread; kept
-  // across slots so dispatch is two notify round trips, not thread spawns.
-  std::unique_ptr<WorkerPool> pool_;
+  // Stands in for a null `profiler`: no sink, so its probes read no clock.
+  StageProfiler untimed_;
 };
 
 /// Resolve one slot's intents. Compatibility wrapper over Channel for

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "ldcf/common/error.hpp"
 #include "ldcf/obs/timeline.hpp"
@@ -193,11 +192,6 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
   // Keyed draws derive from the same channel substream seed the sequential
   // stream uses, so either mode is a pure function of SimConfig::seed.
   channel_config_.keyed_seed = channel_seed_;
-  channel_config_.threads =
-      config_.channel_threads == 0
-          ? std::max(1u, std::thread::hardware_concurrency())
-          : config_.channel_threads;
-  channel_config_.timeline = config_.timeline;
   possession_.reset();
   dead_.assign(topo_.num_nodes(), 0);
   next_death_ = 0;
@@ -225,55 +219,49 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
   ctx.energy_tree = config_.shared_tree.get();
   protocol.initialize(ctx);
 
-  profiler_.reset(config_.profiling);
+  obs::Timeline* const tl = config_.timeline;
+  profiler_.reset(config_.profiling, tl);
   // Compact time is purely an execution strategy: results are bit-identical
   // to the dense loop (differential suite). Observers that enumerate every
   // slot verbatim force the dense path for their run.
   const bool use_compact =
       config_.compact_time &&
       (observer == nullptr || !observer->wants_every_slot());
-  obs::Timeline* const tl = config_.timeline;
   if (tl != nullptr) tl->label_current_thread("engine");
-  // Whole-run umbrella span: closes when run() returns, so it brackets the
-  // slot loop plus the end-of-run settlement.
-  obs::TimelineSpan run_span(tl, "run", "engine");
+  // The slot loop's wall time; add_wall closes it and records the "run"
+  // span that encloses every stage span.
   const std::uint64_t run_t0 = profiler_.now();
   SlotIndex t = 0;
   while (covered_count_ < config_.num_packets && t < config_.max_slots) {
     if (use_compact) {
-      StageProfiler::Scope timed(profiler_, Stage::kCompact);
-      obs::TimelineSpan span(tl, "compact", "engine", "slot", t);
+      StageProfiler::Scope timed(profiler_, Stage::kCompact, "slot", t);
       const SlotIndex next = next_event_slot(t);
       if (next > t) {
         const SlotIndex stop = std::min(next, config_.max_slots);
         fast_forward(t, stop);
-        span.arg1("skipped", stop - t);
+        timed.arg1("skipped", stop - t);
         t = stop;
         continue;
       }
     }
     std::span<const NodeId> active;
     {
-      StageProfiler::Scope timed(profiler_, Stage::kFaults);
-      obs::TimelineSpan span(tl, "faults", "engine", "slot", t);
+      StageProfiler::Scope timed(profiler_, Stage::kFaults, "slot", t);
       stage_faults(t);
       active = stage_active(t);
     }
     notify([&](auto& o) { o.on_slot_begin(t, active); });
     {
-      StageProfiler::Scope timed(profiler_, Stage::kGeneration);
-      obs::TimelineSpan span(tl, "generation", "engine", "slot", t);
+      StageProfiler::Scope timed(profiler_, Stage::kGeneration, "slot", t);
       stage_generation(t);
     }
     {
-      StageProfiler::Scope timed(profiler_, Stage::kIntents);
-      obs::TimelineSpan span(tl, "intents", "engine", "slot", t, "active",
-                             active.size());
+      StageProfiler::Scope timed(profiler_, Stage::kIntents, "slot", t,
+                                 "active", active.size());
       stage_intents(t, active);
     }
     {
-      StageProfiler::Scope timed(profiler_, Stage::kSyncMiss);
-      obs::TimelineSpan span(tl, "sync_miss", "engine", "slot", t);
+      StageProfiler::Scope timed(profiler_, Stage::kSyncMiss, "slot", t);
       stage_sync_miss();
     }
     // Not wrapped in a kChannel scope: the kernel times its own
@@ -281,19 +269,16 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
     // the stage buckets stay mutually exclusive (shares sum to 1).
     stage_channel(t, active);
     {
-      StageProfiler::Scope timed(profiler_, Stage::kEnergy);
-      obs::TimelineSpan span(tl, "energy", "engine", "slot", t);
+      StageProfiler::Scope timed(profiler_, Stage::kEnergy, "slot", t);
       stage_energy(t, active);
     }
     {
-      StageProfiler::Scope timed(profiler_, Stage::kApply);
-      obs::TimelineSpan span(tl, "apply", "engine", "slot", t, "results",
-                             ws_.resolution.results.size());
+      StageProfiler::Scope timed(profiler_, Stage::kApply, "slot", t,
+                                 "results", ws_.resolution.results.size());
       stage_apply(t);
     }
     {
-      StageProfiler::Scope timed(profiler_, Stage::kCoverage);
-      obs::TimelineSpan span(tl, "coverage", "engine", "slot", t);
+      StageProfiler::Scope timed(profiler_, Stage::kCoverage, "slot", t);
       stage_coverage(t);
     }
     // Engine-level counter tracks: sampled every executed slot (cheap, and
@@ -438,9 +423,8 @@ void SimEngine::stage_sync_miss() {
 void SimEngine::stage_channel(SlotIndex t, std::span<const NodeId> active) {
   channel_.resolve(ws_.intents, active, t, channel_config_, channel_rng_,
                    ws_.resolution, &profiler_);
-  StageProfiler::Scope timed(profiler_, Stage::kChannel);
-  obs::TimelineSpan span(config_.timeline, "channel", "engine", "slot", t,
-                         "intents", ws_.intents.size());
+  StageProfiler::Scope timed(profiler_, Stage::kChannel, "slot", t,
+                             "intents", ws_.intents.size());
   for (const TxIntent& intent : ws_.sync_missed) {
     TxResult missed;
     missed.intent = intent;
@@ -487,7 +471,7 @@ void SimEngine::stage_energy(SlotIndex t, std::span<const NodeId> active) {
 // protocol-facing ordering contract (flooding_protocol.hpp): all unicast
 // results in intent order, then all overhears in ascending listener id —
 // the channel's apply phase emits both sequences in that fixed order
-// regardless of ChannelRngMode or channel_threads.
+// regardless of ChannelRngMode.
 void SimEngine::stage_apply(SlotIndex t) {
   for (const TxResult& raw : ws_.resolution.results) {
     TxResult result = raw;

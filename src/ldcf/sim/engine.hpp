@@ -36,10 +36,6 @@
 #include "ldcf/sim/profiler.hpp"
 #include "ldcf/topology/topology.hpp"
 
-namespace ldcf::obs {
-class Timeline;  // obs/timeline.hpp; sim depends only on the pointer.
-}
-
 namespace ldcf::topology {
 struct Tree;  // topology/tree.hpp; SimConfig only holds a shared_ptr.
 }
@@ -65,16 +61,11 @@ struct SimConfig {
   double sync_miss_prob = 0.0;
   /// How channel loss draws are realized (see ChannelRngMode). The default
   /// kSequential preserves every golden fingerprint; kSlotKeyed makes the
-  /// draws order-independent (and therefore threadable) at the cost of a
-  /// different — statistically equivalent — realization.
+  /// draws order-independent at the cost of a different — statistically
+  /// equivalent — realization.
   ChannelRngMode channel_rng = ChannelRngMode::kSequential;
-  /// Worker threads for the channel draw phase: 1 = serial, 0 = one per
-  /// hardware thread. Only effective under kSlotKeyed (sequential draws
-  /// are inherently ordered); results are bit-identical for every value.
-  std::uint32_t channel_threads = 1;
   /// Time the engine's stages (see profiler.hpp). Default from the
-  /// LDCF_PROFILING build option / environment variable; never affects
-  /// simulation results.
+  /// LDCF_PROFILING build option; never affects simulation results.
   bool profiling = profiling_default();
   /// Compact time scale (paper §III): fast-forward over slots where no
   /// packet generation, fault, or protocol activity can occur, instead of
@@ -86,11 +77,11 @@ struct SimConfig {
   /// that run.
   bool compact_time = true;
   /// Span timeline collector (obs/timeline.hpp), or nullptr for none. When
-  /// attached, every executed stage records a span named after its
-  /// profiler stage, and the channel kernel records its gather/draw/apply
-  /// phases (plus per-worker chunks) on the worker threads. Like
-  /// `profiling`, tracing never affects simulation results: off means a
-  /// null-pointer check per stage, zero clock reads, zero allocation.
+  /// attached, every executed stage — the channel kernel's gather/draw/apply
+  /// phases included — records a span named after its profiler stage, from
+  /// the same clock pair as the stage totals. Like `profiling`, tracing
+  /// never affects simulation results: with both off, a stage probe is one
+  /// branch, zero clock reads, zero allocation.
   obs::Timeline* timeline = nullptr;
   /// Pre-built working schedules supplied by a caching caller (the sweep
   /// service memoizes them across identical jobs). Must equal what the

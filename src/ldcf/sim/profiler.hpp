@@ -1,26 +1,30 @@
-// Engine stage profiler: where do the slot-loop cycles go?
+// Engine stage probe: where do the slot-loop cycles go, and when?
 //
 // SimEngine::run times each of its named stages (faults incl. the
 // active-set scan, generation, intents, sync-miss, the channel kernel's
 // gather/draw/apply phases plus the channel residual, energy, apply,
-// coverage, plus the compact-time next-event/fast-forward step) behind a
-// runtime gate. Disabled — the default — every probe is
-// a single well-predicted branch, so the hot loop stays at its benched
-// throughput; enabled, each stage pays two steady_clock reads per slot.
+// coverage, plus the compact-time next-event/fast-forward step) through one
+// probe, StageProfiler::Scope, which feeds two optional sinks from a single
+// pair of steady_clock reads:
+//   * the stage totals (StageProfile::stage_ns), when profiling is on;
+//   * a span named after the stage on an attached obs::Timeline.
+// With neither sink set — the default — a probe is one well-predicted
+// branch and reads no clock, so the hot loop stays at its benched
+// throughput. Because both sinks share the clock pair, each stage's span
+// durations sum to exactly its profiler total.
 //
-// The gate resolves, in priority order: SimConfig::profiling (when set),
-// the LDCF_PROFILING environment variable ("0"/"off"/"OFF"/"" disable,
-// anything else enables), and the LDCF_PROFILING CMake option, which
-// compiles the default to on (-DLDCF_PROFILING=ON ->
-// LDCF_PROFILING_DEFAULT_ON). Profiling never touches simulation state or
-// RNG draws: results are bit-identical with it on or off.
+// The profiling gate is SimConfig::profiling, whose default comes from the
+// LDCF_PROFILING CMake option (-DLDCF_PROFILING=ON compiles it to on via
+// LDCF_PROFILING_DEFAULT_ON). Neither sink touches simulation state or RNG
+// draws: results are bit-identical with either on or off.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <string_view>
+
+#include "ldcf/obs/timeline.hpp"
 
 namespace ldcf::sim {
 
@@ -47,6 +51,8 @@ enum class Stage : std::uint8_t {
 
 inline constexpr std::size_t kNumStages = 12;
 
+/// Stage names, also the probe's span names (each view is a whole string
+/// literal, so data() is NUL-terminated).
 inline constexpr std::array<std::string_view, kNumStages> kStageNames = {
     "faults",         "generation",   "intents",
     "sync_miss",      "channel",      "channel_gather",
@@ -100,42 +106,47 @@ struct StageProfile {
   }
 };
 
-/// The build/environment default for SimConfig::profiling.
-inline bool profiling_default() {
+/// The build default for SimConfig::profiling.
+inline constexpr bool profiling_default() {
 #ifdef LDCF_PROFILING_DEFAULT_ON
   return true;
 #else
-  const char* env = std::getenv("LDCF_PROFILING");
-  if (env == nullptr) return false;
-  const std::string_view value(env);
-  return !(value.empty() || value == "0" || value == "off" || value == "OFF");
+  return false;
 #endif
 }
 
-/// Accumulates stage timings for one run. Stages are timed through Scope
-/// RAII probes; when disabled the probes read no clock at all.
+/// Accumulates one run's stage timings and spans. Stages are timed through
+/// Scope RAII probes; with neither sink set the probes read no clock.
 class StageProfiler {
  public:
-  void reset(bool enabled) {
+  /// Start a run: `enabled` gates the stage totals, `timeline` (nullable)
+  /// receives one span per probe.
+  void reset(bool enabled, obs::Timeline* timeline = nullptr) {
     enabled_ = enabled;
+    timeline_ = timeline;
     profile_ = StageProfile{};
     profile_.enabled = enabled;
   }
 
-  [[nodiscard]] bool enabled() const { return enabled_; }
+  /// Clock reading for add_wall; 0 (and no clock read) with no sink set.
+  [[nodiscard]] std::uint64_t now() const { return timed() ? clock_ns() : 0; }
 
-  [[nodiscard]] std::uint64_t now() const { return enabled_ ? clock_ns() : 0; }
-
-  void add(Stage stage, std::uint64_t t0) {
-    if (enabled_) {
-      profile_.stage_ns[static_cast<std::size_t>(stage)] += clock_ns() - t0;
-    }
-  }
-
+  /// Close the slot loop opened at `t0`: adds the loop wall time and the
+  /// executed slots to the profile, and records the enclosing "run" span.
   void add_wall(std::uint64_t t0, std::uint64_t slots) {
+    if (!timed()) return;
+    const std::uint64_t ns = clock_ns() - t0;
     if (enabled_) {
-      profile_.wall_ns += clock_ns() - t0;
+      profile_.wall_ns += ns;
       profile_.slots += slots;
+    }
+    if (timeline_ != nullptr) {
+      obs::SpanRecord span;
+      span.name = "run";
+      span.category = "engine";
+      span.arg0_name = "slots";
+      span.arg0 = slots;
+      record(span, t0, ns);
     }
   }
 
@@ -148,22 +159,47 @@ class StageProfiler {
 
   [[nodiscard]] const StageProfile& profile() const { return profile_; }
 
-  /// Times one stage from construction to destruction.
+  /// Times one stage from construction to destruction, with up to two
+  /// numeric span args.
   class Scope {
    public:
-    Scope(StageProfiler& profiler, Stage stage)
-        : profiler_(profiler), stage_(stage), t0_(profiler.now()) {}
-    ~Scope() { profiler_.add(stage_, t0_); }
+    Scope(StageProfiler& profiler, Stage stage,
+          const char* arg0_name = nullptr, std::uint64_t arg0 = 0,
+          const char* arg1_name = nullptr, std::uint64_t arg1 = 0)
+        : profiler_(profiler),
+          stage_(stage),
+          t0_(profiler.now()),
+          arg0_name_(arg0_name),
+          arg0_(arg0),
+          arg1_name_(arg1_name),
+          arg1_(arg1) {}
+    ~Scope() { profiler_.close(*this); }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
+    /// Set the second span arg once its value is known.
+    void arg1(const char* name, std::uint64_t value) {
+      arg1_name_ = name;
+      arg1_ = value;
+    }
+
    private:
+    friend class StageProfiler;
+
     StageProfiler& profiler_;
     Stage stage_;
     std::uint64_t t0_;
+    const char* arg0_name_;
+    std::uint64_t arg0_;
+    const char* arg1_name_;
+    std::uint64_t arg1_;
   };
 
  private:
+  [[nodiscard]] bool timed() const {
+    return enabled_ || timeline_ != nullptr;
+  }
+
   [[nodiscard]] static std::uint64_t clock_ns() {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -171,7 +207,34 @@ class StageProfiler {
             .count());
   }
 
+  // One clock read closes the interval for both sinks.
+  void close(const Scope& scope) {
+    if (!timed()) return;
+    const std::uint64_t ns = clock_ns() - scope.t0_;
+    const auto stage = static_cast<std::size_t>(scope.stage_);
+    if (enabled_) profile_.stage_ns[stage] += ns;
+    if (timeline_ == nullptr) return;
+    obs::SpanRecord span;
+    span.name = kStageNames[stage].data();
+    span.category = scope.stage_ >= Stage::kChannelGather &&
+                            scope.stage_ <= Stage::kChannelApply
+                        ? "channel"
+                        : "engine";
+    span.arg0_name = scope.arg0_name_;
+    span.arg0 = scope.arg0_;
+    span.arg1_name = scope.arg1_name_;
+    span.arg1 = scope.arg1_;
+    record(span, scope.t0_, ns);
+  }
+
+  void record(obs::SpanRecord& span, std::uint64_t t0, std::uint64_t ns) {
+    span.start_ns = t0 - timeline_->epoch_ns();
+    span.dur_ns = ns;
+    timeline_->lane().record_span(span);
+  }
+
   bool enabled_ = false;
+  obs::Timeline* timeline_ = nullptr;
   StageProfile profile_;
 };
 

@@ -270,7 +270,7 @@ TEST(Experiment, ReportPathWritesASweepReport) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string text = buffer.str();
-  EXPECT_NE(text.find("\"schema\":\"ldcf.sweep_report.v1\""),
+  EXPECT_NE(text.find("\"schema\":\"ldcf.sweep_report.v2\""),
             std::string::npos);
   EXPECT_NE(text.find("\"tool\":\"run_point\""), std::string::npos);
   EXPECT_NE(text.find("\"delay.total\""), std::string::npos);
@@ -392,7 +392,8 @@ TEST(Experiment, PacketSeriesDelayDecomposesForEveryProtocol) {
 
 TEST(Experiment, ConformanceOffLeavesTrialsUnchecked) {
   const auto topo = small_trace();
-  const TrialStats stats = run_trial(topo, "opt", quick().base);
+  const TrialStats stats =
+      run_trial(topo, "opt", quick().base, TrialOptions{});
   EXPECT_FALSE(stats.conformance_checked);
   EXPECT_EQ(stats.conformance_violations, 0u);
   const auto point = run_point(topo, "opt", DutyCycle{10}, quick());

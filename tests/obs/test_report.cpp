@@ -175,7 +175,7 @@ TEST(RunReport, IsBalancedAndCarriesTheAdvertisedKeys) {
   const std::string text = out.str();
   EXPECT_TRUE(balanced_json(text));
   for (const char* key :
-       {"\"schema\":\"ldcf.run_report.v1\"", "\"tool\":\"test\"",
+       {"\"schema\":\"ldcf.run_report.v2\"", "\"tool\":\"test\"",
         "\"provenance\"", "\"git_sha\"", "\"config\"", "\"seed\":3",
         "\"topology\"", "\"fingerprint\"", "\"result\"", "\"covered_packets\"",
         "\"profiler\"", "\"slots_per_sec\"", "\"metrics\"",

@@ -2,17 +2,14 @@
 //
 //  * kSlotKeyed draws are a pure function of (channel seed, slot, unordered
 //    link pair, packet, kind) — independent of evaluation order, and
-//    therefore bit-identical across channel_threads 1/2/4 and across the
-//    compact/dense engine modes, for every registered protocol;
-//  * the worker pool partitions phase 2 into disjoint aligned chunks and
-//    the fixed-order apply phase reduces them deterministically;
+//    therefore bit-identical across the compact/dense engine modes, for
+//    every registered protocol;
 //  * kSequential and kSlotKeyed are different realizations of the same
 //    distribution: aggregate metrics (delivery counts, FDL, loss/collision
 //    counters) must agree within tolerance across many seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -25,7 +22,6 @@
 #include "ldcf/sim/channel.hpp"
 #include "ldcf/sim/engine.hpp"
 #include "ldcf/sim/simulator.hpp"
-#include "ldcf/sim/worker_pool.hpp"
 #include "ldcf/topology/generators.hpp"
 #include "ldcf/topology/topology.hpp"
 
@@ -57,59 +53,6 @@ TEST(ChannelKeyed, KeyedUnitIsInTheHalfOpenUnitInterval) {
   }
   EXPECT_EQ(keyed_unit(0), 0.0);
   EXPECT_LT(keyed_unit(~0ULL), 1.0);
-}
-
-// -------------------------------------------------------------- worker pool
-
-TEST(WorkerPool, ChunksAreDisjointAlignedAndCoverTheRange) {
-  for (const std::size_t count : {0u, 1u, 63u, 64u, 65u, 257u, 4096u, 5000u}) {
-    for (const std::uint32_t workers : {1u, 2u, 3u, 4u, 7u}) {
-      for (const std::size_t align : {1u, 64u}) {
-        std::size_t expected_begin = 0;
-        for (std::uint32_t w = 0; w < workers; ++w) {
-          const auto [begin, end] =
-              sim::WorkerPool::chunk(count, w, workers, align);
-          EXPECT_EQ(begin, expected_begin)
-              << count << "/" << workers << "/" << align << " worker " << w;
-          EXPECT_LE(begin, end);
-          if (end < count) {
-            EXPECT_EQ(end % align, 0u) << "unaligned interior boundary";
-          }
-          expected_begin = end;
-        }
-        EXPECT_EQ(expected_begin, count) << "chunks must cover the range";
-      }
-    }
-  }
-}
-
-TEST(WorkerPool, RunFansOutToEveryWorkerAndIsReusable) {
-  sim::WorkerPool pool(3);
-  ASSERT_EQ(pool.workers(), 4u);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<std::atomic<std::uint32_t>> hits(4);
-    for (auto& h : hits) h.store(0);
-    pool.run([&](std::uint32_t worker, std::uint32_t workers) {
-      ASSERT_EQ(workers, 4u);
-      ASSERT_LT(worker, 4u);
-      hits[worker].fetch_add(1);
-    });
-    for (std::uint32_t w = 0; w < 4; ++w) {
-      EXPECT_EQ(hits[w].load(), 1u) << "worker " << w << " round " << round;
-    }
-  }
-}
-
-TEST(WorkerPool, ZeroHelpersRunsInline) {
-  sim::WorkerPool pool(0);
-  ASSERT_EQ(pool.workers(), 1u);
-  std::uint32_t calls = 0;
-  pool.run([&](std::uint32_t worker, std::uint32_t workers) {
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(workers, 1u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1u);
 }
 
 // ---------------------------------------------------- kernel-level contracts
@@ -144,58 +87,13 @@ void expect_same_resolution(const sim::SlotResolution& a,
   }
 }
 
-sim::ChannelConfig keyed_config(std::uint32_t threads) {
+sim::ChannelConfig keyed_config() {
   sim::ChannelConfig config;
   config.collisions = true;
   config.overhearing = true;
   config.rng_mode = sim::ChannelRngMode::kSlotKeyed;
   config.keyed_seed = 0xabcdef12345ULL;
-  config.threads = threads;
   return config;
-}
-
-TEST(ChannelKeyed, ThreadCountsAreBitIdenticalOnASaturatedSlot) {
-  // 16 broadcasting hubs x 256 leaves = 4096 overhear draws per slot —
-  // far past the kMinParallelItems gate, so threads 2 and 4 genuinely fan
-  // out across the worker pool.
-  const topology::Topology topo = star_forest(16, 256, 0.5);
-  std::vector<sim::TxIntent> intents;
-  std::vector<NodeId> active;
-  for (NodeId n = 0; n < topo.num_nodes(); ++n) active.push_back(n);
-  for (std::uint32_t s = 0; s < 16; ++s) {
-    intents.push_back(sim::TxIntent{s * 257, kNoNode, s % 4});
-  }
-
-  sim::Channel channel(topo);
-  std::vector<std::vector<sim::SlotResolution>> by_threads;
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    Rng rng(99);  // untouched in keyed mode, but the signature needs one.
-    std::vector<sim::SlotResolution> slots;
-    for (const SlotIndex slot : {0u, 1u, 7u}) {
-      sim::SlotResolution out;
-      channel.resolve(intents, active, slot, keyed_config(threads), rng, out);
-      EXPECT_EQ(channel.last_draw_count(), 16u * 256u);
-      slots.push_back(std::move(out));
-    }
-    by_threads.push_back(std::move(slots));
-  }
-  for (std::size_t s = 0; s < 3; ++s) {
-    SCOPED_TRACE("slot index " + std::to_string(s));
-    expect_same_resolution(by_threads[0][s], by_threads[1][s]);
-    expect_same_resolution(by_threads[0][s], by_threads[2][s]);
-  }
-  // Sanity: the slots are not degenerate — some draws succeed, some fail —
-  // and distinct slot keys realize distinct outcomes.
-  const auto listeners = [](const sim::SlotResolution& r) {
-    std::vector<NodeId> out;
-    out.reserve(r.overhears.size());
-    for (const sim::OverhearEvent& ev : r.overhears) out.push_back(ev.listener);
-    return out;
-  };
-  const std::size_t overheard = by_threads[0][0].overhears.size();
-  EXPECT_GT(overheard, 0u);
-  EXPECT_LT(overheard, 16u * 256u);
-  EXPECT_NE(listeners(by_threads[0][0]), listeners(by_threads[0][1]));
 }
 
 TEST(ChannelKeyed, DrawsAreIndependentOfIntentOrder) {
@@ -212,9 +110,9 @@ TEST(ChannelKeyed, DrawsAreIndependentOfIntentOrder) {
   sim::Channel channel(topo);
   Rng rng(5);
   sim::SlotResolution a;
-  channel.resolve(forward, active, /*slot=*/3, keyed_config(1), rng, a);
+  channel.resolve(forward, active, /*slot=*/3, keyed_config(), rng, a);
   sim::SlotResolution b;
-  channel.resolve(reversed, active, /*slot=*/3, keyed_config(1), rng, b);
+  channel.resolve(reversed, active, /*slot=*/3, keyed_config(), rng, b);
 
   // Per-link outcomes must match under the permutation: result i of the
   // forward order is result (n-1-i) of the reversed order...
@@ -243,12 +141,12 @@ TEST(ChannelKeyed, SequentialAndKeyedAreDifferentRealizations) {
   sim::Channel channel(topo);
   Rng seq_rng(42);
   sim::SlotResolution seq;
-  sim::ChannelConfig seq_config = keyed_config(1);
+  sim::ChannelConfig seq_config = keyed_config();
   seq_config.rng_mode = sim::ChannelRngMode::kSequential;
   channel.resolve(intents, active, /*slot=*/0, seq_config, seq_rng, seq);
   Rng keyed_rng(42);
   sim::SlotResolution keyed;
-  channel.resolve(intents, active, /*slot=*/0, keyed_config(1), keyed_rng,
+  channel.resolve(intents, active, /*slot=*/0, keyed_config(), keyed_rng,
                   keyed);
   const auto listeners = [](const sim::SlotResolution& r) {
     std::vector<NodeId> out;
@@ -376,7 +274,7 @@ TEST(ChannelKeyed, OverhearsMatchABruteForcePerListenerReference) {
       }
       intents.push_back(intent);
     }
-    sim::ChannelConfig config = keyed_config(1);
+    sim::ChannelConfig config = keyed_config();
     config.capture_ratio = slot % 2 == 0 ? 0.0 : 1.5;
     config.overhearing = slot % 3 != 0;
     (takes_scatter_path(topo, intents, active) ? scatter_slots : scan_slots)++;
@@ -441,8 +339,8 @@ sim::SimConfig keyed_engine_config() {
   sim::SimConfig config;
   config.num_packets = 5;
   // T=1: every node is awake every slot, so busy slots put the whole
-  // network in the listener pass — enough phase-2 items to cross the
-  // channel's parallel gate and genuinely exercise the worker pool.
+  // network in the listener pass. The differential tests below override it
+  // with real duty cycling.
   config.duty = DutyCycle{1};
   config.seed = 17;
   config.packet_spacing = 3;
@@ -455,29 +353,12 @@ sim::SimConfig keyed_engine_config() {
   return config;
 }
 
-TEST(KeyedDifferential, ThreadCountsAreBitIdenticalForEveryProtocol) {
-  const topology::Topology topo = keyed_engine_topology(300);
-  for (const std::string& protocol : protocols::protocol_names()) {
-    SCOPED_TRACE(protocol);
-    std::vector<sim::SimResult> results;
-    for (const std::uint32_t threads : {1u, 2u, 4u}) {
-      sim::SimConfig config = keyed_engine_config();
-      config.channel_threads = threads;
-      auto proto = protocols::make_protocol(protocol);
-      results.push_back(sim::run_simulation(topo, config, *proto));
-    }
-    expect_identical_results(results[0], results[1]);
-    expect_identical_results(results[0], results[2]);
-  }
-}
-
 TEST(KeyedDifferential, CompactAndDenseAgreeForEveryProtocol) {
   const topology::Topology topo = keyed_engine_topology(60);
   for (const std::string& protocol : protocols::protocol_names()) {
     SCOPED_TRACE(protocol);
     sim::SimConfig config = keyed_engine_config();
     config.duty = DutyCycle{10};  // real duty cycling so gaps exist to skip.
-    config.channel_threads = 2;
     config.sync_miss_prob = 0.05;
     config.perturbations.burst = sim::LinkBurst{0.5, 40, 20, 160};
     sim::SimConfig dense = config;
@@ -495,7 +376,6 @@ TEST(KeyedDifferential, KeyedEngineRunsAreReplayable) {
   const topology::Topology topo = keyed_engine_topology(60);
   sim::SimConfig config = keyed_engine_config();
   config.duty = DutyCycle{10};
-  config.channel_threads = 4;
   sim::SimEngine engine(topo, config);
   auto p1 = protocols::make_protocol("dbao");
   auto p2 = protocols::make_protocol("dbao");

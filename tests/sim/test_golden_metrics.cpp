@@ -268,21 +268,18 @@ TEST(GoldenMetrics, FingerprintsSurviveObserversAndProfiling) {
 
 // The determinism contract of the counter-based channel kernel refactor:
 // explicit kSequential mode through the two-phase SoA kernel reproduces
-// every pinned fingerprint bit-for-bit, and channel_threads is inert under
-// it (sequential draws are inherently ordered, so the engine never fans
-// out). kSlotKeyed is pinned elsewhere (test_channel_keyed.cpp).
+// every pinned fingerprint bit-for-bit. kSlotKeyed is pinned elsewhere
+// (test_channel_keyed.cpp).
 TEST(GoldenMetrics, SequentialModeSurvivesTheKeyedKernelRefactor) {
   const topology::Topology topo = golden_topology();
   sim::SimConfig config = golden_config();
   config.channel_rng = sim::ChannelRngMode::kSequential;
-  config.channel_threads = 4;  // must be ignored: results stay golden.
   for (const GoldenRow& row : kBaselineRows) {
     auto proto = protocols::make_protocol(row.protocol);
     expect_matches(row, sim::run_simulation(topo, config, *proto));
   }
   sim::SimConfig perturbed = perturbed_config();
   perturbed.channel_rng = sim::ChannelRngMode::kSequential;
-  perturbed.channel_threads = 4;
   for (const GoldenRow& row : kPerturbedRows) {
     auto proto = protocols::make_protocol(row.protocol);
     expect_matches(row, sim::run_simulation(topo, perturbed, *proto));

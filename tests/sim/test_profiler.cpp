@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
+#include "ldcf/obs/timeline.hpp"
 #include "ldcf/protocols/registry.hpp"
 #include "ldcf/sim/simulator.hpp"
 #include "ldcf/topology/generators.hpp"
@@ -74,6 +77,51 @@ TEST(StageProfiler, EnabledScopesAccumulateAndResetClears) {
   profiler.reset(false);
   EXPECT_EQ(profiler.profile().slots, 0u);
   EXPECT_EQ(profiler.profile().total_stage_ns(), 0u);
+}
+
+// One probe, two sinks: with both set, every span's duration is exactly the
+// increment the same probe added to its stage total; with neither set, the
+// probe records nothing anywhere.
+TEST(StageProfiler, OneProbeFeedsTotalsAndSpansFromOneClockPair) {
+  constexpr auto kDraw = static_cast<std::size_t>(Stage::kChannelDraw);
+  obs::Timeline timeline;
+  StageProfiler profiler;
+  profiler.reset(true, &timeline);
+  std::vector<std::uint64_t> increments;
+  for (std::uint64_t slot = 0; slot < 50; ++slot) {
+    const std::uint64_t before = profiler.profile().stage_ns[kDraw];
+    {
+      StageProfiler::Scope timed(profiler, Stage::kChannelDraw, "slot", slot);
+      timed.arg1("items", 2 * slot);
+    }
+    increments.push_back(profiler.profile().stage_ns[kDraw] - before);
+  }
+  std::vector<obs::SpanRecord> spans;
+  for (const auto& lane : timeline.snapshot()) {
+    spans.insert(spans.end(), lane.spans.begin(), lane.spans.end());
+  }
+  ASSERT_EQ(spans.size(), increments.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_STREQ(spans[i].name, "channel_draw");
+    EXPECT_STREQ(spans[i].category, "channel");
+    EXPECT_EQ(spans[i].dur_ns, increments[i]) << i;
+    EXPECT_EQ(spans[i].arg0, i);
+    EXPECT_EQ(spans[i].arg1, 2 * i);
+  }
+
+  // reset detaches the timeline: a probe with no sink registers no lane.
+  obs::Timeline unused;
+  profiler.reset(true, &unused);
+  profiler.reset(false);
+  {
+    StageProfiler::Scope timed(profiler, Stage::kApply, "slot", 1);
+  }
+  profiler.add_wall(profiler.now(), 7);
+  EXPECT_EQ(profiler.now(), 0u);
+  EXPECT_EQ(profiler.profile().total_stage_ns(), 0u);
+  EXPECT_EQ(profiler.profile().wall_ns, 0u);
+  EXPECT_EQ(profiler.profile().slots, 0u);
+  EXPECT_EQ(unused.num_lanes(), 0u);
 }
 
 TEST(StageNames, MatchTheEngineStageOrder) {
