@@ -10,8 +10,7 @@
 
 #include "ldcf/analysis/experiment.hpp"
 #include "ldcf/analysis/table.hpp"
-#include "ldcf/common/error.hpp"
-#include "ldcf/common/parse.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/topology/generators.hpp"
 
 int main(int argc, char** argv) {
@@ -19,13 +18,10 @@ int main(int argc, char** argv) {
 
   std::uint32_t packets = 20;
   std::uint64_t seed = 1;
-  try {
-    if (argc > 1) packets = common::parse_u32(argv[1], "num_packets");
-    if (argc > 2) seed = common::parse_u64(argv[2], "seed");
-  } catch (const InvalidArgument& error) {
-    std::cerr << "duty_cycle_tradeoff: " << error.what() << "\n";
-    return 2;
-  }
+  common::OptionTable("duty_cycle_tradeoff", "Sweep DBAO over duty cycles.")
+      .positional("num_packets", &packets, {"", "packets per run"}, false)
+      .positional("seed", &seed, {"", "topology and run seed"}, false)
+      .parse_or_exit(argc, argv);
 
   const topology::Topology topo = topology::make_greenorbs_like(seed);
 

@@ -1,70 +1,40 @@
 // flood_client — submit jobs to a running flood_server.
 //
-//   flood_client [--host ADDR] [--port N] [--unix PATH] OP [ARG]
-//     OP is one of:
-//       ping               round-trip a {"op":"ping"} frame
-//       stats              print the server's stats frame
-//       submit JSON        submit a job config (a JSON object, e.g.
-//                          '{"protocol":"opt","reps":4}'); progress frames
-//                          go to stderr, the terminal frame (result, error
-//                          or rejected) to stdout, byte-exact
+// `flood_client --help` lists the operations and flags.
 //
 // Exit status: 0 on result/pong/stats, 3 when the terminal frame is an
 // error or rejection, 1 on connection problems, 2 on usage errors.
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <string>
 
-#include "ldcf/common/parse.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/serve/client.hpp"
-
-namespace {
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "flood_client: " << message << " (see header comment)\n";
-  std::exit(2);
-}
-
-std::string next_arg(int argc, char** argv, int& i, const std::string& flag) {
-  if (i + 1 >= argc) usage_error(flag + " needs a value");
-  return argv[++i];
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   ldcf::serve::Endpoint endpoint;
+  std::uint32_t port = endpoint.port;
   std::string op;
   std::string config_json;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--host") {
-      endpoint.host = next_arg(argc, argv, i, arg);
-    } else if (arg == "--port") {
-      try {
-        const std::uint64_t port =
-            ldcf::common::parse_u64(next_arg(argc, argv, i, arg), "--port");
-        if (port > 65535) usage_error("--port out of range");
-        endpoint.port = static_cast<std::uint16_t>(port);
-      } catch (const std::exception& e) {
-        usage_error(e.what());
-      }
-    } else if (arg == "--unix") {
-      endpoint.unix_path = next_arg(argc, argv, i, arg);
-    } else if (op.empty()) {
-      op = arg;
-      if (op == "submit") config_json = next_arg(argc, argv, i, arg);
-    } else {
-      usage_error("unexpected argument: " + arg);
-    }
-  }
-  if (op.empty()) usage_error("missing operation (ping|stats|submit)");
-  if (op != "ping" && op != "stats" && op != "submit") {
-    usage_error("unknown operation: " + op);
+  ldcf::common::OptionTable cli("flood_client",
+                                "Ping, query or submit to a flood_server.");
+  const auto operation = ldcf::common::Knob("", "operation")
+                             .one_of({"ping", "stats", "submit"});
+  cli.add("--host", &endpoint.host, {"ADDR", "server IPv4 address"})
+      .add("--port", &port,
+           ldcf::common::Knob("N", "server TCP port").at_most(65535))
+      .add("--unix", &endpoint.unix_path, {"PATH", "server Unix socket"})
+      .positional("OP", &op, operation, true)
+      .positional("JSON", &config_json,
+                  {"", "submit's job config, e.g. '{\"reps\":4}'"}, false);
+  cli.parse_or_exit(argc, argv);
+  endpoint.port = static_cast<std::uint16_t>(port);
+  if ((op == "submit") != cli.seen("JSON")) {
+    cli.usage_error("submit takes a JSON config; ping and stats take none");
   }
   if (endpoint.unix_path.empty() && endpoint.port == 0) {
-    usage_error("--port (or --unix) is required");
+    cli.usage_error("--port (or --unix) is required");
   }
 
   try {

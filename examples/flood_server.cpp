@@ -6,86 +6,48 @@
 // trees) in a fingerprint-keyed LRU cache. See serve/server.hpp for the
 // wire protocol.
 //
-//   flood_server [--host ADDR] [--port N] [--unix PATH]
-//                [--workers N] [--max-queue N] [--max-trials N]
-//                [--cache-mb N] [--stats FILE]
-//     --host ADDR     IPv4 listen address     (default 127.0.0.1)
-//     --port N        TCP port; 0 = ephemeral (default 0; the chosen
-//                     port is printed as "listening on PORT")
-//     --unix PATH     listen on a Unix socket instead of TCP
-//     --workers N     concurrent job executors (default 1)
-//     --max-queue N   queued-job admission limit (default 8)
-//     --max-trials N  per-job reps ceiling (default 256)
-//     --cache-mb N    artifact cache budget in MiB (default 64)
-//     --stats FILE    write an ldcf.server_stats.v1 artifact on shutdown
+// `flood_server --help` lists the flags.
 //
 // SIGINT/SIGTERM shut down cooperatively: in-flight trials finish, queued
 // jobs get structured shutdown errors, the stats artifact (if requested)
 // is written atomically, and the process exits 0.
 #include <chrono>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <thread>
 
 #include "ldcf/analysis/cancel.hpp"
-#include "ldcf/common/parse.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/serve/server.hpp"
-
-namespace {
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "flood_server: " << message << " (see header comment)\n";
-  std::exit(2);
-}
-
-std::string next_arg(int argc, char** argv, int& i, const std::string& flag) {
-  if (i + 1 >= argc) usage_error(flag + " needs a value");
-  return argv[++i];
-}
-
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  try {
-    return ldcf::common::parse_u64(text, what);
-  } catch (const std::exception& e) {
-    usage_error(e.what());
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   ldcf::serve::ServerConfig config;
   std::string stats_path;
+  std::uint32_t port = config.endpoint.port;
+  std::uint64_t max_queue = config.max_queued_jobs;
+  std::uint64_t cache_mb = config.cache_budget_bytes >> 20;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--host") {
-      config.endpoint.host = next_arg(argc, argv, i, arg);
-    } else if (arg == "--port") {
-      const std::uint64_t port = parse_u64(next_arg(argc, argv, i, arg), arg);
-      if (port > 65535) usage_error("--port out of range");
-      config.endpoint.port = static_cast<std::uint16_t>(port);
-    } else if (arg == "--unix") {
-      config.endpoint.unix_path = next_arg(argc, argv, i, arg);
-    } else if (arg == "--workers") {
-      config.job_workers = static_cast<std::uint32_t>(
-          parse_u64(next_arg(argc, argv, i, arg), arg));
-    } else if (arg == "--max-queue") {
-      config.max_queued_jobs = static_cast<std::size_t>(
-          parse_u64(next_arg(argc, argv, i, arg), arg));
-    } else if (arg == "--max-trials") {
-      config.max_trials_per_job = static_cast<std::uint32_t>(
-          parse_u64(next_arg(argc, argv, i, arg), arg));
-    } else if (arg == "--cache-mb") {
-      config.cache_budget_bytes =
-          parse_u64(next_arg(argc, argv, i, arg), arg) << 20;
-    } else if (arg == "--stats") {
-      stats_path = next_arg(argc, argv, i, arg);
-    } else {
-      usage_error("unknown flag: " + arg);
-    }
-  }
+  ldcf::common::OptionTable cli("flood_server",
+                                "Serve sweep jobs over NDJSON sockets.");
+  cli.add("--host", &config.endpoint.host, {"ADDR", "IPv4 listen address"})
+      .add("--port", &port,
+           ldcf::common::Knob("N", "TCP port; 0 = ephemeral").at_most(65535))
+      .add("--unix", &config.endpoint.unix_path,
+           {"PATH", "listen on a Unix socket instead"})
+      .add("--workers", &config.job_workers, {"N", "concurrent job executors"})
+      .add("--max-queue", &max_queue, {"N", "queued-job admission limit"})
+      .add("--max-trials", &config.max_trials_per_job, {"N", "reps ceiling"})
+      // 2^44 - 1 MiB is the largest budget whose byte count fits 64 bits.
+      .add("--cache-mb", &cache_mb,
+           ldcf::common::Knob("N", "artifact cache budget in MiB")
+               .at_most(17592186044415.0))
+      .add("--stats", &stats_path,
+           {"FILE", "write an ldcf.server_stats.v1 artifact on shutdown"});
+  cli.parse_or_exit(argc, argv);
+  config.endpoint.port = static_cast<std::uint16_t>(port);
+  config.max_queued_jobs = max_queue;
+  config.cache_budget_bytes = cache_mb << 20;
 
   try {
     ldcf::serve::FloodServer server(config);

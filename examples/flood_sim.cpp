@@ -1,98 +1,27 @@
 // flood_sim — command-line simulation driver.
 //
 // The "downstream user" tool: run any protocol on a generated or loaded
-// trace with full parameter control, emit a human table or CSV.
-//
-//   flood_sim [options]
-//     --protocol NAME    opt | dbao | of | naive | xlayer   (default dbao)
-//     --topo FILE        load topology from a trace file
-//     --trace PATH       write a JSONL event trace of the run(s) to PATH
-//                        (multi-rep runs get a per-trial suffix)
-//     --sensors N        generate an N-sensor trace (default 298)
-//     --generator KIND   clustered | uniform | grid | disk  (default
-//                        clustered, GreenOrbs density scaled to N)
-//     --keyed-links      order-independent per-pair link RNG (the large-N
-//                        path; default is the sequential legacy stream)
-//     --channel-rng seq|keyed  channel draw realization (default seq, the
-//                        golden-pinned sequential stream; keyed switches to
-//                        counter-based slot-keyed draws — order-independent
-//                        and statistically equivalent)
-//     --topo-seed S      generator seed (default 1)
-//     --duty PCT         duty cycle percent (default 5)
-//     --source NODE      flooding source node (default 0)
-//     --slots-per-period K  active slots per period (default 1)
-//     --packets M        number of flooded packets (default 100)
-//     --spacing K        slots between packet generations (default 1)
-//     --seed S           run seed (default 7)
-//     --coverage F       coverage fraction (default 0.99)
-//     --max-slots K      hard stop after K slots (marks the run truncated)
-//     --kill NODE@SLOT   inject a node death (repeatable)
-//     --burst SCALE,START,DUR,PERIOD  periodic link-quality bursts
-//     --reps R           average over R seeds (seed, seed+1, ...; default 1)
-//     --threads N        trial workers for --reps: 0 = all cores, 1 = serial
-//     --csv              machine-readable per-packet output (single run only)
-//     --compact-time on|off  compact time scale: fast-forward provably idle
-//                        slots (default on; bit-identical either way — off
-//                        forces the dense slot-by-slot loop)
-//     --report PATH      write a provenance-stamped JSON report: config,
-//                        topology fingerprint, git SHA, stage-profiler
-//                        timings, delay/energy histograms (enables the
-//                        stage profiler for the run)
-//     --progress         print completion/ETA to stderr (--reps mode)
-//     --analyze          run the causal trace analyzer on the run: prints
-//                        dissemination trees, delay waterfalls and theory
-//                        conformance (single run); with --reps, counts
-//                        trials violating the paper's bounds
-//     --timeline PATH    record a span timeline of the run (engine stages,
-//                        channel sub-phases, worker-pool chunks, counter
-//                        tracks) and write Chrome trace_event JSON to PATH —
-//                        open it in Perfetto / chrome://tracing. Purely
-//                        observational: results are bit-identical with or
-//                        without it
-//     --heartbeat PATH   append ldcf.heartbeat.v1 JSONL liveness records
-//                        (slots, coverage, rate, ETA) to PATH; tail -f it
-//     --heartbeat-secs S wall-clock seconds between heartbeat samples
-//                        (default 5)
-//     --watchdog S       attach a WatchdogObserver: declare a stall after S
-//                        wall-clock seconds without progress (exit code 3
-//                        with an ldcf.health.v1 diagnostic)
-//     --watchdog-slots N stall after N executed slots without progress
-//                        (deterministic variant; combinable with --watchdog)
-//     --watchdog-report PATH  write the ldcf.health.v1 diagnostic JSON here
-//                        when the watchdog trips (default: stderr)
-//     --inject-stall SLOT  test hook: wrap the protocol so it stops
-//                        proposing transmissions at SLOT while claiming
-//                        every slot busy — a dense busy-loop stall the
-//                        watchdog must catch (single-run mode only)
-//     --series PATH      record windowed simulation-time telemetry (coverage
-//                        growth, tx outcomes, duplicate/overhear activity,
-//                        energy burn) and write an ldcf.timeseries.v1 JSON
-//                        artifact to PATH; never forces the dense path, and
-//                        with --reps the windows merge across seeds. Feeds
-//                        anomaly causes into a tripped --watchdog diagnostic.
-//                        Render it with the series_view tool
-//     --netmap PATH      write the companion ldcf.netmap.v1 hot-spot map
-//                        (spatial heatmap cells, top-K contended links,
-//                        hottest nodes); implies series collection
-//     --window-slots N   accumulation window width in slots for --series
-//                        (default 1024; must be >= 1)
-//     --top-k K          rows in the netmap's contended-links and hottest-
-//                        nodes tables (default 10; 1..65536)
+// trace with full parameter control, emit a human table or CSV. Every
+// flag is a row of the option table in run_cli(); `flood_sim --help`
+// prints them with their ranges and defaults.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "ldcf/analysis/cancel.hpp"
 #include "ldcf/analysis/experiment.hpp"
+#include "ldcf/analysis/knobs.hpp"
 #include "ldcf/analysis/report.hpp"
 #include "ldcf/analysis/table.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/common/parse.hpp"
 #include "ldcf/obs/heartbeat.hpp"
 #include "ldcf/obs/report.hpp"
@@ -108,27 +37,6 @@
 #include "ldcf/topology/trace_io.hpp"
 
 namespace {
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "flood_sim: " << message << " (see header comment for usage)\n";
-  std::exit(2);
-}
-
-double parse_double(const char* text) {
-  try {
-    return ldcf::common::parse_double(text);
-  } catch (const std::exception& e) {
-    usage_error(e.what());
-  }
-}
-
-std::uint64_t parse_u64(const char* text) {
-  try {
-    return ldcf::common::parse_u64(text);
-  } catch (const std::exception& e) {
-    usage_error(e.what());
-  }
-}
 
 // Completion/ETA line on stderr, rewritten in place with '\r'. The
 // executor serializes progress callbacks and fills in elapsed/rate/ETA
@@ -233,153 +141,137 @@ int run_cli(int argc, char** argv) {
 
   std::string protocol = "dbao";
   std::string topo_path;
-  std::string trace_path;  // JSONL event-trace output (see trace_observer.hpp).
-  std::string report_path;  // JSON run report (see obs/report.hpp).
   std::string timeline_path;   // Chrome trace_event JSON (obs/timeline.hpp).
-  std::string heartbeat_path;  // ldcf.heartbeat.v1 JSONL (obs/heartbeat.hpp).
-  double heartbeat_seconds = 5.0;
   std::string watchdog_report_path;  // ldcf.health.v1 JSON on a trip.
   ldcf::obs::WatchdogConfig watchdog_config;
-  bool watchdog_enabled = false;
   std::string series_path;  // ldcf.timeseries.v1 JSON (obs/timeseries.hpp).
   std::string netmap_path;  // ldcf.netmap.v1 JSON (obs/timeseries.hpp).
-  ldcf::obs::TimeSeriesOptions series_options;
   std::optional<SlotIndex> inject_stall;
   bool show_progress = false;
-  bool analyze = false;
   std::uint32_t sensors = 298;
   std::string generator = "clustered";
   bool keyed_links = false;
   std::uint64_t topo_seed = 1;
   double duty_pct = 5.0;
   bool csv = false;
-  std::uint32_t reps = 1;
-  std::uint32_t threads = 0;
-  sim::SimConfig config;
+  // Flags land in the sweep config; a single run uses its `base`.
+  analysis::ExperimentConfig experiment;
+  sim::SimConfig& config = experiment.base;
   config.num_packets = 100;
   config.seed = 7;
+  std::string channel_rng = "seq";
+  std::string compact_time = "on";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--protocol") {
-      protocol = next();
-    } else if (arg == "--topo") {
-      topo_path = next();
-    } else if (arg == "--trace") {
-      trace_path = next();
-    } else if (arg == "--report") {
-      report_path = next();
-    } else if (arg == "--timeline") {
-      timeline_path = next();
-    } else if (arg == "--heartbeat") {
-      heartbeat_path = next();
-    } else if (arg == "--heartbeat-secs") {
-      heartbeat_seconds = parse_double(next());
-    } else if (arg == "--watchdog") {
-      watchdog_config.stall_wall_seconds = parse_double(next());
-      watchdog_enabled = true;
-    } else if (arg == "--watchdog-slots") {
-      watchdog_config.stall_slot_budget = parse_u64(next());
-      watchdog_enabled = true;
-    } else if (arg == "--watchdog-report") {
-      watchdog_report_path = next();
-    } else if (arg == "--series") {
-      series_path = next();
-    } else if (arg == "--netmap") {
-      netmap_path = next();
-    } else if (arg == "--window-slots") {
-      series_options.window_slots = parse_u64(next());
-    } else if (arg == "--top-k") {
-      series_options.top_k = static_cast<std::uint32_t>(parse_u64(next()));
-    } else if (arg == "--inject-stall") {
-      inject_stall = parse_u64(next());
-    } else if (arg == "--progress") {
-      show_progress = true;
-    } else if (arg == "--analyze") {
-      analyze = true;
-    } else if (arg == "--sensors") {
-      sensors = static_cast<std::uint32_t>(parse_u64(next()));
-    } else if (arg == "--generator") {
-      generator = next();
-    } else if (arg == "--keyed-links") {
-      keyed_links = true;
-    } else if (arg == "--topo-seed") {
-      topo_seed = parse_u64(next());
-    } else if (arg == "--duty") {
-      duty_pct = parse_double(next());
-    } else if (arg == "--slots-per-period") {
-      config.slots_per_period = static_cast<std::uint32_t>(parse_u64(next()));
-    } else if (arg == "--source") {
-      config.source = static_cast<NodeId>(parse_u64(next()));
-    } else if (arg == "--packets") {
-      config.num_packets = static_cast<std::uint32_t>(parse_u64(next()));
-    } else if (arg == "--spacing") {
-      config.packet_spacing = static_cast<std::uint32_t>(parse_u64(next()));
-    } else if (arg == "--seed") {
-      config.seed = parse_u64(next());
-    } else if (arg == "--coverage") {
-      config.coverage_fraction = parse_double(next());
-    } else if (arg == "--max-slots") {
-      config.max_slots = parse_u64(next());
-    } else if (arg == "--kill") {
-      const std::string spec = next();
-      const auto at = spec.find('@');
-      if (at == std::string::npos) usage_error("--kill wants NODE@SLOT");
-      config.perturbations.node_failures.push_back(sim::NodeFailure{
-          static_cast<NodeId>(parse_u64(spec.substr(0, at).c_str())),
-          parse_u64(spec.substr(at + 1).c_str())});
-    } else if (arg == "--burst") {
-      const std::string spec = next();
-      double scale = 0.0;
-      unsigned long long start = 0;
-      unsigned long long dur = 0;
-      unsigned long long period = 0;
-      if (std::sscanf(spec.c_str(), "%lf,%llu,%llu,%llu", &scale, &start,
-                      &dur, &period) != 4) {
-        usage_error("--burst wants SCALE,START,DUR,PERIOD");
-      }
-      config.perturbations.burst =
-          sim::LinkBurst{scale, start, dur, period};
-    } else if (arg == "--reps") {
-      reps = static_cast<std::uint32_t>(parse_u64(next()));
-    } else if (arg == "--threads") {
-      threads = static_cast<std::uint32_t>(parse_u64(next()));
-    } else if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--channel-rng") {
-      const std::string mode = next();
-      if (mode == "seq") {
-        config.channel_rng = sim::ChannelRngMode::kSequential;
-      } else if (mode == "keyed") {
-        config.channel_rng = sim::ChannelRngMode::kSlotKeyed;
-      } else {
-        usage_error("--channel-rng wants seq|keyed");
-      }
-    } else if (arg == "--compact-time") {
-      const std::string mode = next();
-      if (mode == "on") {
-        config.compact_time = true;
-      } else if (mode == "off") {
-        config.compact_time = false;
-      } else {
-        usage_error("--compact-time wants on|off");
-      }
-    } else {
-      usage_error("unknown option " + arg);
+  common::OptionTable cli("flood_sim", "Flood a topology with one protocol.");
+  const auto burst = [&](std::string_view spec) {
+    std::vector<std::string_view> fields;
+    std::size_t from = 0;
+    for (std::size_t comma; (comma = spec.find(',', from)) != spec.npos;) {
+      fields.push_back(spec.substr(from, comma - from));
+      from = comma + 1;
     }
+    fields.push_back(spec.substr(from));
+    if (fields.size() != 4) {
+      common::reject("--burst", spec, "wants SCALE,START,DUR,PERIOD");
+    }
+    config.perturbations.burst = sim::LinkBurst{
+        common::parse_double(fields[0], "--burst scale"),
+        common::parse_u64(fields[1], "--burst start"),
+        common::parse_u64(fields[2], "--burst duration"),
+        common::parse_u64(fields[3], "--burst period")};
+  };
+  const auto kill = [&](std::string_view spec) {
+    const auto at = spec.find('@');
+    if (at == spec.npos) common::reject("--kill", spec, "wants NODE@SLOT");
+    config.perturbations.node_failures.push_back(sim::NodeFailure{
+        common::parse_u32(spec.substr(0, at), "--kill node"),
+        common::parse_u64(spec.substr(at + 1), "--kill slot")});
+  };
+  cli.add("--protocol", &protocol, analysis::knobs::protocol())
+      .add("--topo", &topo_path, {"FILE", "load the topology from a trace"})
+      .add("--trace", &experiment.trace_path,
+           {"PATH", "write a JSONL event trace (per-trial suffix with --reps)"})
+      .add("--sensors", &sensors, {"N", "generate an N-sensor topology"})
+      .add("--generator", &generator, analysis::knobs::generator())
+      .add("--keyed-links", &keyed_links,
+           {"", "order-independent per-pair link RNG (the large-N path)"})
+      .add("--channel-rng", &channel_rng, analysis::knobs::channel_rng())
+      .add("--topo-seed", &topo_seed, {"S", "generator seed"})
+      .add("--duty", &duty_pct, analysis::knobs::duty_pct())
+      .add("--source", &config.source, {"NODE", "flooding source node"})
+      .add("--slots-per-period", &config.slots_per_period,
+           analysis::knobs::slots_per_period())
+      .add("--packets", &config.num_packets, analysis::knobs::packets())
+      .add("--spacing", &config.packet_spacing, analysis::knobs::spacing())
+      .add("--seed", &config.seed, {"S", "run seed"})
+      .add("--coverage", &config.coverage_fraction,
+           analysis::knobs::coverage())
+      .add("--max-slots", &config.max_slots,
+           {"K", "hard stop after K slots (marks the run truncated)"})
+      .add("--kill", kill, {"NODE@SLOT", "inject a node death (repeatable)"})
+      .add("--burst", burst,
+           {"SCALE,START,DUR,PERIOD", "periodic link-quality bursts"})
+      .add("--reps", &experiment.repetitions, analysis::knobs::reps())
+      .add("--threads", &experiment.threads,
+           {"N", "--reps workers: 0 = all cores"})
+      .add("--csv", &csv, {"", "per-packet CSV output (single run only)"})
+      .add("--compact-time", &compact_time,
+           common::Knob("", "off forces the dense slot loop (bit-identical)")
+               .one_of({"on", "off"}))
+      .add("--report", &experiment.report_path,
+           {"PATH", "write a provenance-stamped JSON run report (turns the "
+                    "stage profiler on)"})
+      .add("--progress", &show_progress, {"", "completion/ETA on stderr"})
+      .add("--analyze", &experiment.check_conformance,
+           {"", "run the causal trace analyzer (with --reps: count trials "
+                "violating the paper's bounds)"})
+      .add("--timeline", &timeline_path,
+           {"PATH", "write a span timeline (engine stages, channel phases, "
+                    "trial spans, counters) as Chrome trace_event JSON"})
+      .add("--heartbeat", &experiment.heartbeat_path,
+           {"PATH", "append ldcf.heartbeat.v1 JSONL liveness records"})
+      .add("--heartbeat-secs", &experiment.heartbeat_seconds,
+           {"S", "seconds between heartbeats"})
+      .add("--watchdog", &watchdog_config.stall_wall_seconds,
+           {"S", "stall after S wall seconds without progress: exit 3 with "
+                 "an ldcf.health.v1 diagnostic (off unless given)"})
+      .add("--watchdog-slots", &watchdog_config.stall_slot_budget,
+           {"N", "stall after N executed slots without progress (off unless "
+                 "given)"})
+      .add("--watchdog-report", &watchdog_report_path,
+           {"PATH", "write a tripped watchdog's diagnostic here, not stderr"})
+      .add("--inject-stall",
+           [&](std::string_view slot) {
+             inject_stall = common::parse_u64(slot, "--inject-stall");
+           },
+           {"SLOT", "test hook: stop proposing at SLOT while claiming every "
+                    "slot busy (single run only)"})
+      .add("--series", &series_path,
+           {"PATH", "write ldcf.timeseries.v1 windowed telemetry"})
+      .add("--netmap", &netmap_path,
+           {"PATH", "write the ldcf.netmap.v1 hot-spot map (implies series)"})
+      .add("--window-slots", &experiment.series.window_slots,
+           {"N", "series window width in slots"})
+      .add("--top-k", &experiment.series.top_k,
+           {"K", "netmap table rows (1..65536)"});
+  cli.parse_or_exit(argc, argv);
+  if (experiment.repetitions > 1 && (csv || inject_stall)) {
+    cli.usage_error("--csv and --inject-stall report one run; use --reps 1");
   }
+  const bool watchdog_enabled =
+      cli.seen("--watchdog") || cli.seen("--watchdog-slots");
+  config.channel_rng = channel_rng == "keyed"
+                           ? sim::ChannelRngMode::kSlotKeyed
+                           : sim::ChannelRngMode::kSequential;
+  config.compact_time = compact_time == "on";
   config.duty = DutyCycle::from_ratio(duty_pct / 100.0);
   // --netmap implies series collection (one observer produces both).
   const bool collect_series = !series_path.empty() || !netmap_path.empty();
-  if (collect_series) obs::validate(series_options);  // fail before the run.
+  if (collect_series) obs::validate(experiment.series);  // fail early.
   // A report without profiler timings is half a report: turn the stage
   // profiler on for reported runs (it never changes results, only adds
   // two clock reads per stage per slot).
-  if (!report_path.empty()) config.profiling = true;
+  if (!experiment.report_path.empty()) config.profiling = true;
   const auto wall_start = std::chrono::steady_clock::now();
   const auto wall_seconds = [&wall_start] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -412,11 +304,7 @@ int run_cli(int argc, char** argv) {
               if (sensors > 2000) gen.require_connectivity = false;
               if (generator == "uniform") return topology::make_uniform(gen);
               if (generator == "grid") return topology::make_grid(gen);
-              if (generator == "disk") {
-                return topology::make_uniform_disk(gen);
-              }
-              usage_error("unknown --generator " + generator +
-                          " (wants clustered|uniform|grid|disk)");
+              return topology::make_uniform_disk(gen);
             }()
           : topology::read_trace_file(topo_path);
 
@@ -434,29 +322,17 @@ int run_cli(int argc, char** argv) {
     if (!netmap_path.empty()) obs::write_netmap_report_file(netmap_path, ctx);
   };
 
-  // One Timeline shared by everything the run spawns (engine thread, pool
-  // workers, trial workers): each records into its own lane.
+  // One Timeline shared by everything the run spawns (the engine thread
+  // and the trial workers): each records into its own lane.
   std::optional<obs::Timeline> timeline;
   if (!timeline_path.empty()) timeline.emplace();
   if (timeline) config.timeline = &*timeline;
 
-  if (reps > 1) {
-    // Multi-seed mode: average over reps seeds, fanning the trials out
+  if (experiment.repetitions > 1) {
+    // Multi-seed mode: average over the seeds, fanning the trials out
     // over the parallel trial executor (bit-identical at any --threads).
-    if (csv) usage_error("--csv reports one run; drop it or use --reps 1");
-    if (inject_stall) usage_error("--inject-stall is single-run only");
-    analysis::ExperimentConfig experiment;
-    experiment.base = config;
-    experiment.repetitions = reps;
-    experiment.threads = threads;
-    experiment.trace_path = trace_path;  // per-trial suffix added downstream.
-    experiment.report_path = report_path;
-    experiment.check_conformance = analyze;
-    experiment.heartbeat_path = heartbeat_path;
-    experiment.heartbeat_seconds = heartbeat_seconds;
     if (watchdog_enabled) experiment.watchdog = watchdog_config;
     experiment.collect_series = collect_series;
-    experiment.series = series_options;
     if (show_progress) experiment.progress = make_progress_printer();
     // Ctrl-C / SIGTERM request cooperative cancellation: in-flight trials
     // finish, remaining seeds are abandoned, and we exit 130 below without
@@ -481,7 +357,8 @@ int run_cli(int argc, char** argv) {
     std::cout << "protocol " << point.protocol << " on " << topo.num_sensors()
               << " sensors, duty " << 100.0 * config.duty.ratio() << "% x"
               << config.slots_per_period << ", M = " << config.num_packets
-              << ", seeds " << config.seed << ".." << config.seed + reps - 1
+              << ", seeds " << config.seed << ".."
+              << config.seed + experiment.repetitions - 1
               << "\n";
     std::cout << "  delay slots: mean " << point.mean_delay << " +/- "
               << point.delay_stddev << " (queueing "
@@ -492,9 +369,10 @@ int run_cli(int argc, char** argv) {
               << " duplicates\n";
     std::cout << "  energy per run: " << point.energy_total
               << ", est. lifetime " << point.lifetime_slots << " slots\n";
-    if (analyze) {
+    if (experiment.check_conformance) {
       std::cout << "  conformance: " << point.violating_trials << " of "
-                << reps << " trials violate the paper's bounds\n";
+                << experiment.repetitions
+                << " trials violate the paper's bounds\n";
     }
     return point.all_covered ? 0 : 1;
   }
@@ -506,12 +384,14 @@ int run_cli(int argc, char** argv) {
   }
   sim::MultiObserver fan_out;
   std::optional<sim::TraceObserver> trace;
-  if (!trace_path.empty()) fan_out.add(&trace.emplace(trace_path));
+  if (!experiment.trace_path.empty()) {
+    fan_out.add(&trace.emplace(experiment.trace_path));
+  }
   // A timeline without stats would have only the engine's builtin counter
   // tracks; attach the stats observer so the registry-backed tracks
   // (delay/channel/energy histogram counters) get sampled too.
   std::optional<obs::StatsObserver> stats;
-  if (!report_path.empty() || timeline) {
+  if (!experiment.report_path.empty() || timeline) {
     fan_out.add(&stats.emplace(topo.num_nodes(), config.num_packets));
   }
   std::optional<obs::TimelineMetricsObserver> timeline_metrics;
@@ -520,16 +400,17 @@ int run_cli(int argc, char** argv) {
   }
   std::optional<obs::HeartbeatWriter> heartbeat_writer;
   std::optional<obs::HeartbeatObserver> heartbeat;
-  if (!heartbeat_path.empty()) {
-    heartbeat_writer.emplace(heartbeat_path);
+  if (!experiment.heartbeat_path.empty()) {
+    heartbeat_writer.emplace(experiment.heartbeat_path);
     fan_out.add(&heartbeat.emplace(*heartbeat_writer, 0, protocol,
-                                   config.num_packets, heartbeat_seconds));
+                                   config.num_packets,
+                                   experiment.heartbeat_seconds));
   }
   // The series observer precedes the watchdog so a tripped invariant sees
   // up-to-date windows when it snapshots current_causes().
   std::optional<obs::TimeSeriesObserver> series;
   if (collect_series) {
-    obs::TimeSeriesOptions run_series = series_options;
+    obs::TimeSeriesOptions run_series = experiment.series;
     run_series.energy = config.energy;
     series.emplace(topo, run_series);
     fan_out.add(&*series);
@@ -540,7 +421,7 @@ int run_cli(int argc, char** argv) {
     if (series) watchdog->set_cause_source(&*series);
   }
   std::optional<obs::FlightRecorder> recorder;
-  if (analyze) fan_out.add(&recorder.emplace());
+  if (experiment.check_conformance) fan_out.add(&recorder.emplace());
   sim::SimResult result;
   try {
     result = sim::run_simulation(
@@ -551,7 +432,7 @@ int run_cli(int argc, char** argv) {
   }
   if (timeline) timeline->write_chrome_trace_file(timeline_path);
   if (series) write_series_artifacts(series->series(), series->netmap());
-  if (!report_path.empty()) {
+  if (!experiment.report_path.empty()) {
     obs::RunReportContext report;
     report.tool = "flood_sim";
     report.protocol = proto->name();
@@ -564,7 +445,7 @@ int run_cli(int argc, char** argv) {
       report.netmap = &series->netmap();
     }
     report.wall_seconds = wall_seconds();
-    obs::write_run_report_file(report_path, report);
+    obs::write_run_report_file(experiment.report_path, report);
   }
   if (result.metrics.truncated) {
     std::cerr << "flood_sim: warning: run stopped at max_slots ("

@@ -4,8 +4,7 @@
 //   ./quickstart [seed]
 #include <iostream>
 
-#include "ldcf/common/error.hpp"
-#include "ldcf/common/parse.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/protocols/registry.hpp"
 #include "ldcf/sim/simulator.hpp"
 #include "ldcf/topology/generators.hpp"
@@ -14,12 +13,9 @@ int main(int argc, char** argv) {
   using namespace ldcf;
 
   std::uint64_t seed = 1;
-  try {
-    if (argc > 1) seed = common::parse_u64(argv[1], "seed");
-  } catch (const InvalidArgument& error) {
-    std::cerr << "quickstart: " << error.what() << "\n";
-    return 2;
-  }
+  common::OptionTable("quickstart", "Flood ten packets with DBAO.")
+      .positional("seed", &seed, {"", "topology and run seed"}, false)
+      .parse_or_exit(argc, argv);
 
   // 1. A 298-sensor synthetic forest deployment (stand-in for the paper's
   //    GreenOrbs trace; see DESIGN.md).

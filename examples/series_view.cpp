@@ -7,29 +7,18 @@
 // and on any document embedding the same body (a run report's "timeseries"
 // section is found by key).
 //
-//   series_view FILE [--metric NAME] [--table] [--width N]
-//     FILE            an ldcf.timeseries.v1 JSON document (or any JSON
-//                     object with a "series"/"timeseries" member)
-//     --metric NAME   sparkline only this window field (repeatable);
-//                     default: covered, new_holders, tx_attempts,
-//                     collisions, energy
-//     --table         print every window as a row instead of sparklines
-//     --width N       max sparkline columns (default 72); longer series
-//                     are downsampled by summing adjacent windows
-//
-// JSON is read through the project's shared minimal DOM (obs/json_reader);
-// this tool grew the original parser before it was promoted to a module.
+// `series_view --help` lists the options.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "ldcf/common/parse.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/obs/json_reader.hpp"
 
 namespace {
@@ -39,11 +28,6 @@ using ldcf::obs::JsonValue;
 using ldcf::obs::parse_json;
 
 // --- Rendering ------------------------------------------------------------
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "series_view: " << message << " (see header comment)\n";
-  std::exit(2);
-}
 
 /// Downsample to at most `width` buckets by summing adjacent values, then
 /// map each bucket onto the eight-step unicode block ramp.
@@ -90,34 +74,17 @@ int main(int argc, char** argv) {
   std::string path;
   std::vector<std::string> metrics;
   bool table = false;
-  std::size_t width = 72;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--metric") {
-      metrics.emplace_back(next());
-    } else if (arg == "--table") {
-      table = true;
-    } else if (arg == "--width") {
-      try {
-        width = static_cast<std::size_t>(
-            ldcf::common::parse_u64(next(), "--width"));
-      } catch (const std::exception& e) {
-        usage_error(e.what());
-      }
-      if (width == 0) usage_error("--width must be >= 1");
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage_error("unknown option " + arg);
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      usage_error("more than one input file");
-    }
-  }
-  if (path.empty()) usage_error("need an ldcf.timeseries.v1 file");
+  std::uint64_t width = 72;
+  ldcf::common::OptionTable cli("series_view",
+                                "Render windowed telemetry in the terminal.");
+  cli.positional("FILE", &path, {"", "ldcf.timeseries.v1 JSON file"}, true)
+      .add("--metric",
+           [&](std::string_view name) { metrics.emplace_back(name); },
+           {"NAME", "sparkline only this window field (repeatable)"})
+      .add("--table", &table, {"", "print every window as a row"})
+      .add("--width", &width,
+           ldcf::common::Knob("N", "max sparkline columns").at_least(1));
+  cli.parse_or_exit(argc, argv);
   if (metrics.empty()) {
     metrics = {"covered", "new_holders", "tx_attempts", "collisions",
                "energy"};

@@ -6,9 +6,8 @@
 //   ./theory_explorer [N] [M] [T] [link_quality]
 #include <iostream>
 
-#include "ldcf/common/error.hpp"
 #include "ldcf/common/math_utils.hpp"
-#include "ldcf/common/parse.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/theory/compact_flooding.hpp"
 #include "ldcf/theory/fdl.hpp"
 #include "ldcf/theory/fwl.hpp"
@@ -22,15 +21,12 @@ int main(int argc, char** argv) {
   std::uint64_t m_pkts = 100;
   std::uint32_t t = 20;
   double quality = 0.7;
-  try {
-    if (argc > 1) n = common::parse_u64(argv[1], "N");
-    if (argc > 2) m_pkts = common::parse_u64(argv[2], "M");
-    if (argc > 3) t = common::parse_u32(argv[3], "T");
-    if (argc > 4) quality = common::parse_double(argv[4], "link_quality");
-  } catch (const InvalidArgument& error) {
-    std::cerr << "theory_explorer: " << error.what() << "\n";
-    return 2;
-  }
+  common::OptionTable("theory_explorer", "Print every section IV quantity.")
+      .positional("N", &n, {"", "sensors"}, false)
+      .positional("M", &m_pkts, {"", "packets"}, false)
+      .positional("T", &t, {"", "duty period in slots"}, false)
+      .positional("link_quality", &quality, {"", "link PRR"}, false)
+      .parse_or_exit(argc, argv);
   const DutyCycle duty{t};
 
   std::cout << "Network: N = " << n << " sensors + 1 source, M = " << m_pkts

@@ -3,57 +3,21 @@
 // (flood_sim --trace, protocol_comparison --trace, ExperimentConfig::
 // trace_path).
 //
-//   trace_analyze <trace.jsonl> [options]
-//     --topo FILE     topology trace of the run (supplies N exactly)
-//     --sensors N     N when no --topo (default: derived from the trace)
-//     --period T      working-schedule period T in slots (enables the
-//                     Theorem 2 envelope check)
-//     --duty PCT      same as --period round(100/PCT)
-//     --source NODE   flooding source node (default 0)
-//     --slack F       fractional slack widening the Theorem 2 envelope
-//                     (default 0; the envelope bounds an expectation)
-//     --report PATH   write an ldcf.trace_analysis.v1 JSON report
-//     --dot PKT:PATH  write packet PKT's dissemination tree as Graphviz dot
-//                     (repeatable; render with: dot -Tsvg PATH > tree.svg)
-//     --quiet         suppress the text rendering
+// `trace_analyze --help` lists the options.
 //
 // Exit status: 0 = no conformance violations, 1 = violations detected,
 // 2 = usage or input errors.
-#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "ldcf/analysis/knobs.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/common/parse.hpp"
 #include "ldcf/obs/trace_analysis.hpp"
 #include "ldcf/topology/trace_io.hpp"
-
-namespace {
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "trace_analyze: " << message
-            << " (see header comment for usage)\n";
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* text, const std::string& what) {
-  try {
-    return ldcf::common::parse_u64(text, what);
-  } catch (const std::exception& e) {
-    usage_error(e.what());
-  }
-}
-
-double parse_double(const char* text, const std::string& what) {
-  try {
-    return ldcf::common::parse_double(text, what);
-  } catch (const std::exception& e) {
-    usage_error(e.what());
-  }
-}
-
-}  // namespace
 
 int run_cli(int argc, char** argv);
 
@@ -69,53 +33,45 @@ int main(int argc, char** argv) {
 int run_cli(int argc, char** argv) {
   using namespace ldcf;
 
-  if (argc < 2) usage_error("missing trace file");
-  const std::string trace_path = argv[1];
+  std::string trace_path;
   std::string topo_path;
   std::string report_path;
   std::vector<std::pair<PacketId, std::string>> dot_requests;
   bool quiet = false;
+  double duty_pct = 0.0;
   obs::TraceAnalysisOptions options;
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--topo") {
-      topo_path = next();
-    } else if (arg == "--sensors") {
-      options.num_sensors = parse_u64(next(), "--sensors");
-    } else if (arg == "--period") {
-      options.duty_period =
-          static_cast<std::uint32_t>(parse_u64(next(), "--period"));
-    } else if (arg == "--duty") {
-      const double pct = parse_double(next(), "--duty");
-      if (pct <= 0.0 || pct > 100.0) usage_error("--duty wants (0, 100]");
-      options.duty_period = DutyCycle::from_ratio(pct / 100.0).period;
-    } else if (arg == "--source") {
-      options.source = static_cast<NodeId>(parse_u64(next(), "--source"));
-    } else if (arg == "--slack") {
-      options.fdl_slack = parse_double(next(), "--slack");
-    } else if (arg == "--report") {
-      report_path = next();
-    } else if (arg == "--dot") {
-      const std::string spec = next();
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos || colon == 0 ||
-          colon + 1 >= spec.size()) {
-        usage_error("--dot wants PKT:PATH");
-      }
-      dot_requests.emplace_back(
-          static_cast<PacketId>(
-              parse_u64(spec.substr(0, colon).c_str(), "--dot packet")),
-          spec.substr(colon + 1));
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      usage_error("unknown option " + arg);
+  common::OptionTable cli("trace_analyze",
+                          "Explain a run; --duty sets --period to 100/PCT.");
+  const auto dot = [&](std::string_view spec) {
+    const auto colon = spec.find(':');
+    if (colon == spec.npos || colon == 0 || colon + 1 >= spec.size()) {
+      common::reject("--dot", spec, "wants PKT:PATH");
     }
+    dot_requests.emplace_back(
+        common::parse_u32(spec.substr(0, colon), "--dot packet"),
+        spec.substr(colon + 1));
+  };
+  cli.positional("TRACE", &trace_path, {"", "JSONL event trace"}, true)
+      .add("--topo", &topo_path, {"FILE", "topology trace (supplies N)"})
+      .add("--sensors", &options.num_sensors,
+           {"N", "N when no --topo; 0 derives it from the trace"})
+      .add("--period", &options.duty_period,
+           {"T", "schedule period in slots, for the Theorem 2 envelope check; "
+                 "0 = unknown"})
+      .add("--duty", &duty_pct, analysis::knobs::duty_pct())
+      .add("--source", &options.source, {"NODE", "flooding source node"})
+      .add("--slack", &options.fdl_slack,
+           {"F", "fractional slack widening the Theorem 2 envelope"})
+      .add("--report", &report_path,
+           {"PATH", "write an ldcf.trace_analysis.v1 JSON report"})
+      .add("--dot", dot,
+           {"PKT:PATH", "write packet PKT's dissemination tree as Graphviz "
+                        "dot (repeatable)"})
+      .add("--quiet", &quiet, {"", "suppress the text rendering"});
+  cli.parse_or_exit(argc, argv);
+  if (cli.seen("--duty")) {
+    options.duty_period = DutyCycle::from_ratio(duty_pct / 100.0).period;
   }
 
   if (!topo_path.empty()) {
@@ -131,8 +87,8 @@ int run_cli(int argc, char** argv) {
   for (const auto& [packet, path] : dot_requests) {
     const obs::DisseminationTree* tree = analysis.tree(packet);
     if (tree == nullptr) {
-      usage_error("--dot names packet " + std::to_string(packet) +
-                  ", which the trace never mentions");
+      cli.usage_error("--dot names packet " + std::to_string(packet) +
+                      ", which the trace never mentions");
     }
     obs::write_tree_dot_file(path, *tree);
     if (!quiet) {

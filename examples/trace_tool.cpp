@@ -1,17 +1,18 @@
 // trace_tool — generate, inspect and export topology traces.
 //
-//   trace_tool gen  <out.csv> [--sensors N] [--seed S] [--area M]
-//                   [--clusters K] [--exponent E]
+//   trace_tool gen  <out.csv> [options]         # see: trace_tool gen --help
 //   trace_tool info <trace.csv>
 //   trace_tool dot  <trace.csv> <out.dot>       # render: neato -n2 -Tsvg
 //
 // `gen` writes the same seeded GreenOrbs-like traces the benches use, so a
 // user can regenerate, archive or hand-edit the exact input of a run.
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "ldcf/common/parse.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/topology/generators.hpp"
 #include "ldcf/topology/trace_io.hpp"
 #include "ldcf/topology/tree.hpp"
@@ -20,8 +21,8 @@ namespace {
 
 [[noreturn]] void usage() {
   std::cerr << "usage:\n"
-               "  trace_tool gen  <out.csv> [--sensors N] [--seed S] "
-               "[--area M] [--clusters K] [--exponent E]\n"
+               "  trace_tool gen  <out.csv> [options]  (see trace_tool gen "
+               "--help)\n"
                "  trace_tool info <trace.csv>\n"
                "  trace_tool dot  <trace.csv> <out.dot>\n";
   std::exit(2);
@@ -29,53 +30,27 @@ namespace {
 
 int cmd_gen(int argc, char** argv) {
   using namespace ldcf::topology;
-  if (argc < 3) usage();
-  const std::string out_path = argv[2];
-  ClusterConfig config;
-  config.base.num_sensors = 298;
-  config.base.area_side_m = 560.0;
-  config.base.radio.path_loss_exponent = 3.3;
-  config.base.seed = 1;
-  config.num_clusters = 18;
-  config.cluster_sigma_m = 34.0;
-  // --area / --clusters always win over the density defaults that
-  // --sensors implies, no matter the flag order; a flag missing its value
-  // is an error, not silently dropped.
-  bool explicit_area = false;
-  bool explicit_clusters = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (i + 1 >= argc) {
-      std::cerr << "trace_tool: missing value for " << arg << "\n";
-      usage();
-    }
-    const char* value = argv[++i];
-    if (arg == "--sensors") {
-      config.base.num_sensors = ldcf::common::parse_u32(value, "--sensors");
-    } else if (arg == "--seed") {
-      config.base.seed = ldcf::common::parse_u64(value, "--seed");
-    } else if (arg == "--area") {
-      config.base.area_side_m = ldcf::common::parse_double(value, "--area");
-      explicit_area = true;
-    } else if (arg == "--clusters") {
-      config.num_clusters = ldcf::common::parse_u32(value, "--clusters");
-      explicit_clusters = true;
-    } else if (arg == "--exponent") {
-      config.base.radio.path_loss_exponent =
-          ldcf::common::parse_double(value, "--exponent");
-    } else {
-      usage();
-    }
-  }
+  std::string out_path;
+  ClusterConfig config = scaled_cluster_config(298, 1);
+  config.num_clusters = 18;  // make_greenorbs_like's stand-in.
+  ldcf::common::OptionTable cli(
+      "trace_tool gen",
+      "Write a GreenOrbs-like trace; --area and --clusters override the "
+      "density --sensors implies.");
+  cli.positional("OUT", &out_path, {"", "trace CSV to write"}, true)
+      .add("--sensors", &config.base.num_sensors, {"N", "sensor count"})
+      .add("--seed", &config.base.seed, {"S", "generator seed"})
+      .add("--area", &config.base.area_side_m, {"M", "area side in meters"})
+      .add("--clusters", &config.num_clusters, {"K", "number of clusters"})
+      .add("--exponent", &config.base.radio.path_loss_exponent,
+           {"E", "path-loss exponent"});
+  cli.parse_or_exit(argc - 1, argv + 1);
   // Keep density roughly constant when resizing, unless overridden.
   if (config.base.num_sensors != 298) {
-    if (!explicit_area) {
-      config.base.area_side_m =
-          560.0 * std::sqrt(config.base.num_sensors / 298.0);
-    }
-    if (!explicit_clusters) {
-      config.num_clusters = std::max(4u, config.base.num_sensors / 17u);
-    }
+    const ClusterConfig scaled =
+        scaled_cluster_config(config.base.num_sensors, config.base.seed);
+    if (!cli.seen("--area")) config.base.area_side_m = scaled.base.area_side_m;
+    if (!cli.seen("--clusters")) config.num_clusters = scaled.num_clusters;
   }
   const Topology topo = make_clustered(config);
   write_trace_file(topo, out_path);

@@ -1,21 +1,22 @@
-// Strict scalar parsing for every CLI flag and server request field.
+// Strict scalar parsing for every CLI flag and server request field, used
+// through the option table (options.hpp). Each helper rejects the whole
+// input unless it is exactly one well-formed value: no sign-wrapped
+// negatives ("--reps -1" as 2^64-1), no trailing junk ("10x"), no silent
+// saturation or 32-bit truncation.
 //
-// The historical per-tool helpers sat on strtoull/strtod, which silently
-// wrap negative inputs ("--reps -1" became 2^64-1), accept trailing junk
-// ("10x" parsed as 10), and saturate out-of-range values. Every consumer —
-// flood_sim, trace_tool, trace_analyze, flood_client and the flood_server
-// request parser — now shares these helpers instead; all of them reject
-// the whole input unless it is exactly one well-formed value.
-//
-// Failures throw InvalidArgument with the offending text and the caller's
-// `what` label (e.g. "--reps"), so a CLI can surface the message verbatim
-// as a usage error and the server can echo it in a structured error frame.
+// Failures throw InvalidArgument("bad <what>: '<text>' (<why>)") with the
+// caller's label (e.g. "--reps"), so a CLI can print it as a usage error
+// and the server can echo it in a structured error frame.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
 
 namespace ldcf::common {
+
+/// Throw InvalidArgument("bad <what>: '<text>' (<why>)").
+[[noreturn]] void reject(std::string_view what, std::string_view text,
+                         std::string_view why);
 
 /// Strict unsigned decimal: one or more digits, nothing else. Rejects an
 /// empty string, any sign (unsigned flags have no meaningful negative),

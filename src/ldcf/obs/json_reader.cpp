@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "ldcf/common/error.hpp"
-#include "ldcf/common/parse.hpp"
 
 namespace ldcf::obs {
 
@@ -188,20 +187,6 @@ class JsonParser {
 };
 
 }  // namespace
-
-std::uint64_t JsonValue::as_u64(std::string_view what) const {
-  if (!is_number()) {
-    throw InvalidArgument("bad " + std::string(what) + ": not a number");
-  }
-  return common::parse_u64(text, what);
-}
-
-std::uint64_t JsonValue::u64(const std::string& key,
-                             std::uint64_t fallback) const {
-  const JsonValue* v = find(key);
-  if (v == nullptr) return fallback;
-  return v->as_u64(key);
-}
 
 JsonPtr parse_json(std::string_view text) {
   return JsonParser(text).parse();

@@ -4,13 +4,12 @@
 // frames) but long avoided reading it; series_view grew the first parser
 // and the sweep service made it shared infrastructure. It parses the full
 // JSON grammar into a small DOM. Numbers keep both a double (convenient
-// for telemetry, exact below 2^53) and the raw source token, so consumers
-// that need exact 64-bit integers (seeds, slot counts) can re-parse the
-// token with the strict common/parse helpers instead of round-tripping
-// through a double.
+// for telemetry, exact below 2^53) and the raw source token, so the option
+// table's JSON front-end (common/options.hpp) reads exact 64-bit integers
+// (seeds, slot counts) with the strict common/parse helpers instead of
+// round-tripping through a double.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,7 +32,6 @@ struct JsonValue {
   std::map<std::string, JsonPtr> members;  ///< kObject members.
 
   [[nodiscard]] bool is_object() const { return kind == Kind::kObject; }
-  [[nodiscard]] bool is_array() const { return kind == Kind::kArray; }
   [[nodiscard]] bool is_number() const { return kind == Kind::kNumber; }
   [[nodiscard]] bool is_string() const { return kind == Kind::kString; }
 
@@ -55,23 +53,6 @@ struct JsonValue {
     const JsonValue* v = find(key);
     return v != nullptr && v->is_string() ? v->text : std::string{};
   }
-
-  /// Boolean member, `fallback` when absent or non-boolean.
-  [[nodiscard]] bool flag(const std::string& key, bool fallback) const {
-    const JsonValue* v = find(key);
-    return v != nullptr && v->kind == Kind::kBool ? v->boolean : fallback;
-  }
-
-  /// This value as an exact unsigned integer: the raw number token run
-  /// through common::parse_u64. Throws InvalidArgument when the value is
-  /// not a number or the token is negative, fractional, or out of range —
-  /// strict on purpose, this is how the server reads seeds and counts.
-  [[nodiscard]] std::uint64_t as_u64(std::string_view what = "integer") const;
-
-  /// Unsigned-integer member; `fallback` when absent, throws (as as_u64)
-  /// when present but not an exact unsigned integer.
-  [[nodiscard]] std::uint64_t u64(const std::string& key,
-                                  std::uint64_t fallback) const;
 };
 
 /// Parse one complete JSON document; trailing non-whitespace is an error.

@@ -1,97 +1,35 @@
 #include "ldcf/serve/job.hpp"
 
-#include <cmath>
-#include <set>
 #include <sstream>
 
-#include "ldcf/common/error.hpp"
+#include "ldcf/analysis/knobs.hpp"
+#include "ldcf/common/options.hpp"
 #include "ldcf/obs/json_writer.hpp"
-#include "ldcf/protocols/registry.hpp"
 #include "ldcf/serve/cache.hpp"
 #include "ldcf/topology/generators.hpp"
 
 namespace ldcf::serve {
 
-namespace {
-
-std::uint32_t read_u32(const obs::JsonValue& v, const std::string& key,
-                       std::uint32_t fallback) {
-  const std::uint64_t raw = v.u64(key, fallback);
-  LDCF_REQUIRE(raw <= 0xffffffffull, "config." + key + " out of range");
-  return static_cast<std::uint32_t>(raw);
-}
-
-double read_double(const obs::JsonValue& v, const std::string& key,
-                   double fallback) {
-  const obs::JsonValue* member = v.find(key);
-  if (member == nullptr) return fallback;
-  LDCF_REQUIRE(member->is_number() && std::isfinite(member->number),
-               "config." + key + " must be a finite number");
-  return member->number;
-}
-
-}  // namespace
-
 JobSpec parse_job_spec(const obs::JsonValue& config) {
-  LDCF_REQUIRE(config.is_object(), "config must be a JSON object");
-  static const std::set<std::string> kKnown = {
-      "protocol",       "generator",     "sensors",
-      "topology_seed",  "duty_pct",      "slots_per_period",
-      "num_packets",    "packet_spacing", "seed",
-      "max_slots",      "coverage_fraction", "reps",
-      "threads",        "collect_stats"};
-  for (const auto& [key, value] : config.members) {
-    LDCF_REQUIRE(kKnown.count(key) != 0, "unknown config key: " + key);
-  }
-
   JobSpec spec;
-  spec.protocol = config.str("protocol").empty() ? spec.protocol
-                                                 : config.str("protocol");
-  bool known_protocol = false;
-  for (const std::string& name : protocols::protocol_names()) {
-    known_protocol = known_protocol || name == spec.protocol;
-  }
-  LDCF_REQUIRE(known_protocol, "unknown protocol: " + spec.protocol);
-
-  if (!config.str("generator").empty()) spec.generator = config.str("generator");
-  LDCF_REQUIRE(spec.generator == "clustered" || spec.generator == "uniform" ||
-                   spec.generator == "grid" || spec.generator == "disk",
-               "unknown generator: " + spec.generator);
-
-  spec.sensors = read_u32(config, "sensors", spec.sensors);
-  LDCF_REQUIRE(spec.sensors >= 2, "config.sensors must be >= 2");
-  spec.topology_seed = config.u64("topology_seed", spec.topology_seed);
-
-  spec.duty_pct = read_double(config, "duty_pct", spec.duty_pct);
-  LDCF_REQUIRE(spec.duty_pct > 0.0 && spec.duty_pct <= 100.0,
-               "config.duty_pct must be in (0, 100]");
-  spec.slots_per_period =
-      read_u32(config, "slots_per_period", spec.slots_per_period);
-  LDCF_REQUIRE(spec.slots_per_period >= 1,
-               "config.slots_per_period must be >= 1");
-
-  spec.num_packets = read_u32(config, "num_packets", spec.num_packets);
-  LDCF_REQUIRE(spec.num_packets >= 1, "config.num_packets must be >= 1");
-  spec.packet_spacing = read_u32(config, "packet_spacing", spec.packet_spacing);
-  LDCF_REQUIRE(spec.packet_spacing >= 1, "config.packet_spacing must be >= 1");
-  spec.seed = config.u64("seed", spec.seed);
-  spec.max_slots = config.u64("max_slots", spec.max_slots);
-  LDCF_REQUIRE(spec.max_slots >= 1, "config.max_slots must be >= 1");
-  spec.coverage_fraction =
-      read_double(config, "coverage_fraction", spec.coverage_fraction);
-  LDCF_REQUIRE(spec.coverage_fraction > 0.0 && spec.coverage_fraction <= 1.0,
-               "config.coverage_fraction must be in (0, 1]");
-
-  spec.reps = read_u32(config, "reps", spec.reps);
-  LDCF_REQUIRE(spec.reps >= 1, "config.reps must be >= 1");
-  spec.threads = read_u32(config, "threads", spec.threads);
-
-  const obs::JsonValue* stats = config.find("collect_stats");
-  if (stats != nullptr) {
-    LDCF_REQUIRE(stats->kind == obs::JsonValue::Kind::kBool,
-                 "config.collect_stats must be a boolean");
-    spec.collect_stats = stats->boolean;
-  }
+  common::OptionTable keys("config", "one sweep point");
+  keys.add("protocol", &spec.protocol, analysis::knobs::protocol())
+      .add("generator", &spec.generator, analysis::knobs::generator())
+      .add("sensors", &spec.sensors, common::Knob("N", "").at_least(2))
+      .add("topology_seed", &spec.topology_seed, {"S", "generator seed"})
+      .add("duty_pct", &spec.duty_pct, analysis::knobs::duty_pct())
+      .add("slots_per_period", &spec.slots_per_period,
+           analysis::knobs::slots_per_period())
+      .add("num_packets", &spec.num_packets, analysis::knobs::packets())
+      .add("packet_spacing", &spec.packet_spacing, analysis::knobs::spacing())
+      .add("seed", &spec.seed, {"S", "run seed"})
+      .add("max_slots", &spec.max_slots, common::Knob("K", "").at_least(1))
+      .add("coverage_fraction", &spec.coverage_fraction,
+           analysis::knobs::coverage())
+      .add("reps", &spec.reps, analysis::knobs::reps())
+      .add("threads", &spec.threads, {"N", "0 = all cores"})
+      .add("collect_stats", &spec.collect_stats, {"", "attach histograms"});
+  keys.parse_json(config);
   return spec;
 }
 

@@ -2,10 +2,11 @@
 //
 // A job is one sweep point — an ExperimentConfig-shaped description of
 // (topology, protocol, duty, repetitions) — submitted as the "config"
-// object of a {"op":"submit"} NDJSON frame. Parsing is strict: unknown
-// keys, malformed numbers and out-of-range values are rejected with a
-// structured error before any work is queued, so a typo'd "sensor" never
-// silently runs the default network.
+// object of a {"op":"submit"} NDJSON frame. Its keys are option-table rows
+// sharing their ranges with the CLI flags (analysis/knobs.hpp). Unknown
+// keys, wrong JSON kinds, malformed numbers and out-of-range values are
+// rejected before any work is queued, so a typo'd "sensor" never silently
+// runs the default network.
 //
 // Every job has a canonical single-line JSON rendering (fixed key order,
 // defaults filled in). The FNV-1a fingerprint of that rendering is the
@@ -23,7 +24,8 @@
 
 namespace ldcf::serve {
 
-/// One sweep-point request, defaults matching the flood_sim CLI.
+/// One sweep-point request. The defaults are part of every fingerprint and
+/// differ from flood_sim's (dbao, 298 sensors, 100 packets, seed 7).
 struct JobSpec {
   std::string protocol = "naive";
   std::string generator = "clustered";  ///< clustered|uniform|grid|disk.
@@ -42,8 +44,9 @@ struct JobSpec {
 };
 
 /// Parse and validate the "config" object of a submit frame. Throws
-/// InvalidArgument on unknown keys, wrong types, malformed numbers
-/// (strict common/parse rules) or out-of-range values.
+/// InvalidArgument ("bad <key>: '<value>' (<why>)") on unknown keys, wrong
+/// JSON kinds, malformed numbers (strict common/parse rules) or
+/// out-of-range values.
 [[nodiscard]] JobSpec parse_job_spec(const obs::JsonValue& config);
 
 /// Canonical single-line JSON for the spec: every field, fixed order.

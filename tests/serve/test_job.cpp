@@ -77,6 +77,27 @@ TEST(ParseJobSpec, RejectsBadValues) {
   EXPECT_THROW((void)parse(R"([1,2,3])"), InvalidArgument);
 }
 
+TEST(ParseJobSpec, ErrorsNameTheKey) {
+  const auto message = [](const std::string& json) -> std::string {
+    try {
+      (void)parse(json);
+    } catch (const InvalidArgument& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message(R"({"sensor":500})"), "bad key: 'sensor' (unknown key)");
+  EXPECT_EQ(message(R"({"sensors":1})"), "bad sensors: '1' (must be >= 2)");
+  EXPECT_EQ(message(R"({"duty_pct":0})"),
+            "bad duty_pct: '0' (must be in (0, 100])");
+  // A non-string or empty protocol used to fall back to the default
+  // silently; now it is a wrong kind or a bad choice like any other key.
+  EXPECT_EQ(message(R"({"protocol":3})"),
+            "bad protocol: '3' (expected a string)");
+  EXPECT_NE(message(R"({"protocol":""})").find("(must be one of "),
+            std::string::npos);
+}
+
 TEST(SpecFingerprint, SpelledOutDefaultsHashIdentically) {
   // A sparse frame and one spelling out the defaults describe the same
   // experiment, so they must share a fingerprint (and cache entries).
@@ -85,6 +106,19 @@ TEST(SpecFingerprint, SpelledOutDefaultsHashIdentically) {
       R"({"protocol":"opt","generator":"clustered","sensors":60,
           "duty_pct":5.0,"reps":1,"seed":1})");
   EXPECT_EQ(spec_fingerprint(sparse), spec_fingerprint(spelled));
+}
+
+TEST(SpecFingerprint, DefaultSpecIdentityIsPinned) {
+  // The canonical rendering and its fingerprint key every cached artifact
+  // and report; a parser change must leave both byte-identical.
+  EXPECT_EQ(canonical_spec_json(JobSpec{}),
+            R"({"protocol":"naive","generator":"clustered","sensors":60,)"
+            R"("topology_seed":1,"duty_pct":5,"slots_per_period":1,)"
+            R"("num_packets":20,"packet_spacing":1,"seed":1,)"
+            R"("max_slots":10000000,"coverage_fraction":0.98999999999999999,)"
+            R"("reps":1,"collect_stats":false})");
+  EXPECT_EQ(spec_fingerprint(JobSpec{}), 3937354300496746745ull);
+  EXPECT_EQ(spec_fingerprint(parse("{}")), 3937354300496746745ull);
 }
 
 TEST(SpecFingerprint, ThreadsDoNotSplitTheFingerprint) {
