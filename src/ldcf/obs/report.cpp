@@ -1,6 +1,5 @@
 #include "ldcf/obs/report.hpp"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <ostream>
@@ -35,27 +34,6 @@ Provenance Provenance::current() {
   return p;
 }
 
-std::uint64_t topology_fingerprint(const topology::Topology& topo) {
-  constexpr std::uint64_t kOffset = 14695981039346656037ull;
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  const auto mix = [](std::uint64_t hash, std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xff;
-      hash *= kPrime;
-    }
-    return hash;
-  };
-  std::uint64_t hash = mix(kOffset, topo.num_nodes());
-  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-    for (const topology::Link& link : topo.neighbors(n)) {
-      hash = mix(hash, n);
-      hash = mix(hash, link.to);
-      hash = mix(hash, std::bit_cast<std::uint64_t>(link.prr));
-    }
-  }
-  return hash;
-}
-
 void write_provenance(JsonWriter& json, const Provenance& provenance) {
   json.begin_object()
       .field("git_sha", provenance.git_sha)
@@ -73,7 +51,7 @@ void write_topology_summary(JsonWriter& json,
       .field("links", static_cast<std::uint64_t>(topo.num_links()))
       .field("mean_degree", topo.mean_degree())
       .field("mean_prr", topo.mean_prr())
-      .field("fingerprint", topology_fingerprint(topo))
+      .field("fingerprint", topo.fingerprint())
       .end_object();
 }
 

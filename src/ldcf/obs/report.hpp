@@ -45,13 +45,6 @@ struct Provenance {
   [[nodiscard]] static Provenance current();
 };
 
-/// Order-insensitive FNV-1a-based structural fingerprint of a topology:
-/// node count plus every (from, to, prr-bits) link. Two topologies with
-/// the same nodes and links fingerprint identically; any changed PRR bit
-/// changes it.
-[[nodiscard]] std::uint64_t topology_fingerprint(
-    const topology::Topology& topo);
-
 // Report fragments, reusable by other report writers (sweep, bench): each
 // writes one value (an object) — callers pair it with a key.
 void write_provenance(JsonWriter& json, const Provenance& provenance);

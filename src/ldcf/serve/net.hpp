@@ -45,7 +45,7 @@ struct Endpoint {
 [[nodiscard]] Socket listen_on(const Endpoint& endpoint, int backlog,
                                std::uint16_t* bound_port = nullptr);
 
-/// Accept one client; an invalid Socket when the listener was closed.
+/// Accept one client; an invalid Socket once the listener is shut down.
 [[nodiscard]] Socket accept_client(const Socket& listener);
 
 /// Connect to a server. Throws InvalidArgument on failure.

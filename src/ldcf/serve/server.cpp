@@ -121,10 +121,11 @@ void FloodServer::stop() {
   if (!stopping_.compare_exchange_strong(expected, true)) return;
 
   // Wake the acceptor out of accept(); close() alone does not reliably
-  // interrupt a thread already blocked there.
+  // interrupt a thread already blocked there. Close only after the join:
+  // the acceptor reads the listener's fd until it exits.
   if (listener_.valid()) ::shutdown(listener_.fd(), SHUT_RDWR);
-  listener_.close();
   if (acceptor_.joinable()) acceptor_.join();
+  listener_.close();
 
   // Workers drain the job they are running and exit on the next pop;
   // jobs still queued get a structured shutdown error below.

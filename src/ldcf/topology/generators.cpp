@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -15,35 +16,54 @@ namespace {
 /// Wire up every pair within plausible radio range: sample a persistent
 /// shadowing offset per unordered pair, derive directional PRRs (slightly
 /// asymmetric, as measured traces are), keep links above the usable floor.
+/// Returns the sealed topology (DESIGN.md §9).
 ///
-/// Candidate pairs come from a spatial hash grid (cell size = max range, so
-/// the 3x3 cell neighborhood is a superset of the in-range partners) rather
-/// than an all-pairs scan. In kSequential mode the grid's canonical
-/// ascending-(a, b) enumeration consumes `rng` in exactly the order the
-/// historical nested loop did, so every pinned fingerprint is preserved; in
-/// kPairKeyed mode each surviving pair gets its own counter-based stream
-/// seeded from (pair_base, min, max), making the realization independent of
-/// visit order entirely.
-void build_links(Topology& topo, const RadioModel& radio, Rng& rng,
-                 LinkRngMode mode, std::uint64_t pair_base) {
+/// In-range pairs come from a spatial hash grid range query rather than an
+/// all-pairs scan. In kSequential mode its canonical ascending-(a, b)
+/// enumeration consumes `rng` in exactly the order the historical nested
+/// loop did, so every pinned fingerprint is preserved; in kPairKeyed mode
+/// each pair gets its own counter-based stream seeded from (pair_base, min,
+/// max), making the realization independent of visit order entirely.
+///
+/// The same canonical order lets every link simply append to its row: row
+/// a receives its links to lower ids (while those ids are visited, in
+/// ascending order) before its links to higher ids (while a is visited,
+/// ascending), so each row is already sorted and the rows flatten straight
+/// into the CSR.
+Topology build_links(std::vector<Point2D> positions, const RadioModel& radio,
+                     Rng& rng, LinkRngMode mode, std::uint64_t pair_base) {
   const double max_range = radio.range_at_prr(0.01) * 1.5;
-  const auto n = static_cast<NodeId>(topo.num_nodes());
-  const SpatialHashGrid grid(topo.positions(), max_range);
+  const auto n = static_cast<NodeId>(positions.size());
+  const SpatialHashGrid grid(positions, max_range);
+  // The logistic is monotone, so an RSSI below the one that maps to the
+  // floor cannot make a link; the margin (tens of millions of ulps of a
+  // -100 dBm RSSI) keeps every borderline case on the exact path.
+  const double floor_rssi =
+      radio.min_usable_prr > 0.0 && radio.min_usable_prr < 1.0 &&
+              radio.prr_slope_db > 0.0
+          ? radio.sensitivity_dbm +
+                radio.prr_slope_db * std::log(radio.min_usable_prr /
+                                              (1.0 - radio.min_usable_prr)) -
+                1e-6
+          : -std::numeric_limits<double>::infinity();
+  const auto keep = [&](double rssi, NodeId to, std::vector<Link>& row) {
+    if (rssi < floor_rssi) return;
+    const double prr = radio.prr_of_rssi(rssi);
+    if (prr >= radio.min_usable_prr) row.push_back(Link{to, prr});
+  };
+
+  std::vector<std::vector<Link>> rows(n);
   const auto realize = [&](NodeId a, NodeId b, double dist, Rng& r) {
     const double rssi = radio.sample_rssi_dbm(dist, r);
     // Mild per-direction asymmetry on top of the shared shadowing.
     const double asym = 0.5 * r.normal();
-    const double prr_ab = radio.prr_of_rssi(rssi + asym);
-    const double prr_ba = radio.prr_of_rssi(rssi - asym);
-    if (prr_ab >= radio.min_usable_prr) topo.add_link(a, b, prr_ab);
-    if (prr_ba >= radio.min_usable_prr) topo.add_link(b, a, prr_ba);
+    keep(rssi + asym, b, rows[a]);
+    keep(rssi - asym, a, rows[b]);
   };
-  std::vector<NodeId> candidates;
+  std::vector<SpatialHashGrid::Partner> partners;
   for (NodeId a = 0; a < n; ++a) {
-    grid.candidates_above(a, candidates);
-    for (const NodeId b : candidates) {
-      const double dist = distance(topo.position(a), topo.position(b));
-      if (dist > max_range) continue;
+    grid.partners_above(a, max_range, partners);
+    for (const auto& [b, dist] : partners) {
       if (mode == LinkRngMode::kPairKeyed) {
         Rng pair_rng(pair_stream_seed(pair_base, a, b));
         realize(a, b, dist, pair_rng);
@@ -52,6 +72,17 @@ void build_links(Topology& topo, const RadioModel& radio, Rng& rng,
       }
     }
   }
+
+  // Flatten once into an exactly sized CSR (it lives on in caches).
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (NodeId a = 0; a < n; ++a) offsets[a + 1] = offsets[a] + rows[a].size();
+  std::vector<Link> links;
+  links.reserve(offsets[n]);
+  for (std::vector<Link>& row : rows) {
+    links.insert(links.end(), row.begin(), row.end());
+    std::vector<Link>().swap(row);
+  }
+  return Topology(std::move(positions), std::move(offsets), std::move(links));
 }
 
 /// Fraction of sensors the source can reach.
@@ -70,11 +101,10 @@ Topology generate_with_retries(const GeneratorConfig& config,
         config.seed +
         static_cast<std::uint64_t>(attempt) * std::uint64_t{0x9e37};
     Rng rng(attempt_seed);
-    Topology topo(place(rng));
-    build_links(topo, config.radio, rng, config.link_rng, attempt_seed);
-    // Seal eagerly so the returned topology is safe to share across the
+    // Born sealed, so the returned topology is safe to share across the
     // parallel trial executor's threads without a first-query race window.
-    topo.seal();
+    Topology topo = build_links(place(rng), config.radio, rng,
+                                config.link_rng, attempt_seed);
     if (!config.require_connectivity ||
         reachable_fraction(topo) >= config.min_reachable_fraction) {
       return topo;

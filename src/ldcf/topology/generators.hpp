@@ -7,10 +7,10 @@
 // PRR links, 298 sensors plus a source, guaranteed source-connectivity. The
 // substitution is documented in DESIGN.md §2.
 //
-// Link construction uses a spatial hash grid (cell >= max radio range, so
-// candidate pairs come from the 3x3 cell neighborhood only) instead of the
+// Link construction uses a spatial hash grid range query instead of the
 // historical all-pairs loop — O(N + links) rather than O(N^2), which is
-// what makes 100k-node topologies buildable (DESIGN.md §9, `bench_scale`).
+// what makes 100k-node topologies buildable — and writes the sealed CSR in
+// the same pass (DESIGN.md §9, `bench_scale`).
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,7 @@ namespace {
 /// Cells per axis: as many as the span allows at `cell_size` granularity,
 /// but never more than ~2*sqrt(N) per axis (so the grid stays O(N) cells
 /// even when the deployment area dwarfs the radio range). Capping only ever
-/// *widens* cells, which keeps the 3x3-neighborhood superset guarantee.
+/// *widens* cells, which only shrinks the neighborhood a range query scans.
 std::size_t axis_cells(double span, double cell_size, std::size_t n) {
   const auto cap = static_cast<std::size_t>(
       std::ceil(2.0 * std::sqrt(static_cast<double>(n)))) + 1;
@@ -20,6 +20,17 @@ std::size_t axis_cells(double span, double cell_size, std::size_t n) {
   const double fit = std::floor(span / cell_size);
   if (fit <= 1.0) return 1;
   return std::min(static_cast<std::size_t>(fit), cap);
+}
+
+/// Cells to scan on each side of a query cell along one axis so that every
+/// point within `radius` is covered. A coordinate `radius` away lands at
+/// most floor(radius * inv) + 1 cells over; the relative slack absorbs the
+/// rounding of the scaled coordinates when radius * inv is an integer.
+std::size_t reach(double radius, double inv_cell, std::size_t cells) {
+  if (cells <= 1) return 0;
+  const double scaled = radius * inv_cell * (1.0 + 1e-9);
+  if (!(scaled < static_cast<double>(cells))) return cells - 1;
+  return std::min(cells - 1, static_cast<std::size_t>(scaled) + 1);
 }
 
 }  // namespace
@@ -79,25 +90,40 @@ std::span<const NodeId> SpatialHashGrid::cell_nodes(std::size_t cell) const {
           cell_ids_.data() + cell_offsets_[cell + 1]};
 }
 
-void SpatialHashGrid::candidates_above(NodeId a,
-                                       std::vector<NodeId>& out) const {
+void SpatialHashGrid::partners_above(NodeId a, double radius,
+                                     std::vector<Partner>& out) const {
   LDCF_REQUIRE(a < positions_.size(), "node id out of range");
+  LDCF_REQUIRE(radius >= 0.0, "radius must be non-negative");
   out.clear();
-  const std::size_t cell = cell_of(positions_[a]);
+  const Point2D& origin = positions_[a];
+  const std::size_t cell = cell_of(origin);
   const std::size_t cx = cell % cols_;
   const std::size_t cy = cell / cols_;
-  for (std::size_t dy = cy == 0 ? 0 : cy - 1;
-       dy <= std::min(cy + 1, rows_ - 1); ++dy) {
-    for (std::size_t dx = cx == 0 ? 0 : cx - 1;
-         dx <= std::min(cx + 1, cols_ - 1); ++dx) {
-      for (const NodeId b : cell_nodes(dy * cols_ + dx)) {
-        if (b > a) out.push_back(b);
+  const std::size_t reach_x = reach(radius, inv_cell_w_, cols_);
+  const std::size_t reach_y = reach(radius, inv_cell_h_, rows_);
+  for (std::size_t y = cy - std::min(cy, reach_y);
+       y <= std::min(cy + reach_y, rows_ - 1); ++y) {
+    for (std::size_t x = cx - std::min(cx, reach_x);
+         x <= std::min(cx + reach_x, cols_ - 1); ++x) {
+      const std::size_t c = y * cols_ + x;
+      for (std::uint32_t i = cell_offsets_[c]; i < cell_offsets_[c + 1];
+           ++i) {
+        const NodeId b = cell_ids_[i];
+        if (b <= a) continue;
+        const double dist = distance(origin, positions_[b]);
+        if (dist <= radius) out.push_back(Partner{b, dist});
       }
     }
   }
   // Buckets are ascending but their concatenation is not; canonical order
   // is what lets the generators replay the historical RNG draw sequence.
-  std::sort(out.begin(), out.end());
+  // The survivors are few and mostly in runs, so insertion sort wins.
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    const Partner hit = out[i];
+    std::size_t j = i;
+    for (; j > 0 && out[j - 1].id > hit.id; --j) out[j] = out[j - 1];
+    out[j] = hit;
+  }
 }
 
 }  // namespace ldcf::topology

@@ -1,12 +1,12 @@
 // Uniform spatial hash grid over node positions.
 //
 // Topology construction needs "all pairs within radio range" without the
-// all-pairs O(N^2) scan: bucket nodes into square cells at least as wide as
-// the maximum radio range, then every in-range pair lies within a 3x3 cell
-// neighborhood. Candidate enumeration is canonical — for each node `a` in
-// ascending id order, the candidate partners `b > a` come out ascending —
-// so a caller drawing RNG values per surviving pair consumes them in
-// exactly the order the historical nested loop did (DESIGN.md §9).
+// all-pairs O(N^2) scan: bucket nodes into square cells, then every pair
+// within `radius` lies within ceil(radius / cell) cells of each other. The
+// range query is canonical — for each node `a` in ascending id order, the
+// in-range partners `b > a` come out ascending — so a caller drawing RNG
+// values per pair consumes them in exactly the order the historical nested
+// loop did (DESIGN.md §9).
 //
 // Buckets are stored CSR-style (offsets + one flat id array), built with a
 // counting pass, so construction is O(N + cells) with two allocations.
@@ -41,11 +41,19 @@ class SpatialHashGrid {
   /// Node ids bucketed in `cell`, ascending.
   [[nodiscard]] std::span<const NodeId> cell_nodes(std::size_t cell) const;
 
-  /// Append to `out` every node id `b > a` from the 3x3 cell neighborhood
-  /// of node `a`, in ascending id order. `out` is cleared first. The result
-  /// is a superset of the in-range partners of `a` whenever the true pair
-  /// distance is <= the construction cell size.
-  void candidates_above(NodeId a, std::vector<NodeId>& out) const;
+  /// A range-query hit: the partner's id and its distance() from the
+  /// query node, computed once so the caller can reuse it.
+  struct Partner {
+    NodeId id = kNoNode;
+    double dist = 0.0;
+  };
+
+  /// Replace `out` with every node `b > a` whose distance() from `a` is
+  /// <= `radius`, in ascending id order — exactly the pairs an all-pairs
+  /// scan would keep, for any radius (the scanned neighborhood widens to
+  /// cover it).
+  void partners_above(NodeId a, double radius,
+                      std::vector<Partner>& out) const;
 
  private:
   std::span<const Point2D> positions_;

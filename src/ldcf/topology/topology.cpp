@@ -1,6 +1,7 @@
 #include "ldcf/topology/topology.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 #include <queue>
 #include <utility>
@@ -26,16 +27,49 @@ Topology::Topology(std::vector<Point2D> positions)
   LDCF_REQUIRE(!positions_.empty(), "topology needs at least one node");
 }
 
+Topology::Topology(std::vector<Point2D> positions,
+                   std::vector<std::size_t> offsets, std::vector<Link> links)
+    : positions_(std::move(positions)),
+      num_links_(links.size()),
+      csr_offsets_(std::move(offsets)),
+      csr_links_(std::move(links)) {
+  LDCF_REQUIRE(!positions_.empty(), "topology needs at least one node");
+  const std::size_t n = positions_.size();
+  LDCF_REQUIRE(csr_offsets_.size() == n + 1 && csr_offsets_.front() == 0 &&
+                   csr_offsets_.back() == num_links_,
+               "CSR offsets must span [0, links] with one entry per node + 1");
+  // Checked before any row is read, so every row lies inside the links.
+  LDCF_REQUIRE(std::is_sorted(csr_offsets_.begin(), csr_offsets_.end()),
+               "CSR offsets must not decrease");
+  for (std::size_t from = 0; from < n; ++from) {
+    const std::size_t begin = csr_offsets_[from];
+    for (std::size_t i = begin; i < csr_offsets_[from + 1]; ++i) {
+      const Link& link = csr_links_[i];
+      LDCF_REQUIRE(link.to < n, "node id out of range");
+      LDCF_REQUIRE(link.to != from, "self-loops are not allowed");
+      LDCF_REQUIRE(link.prr > 0.0 && link.prr <= 1.0, "PRR must be in (0, 1]");
+      LDCF_REQUIRE(i == begin || csr_links_[i - 1].to < link.to,
+                   "CSR rows must be strictly ascending by id");
+    }
+  }
+  sealed_.store(true, std::memory_order_release);
+}
+
 Topology::Topology(const Topology& other)
     : positions_(other.positions_), num_links_(other.num_links_) {
   // Copy under the seal lock: a concurrent lazy seal on `other` moves its
-  // rows between staging_ and the CSR arrays.
+  // rows between staging_ and the CSR arrays, and a concurrent
+  // fingerprint() publishes its memo.
   std::lock_guard<std::mutex> lock(seal_mutex());
   staging_ = other.staging_;
   csr_offsets_ = other.csr_offsets_;
   csr_links_ = other.csr_links_;
   sealed_.store(other.sealed_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
+  fingerprint_ = other.fingerprint_;
+  fingerprint_valid_.store(
+      other.fingerprint_valid_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
 }
 
 Topology& Topology::operator=(const Topology& other) {
@@ -50,11 +84,16 @@ Topology::Topology(Topology&& other) noexcept
       num_links_(other.num_links_),
       staging_(std::move(other.staging_)),
       csr_offsets_(std::move(other.csr_offsets_)),
-      csr_links_(std::move(other.csr_links_)) {
+      csr_links_(std::move(other.csr_links_)),
+      fingerprint_(other.fingerprint_) {
   sealed_.store(other.sealed_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
+  fingerprint_valid_.store(
+      other.fingerprint_valid_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
   other.num_links_ = 0;
   other.sealed_.store(false, std::memory_order_relaxed);
+  other.fingerprint_valid_.store(false, std::memory_order_relaxed);
 }
 
 Topology& Topology::operator=(Topology&& other) noexcept {
@@ -66,8 +105,13 @@ Topology& Topology::operator=(Topology&& other) noexcept {
   csr_links_ = std::move(other.csr_links_);
   sealed_.store(other.sealed_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
+  fingerprint_ = other.fingerprint_;
+  fingerprint_valid_.store(
+      other.fingerprint_valid_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
   other.num_links_ = 0;
   other.sealed_.store(false, std::memory_order_relaxed);
+  other.fingerprint_valid_.store(false, std::memory_order_relaxed);
   return *this;
 }
 
@@ -109,6 +153,7 @@ void Topology::add_link(NodeId from, NodeId to, double prr_value) {
   LDCF_REQUIRE(from != to, "self-loops are not allowed");
   LDCF_REQUIRE(prr_value > 0.0 && prr_value <= 1.0, "PRR must be in (0, 1]");
   thaw();
+  fingerprint_valid_.store(false, std::memory_order_relaxed);
   auto& adj = staging_[from];
   const auto it = std::lower_bound(
       adj.begin(), adj.end(), to,
@@ -121,6 +166,36 @@ void Topology::add_link(NodeId from, NodeId to, double prr_value) {
 void Topology::add_symmetric_link(NodeId a, NodeId b, double prr_value) {
   add_link(a, b, prr_value);
   add_link(b, a, prr_value);
+}
+
+std::uint64_t Topology::fingerprint() const {
+  if (fingerprint_valid_.load(std::memory_order_acquire)) return fingerprint_;
+  ensure_sealed();
+  constexpr std::uint64_t kOffset = 14695981039346656037ull;
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  const auto mix = [](std::uint64_t hash, std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= kPrime;
+    }
+    return hash;
+  };
+  std::uint64_t hash = mix(kOffset, num_nodes());
+  for (std::size_t from = 0; from < num_nodes(); ++from) {
+    for (std::size_t i = csr_offsets_[from]; i < csr_offsets_[from + 1]; ++i) {
+      hash = mix(hash, from);
+      hash = mix(hash, csr_links_[i].to);
+      hash = mix(hash, std::bit_cast<std::uint64_t>(csr_links_[i].prr));
+    }
+  }
+  // The CSR is read-only here, so racing first callers hash the same bytes;
+  // the lock only orders the publication.
+  std::lock_guard<std::mutex> lock(seal_mutex());
+  if (!fingerprint_valid_.load(std::memory_order_relaxed)) {
+    fingerprint_ = hash;
+    fingerprint_valid_.store(true, std::memory_order_release);
+  }
+  return fingerprint_;
 }
 
 const Point2D& Topology::position(NodeId n) const {

@@ -6,13 +6,15 @@
 // walk contiguous memory even at 100k nodes. Node 0 is the flooding source
 // by convention (paper §III-A).
 //
-// Construction is two-phase behind an unchanged API: add_link inserts into
-// per-node staging rows (with immediate duplicate/range validation, exactly
-// as before), and the first read-side query seals the staging rows into the
-// CSR arrays and releases them. A later add_link thaws the CSR back into
-// staging, so interleaved build/query code keeps working; it just pays a
-// re-seal. Sealing is idempotent, thread-safe (double-checked under a
-// global mutex) and observable only through memory locality.
+// Two ways in. Generators hand over a finished CSR (the adopting
+// constructor validates it once and the topology starts sealed). Traces,
+// hand-built test graphs and make_complete use add_link, which inserts into
+// per-node staging rows (with immediate duplicate/range validation); the
+// first read-side query seals the staging rows into the CSR arrays and
+// releases them. A later add_link thaws the CSR back into staging, so
+// interleaved build/query code keeps working; it just pays a re-seal.
+// Sealing is idempotent, thread-safe (double-checked under a global mutex)
+// and observable only through memory locality.
 #pragma once
 
 #include <atomic>
@@ -39,6 +41,15 @@ class Topology {
 
   /// Construct with `count` nodes (ids 0..count-1) at the given positions.
   explicit Topology(std::vector<Point2D> positions);
+
+  /// Adopt a finished CSR adjacency: row n is links[offsets[n],
+  /// offsets[n+1]). Validated once in O(links) — offsets has one entry per
+  /// node plus one, starts at 0, never decreases and ends at links.size();
+  /// every id is in range, no self-loops, PRR in (0, 1], each row strictly
+  /// ascending by id — and InvalidArgument is thrown otherwise. The result
+  /// is already sealed.
+  Topology(std::vector<Point2D> positions, std::vector<std::size_t> offsets,
+           std::vector<Link> links);
 
   Topology(const Topology& other);
   Topology& operator=(const Topology& other);
@@ -102,13 +113,25 @@ class Topology {
   /// Maximum finite hop distance from the source.
   [[nodiscard]] std::uint64_t eccentricity_from_source() const;
 
+  /// Structural fingerprint: FNV-1a over the node count, then every
+  /// (from, to, prr bits) link in CSR order. Any changed PRR bit changes
+  /// it. Hashed on the first call and memoized; add_link drops the memo,
+  /// copies and moves carry it.
+  [[nodiscard]] std::uint64_t fingerprint() const;
+
   /// Force the CSR seal now (it otherwise happens lazily on first query).
-  /// Generators call this before handing a topology to concurrent readers.
+  /// Call this before handing an add_link-built topology to concurrent
+  /// readers.
   void seal() const { ensure_sealed(); }
 
   /// True when the CSR arrays are current (introspection for tests).
   [[nodiscard]] bool sealed() const {
     return sealed_.load(std::memory_order_acquire);
+  }
+
+  /// True when fingerprint() is memoized (introspection for tests).
+  [[nodiscard]] bool fingerprinted() const {
+    return fingerprint_valid_.load(std::memory_order_acquire);
   }
 
  private:
@@ -127,6 +150,10 @@ class Topology {
   mutable std::vector<std::size_t> csr_offsets_;
   mutable std::vector<Link> csr_links_;
   mutable std::atomic<bool> sealed_{false};
+
+  // fingerprint() memo; published under the seal lock.
+  mutable std::uint64_t fingerprint_ = 0;
+  mutable std::atomic<bool> fingerprint_valid_{false};
 };
 
 }  // namespace ldcf::topology

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ldcf/common/error.hpp"
+#include "ldcf/common/parse.hpp"
 
 namespace ldcf::topology {
 
@@ -55,37 +56,51 @@ Topology read_trace(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string kind;
-    LDCF_REQUIRE(std::getline(fields, kind, ','),
-                 "malformed record at line " + std::to_string(line_no));
+    std::string_view rest = line;
+    bool more = true;  // a comma followed the last field taken.
     const auto next_field = [&](const char* what) {
-      std::string field;
-      LDCF_REQUIRE(std::getline(fields, field, ','),
-                   std::string("missing ") + what + " at line " +
-                       std::to_string(line_no));
+      LDCF_REQUIRE(more, std::string("missing ") + what + " at line " +
+                             std::to_string(line_no));
+      const std::size_t comma = rest.find(',');
+      const std::string_view field = rest.substr(0, comma);
+      more = comma != std::string_view::npos;
+      if (more) rest.remove_prefix(comma + 1);
       return field;
+    };
+    const std::string_view kind = next_field("record kind");
+    // Strict scalars (common/parse.hpp): the whole field must be one value
+    // and ids must fit 32 bits unsigned. The error names the line.
+    const auto parse_field = [&](const char* what, auto parse) {
+      const std::string_view field = next_field(what);
+      try {
+        return parse(field, what);
+      } catch (const InvalidArgument& e) {
+        throw InvalidArgument(std::string(e.what()) + " at line " +
+                              std::to_string(line_no));
+      }
     };
     if (kind == "node") {
       LDCF_REQUIRE(!seen_link, "node record after link records at line " +
                                    std::to_string(line_no));
-      const auto id = static_cast<NodeId>(std::stoul(next_field("node id")));
+      const NodeId id = parse_field("node id", common::parse_u32);
       LDCF_REQUIRE(id == positions.size(),
                    "node ids must be dense and ascending at line " +
                        std::to_string(line_no));
-      const double x = std::stod(next_field("x"));
-      const double y = std::stod(next_field("y"));
+      const double x = parse_field("x", common::parse_double);
+      const double y = parse_field("y", common::parse_double);
       positions.push_back(Point2D{x, y});
     } else if (kind == "link") {
       seen_link = true;
-      const auto from = static_cast<NodeId>(std::stoul(next_field("from")));
-      const auto to = static_cast<NodeId>(std::stoul(next_field("to")));
-      const double prr = std::stod(next_field("prr"));
+      const NodeId from = parse_field("from", common::parse_u32);
+      const NodeId to = parse_field("to", common::parse_u32);
+      const double prr = parse_field("prr", common::parse_double);
       links.push_back(PendingLink{from, to, prr});
     } else {
-      throw InvalidArgument("unknown record kind '" + kind + "' at line " +
-                            std::to_string(line_no));
+      throw InvalidArgument("unknown record kind '" + std::string(kind) +
+                            "' at line " + std::to_string(line_no));
     }
+    LDCF_REQUIRE(!more,
+                 "unexpected extra field at line " + std::to_string(line_no));
   }
 
   LDCF_REQUIRE(!positions.empty(), "trace contains no nodes");

@@ -24,8 +24,11 @@ void write_trace(const Topology& topo, std::ostream& out);
 /// Serialize to a file; throws InvalidArgument if the file cannot be opened.
 void write_trace_file(const Topology& topo, const std::string& path);
 
-/// Parse a trace from the stream. Throws InvalidArgument on malformed input
-/// (bad header, unknown record, out-of-order nodes, invalid PRR, ...).
+/// Parse a trace from the stream. Throws InvalidArgument naming the line on
+/// malformed input (bad header, unknown record, missing or extra field,
+/// out-of-order nodes, invalid PRR, ...). Every scalar goes through the
+/// strict common/parse.hpp helpers: no trailing junk or whitespace, no
+/// signs on ids, ids within 32 bits.
 [[nodiscard]] Topology read_trace(std::istream& in);
 
 /// Parse from a file; throws InvalidArgument if the file cannot be opened.

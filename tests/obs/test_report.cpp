@@ -112,17 +112,17 @@ TEST(TopologyFingerprint, SensitiveToEveryLinkBit) {
   topology::Topology b{std::vector<topology::Point2D>(3)};
   b.add_link(0, 1, 0.5);
   b.add_link(1, 2, 0.25);
-  EXPECT_EQ(topology_fingerprint(a), topology_fingerprint(b));
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
 
   topology::Topology prr_changed{std::vector<topology::Point2D>(3)};
   prr_changed.add_link(0, 1, 0.5);
   prr_changed.add_link(1, 2, 0.250000001);
-  EXPECT_NE(topology_fingerprint(a), topology_fingerprint(prr_changed));
+  EXPECT_NE(a.fingerprint(), prr_changed.fingerprint());
 
   topology::Topology extra_node{std::vector<topology::Point2D>(4)};
   extra_node.add_link(0, 1, 0.5);
   extra_node.add_link(1, 2, 0.25);
-  EXPECT_NE(topology_fingerprint(a), topology_fingerprint(extra_node));
+  EXPECT_NE(a.fingerprint(), extra_node.fingerprint());
 }
 
 TEST(Histogram, SerializesSparseBins) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <atomic>
 #include <thread>
 #include <utility>
@@ -39,6 +40,118 @@ TEST(Topology, AddLinkValidation) {
   EXPECT_THROW(topo.add_link(0, 3, 0.5), InvalidArgument);  // out of range.
   EXPECT_THROW(topo.add_link(1, 2, 0.0), InvalidArgument);  // bad prr.
   EXPECT_THROW(topo.add_link(1, 2, 1.5), InvalidArgument);
+}
+
+/// Three nodes, row 0 -> {1, 2}, row 1 -> {0}, row 2 empty.
+struct Csr {
+  std::vector<std::size_t> offsets{0, 2, 3, 3};
+  std::vector<Link> links{{1, 0.5}, {2, 0.25}, {0, 1.0}};
+  Topology build() const {
+    return Topology(std::vector<Point2D>(3), offsets, links);
+  }
+};
+
+TEST(Topology, CsrConstructorAdoptsASealedGraph) {
+  const Topology topo = Csr{}.build();
+  EXPECT_TRUE(topo.sealed());
+  EXPECT_EQ(topo.num_links(), 3u);
+  EXPECT_DOUBLE_EQ(topo.prr(0, 2).value(), 0.25);
+  EXPECT_DOUBLE_EQ(topo.prr(1, 0).value(), 1.0);
+  EXPECT_TRUE(topo.neighbors(2).empty());
+
+  Topology same(std::vector<Point2D>(3));
+  same.add_link(1, 0, 1.0);
+  same.add_link(0, 2, 0.25);
+  same.add_link(0, 1, 0.5);
+  EXPECT_EQ(topo.fingerprint(), same.fingerprint());
+}
+
+TEST(Topology, CsrConstructorRejectsBadOffsets) {
+  const auto rejects = [](std::vector<std::size_t> offsets) {
+    Csr csr;
+    csr.offsets = std::move(offsets);
+    EXPECT_THROW((void)csr.build(), InvalidArgument);
+  };
+  rejects({0, 2, 3});           // one entry short.
+  rejects({0, 2, 3, 3, 3});     // one entry long.
+  rejects({1, 2, 3, 3});        // does not start at 0.
+  rejects({0, 2, 3, 2});        // does not end at links.size().
+  rejects({0, 2, 1, 3});        // decreasing.
+  // Decreasing offsets whose overlapping rows each pass the link checks:
+  // row 0 = {1, 3} and row 2 = {3, 4} share the middle link.
+  EXPECT_THROW(Topology(std::vector<Point2D>(5), {0, 2, 1, 3, 3, 3},
+                        {{1, 0.5}, {3, 0.5}, {4, 0.5}}),
+               InvalidArgument);
+  rejects({0, 5, 3, 3});        // a row past the links, then decreasing.
+  rejects({0, 2, 3, 4});        // runs past the links.
+  EXPECT_THROW(Topology({}, {0}, {}), InvalidArgument);  // no nodes.
+}
+
+TEST(Topology, CsrConstructorRejectsBadLinks) {
+  const auto rejects = [](std::size_t index, Link link) {
+    Csr csr;
+    csr.links[index] = link;
+    EXPECT_THROW((void)csr.build(), InvalidArgument)
+        << "link " << index << " -> " << link.to << " prr " << link.prr;
+  };
+  rejects(0, Link{3, 0.5});           // id out of range.
+  rejects(0, Link{kNoNode, 0.5});
+  rejects(2, Link{1, 0.5});           // self-loop in row 1.
+  rejects(0, Link{2, 0.5});           // duplicate in row 0.
+  rejects(1, Link{1, 0.25});          // row 0 unsorted: {1, 1}.
+  rejects(0, Link{1, 0.0});           // prr <= 0.
+  rejects(0, Link{1, -0.5});
+  rejects(0, Link{1, 1.0000001});     // prr > 1.
+  rejects(0, Link{1, std::nan("")});
+  Csr descending;
+  descending.links[0] = Link{2, 0.5};
+  descending.links[1] = Link{1, 0.25};
+  EXPECT_THROW((void)descending.build(), InvalidArgument);
+}
+
+TEST(Topology, AddLinkDropsTheFingerprintMemo) {
+  Topology topo = Csr{}.build();
+  EXPECT_FALSE(topo.fingerprinted());
+  const std::uint64_t before = topo.fingerprint();
+  EXPECT_TRUE(topo.fingerprinted());
+  topo.add_link(2, 0, 0.75);
+  EXPECT_FALSE(topo.fingerprinted());
+  const std::uint64_t after = topo.fingerprint();
+  EXPECT_NE(before, after);
+
+  Topology fresh(std::vector<Point2D>(3));
+  fresh.add_link(0, 1, 0.5);
+  fresh.add_link(0, 2, 0.25);
+  fresh.add_link(1, 0, 1.0);
+  fresh.add_link(2, 0, 0.75);
+  EXPECT_EQ(after, fresh.fingerprint());
+}
+
+TEST(Topology, CopyAndMoveCarryTheFingerprintMemo) {
+  Topology topo = Csr{}.build();
+  const std::uint64_t fp = topo.fingerprint();
+
+  const Topology copy(topo);
+  EXPECT_TRUE(copy.fingerprinted());
+  EXPECT_EQ(copy.fingerprint(), fp);
+  Topology assigned;
+  assigned = topo;
+  EXPECT_TRUE(assigned.fingerprinted());
+  EXPECT_EQ(assigned.fingerprint(), fp);
+
+  Topology moved(std::move(topo));
+  EXPECT_TRUE(moved.fingerprinted());
+  EXPECT_EQ(moved.fingerprint(), fp);
+  Topology move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_TRUE(move_assigned.fingerprinted());
+  EXPECT_EQ(move_assigned.fingerprint(), fp);
+
+  // A copy's memo is its own: mutating the copy leaves the source intact.
+  Topology mutated(assigned);
+  mutated.add_link(2, 1, 0.5);
+  EXPECT_TRUE(assigned.fingerprinted());
+  EXPECT_NE(mutated.fingerprint(), assigned.fingerprint());
 }
 
 TEST(Topology, DirectedLinksAreIndependent) {

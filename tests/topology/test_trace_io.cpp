@@ -82,6 +82,56 @@ TEST(TraceIo, RejectsInvalidLink) {
   EXPECT_THROW((void)read_trace(stream), InvalidArgument);
 }
 
+/// read_trace must throw the typed InvalidArgument (not the untyped
+/// std::invalid_argument of std::stoul) and name the offending line.
+void expect_rejected_at_line(const std::string& trace, const std::string& at) {
+  std::stringstream stream(trace);
+  try {
+    (void)read_trace(stream);
+    ADD_FAILURE() << "accepted: " << trace;
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(at), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped error: " << e.what();
+  }
+}
+
+TEST(TraceIo, RejectsTrailingJunk) {
+  expect_rejected_at_line("# ldcf-trace v1\nnode,0,0,0\nnode,1,1.5x,1\n",
+                          "at line 3");
+  expect_rejected_at_line(
+      "# ldcf-trace v1\nnode,0,0,0\nnode,1,1,1\nlink,0,1,0.5abc\n",
+      "at line 4");
+  expect_rejected_at_line(
+      "# ldcf-trace v1\nnode,0,0,0\nnode,1,1,1\nlink,0,1z,0.5\n",
+      "at line 4");
+  expect_rejected_at_line("# ldcf-trace v1\nnode,0,0,0,7\n", "at line 2");
+  expect_rejected_at_line("# ldcf-trace v1\nnode,0,0,0\r\n", "at line 2");
+}
+
+TEST(TraceIo, RejectsNegativeIds) {
+  // std::stoul wrapped "-4294967295" to 2^64 - 2^32 + 1, which narrowed to
+  // node 1: a silently valid link 0 -> 1.
+  expect_rejected_at_line(
+      "# ldcf-trace v1\nnode,0,0,0\nnode,1,1,1\nlink,0,-4294967295,0.5\n",
+      "at line 4");
+  expect_rejected_at_line("# ldcf-trace v1\nnode,-0,0,0\n", "at line 2");
+}
+
+TEST(TraceIo, RejectsIdsAbove32Bits) {
+  // 2^32 + 1 used to narrow to node 1.
+  expect_rejected_at_line(
+      "# ldcf-trace v1\nnode,0,0,0\nnode,1,1,1\nlink,0,4294967297,0.5\n",
+      "at line 4");
+  expect_rejected_at_line(
+      "# ldcf-trace v1\nnode,0,0,0\nnode,4294967296,1,1\n", "at line 3");
+}
+
+TEST(TraceIo, RejectsNonNumericFieldsTyped) {
+  expect_rejected_at_line("# ldcf-trace v1\nnode,abc,0,0\n", "at line 2");
+  expect_rejected_at_line("# ldcf-trace v1\nnode,0,,0\n", "at line 2");
+}
+
 TEST(TraceIo, RejectsEmptyTrace) {
   std::stringstream stream("# ldcf-trace v1\n");
   EXPECT_THROW((void)read_trace(stream), InvalidArgument);
