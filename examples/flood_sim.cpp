@@ -387,16 +387,9 @@ int run_cli(int argc, char** argv) {
   if (!experiment.trace_path.empty()) {
     fan_out.add(&trace.emplace(experiment.trace_path));
   }
-  // A timeline without stats would have only the engine's builtin counter
-  // tracks; attach the stats observer so the registry-backed tracks
-  // (delay/channel/energy histogram counters) get sampled too.
   std::optional<obs::StatsObserver> stats;
-  if (!experiment.report_path.empty() || timeline) {
+  if (!experiment.report_path.empty()) {
     fan_out.add(&stats.emplace(topo.num_nodes(), config.num_packets));
-  }
-  std::optional<obs::TimelineMetricsObserver> timeline_metrics;
-  if (timeline && stats) {
-    fan_out.add(&timeline_metrics.emplace(*timeline, stats->registry()));
   }
   std::optional<obs::HeartbeatWriter> heartbeat_writer;
   std::optional<obs::HeartbeatObserver> heartbeat;
@@ -420,7 +413,7 @@ int run_cli(int argc, char** argv) {
     fan_out.add(&watchdog.emplace(watchdog_config));
     if (series) watchdog->set_cause_source(&*series);
   }
-  std::optional<obs::FlightRecorder> recorder;
+  std::optional<sim::TraceObserver> recorder;
   if (experiment.check_conformance) fan_out.add(&recorder.emplace());
   sim::SimResult result;
   try {

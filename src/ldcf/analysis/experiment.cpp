@@ -38,15 +38,8 @@ TrialStats run_trial(const topology::Topology& topo,
   if (options.collect_stats) {
     fan_out.add(&stats_observer.emplace(topo.num_nodes(), config.num_packets));
   }
-  std::optional<obs::FlightRecorder> recorder;
+  std::optional<sim::TraceObserver> recorder;
   if (options.check_conformance) fan_out.add(&recorder.emplace());
-  // Registered after the StatsObserver so every sample reads the slot's
-  // settled counts.
-  std::optional<obs::TimelineMetricsObserver> counter_sampler;
-  if (config.timeline != nullptr && stats_observer) {
-    fan_out.add(&counter_sampler.emplace(*config.timeline,
-                                         stats_observer->registry()));
-  }
   std::optional<obs::HeartbeatObserver> heartbeat;
   if (options.heartbeat != nullptr) {
     fan_out.add(&heartbeat.emplace(*options.heartbeat, options.trial_id,

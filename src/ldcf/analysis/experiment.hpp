@@ -76,7 +76,7 @@ struct ExperimentConfig {
   /// When non-empty, run_point / run_duty_sweep write a provenance-stamped
   /// JSON sweep report here (see analysis/report.hpp).
   std::string report_path;
-  /// Attach a FlightRecorder to every trial and evaluate the run against
+  /// Record every trial in memory (sim::TraceObserver) and check it against
   /// the paper's bounds (Lemma 1/2 growth, Lemma 2 FWL floor, Corollary 1
   /// blocking window, Theorem 2 FDL envelope — see obs/trace_analysis.hpp);
   /// violating trials are counted per point the way truncated ones are.
@@ -141,7 +141,7 @@ struct TrialOptions {
   std::string trace_path;
   /// Attach a StatsObserver and return its registry in TrialStats::metrics.
   bool collect_stats = false;
-  /// Attach a FlightRecorder and fill the trial's conformance verdict.
+  /// Record the trial in memory and fill its conformance verdict.
   bool check_conformance = false;
   /// Non-null: attach a HeartbeatObserver streaming liveness records for
   /// this trial (identified by trial_id/label) to the shared writer.

@@ -14,7 +14,7 @@ class JsonParser {
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonPtr parse() {
-    JsonPtr value = parse_value();
+    JsonPtr value = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing content after JSON value");
     return value;
@@ -51,10 +51,15 @@ class JsonParser {
     return true;
   }
 
-  JsonPtr parse_value() {
+  // `depth` counts the arrays/objects enclosing this value.
+  JsonPtr parse_value(std::size_t depth) {
     skip_ws();
     auto value = std::make_unique<JsonValue>();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == kMaxJsonDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+           " levels");
+    }
     if (c == '{') {
       value->kind = JsonValue::Kind::kObject;
       ++pos_;
@@ -68,7 +73,7 @@ class JsonParser {
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        value->members[std::move(key)] = parse_value();
+        value->members[std::move(key)] = parse_value(depth + 1);
         skip_ws();
         if (peek() == ',') {
           ++pos_;
@@ -87,7 +92,7 @@ class JsonParser {
         return value;
       }
       while (true) {
-        value->items.push_back(parse_value());
+        value->items.push_back(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;

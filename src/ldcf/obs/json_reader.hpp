@@ -10,6 +10,7 @@
 // round-tripping through a double.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,8 +56,14 @@ struct JsonValue {
   }
 };
 
+/// Deepest array/object nesting parse_json accepts. The deepest document
+/// the project writes (a sweep report inside a server result frame) nests
+/// 9 levels; the cap bounds the parser's recursion on outside input.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /// Parse one complete JSON document; trailing non-whitespace is an error.
-/// Throws common::InvalidArgument (with a byte offset) on malformed input.
+/// Throws common::InvalidArgument (with a byte offset) on malformed or
+/// too deeply nested input.
 [[nodiscard]] JsonPtr parse_json(std::string_view text);
 
 }  // namespace ldcf::obs

@@ -140,6 +140,18 @@ void write_stage_profile(JsonWriter& json, const sim::StageProfile& profile) {
   json.end_array().end_object();
 }
 
+void write_channel_outcomes(JsonWriter& json,
+                            const sim::ChannelCounters& channel) {
+  json.field("attempts", channel.attempts)
+      .field("delivered", channel.delivered)
+      .field("duplicates", channel.duplicates)
+      .field("losses", channel.losses)
+      .field("collisions", channel.collisions)
+      .field("receiver_busy", channel.receiver_busy)
+      .field("broadcasts", channel.broadcasts)
+      .field("sync_misses", channel.sync_misses);
+}
+
 void write_run_result(JsonWriter& json, const sim::SimResult& result) {
   const sim::RunMetrics& m = result.metrics;
   std::uint64_t covered_packets = 0;
@@ -160,17 +172,9 @@ void write_run_result(JsonWriter& json, const sim::SimResult& result) {
       .field("max_total_delay", m.max_total_delay())
       .field("delay_p50", m.delay_quantile(0.5))
       .field("delay_p95", m.delay_quantile(0.95));
-  json.key("channel")
-      .begin_object()
-      .field("attempts", m.channel.attempts)
-      .field("delivered", m.channel.delivered)
-      .field("duplicates", m.channel.duplicates)
-      .field("losses", m.channel.losses)
-      .field("collisions", m.channel.collisions)
-      .field("receiver_busy", m.channel.receiver_busy)
-      .field("broadcasts", m.channel.broadcasts)
-      .field("sync_misses", m.channel.sync_misses)
-      .field("overhear_deliveries", m.channel.overhear_deliveries)
+  json.key("channel").begin_object();
+  write_channel_outcomes(json, m.channel);
+  json.field("overhear_deliveries", m.channel.overhear_deliveries)
       .field("failures", m.channel.failures())
       .end_object();
   json.key("energy")

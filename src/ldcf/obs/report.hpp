@@ -55,6 +55,10 @@ void write_histogram(JsonWriter& json, const Histogram& histogram);
 void write_registry(JsonWriter& json, const MetricsRegistry& registry);
 void write_stage_profile(JsonWriter& json, const sim::StageProfile& profile);
 void write_run_result(JsonWriter& json, const sim::SimResult& result);
+/// Write the tx-outcome fields of `channel` (attempts through sync_misses)
+/// into the object being written.
+void write_channel_outcomes(JsonWriter& json,
+                            const sim::ChannelCounters& channel);
 
 /// Everything one flood_sim-style run report needs.
 struct RunReportContext {

@@ -1,92 +1,32 @@
 #include "ldcf/obs/stats_observer.hpp"
 
-#include "ldcf/common/error.hpp"
-#include "ldcf/obs/timeline.hpp"
 #include "ldcf/sim/engine.hpp"
 
 namespace ldcf::obs {
 
 namespace {
 
-constexpr HistogramOptions kSlotHistogram{/*bin_width=*/1.0,
-                                          /*max_bins=*/64,
-                                          /*auto_range=*/true};
-constexpr HistogramOptions kEnergyHistogram{/*bin_width=*/1.0,
-                                            /*max_bins=*/64,
-                                            /*auto_range=*/true};
+// Slot delays and per-node charge alike.
+constexpr HistogramOptions kHistogram{/*bin_width=*/1.0, /*max_bins=*/64,
+                                      /*auto_range=*/true};
 
 }  // namespace
 
 StatsObserver::StatsObserver(std::size_t num_nodes, std::uint32_t num_packets)
     : num_nodes_(num_nodes),
-      delay_total_(registry_.histogram("delay.total", kSlotHistogram)),
-      delay_queueing_(registry_.histogram("delay.queueing", kSlotHistogram)),
-      delay_transmission_(
-          registry_.histogram("delay.transmission", kSlotHistogram)),
-      delay_per_hop_(registry_.histogram("delay.per_hop", kSlotHistogram)),
-      energy_per_node_(
-          registry_.histogram("energy.per_node", kEnergyHistogram)),
-      tx_attempts_(registry_.counter("tx.attempts")),
-      tx_delivered_(registry_.counter("tx.delivered")),
-      tx_duplicate_(registry_.counter("tx.duplicate")),
-      tx_collision_(registry_.counter("tx.collision")),
-      tx_link_loss_(registry_.counter("tx.link_loss")),
-      tx_receiver_busy_(registry_.counter("tx.receiver_busy")),
-      tx_sync_miss_(registry_.counter("tx.sync_miss")),
-      tx_broadcast_(registry_.counter("tx.broadcast")),
-      delivery_unicast_(registry_.counter("delivery.unicast")),
-      delivery_overheard_(registry_.counter("delivery.overheard")),
+      delay_per_hop_(registry_.histogram("delay.per_hop", kHistogram)),
       overhear_heard_(registry_.counter("overhear.heard")),
       overhear_fresh_(registry_.counter("overhear.fresh")),
-      packets_generated_(registry_.counter("packets.generated")),
-      packets_covered_(registry_.counter("packets.covered")),
       generated_at_(num_packets, kNeverSlot),
-      first_tx_at_(num_packets, kNeverSlot),
       copy_slot_(static_cast<std::size_t>(num_packets) * num_nodes,
-                 kNeverSlot) {
-  // Touch the run-level counters so even an empty run reports them.
-  (void)registry_.counter("slots.simulated");
-  (void)registry_.counter("runs.total");
-  (void)registry_.counter("runs.truncated");
-}
+                 kNeverSlot) {}
 
 void StatsObserver::on_generate(PacketId packet, SlotIndex slot) {
   generated_at_[packet] = slot;
-  packets_generated_.inc();
-}
-
-void StatsObserver::on_tx_result(const sim::TxResult& result,
-                                 SlotIndex slot) {
-  tx_attempts_.inc();
-  if (first_tx_at_[result.intent.packet] == kNeverSlot) {
-    first_tx_at_[result.intent.packet] = slot;
-  }
-  switch (result.outcome) {
-    case sim::TxOutcome::kDelivered:
-      tx_delivered_.inc();
-      if (result.duplicate) tx_duplicate_.inc();
-      break;
-    case sim::TxOutcome::kLostChannel:
-      tx_link_loss_.inc();
-      break;
-    case sim::TxOutcome::kCollision:
-      tx_collision_.inc();
-      break;
-    case sim::TxOutcome::kReceiverBusy:
-      tx_receiver_busy_.inc();
-      break;
-    case sim::TxOutcome::kBroadcast:
-      tx_broadcast_.inc();
-      break;
-    case sim::TxOutcome::kSyncMiss:
-      tx_sync_miss_.inc();
-      break;
-  }
 }
 
 void StatsObserver::on_delivery(NodeId node, PacketId packet, NodeId from,
-                                bool overheard, SlotIndex slot) {
-  (overheard ? delivery_overheard_ : delivery_unicast_).inc();
+                                bool /*overheard*/, SlotIndex slot) {
   // Per-hop latency: when did the transmitter itself obtain the packet?
   // Only the source holds a packet it was never delivered; its copy dates
   // from the generation slot.
@@ -106,49 +46,50 @@ void StatsObserver::on_overhear(NodeId /*listener*/, NodeId /*sender*/,
   if (fresh) overhear_fresh_.inc();
 }
 
-void StatsObserver::on_packet_covered(PacketId packet, SlotIndex covered_at) {
-  packets_covered_.inc();
-  const SlotIndex generated = generated_at_[packet];
-  if (generated == kNeverSlot || covered_at < generated) return;
-  delay_total_.record(static_cast<double>(covered_at - generated));
-  const SlotIndex first_tx = first_tx_at_[packet];
-  if (first_tx == kNeverSlot) return;  // covered without a transmission.
-  delay_queueing_.record(static_cast<double>(first_tx - generated));
-  delay_transmission_.record(static_cast<double>(covered_at - first_tx));
-}
-
 void StatsObserver::on_run_end(const sim::SimResult& result) {
-  for (const double charge : result.energy.per_node) {
-    energy_per_node_.record(charge);
+  const sim::ChannelCounters& c = result.metrics.channel;
+  registry_.counter("tx.attempts").inc(c.attempts);
+  registry_.counter("tx.delivered").inc(c.delivered);
+  registry_.counter("tx.duplicate").inc(c.duplicates);
+  registry_.counter("tx.collision").inc(c.collisions);
+  registry_.counter("tx.link_loss").inc(c.losses);
+  registry_.counter("tx.receiver_busy").inc(c.receiver_busy);
+  registry_.counter("tx.sync_miss").inc(c.sync_misses);
+  registry_.counter("tx.broadcast").inc(c.broadcasts);
+
+  // Histogram bins and sums depend only on the multiset of (integer)
+  // samples, so recording in packet order matches recording as each
+  // packet covered.
+  Histogram& total = registry_.histogram("delay.total", kHistogram);
+  Histogram& queueing = registry_.histogram("delay.queueing", kHistogram);
+  Histogram& transmission =
+      registry_.histogram("delay.transmission", kHistogram);
+  std::uint64_t generated = 0;
+  std::uint64_t covered = 0;
+  std::uint64_t deliveries = 0;
+  for (const sim::PacketRecord& rec : result.metrics.packets) {
+    deliveries += rec.deliveries;
+    if (rec.generated_at == kNeverSlot) continue;
+    ++generated;
+    if (!rec.covered()) continue;
+    ++covered;
+    total.record(static_cast<double>(rec.total_delay()));
+    // Covered before any transmission (first_tx_at is kNeverSlot or a
+    // later slot): no queueing/transmission split to sample.
+    if (rec.first_tx_at >= rec.covered_at) continue;
+    queueing.record(static_cast<double>(rec.queueing_delay()));
+    transmission.record(static_cast<double>(rec.transmission_delay()));
   }
+  registry_.counter("delivery.unicast").inc(deliveries - c.overhear_deliveries);
+  registry_.counter("delivery.overheard").inc(c.overhear_deliveries);
+  registry_.counter("packets.generated").inc(generated);
+  registry_.counter("packets.covered").inc(covered);
+
+  Histogram& energy = registry_.histogram("energy.per_node", kHistogram);
+  for (const double charge : result.energy.per_node) energy.record(charge);
   registry_.counter("slots.simulated").inc(result.metrics.end_slot);
   registry_.counter("runs.total").inc();
-  if (result.metrics.truncated) registry_.counter("runs.truncated").inc();
-}
-
-TimelineMetricsObserver::TimelineMetricsObserver(
-    Timeline& timeline, const MetricsRegistry& registry,
-    std::uint64_t sample_stride)
-    : timeline_(timeline), registry_(registry), stride_(sample_stride) {
-  LDCF_REQUIRE(stride_ > 0, "sample_stride must be positive");
-}
-
-void TimelineMetricsObserver::sample() {
-  // Counter names live in the registry's node-based maps, so the c_str()
-  // pointers stay valid for the registry's lifetime — exactly the lifetime
-  // contract CounterRecord::track needs.
-  for (const auto& [name, counter] : registry_.counters()) {
-    timeline_.counter(name.c_str(), static_cast<double>(counter.value()));
-  }
-}
-
-void TimelineMetricsObserver::on_slot_begin(
-    SlotIndex /*slot*/, std::span<const NodeId> /*active*/) {
-  if ((executed_++ % stride_) == 0) sample();
-}
-
-void TimelineMetricsObserver::on_run_end(const sim::SimResult& /*result*/) {
-  sample();  // final values, after the last slot settled.
+  registry_.counter("runs.truncated").inc(result.metrics.truncated ? 1 : 0);
 }
 
 }  // namespace ldcf::obs

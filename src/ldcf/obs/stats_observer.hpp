@@ -1,14 +1,16 @@
-// StatsObserver: the engine's event stream folded into a MetricsRegistry.
+// StatsObserver: one run folded into a MetricsRegistry.
 //
 // Where MetricsCollector assembles the scalar RunMetrics every caller gets
 // back, StatsObserver captures the *distributions* the paper's claims are
 // about (Theorem 1's delay scaling, Corollary 1's blocking bound, §IV-B's
-// k-transmission links):
+// k-transmission links). It reads everything it can off the SimResult at
+// run end; only per-hop latency and the overhear totals are watched live.
 //
 //   histograms (bin width 1 slot, 64 bins, auto-ranging unless noted)
 //     delay.total          per covered packet: covered_at - generated_at
-//     delay.queueing       per covered packet: first_tx_at - generated_at
-//     delay.transmission   per covered packet: covered_at - first_tx_at
+//     delay.queueing       per covered packet with a transmission:
+//                          first_tx_at - generated_at
+//     delay.transmission   ... covered_at - first_tx_at
 //     delay.per_hop        per fresh copy: receive slot minus the slot the
 //                          transmitter itself obtained the packet
 //     energy.per_node      per node at run end: consumed charge
@@ -48,12 +50,10 @@ class StatsObserver final : public sim::SimObserver {
   [[nodiscard]] const MetricsRegistry& registry() const { return registry_; }
 
   void on_generate(PacketId packet, SlotIndex slot) override;
-  void on_tx_result(const sim::TxResult& result, SlotIndex slot) override;
   void on_delivery(NodeId node, PacketId packet, NodeId from, bool overheard,
                    SlotIndex slot) override;
   void on_overhear(NodeId listener, NodeId sender, PacketId packet, bool fresh,
                    SlotIndex slot) override;
-  void on_packet_covered(PacketId packet, SlotIndex covered_at) override;
   void on_run_end(const sim::SimResult& result) override;
 
  private:
@@ -68,56 +68,13 @@ class StatsObserver final : public sim::SimObserver {
   MetricsRegistry registry_;
   std::size_t num_nodes_;
 
-  // Hot-path handles resolved once at construction.
-  Histogram& delay_total_;
-  Histogram& delay_queueing_;
-  Histogram& delay_transmission_;
+  // Handles for the live hooks, resolved once at construction.
   Histogram& delay_per_hop_;
-  Histogram& energy_per_node_;
-  Counter& tx_attempts_;
-  Counter& tx_delivered_;
-  Counter& tx_duplicate_;
-  Counter& tx_collision_;
-  Counter& tx_link_loss_;
-  Counter& tx_receiver_busy_;
-  Counter& tx_sync_miss_;
-  Counter& tx_broadcast_;
-  Counter& delivery_unicast_;
-  Counter& delivery_overheard_;
   Counter& overhear_heard_;
   Counter& overhear_fresh_;
-  Counter& packets_generated_;
-  Counter& packets_covered_;
 
   std::vector<SlotIndex> generated_at_;
-  std::vector<SlotIndex> first_tx_at_;
   std::vector<SlotIndex> copy_slot_;
-};
-
-class Timeline;
-
-/// Samples a MetricsRegistry's counters onto Timeline counter tracks so
-/// protocol dynamics (coverage, tx outcomes, deliveries) are visible in
-/// Perfetto alongside the CPU-time spans. Register it *after* the
-/// StatsObserver feeding the registry (MultiObserver calls in registration
-/// order), so each sample sees the slot's final counts.
-class TimelineMetricsObserver final : public sim::SimObserver {
- public:
-  /// Samples every `sample_stride` executed slots (and once at run end).
-  /// Both the timeline and the registry are borrowed.
-  TimelineMetricsObserver(Timeline& timeline, const MetricsRegistry& registry,
-                          std::uint64_t sample_stride = 64);
-
-  void on_slot_begin(SlotIndex slot, std::span<const NodeId> active) override;
-  void on_run_end(const sim::SimResult& result) override;
-
- private:
-  void sample();
-
-  Timeline& timeline_;
-  const MetricsRegistry& registry_;
-  std::uint64_t stride_;
-  std::uint64_t executed_ = 0;
 };
 
 }  // namespace ldcf::obs

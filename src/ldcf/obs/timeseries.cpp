@@ -78,16 +78,8 @@ void SeriesWindow::add(const SeriesWindow& other) {
   generated += other.generated;
   covered += other.covered;
   new_holders += other.new_holders;
-  tx_attempts += other.tx_attempts;
-  delivered += other.delivered;
-  duplicates += other.duplicates;
-  losses += other.losses;
-  collisions += other.collisions;
-  receiver_busy += other.receiver_busy;
-  sync_misses += other.sync_misses;
-  broadcasts += other.broadcasts;
+  channel.add(other.channel);
   overhears += other.overhears;
-  overhears_fresh += other.overhears_fresh;
   listen_slots += other.listen_slots;
 }
 
@@ -140,8 +132,9 @@ void TimeSeries::merge(const TimeSeries& other) {
 
 double TimeSeries::window_energy(const SeriesWindow& w) const {
   return energy.listen_cost * static_cast<double>(w.listen_slots) +
-         energy.tx_cost * static_cast<double>(w.tx_attempts) +
-         energy.rx_cost * static_cast<double>(w.delivered + w.overhears);
+         energy.tx_cost * static_cast<double>(w.channel.attempts) +
+         energy.rx_cost *
+             static_cast<double>(w.channel.delivered + w.overhears);
 }
 
 // --- NetMap ---------------------------------------------------------------
@@ -273,15 +266,17 @@ std::vector<SeriesAnomaly> evaluate_anomalies(const TimeSeries& series,
     std::vector<std::pair<std::uint64_t, std::uint64_t>> base;  // (coll, att)
     for (std::size_t i = 0; i < series.windows.size(); ++i) {
       const SeriesWindow& w = series.windows[i];
-      if (w.tx_attempts >= options.spike_min_attempts && !base.empty()) {
+      const std::uint64_t attempts = w.channel.attempts;
+      const std::uint64_t collisions = w.channel.collisions;
+      if (attempts >= options.spike_min_attempts && !base.empty()) {
         std::uint64_t base_coll = 0;
         std::uint64_t base_att = 0;
         for (const auto& [coll, att] : base) {
           base_coll += coll;
           base_att += att;
         }
-        const double rate = static_cast<double>(w.collisions) /
-                            static_cast<double>(w.tx_attempts);
+        const double rate = static_cast<double>(collisions) /
+                            static_cast<double>(attempts);
         const double baseline = static_cast<double>(base_coll) /
                                 static_cast<double>(base_att);
         const bool spike = baseline > 0.0
@@ -297,13 +292,13 @@ std::vector<SeriesAnomaly> evaluate_anomalies(const TimeSeries& series,
           std::ostringstream msg;
           msg << "collision rate " << rate << " in window at slot "
               << a.start_slot << " vs trailing baseline " << baseline << " ("
-              << w.collisions << "/" << w.tx_attempts << " attempts)";
+              << collisions << "/" << attempts << " attempts)";
           a.message = msg.str();
           found.push_back(std::move(a));
         }
       }
-      if (w.tx_attempts > 0) {
-        base.emplace_back(w.collisions, w.tx_attempts);
+      if (attempts > 0) {
+        base.emplace_back(collisions, attempts);
         if (base.size() > options.spike_baseline_windows) {
           base.erase(base.begin());
         }
@@ -414,33 +409,9 @@ void TimeSeriesObserver::on_generate(PacketId /*packet*/, SlotIndex slot) {
 
 void TimeSeriesObserver::on_tx_result(const sim::TxResult& result,
                                       SlotIndex slot) {
-  SeriesWindow& w = window_at(slot);
-  ++w.tx_attempts;
-  switch (result.outcome) {
-    case sim::TxOutcome::kDelivered:
-      ++w.delivered;
-      if (result.duplicate) ++w.duplicates;
-      break;
-    case sim::TxOutcome::kLostChannel:
-      ++w.losses;
-      break;
-    case sim::TxOutcome::kCollision:
-      ++w.collisions;
-      break;
-    case sim::TxOutcome::kReceiverBusy:
-      ++w.receiver_busy;
-      break;
-    case sim::TxOutcome::kBroadcast:
-      ++w.broadcasts;
-      break;
-    case sim::TxOutcome::kSyncMiss:
-      ++w.sync_misses;
-      break;
-  }
+  window_at(slot).channel.record(result.outcome, result.duplicate);
 
   const NodeId sender = result.intent.sender;
-  ++netmap_.nodes[sender].tx_attempts;
-  ++netmap_.cells[cell_of_node_[sender]].tx_attempts;
   const NodeId receiver = result.intent.receiver;
   if (receiver == kNoNode) return;  // broadcasts have no single link.
   LinkTally& link = netmap_.links[link_key(sender, receiver)];
@@ -448,7 +419,6 @@ void TimeSeriesObserver::on_tx_result(const sim::TxResult& result,
   switch (result.outcome) {
     case sim::TxOutcome::kDelivered:
       ++link.delivered;
-      ++netmap_.nodes[receiver].receptions;
       break;
     case sim::TxOutcome::kCollision:
       ++link.collisions;
@@ -476,13 +446,13 @@ void TimeSeriesObserver::on_delivery(NodeId node, PacketId /*packet*/,
   ++netmap_.cells[cell_of_node_[node]].deliveries;
 }
 
-void TimeSeriesObserver::on_overhear(NodeId listener, NodeId /*sender*/,
+void TimeSeriesObserver::on_overhear(NodeId /*listener*/, NodeId /*sender*/,
                                      PacketId /*packet*/, bool fresh,
                                      SlotIndex slot) {
   SeriesWindow& w = window_at(slot);
   ++w.overhears;
-  if (fresh) ++w.overhears_fresh;
-  ++netmap_.nodes[listener].receptions;
+  // A fresh overhear is the engine's overheard delivery.
+  if (fresh) ++w.channel.overhear_deliveries;
 }
 
 void TimeSeriesObserver::on_packet_covered(PacketId /*packet*/,
@@ -524,12 +494,17 @@ void TimeSeriesObserver::on_run_end(const sim::SimResult& result) {
   }
   series_.trials = 1;
   netmap_.trials = 1;
+  // Per-node (and per-cell) tx and reception counts are the engine's own
+  // tally, not a second count.
   for (std::size_t n = 0; n < result.energy.per_node.size() &&
                           n < netmap_.nodes.size();
        ++n) {
     const double e = result.energy.per_node[n];
     netmap_.nodes[n].energy = e;
+    netmap_.nodes[n].tx_attempts = result.tally.tx_attempts[n];
+    netmap_.nodes[n].receptions = result.tally.receptions[n];
     netmap_.cells[cell_of_node_[n]].energy += e;
+    netmap_.cells[cell_of_node_[n]].tx_attempts += result.tally.tx_attempts[n];
   }
   finalized_ = true;
   series_.anomalies = evaluate_anomalies(series_, options_, &netmap_);
@@ -555,16 +530,16 @@ void write_window_fields(JsonWriter& json, const SeriesWindow& w) {
   json.field("generated", w.generated)
       .field("covered", w.covered)
       .field("new_holders", w.new_holders)
-      .field("tx_attempts", w.tx_attempts)
-      .field("delivered", w.delivered)
-      .field("duplicates", w.duplicates)
-      .field("losses", w.losses)
-      .field("collisions", w.collisions)
-      .field("receiver_busy", w.receiver_busy)
-      .field("sync_misses", w.sync_misses)
-      .field("broadcasts", w.broadcasts)
+      .field("tx_attempts", w.channel.attempts)
+      .field("delivered", w.channel.delivered)
+      .field("duplicates", w.channel.duplicates)
+      .field("losses", w.channel.losses)
+      .field("collisions", w.channel.collisions)
+      .field("receiver_busy", w.channel.receiver_busy)
+      .field("sync_misses", w.channel.sync_misses)
+      .field("broadcasts", w.channel.broadcasts)
       .field("overhears", w.overhears)
-      .field("overhears_fresh", w.overhears_fresh)
+      .field("overhears_fresh", w.channel.overhear_deliveries)
       .field("listen_slots", w.listen_slots);
 }
 

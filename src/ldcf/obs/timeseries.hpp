@@ -98,16 +98,10 @@ struct SeriesWindow {
   std::uint64_t generated = 0;      ///< packets generated in the window.
   std::uint64_t covered = 0;        ///< packets whose coverage completed.
   std::uint64_t new_holders = 0;    ///< fresh first copies (any path).
-  std::uint64_t tx_attempts = 0;    ///< tx results incl. broadcasts.
-  std::uint64_t delivered = 0;
-  std::uint64_t duplicates = 0;
-  std::uint64_t losses = 0;
-  std::uint64_t collisions = 0;
-  std::uint64_t receiver_busy = 0;
-  std::uint64_t sync_misses = 0;
-  std::uint64_t broadcasts = 0;
-  std::uint64_t overhears = 0;        ///< promiscuous decodes (any freshness).
-  std::uint64_t overhears_fresh = 0;
+  /// The window's tx outcomes and fresh overheard copies, counted exactly
+  /// as the engine counts the run's (ChannelCounters::record).
+  sim::ChannelCounters channel;
+  std::uint64_t overhears = 0;     ///< promiscuous decodes (any freshness).
   std::uint64_t listen_slots = 0;   ///< node-slots spent listening.
 
   void add(const SeriesWindow& other);
@@ -166,9 +160,9 @@ struct LinkTally {
 };
 
 struct NodeTally {
-  std::uint64_t tx_attempts = 0;
+  std::uint64_t tx_attempts = 0;    ///< from the run's ActivityTally.
   std::uint64_t collisions_rx = 0;  ///< collisions at this node's radio.
-  std::uint64_t receptions = 0;     ///< decodes (addressed + overheard).
+  std::uint64_t receptions = 0;     ///< decodes (addressed + overheard), ditto.
   double energy = 0.0;              ///< final per-node charge (run end).
 };
 

@@ -13,96 +13,10 @@
 #include "ldcf/obs/atomic_file.hpp"
 #include "ldcf/common/math_utils.hpp"
 #include "ldcf/obs/report.hpp"
-#include "ldcf/sim/engine.hpp"
 #include "ldcf/theory/fdl.hpp"
 #include "ldcf/theory/fwl.hpp"
 
 namespace ldcf::obs {
-
-// ---------------------------------------------------------------------------
-// FlightRecorder
-
-void FlightRecorder::flush_pending_slot() {
-  if (!slot_pending_) return;
-  slot_pending_ = false;
-  events_.push_back(pending_slot_);
-}
-
-void FlightRecorder::on_slot_begin(SlotIndex slot,
-                                   std::span<const NodeId> active) {
-  pending_slot_ = sim::TraceEvent{};
-  pending_slot_.kind = sim::TraceEvent::Kind::kSlotBegin;
-  pending_slot_.slot = slot;
-  pending_slot_.active = active.size();
-  slot_pending_ = true;
-  if (include_idle_slots_) flush_pending_slot();
-}
-
-void FlightRecorder::on_generate(PacketId packet, SlotIndex slot) {
-  flush_pending_slot();
-  sim::TraceEvent ev;
-  ev.kind = sim::TraceEvent::Kind::kGenerate;
-  ev.slot = slot;
-  ev.packet = packet;
-  events_.push_back(ev);
-}
-
-void FlightRecorder::on_tx_result(const sim::TxResult& result,
-                                  SlotIndex slot) {
-  flush_pending_slot();
-  sim::TraceEvent ev;
-  ev.kind = sim::TraceEvent::Kind::kTx;
-  ev.slot = slot;
-  ev.sender = result.intent.sender;
-  ev.receiver = result.intent.receiver;  // kNoNode == broadcast, as parsed.
-  ev.packet = result.intent.packet;
-  ev.outcome = result.outcome;
-  ev.duplicate = result.duplicate;
-  events_.push_back(ev);
-}
-
-void FlightRecorder::on_delivery(NodeId node, PacketId packet, NodeId from,
-                                 bool overheard, SlotIndex slot) {
-  flush_pending_slot();
-  sim::TraceEvent ev;
-  ev.kind = sim::TraceEvent::Kind::kDelivery;
-  ev.slot = slot;
-  ev.node = node;
-  ev.packet = packet;
-  ev.from = from;
-  ev.overheard = overheard;
-  events_.push_back(ev);
-}
-
-void FlightRecorder::on_packet_covered(PacketId packet, SlotIndex covered_at) {
-  flush_pending_slot();
-  sim::TraceEvent ev;
-  ev.kind = sim::TraceEvent::Kind::kCovered;
-  ev.packet = packet;
-  ev.slot = covered_at;
-  events_.push_back(ev);
-}
-
-void FlightRecorder::on_run_end(const sim::SimResult& result) {
-  slot_pending_ = false;  // a trailing idle slot stays elided.
-  sim::TraceEvent ev;
-  ev.kind = sim::TraceEvent::Kind::kRunEnd;
-  ev.end_slot = result.metrics.end_slot;
-  ev.all_covered = result.metrics.all_covered;
-  ev.truncated = result.metrics.truncated;
-  events_.push_back(ev);
-}
-
-std::vector<sim::TraceEvent> FlightRecorder::take() {
-  std::vector<sim::TraceEvent> out = std::move(events_);
-  clear();
-  return out;
-}
-
-void FlightRecorder::clear() {
-  events_.clear();
-  slot_pending_ = false;
-}
 
 // ---------------------------------------------------------------------------
 // Analysis
@@ -190,28 +104,7 @@ TraceAnalysis analyze_trace(std::span<const sim::TraceEvent> events,
         }
         max_node = std::max(max_node, ev.sender);
         if (ev.receiver != kNoNode) max_node = std::max(max_node, ev.receiver);
-        ++out.tx_attempts;
-        switch (ev.outcome) {
-          case sim::TxOutcome::kDelivered:
-            ++out.tx_delivered;
-            if (ev.duplicate) ++out.tx_duplicates;
-            break;
-          case sim::TxOutcome::kLostChannel:
-            ++out.tx_losses;
-            break;
-          case sim::TxOutcome::kCollision:
-            ++out.tx_collisions;
-            break;
-          case sim::TxOutcome::kReceiverBusy:
-            ++out.tx_receiver_busy;
-            break;
-          case sim::TxOutcome::kBroadcast:
-            ++out.tx_broadcasts;
-            break;
-          case sim::TxOutcome::kSyncMiss:
-            ++out.tx_sync_misses;
-            break;
-        }
+        out.channel.record(ev.outcome, ev.duplicate);
         break;
       }
       case sim::TraceEvent::Kind::kDelivery: {
@@ -249,7 +142,7 @@ TraceAnalysis analyze_trace(std::span<const sim::TraceEvent> events,
         pb.tree.edges.push_back(edge);
         max_node = std::max({max_node, ev.node, ev.from});
         ++out.total_deliveries;
-        if (ev.overheard) ++out.deliveries_overheard;
+        if (ev.overheard) ++out.channel.overhear_deliveries;
         break;
       }
       case sim::TraceEvent::Kind::kCovered: {
@@ -367,7 +260,7 @@ TraceAnalysis analyze_trace(std::span<const sim::TraceEvent> events,
   // -------------------------------------------------------------------------
   // Conformance checks.
   const std::uint64_t n = out.options.num_sensors;
-  const bool unicast = out.tx_broadcasts == 0;
+  const bool unicast = out.channel.broadcasts == 0;
   const std::uint64_t num_packets = out.trees.size();
 
   {
@@ -672,19 +565,11 @@ void write_trace_analysis_report(std::ostream& out,
       .field("num_packets", static_cast<std::uint64_t>(a.trees.size()))
       .field("measured_fdl", a.measured_fdl)
       .field("total_deliveries", a.total_deliveries)
-      .field("deliveries_overheard", a.deliveries_overheard)
+      .field("deliveries_overheard", a.channel.overhear_deliveries)
       .end_object();
-  json.key("channel")
-      .begin_object()
-      .field("attempts", a.tx_attempts)
-      .field("delivered", a.tx_delivered)
-      .field("duplicates", a.tx_duplicates)
-      .field("losses", a.tx_losses)
-      .field("collisions", a.tx_collisions)
-      .field("receiver_busy", a.tx_receiver_busy)
-      .field("broadcasts", a.tx_broadcasts)
-      .field("sync_misses", a.tx_sync_misses)
-      .end_object();
+  json.key("channel").begin_object();
+  write_channel_outcomes(json, a.channel);
+  json.end_object();
   json.key("packets").begin_array();
   for (std::size_t i = 0; i < a.trees.size(); ++i) {
     write_tree_json(json, a.trees[i], a.waterfalls[i]);
@@ -722,8 +607,8 @@ void write_trace_analysis_report_file(
 
 void print_trace_analysis(std::ostream& out, const TraceAnalysis& analysis) {
   out << "trace analysis: " << analysis.trees.size() << " packets, "
-      << analysis.total_deliveries << " deliveries, " << analysis.tx_attempts
-      << " transmission attempts";
+      << analysis.total_deliveries << " deliveries, "
+      << analysis.channel.attempts << " transmission attempts";
   if (analysis.has_run_end) {
     out << ", end slot " << analysis.end_slot
         << (analysis.truncated ? " (truncated)" : "");

@@ -2,8 +2,9 @@
 // theory-conformance checking.
 //
 // Where StatsObserver aggregates a run into distributions, this layer
-// *explains* one: from the engine's event stream (recorded live by a
-// FlightRecorder or parsed back from a JSONL trace via read_event_trace) it
+// *explains* one: from the engine's event stream (recorded in memory by a
+// sim::TraceObserver or parsed back from a JSONL trace via
+// read_event_trace) it
 // reconstructs, per packet,
 //
 //   - the dissemination tree: who infected whom, at which slot, at what
@@ -38,44 +39,10 @@
 #include <vector>
 
 #include "ldcf/common/types.hpp"
-#include "ldcf/sim/observer.hpp"
+#include "ldcf/sim/metrics.hpp"
 #include "ldcf/sim/trace_observer.hpp"
 
 namespace ldcf::obs {
-
-/// In-memory twin of TraceObserver: records the engine's event stream as
-/// parsed TraceEvents so a live run can be analyzed without a JSONL round
-/// trip. Follows the same idle-slot elision contract as TraceObserver
-/// (a slot_begin is recorded only once its slot produces another event),
-/// so events() matches read_event_trace on the same run line for line.
-class FlightRecorder final : public sim::SimObserver {
- public:
-  explicit FlightRecorder(bool include_idle_slots = false)
-      : include_idle_slots_(include_idle_slots) {}
-
-  [[nodiscard]] const std::vector<sim::TraceEvent>& events() const {
-    return events_;
-  }
-  /// Move the recording out (the recorder is empty afterwards).
-  [[nodiscard]] std::vector<sim::TraceEvent> take();
-  void clear();
-
-  void on_slot_begin(SlotIndex slot, std::span<const NodeId> active) override;
-  void on_generate(PacketId packet, SlotIndex slot) override;
-  void on_tx_result(const sim::TxResult& result, SlotIndex slot) override;
-  void on_delivery(NodeId node, PacketId packet, NodeId from, bool overheard,
-                   SlotIndex slot) override;
-  void on_packet_covered(PacketId packet, SlotIndex covered_at) override;
-  void on_run_end(const sim::SimResult& result) override;
-
- private:
-  void flush_pending_slot();
-
-  std::vector<sim::TraceEvent> events_;
-  bool include_idle_slots_;
-  bool slot_pending_ = false;
-  sim::TraceEvent pending_slot_{};
-};
 
 /// One delivery edge in a packet's dissemination tree.
 struct TreeEdge {
@@ -186,23 +153,16 @@ struct TraceAnalysis {
   /// slot (0 until something covered).
   std::uint64_t measured_fdl = 0;
 
-  // Aggregates cross-checkable against RunMetrics/StatsObserver.
+  // Aggregates cross-checkable against RunMetrics/StatsObserver: the tx
+  // outcomes and overheard deliveries counted exactly as the engine does.
   std::uint64_t total_deliveries = 0;
-  std::uint64_t deliveries_overheard = 0;
-  std::uint64_t tx_attempts = 0;
-  std::uint64_t tx_delivered = 0;
-  std::uint64_t tx_duplicates = 0;
-  std::uint64_t tx_losses = 0;
-  std::uint64_t tx_collisions = 0;
-  std::uint64_t tx_receiver_busy = 0;
-  std::uint64_t tx_broadcasts = 0;
-  std::uint64_t tx_sync_misses = 0;
+  sim::ChannelCounters channel;
 
   [[nodiscard]] const DisseminationTree* tree(PacketId packet) const;
 };
 
 /// Reconstruct trees, waterfalls and conformance verdicts from an event
-/// stream (FlightRecorder::events() or read_event_trace output). Throws
+/// stream (TraceObserver::events() or read_event_trace output). Throws
 /// InvalidArgument on causally broken traces (a delivery whose parent never
 /// obtained the packet, a delivery of the source, ...).
 [[nodiscard]] TraceAnalysis analyze_trace(

@@ -81,8 +81,8 @@ void WatchdogObserver::fail(std::string invariant, std::string message,
   diag.wall_seconds_since_progress = wall_seconds_since_progress();
   diag.packets_generated = generated_;
   diag.packets_covered = covered_;
-  diag.tx_attempts = attempts_;
-  diag.tx_failures = failures_;
+  diag.tx_attempts = channel_.attempts;
+  diag.tx_failures = channel_.failures();
   if (causes_ != nullptr) diag.causes = causes_->current_causes();
   throw WatchdogError(std::move(diag));
 }
@@ -122,24 +122,15 @@ void WatchdogObserver::on_generate(PacketId /*packet*/, SlotIndex slot) {
 
 void WatchdogObserver::on_tx_result(const sim::TxResult& result,
                                     SlotIndex slot) {
-  ++attempts_;
-  switch (result.outcome) {
-    case sim::TxOutcome::kLostChannel:
-    case sim::TxOutcome::kCollision:
-    case sim::TxOutcome::kReceiverBusy:
-    case sim::TxOutcome::kSyncMiss:
-      ++failures_;
-      break;
-    default:
-      break;
-  }
-  if (config_.max_failure_rate > 0.0 && attempts_ >= config_.min_attempts) {
-    const double rate =
-        static_cast<double>(failures_) / static_cast<double>(attempts_);
+  channel_.record(result.outcome, result.duplicate);
+  const std::uint64_t attempts = channel_.attempts;
+  if (config_.max_failure_rate > 0.0 && attempts >= config_.min_attempts) {
+    const double rate = static_cast<double>(channel_.failures()) /
+                        static_cast<double>(attempts);
     if (rate > config_.max_failure_rate) {
       std::ostringstream msg;
       msg << "failure rate " << rate << " exceeds ceiling "
-          << config_.max_failure_rate << " after " << attempts_ << " attempts";
+          << config_.max_failure_rate << " after " << attempts << " attempts";
       fail("drift", msg.str(), slot);
     }
   }
@@ -149,12 +140,6 @@ void WatchdogObserver::on_delivery(NodeId /*node*/, PacketId /*packet*/,
                                    NodeId /*from*/, bool /*overheard*/,
                                    SlotIndex slot) {
   progress(slot);
-}
-
-void WatchdogObserver::on_overhear(NodeId /*listener*/, NodeId /*sender*/,
-                                   PacketId /*packet*/, bool fresh,
-                                   SlotIndex slot) {
-  if (fresh) progress(slot);
 }
 
 void WatchdogObserver::on_packet_covered(PacketId packet,

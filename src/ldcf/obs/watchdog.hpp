@@ -11,9 +11,9 @@
 // code.
 //
 // Invariants monitored (each individually switchable):
-//   * stall        no progress event (generation, fresh delivery, overhear,
-//                  packet coverage) within a wall-clock budget and/or an
-//                  executed-slot budget. Catches busy-loop stalls; an
+//   * stall        no progress event (generation, fresh delivery — addressed
+//                  or overheard — packet coverage) within a wall-clock budget
+//                  and/or an executed-slot budget. Catches busy-loop stalls; an
 //                  in-stage hang (no hooks firing at all) is out of an
 //                  observer's reach — that is what heartbeats are for.
 //   * monotonic    covered-packet count never decreases and on_packet_covered
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "ldcf/common/types.hpp"
+#include "ldcf/sim/metrics.hpp"
 #include "ldcf/sim/observer.hpp"
 
 namespace ldcf::obs {
@@ -118,8 +119,6 @@ class WatchdogObserver final : public sim::SimObserver {
   void on_tx_result(const sim::TxResult& result, SlotIndex slot) override;
   void on_delivery(NodeId node, PacketId packet, NodeId from, bool overheard,
                    SlotIndex slot) override;
-  void on_overhear(NodeId listener, NodeId sender, PacketId packet, bool fresh,
-                   SlotIndex slot) override;
   void on_packet_covered(PacketId packet, SlotIndex covered_at) override;
   void on_run_end(const sim::SimResult& result) override;
 
@@ -138,8 +137,7 @@ class WatchdogObserver final : public sim::SimObserver {
   SlotIndex last_covered_at_ = 0;
   std::uint64_t generated_ = 0;
   std::uint64_t covered_ = 0;
-  std::uint64_t attempts_ = 0;
-  std::uint64_t failures_ = 0;
+  sim::ChannelCounters channel_;  ///< attempts and failures().
 };
 
 }  // namespace ldcf::obs

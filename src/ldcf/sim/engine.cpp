@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "ldcf/common/error.hpp"
 #include "ldcf/obs/timeline.hpp"
@@ -9,6 +10,12 @@
 namespace ldcf::sim {
 
 namespace {
+
+// Counter tracks are sampled every kCounterStride executed slots, plus once
+// after the loop. One sample is 12 records, so the timeline's default
+// 16k-record counter lane keeps the latest ~1365 samples: ~87k executed
+// slots before the ring starts dropping the oldest.
+constexpr std::uint64_t kCounterStride = 64;
 
 const SimConfig& validate_config(const topology::Topology& topo,
                                  const SimConfig& config) {
@@ -101,32 +108,13 @@ void MetricsCollector::on_generate(PacketId packet, SlotIndex slot) {
 }
 
 void MetricsCollector::on_tx_result(const TxResult& result, SlotIndex slot) {
-  ++metrics.channel.attempts;
+  metrics.channel.record(result.outcome, result.duplicate);
   ++tally.tx_attempts[result.intent.sender];
+  if (result.outcome == TxOutcome::kDelivered) {
+    ++tally.receptions[result.intent.receiver];
+  }
   auto& rec = metrics.packets[result.intent.packet];
   if (rec.first_tx_at == kNeverSlot) rec.first_tx_at = slot;
-  switch (result.outcome) {
-    case TxOutcome::kDelivered:
-      ++metrics.channel.delivered;
-      ++tally.receptions[result.intent.receiver];
-      if (result.duplicate) ++metrics.channel.duplicates;
-      break;
-    case TxOutcome::kLostChannel:
-      ++metrics.channel.losses;
-      break;
-    case TxOutcome::kCollision:
-      ++metrics.channel.collisions;
-      break;
-    case TxOutcome::kReceiverBusy:
-      ++metrics.channel.receiver_busy;
-      break;
-    case TxOutcome::kBroadcast:
-      ++metrics.channel.broadcasts;
-      break;
-    case TxOutcome::kSyncMiss:
-      ++metrics.channel.sync_misses;
-      break;
-  }
 }
 
 void MetricsCollector::on_delivery(NodeId /*node*/, PacketId packet,
@@ -231,6 +219,28 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
   // The slot loop's wall time; add_wall closes it and records the "run"
   // span that encloses every stage span.
   const std::uint64_t run_t0 = profiler_.now();
+  // The run's only counter tracks: coverage, in-flight, generated and every
+  // ChannelCounters field, all read from the engine's own accounts.
+  const auto publish_counters = [&] {
+    const ChannelCounters& channel = collector.metrics.channel;
+    const std::pair<const char*, std::uint64_t> tracks[] = {
+        {"engine.packets_covered", covered_count_},
+        {"engine.packets_in_flight", uncovered_.size()},
+        {"engine.packets_generated", generated_},
+        {"engine.tx_attempts", channel.attempts},
+        {"engine.tx_delivered", channel.delivered},
+        {"engine.tx_duplicates", channel.duplicates},
+        {"engine.tx_losses", channel.losses},
+        {"engine.tx_collisions", channel.collisions},
+        {"engine.tx_receiver_busy", channel.receiver_busy},
+        {"engine.tx_broadcasts", channel.broadcasts},
+        {"engine.tx_sync_misses", channel.sync_misses},
+        {"engine.overhear_deliveries", channel.overhear_deliveries}};
+    for (const auto& [track, value] : tracks) {
+      tl->counter(track, static_cast<double>(value));
+    }
+  };
+  std::uint64_t sampled_slots = 0;
   SlotIndex t = 0;
   while (covered_count_ < config_.num_packets && t < config_.max_slots) {
     if (use_compact) {
@@ -281,19 +291,12 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
       StageProfiler::Scope timed(profiler_, Stage::kCoverage, "slot", t);
       stage_coverage(t);
     }
-    // Engine-level counter tracks: sampled every executed slot (cheap, and
-    // slots are where anything changes). Registry-backed tracks come from
-    // obs::TimelineMetricsObserver.
-    if (tl != nullptr) {
-      tl->counter("engine.packets_covered",
-                  static_cast<double>(covered_count_));
-      tl->counter("engine.packets_in_flight",
-                  static_cast<double>(uncovered_.size()));
-      tl->counter("engine.tx_attempts",
-                  static_cast<double>(collector.metrics.channel.attempts));
+    if (tl != nullptr && sampled_slots++ % kCounterStride == 0) {
+      publish_counters();
     }
     ++t;
   }
+  if (tl != nullptr) publish_counters();
   // "slots" means slots the staged loop actually executed: skipped slots
   // are accounted separately, so executed + skipped == end_slot.
   profiler_.add_wall(run_t0, t - profiler_.profile().slots_skipped);

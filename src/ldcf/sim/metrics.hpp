@@ -42,7 +42,8 @@ struct PacketRecord {
   }
 };
 
-/// Aggregated channel/protocol counters for a run.
+/// Aggregated channel/protocol counters for a run: the one outcome tally.
+/// Every consumer of tx results counts through record().
 struct ChannelCounters {
   std::uint64_t attempts = 0;            ///< transmissions proposed and sent.
   std::uint64_t delivered = 0;           ///< decoded by the addressee.
@@ -59,6 +60,46 @@ struct ChannelCounters {
   /// delivered nothing.
   [[nodiscard]] std::uint64_t failures() const {
     return losses + collisions + receiver_busy + sync_misses;
+  }
+
+  /// Count one transmission attempt; `duplicate` matters only for
+  /// kDelivered. overhear_deliveries is not an outcome: count it apart.
+  void record(TxOutcome outcome, bool duplicate) {
+    ++attempts;
+    switch (outcome) {
+      case TxOutcome::kDelivered:
+        ++delivered;
+        if (duplicate) ++duplicates;
+        break;
+      case TxOutcome::kLostChannel:
+        ++losses;
+        break;
+      case TxOutcome::kCollision:
+        ++collisions;
+        break;
+      case TxOutcome::kReceiverBusy:
+        ++receiver_busy;
+        break;
+      case TxOutcome::kBroadcast:
+        ++broadcasts;
+        break;
+      case TxOutcome::kSyncMiss:
+        ++sync_misses;
+        break;
+    }
+  }
+
+  /// Fieldwise sum (window coarsening, series merges).
+  void add(const ChannelCounters& other) {
+    attempts += other.attempts;
+    delivered += other.delivered;
+    duplicates += other.duplicates;
+    losses += other.losses;
+    collisions += other.collisions;
+    receiver_busy += other.receiver_busy;
+    broadcasts += other.broadcasts;
+    sync_misses += other.sync_misses;
+    overhear_deliveries += other.overhear_deliveries;
   }
 };
 

@@ -1,207 +1,230 @@
 #include "ldcf/sim/trace_observer.hpp"
 
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <string_view>
+#include <utility>
 
 #include "ldcf/common/error.hpp"
+#include "ldcf/common/parse.hpp"
+#include "ldcf/obs/json_reader.hpp"
 #include "ldcf/sim/engine.hpp"
 
 namespace ldcf::sim {
 
 namespace {
 
-const char* outcome_name(TxOutcome outcome) {
-  switch (outcome) {
-    case TxOutcome::kDelivered:
-      return "delivered";
-    case TxOutcome::kLostChannel:
-      return "lost";
-    case TxOutcome::kCollision:
-      return "collision";
-    case TxOutcome::kReceiverBusy:
-      return "busy";
-    case TxOutcome::kBroadcast:
-      return "broadcast";
-    case TxOutcome::kSyncMiss:
-      return "sync_miss";
-  }
-  return "?";
-}
+// Indexed by TxOutcome, in its declaration order.
+constexpr std::string_view kOutcomeNames[] = {
+    "delivered", "lost", "collision", "busy", "broadcast", "sync_miss"};
+static_assert(static_cast<int>(TxOutcome::kSyncMiss) == 5);
 
 const char* bool_name(bool value) { return value ? "true" : "false"; }
 
-}  // namespace
+// The one writer of a trace line; parse_line below is its exact inverse.
+void write_event(std::ostream& out, const TraceEvent& ev) {
+  switch (ev.kind) {
+    case TraceEvent::Kind::kSlotBegin:
+      out << "{\"event\":\"slot_begin\",\"slot\":" << ev.slot
+          << ",\"active\":" << ev.active << "}\n";
+      return;
+    case TraceEvent::Kind::kGenerate:
+      out << "{\"event\":\"generate\",\"slot\":" << ev.slot
+          << ",\"packet\":" << ev.packet << "}\n";
+      return;
+    case TraceEvent::Kind::kTx:
+      out << "{\"event\":\"tx\",\"slot\":" << ev.slot
+          << ",\"sender\":" << ev.sender << ",\"receiver\":";
+      if (ev.receiver == kNoNode) {
+        out << "null";
+      } else {
+        out << ev.receiver;
+      }
+      out << ",\"packet\":" << ev.packet << ",\"outcome\":\""
+          << kOutcomeNames[static_cast<int>(ev.outcome)]
+          << "\",\"duplicate\":" << bool_name(ev.duplicate) << "}\n";
+      return;
+    case TraceEvent::Kind::kDelivery:
+      out << "{\"event\":\"delivery\",\"slot\":" << ev.slot
+          << ",\"node\":" << ev.node << ",\"packet\":" << ev.packet
+          << ",\"from\":" << ev.from
+          << ",\"overheard\":" << bool_name(ev.overheard) << "}\n";
+      return;
+    case TraceEvent::Kind::kCovered:
+      out << "{\"event\":\"covered\",\"packet\":" << ev.packet
+          << ",\"slot\":" << ev.slot << "}\n";
+      return;
+    case TraceEvent::Kind::kRunEnd:
+      out << "{\"event\":\"run_end\",\"end_slot\":" << ev.end_slot
+          << ",\"all_covered\":" << bool_name(ev.all_covered)
+          << ",\"truncated\":" << bool_name(ev.truncated) << "}\n";
+      return;
+  }
+}
 
-TraceObserver::TraceObserver(std::ostream& out, bool include_idle_slots)
-    : out_(out), include_idle_slots_(include_idle_slots) {}
+}  // namespace
 
 TraceObserver::TraceObserver(const std::string& path, bool include_idle_slots)
     : file_(path, std::ios::trunc),
-      out_(file_),
+      out_(&file_),
       include_idle_slots_(include_idle_slots) {
   LDCF_REQUIRE(file_.is_open(), "cannot open trace file: " + path);
 }
 
-void TraceObserver::flush_pending_slot() {
-  if (!slot_pending_) return;
-  slot_pending_ = false;
-  out_ << "{\"event\":\"slot_begin\",\"slot\":" << pending_slot_
-       << ",\"active\":" << pending_active_ << "}\n";
+void TraceObserver::put(const TraceEvent& ev) {
+  if (out_ == nullptr) {
+    events_.push_back(ev);
+  } else {
+    write_event(*out_, ev);
+  }
+}
+
+void TraceObserver::emit(const TraceEvent& ev) {
+  if (ev.kind == TraceEvent::Kind::kSlotBegin && !include_idle_slots_) {
+    pending_slot_ = ev;  // recorded once the slot proves non-idle.
+    slot_pending_ = true;
+    return;
+  }
+  // run_end does not rescue a trailing idle slot.
+  if (std::exchange(slot_pending_, false) &&
+      ev.kind != TraceEvent::Kind::kRunEnd) {
+    put(pending_slot_);
+  }
+  put(ev);
 }
 
 void TraceObserver::on_slot_begin(SlotIndex slot,
                                   std::span<const NodeId> active) {
-  pending_slot_ = slot;
-  pending_active_ = active.size();
-  if (include_idle_slots_) {
-    slot_pending_ = true;
-    flush_pending_slot();
-  } else {
-    slot_pending_ = true;  // written lazily, once the slot proves non-idle.
-  }
+  emit({.kind = TraceEvent::Kind::kSlotBegin,
+        .slot = slot,
+        .active = active.size()});
 }
 
 void TraceObserver::on_generate(PacketId packet, SlotIndex slot) {
-  flush_pending_slot();
-  out_ << "{\"event\":\"generate\",\"slot\":" << slot << ",\"packet\":" << packet
-       << "}\n";
+  emit({.kind = TraceEvent::Kind::kGenerate, .slot = slot, .packet = packet});
 }
 
 void TraceObserver::on_tx_result(const TxResult& result, SlotIndex slot) {
-  flush_pending_slot();
-  out_ << "{\"event\":\"tx\",\"slot\":" << slot
-       << ",\"sender\":" << result.intent.sender << ",\"receiver\":";
-  if (result.intent.is_broadcast()) {
-    out_ << "null";
-  } else {
-    out_ << result.intent.receiver;
-  }
-  out_ << ",\"packet\":" << result.intent.packet << ",\"outcome\":\""
-       << outcome_name(result.outcome) << "\",\"duplicate\":"
-       << bool_name(result.duplicate) << "}\n";
+  emit({.kind = TraceEvent::Kind::kTx,
+        .slot = slot,
+        .sender = result.intent.sender,
+        .receiver = result.intent.receiver,  // kNoNode == broadcast.
+        .packet = result.intent.packet,
+        .outcome = result.outcome,
+        .duplicate = result.duplicate});
 }
 
 void TraceObserver::on_delivery(NodeId node, PacketId packet, NodeId from,
                                 bool overheard, SlotIndex slot) {
-  flush_pending_slot();
-  out_ << "{\"event\":\"delivery\",\"slot\":" << slot << ",\"node\":" << node
-       << ",\"packet\":" << packet << ",\"from\":" << from
-       << ",\"overheard\":" << bool_name(overheard) << "}\n";
+  emit({.kind = TraceEvent::Kind::kDelivery,
+        .slot = slot,
+        .node = node,
+        .from = from,
+        .packet = packet,
+        .overheard = overheard});
 }
 
 void TraceObserver::on_packet_covered(PacketId packet, SlotIndex covered_at) {
-  flush_pending_slot();
-  out_ << "{\"event\":\"covered\",\"packet\":" << packet
-       << ",\"slot\":" << covered_at << "}\n";
+  emit({.kind = TraceEvent::Kind::kCovered,
+        .slot = covered_at,
+        .packet = packet});
 }
 
 void TraceObserver::on_run_end(const SimResult& result) {
-  slot_pending_ = false;  // a trailing idle slot stays elided.
-  out_ << "{\"event\":\"run_end\",\"end_slot\":" << result.metrics.end_slot
-       << ",\"all_covered\":" << bool_name(result.metrics.all_covered)
-       << ",\"truncated\":" << bool_name(result.metrics.truncated) << "}\n";
-  out_.flush();
+  emit({.kind = TraceEvent::Kind::kRunEnd,
+        .end_slot = result.metrics.end_slot,
+        .all_covered = result.metrics.all_covered,
+        .truncated = result.metrics.truncated});
+  if (out_ != nullptr) out_->flush();
 }
 
 namespace {
 
-// Hand-rolled field extraction: the writer emits flat one-line objects with
-// unique keys, so a quoted-key search is a full parser for this format.
-
-std::string_view find_raw(std::string_view line, std::string_view key,
-                          const char* what) {
-  std::string needle("\"");
-  needle.append(key);
-  needle.append("\":");
-  const std::size_t at = line.find(needle);
-  std::string missing("trace line missing key '");
-  missing.append(key);
-  missing.append("': ");
-  missing.append(what);
-  LDCF_REQUIRE(at != std::string_view::npos, missing);
-  std::string_view rest = line.substr(at + needle.size());
-  const std::size_t end = rest.find_first_of(",}");
-  LDCF_REQUIRE(end != std::string_view::npos, "unterminated trace field");
-  return rest.substr(0, end);
-}
-
-std::uint64_t find_u64(std::string_view line, std::string_view key) {
-  const std::string_view raw = find_raw(line, key, "number");
-  std::uint64_t value = 0;
-  bool any = false;
-  for (const char c : raw) {
-    LDCF_REQUIRE(c >= '0' && c <= '9', "malformed number in trace");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    any = true;
+// The member `key` of a parsed line; it must exist and have kind `kind`.
+const obs::JsonValue& member(const obs::JsonValue& line, const char* key,
+                             obs::JsonValue::Kind kind) {
+  const obs::JsonValue* v = line.find(key);
+  if (v == nullptr || v->kind != kind) {
+    throw InvalidArgument(std::string(v == nullptr ? "missing" : "mistyped") +
+                          " key '" + key + "'");
   }
-  LDCF_REQUIRE(any, "empty number in trace");
-  return value;
-}
-
-bool find_bool(std::string_view line, std::string_view key) {
-  const std::string_view raw = find_raw(line, key, "bool");
-  if (raw == "true") return true;
-  LDCF_REQUIRE(raw == "false", "malformed bool in trace");
-  return false;
-}
-
-std::string_view find_string(std::string_view line, std::string_view key) {
-  std::string_view raw = find_raw(line, key, "string");
-  LDCF_REQUIRE(raw.size() >= 2 && raw.front() == '"' && raw.back() == '"',
-               "malformed string in trace");
-  return raw.substr(1, raw.size() - 2);
+  return *v;
 }
 
 TxOutcome parse_outcome(std::string_view name) {
-  if (name == "delivered") return TxOutcome::kDelivered;
-  if (name == "lost") return TxOutcome::kLostChannel;
-  if (name == "collision") return TxOutcome::kCollision;
-  if (name == "busy") return TxOutcome::kReceiverBusy;
-  if (name == "broadcast") return TxOutcome::kBroadcast;
-  LDCF_REQUIRE(name == "sync_miss", "unknown tx outcome in trace");
-  return TxOutcome::kSyncMiss;
+  for (std::size_t i = 0; i < std::size(kOutcomeNames); ++i) {
+    if (name == kOutcomeNames[i]) return static_cast<TxOutcome>(i);
+  }
+  throw InvalidArgument("unknown tx outcome '" + std::string(name) + "'");
 }
 
 TraceEvent parse_line(std::string_view line) {
+  const obs::JsonPtr doc = obs::parse_json(line);
+  if (!doc->is_object()) throw InvalidArgument("not a JSON object");
+  using JsonKind = obs::JsonValue::Kind;
+  // Integers come from the raw number token: exact and range-checked, with
+  // no double round trip, silent wrap or 32-bit truncation.
+  const auto u64 = [&](const char* key) {
+    return common::parse_u64(member(*doc, key, JsonKind::kNumber).text, key);
+  };
+  const auto u32 = [&](const char* key) {
+    return common::parse_u32(member(*doc, key, JsonKind::kNumber).text, key);
+  };
+  const auto flag = [&](const char* key) {
+    return member(*doc, key, JsonKind::kBool).boolean;
+  };
+  using Kind = TraceEvent::Kind;
   TraceEvent ev;
-  const std::string_view kind = find_string(line, "event");
+  std::size_t keys = 0;  // members the kind carries, "event" included.
+  const std::string& kind = member(*doc, "event", JsonKind::kString).text;
   if (kind == "slot_begin") {
-    ev.kind = TraceEvent::Kind::kSlotBegin;
-    ev.slot = find_u64(line, "slot");
-    ev.active = find_u64(line, "active");
+    ev = {.kind = Kind::kSlotBegin,
+          .slot = u64("slot"),
+          .active = u64("active")};
+    keys = 3;
   } else if (kind == "generate") {
-    ev.kind = TraceEvent::Kind::kGenerate;
-    ev.slot = find_u64(line, "slot");
-    ev.packet = static_cast<PacketId>(find_u64(line, "packet"));
+    ev = {.kind = Kind::kGenerate,
+          .slot = u64("slot"),
+          .packet = u32("packet")};
+    keys = 3;
   } else if (kind == "tx") {
-    ev.kind = TraceEvent::Kind::kTx;
-    ev.slot = find_u64(line, "slot");
-    ev.sender = static_cast<NodeId>(find_u64(line, "sender"));
-    ev.receiver = find_raw(line, "receiver", "node or null") == "null"
-                      ? kNoNode
-                      : static_cast<NodeId>(find_u64(line, "receiver"));
-    ev.packet = static_cast<PacketId>(find_u64(line, "packet"));
-    ev.outcome = parse_outcome(find_string(line, "outcome"));
-    ev.duplicate = find_bool(line, "duplicate");
+    const obs::JsonValue* receiver = doc->find("receiver");
+    const bool broadcast =
+        receiver != nullptr && receiver->kind == JsonKind::kNull;
+    ev = {.kind = Kind::kTx,
+          .slot = u64("slot"),
+          .sender = u32("sender"),
+          .receiver = broadcast ? kNoNode : u32("receiver"),
+          .packet = u32("packet"),
+          .outcome = parse_outcome(
+              member(*doc, "outcome", JsonKind::kString).text),
+          .duplicate = flag("duplicate")};
+    keys = 7;
   } else if (kind == "delivery") {
-    ev.kind = TraceEvent::Kind::kDelivery;
-    ev.slot = find_u64(line, "slot");
-    ev.node = static_cast<NodeId>(find_u64(line, "node"));
-    ev.packet = static_cast<PacketId>(find_u64(line, "packet"));
-    ev.from = static_cast<NodeId>(find_u64(line, "from"));
-    ev.overheard = find_bool(line, "overheard");
+    ev = {.kind = Kind::kDelivery,
+          .slot = u64("slot"),
+          .node = u32("node"),
+          .from = u32("from"),
+          .packet = u32("packet"),
+          .overheard = flag("overheard")};
+    keys = 6;
   } else if (kind == "covered") {
-    ev.kind = TraceEvent::Kind::kCovered;
-    ev.packet = static_cast<PacketId>(find_u64(line, "packet"));
-    ev.slot = find_u64(line, "slot");
+    ev = {.kind = Kind::kCovered,
+          .slot = u64("slot"),
+          .packet = u32("packet")};
+    keys = 3;
   } else if (kind == "run_end") {
-    ev.kind = TraceEvent::Kind::kRunEnd;
-    ev.end_slot = find_u64(line, "end_slot");
-    ev.all_covered = find_bool(line, "all_covered");
-    ev.truncated = find_bool(line, "truncated");
+    ev = {.kind = Kind::kRunEnd,
+          .end_slot = u64("end_slot"),
+          .all_covered = flag("all_covered"),
+          .truncated = flag("truncated")};
+    keys = 4;
   } else {
-    LDCF_REQUIRE(false, "unknown trace event kind");
+    throw InvalidArgument("unknown trace event kind '" + kind + "'");
+  }
+  if (doc->members.size() != keys) {
+    throw InvalidArgument("unexpected key in a '" + kind + "' event");
   }
   return ev;
 }
@@ -211,9 +234,16 @@ TraceEvent parse_line(std::string_view line) {
 std::vector<TraceEvent> read_event_trace(std::istream& in) {
   std::vector<TraceEvent> events;
   std::string line;
+  std::uint64_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty()) continue;
-    events.push_back(parse_line(line));
+    try {
+      events.push_back(parse_line(line));
+    } catch (const InvalidArgument& error) {
+      throw InvalidArgument("event trace at line " + std::to_string(line_no) +
+                            ": " + error.what());
+    }
   }
   return events;
 }

@@ -99,23 +99,23 @@ TEST(TimeSeries, EventsLandInTheirWindows) {
   ASSERT_EQ(series.windows.size(), 2u);
   const obs::SeriesWindow& w0 = series.windows[0];
   EXPECT_EQ(w0.generated, 2u);
-  EXPECT_EQ(w0.tx_attempts, 1u);
-  EXPECT_EQ(w0.delivered, 1u);
-  EXPECT_EQ(w0.duplicates, 0u);
+  EXPECT_EQ(w0.channel.attempts, 1u);
+  EXPECT_EQ(w0.channel.delivered, 1u);
+  EXPECT_EQ(w0.channel.duplicates, 0u);
   EXPECT_EQ(w0.new_holders, 1u);
   EXPECT_EQ(w0.overhears, 1u);
-  EXPECT_EQ(w0.overhears_fresh, 1u);
+  EXPECT_EQ(w0.channel.overhear_deliveries, 1u);
   EXPECT_EQ(w0.covered, 0u);
   EXPECT_EQ(w0.listen_slots, 3u);
   const obs::SeriesWindow& w1 = series.windows[1];
   EXPECT_EQ(w1.generated, 1u);
-  EXPECT_EQ(w1.tx_attempts, 2u);
-  EXPECT_EQ(w1.delivered, 1u);
-  EXPECT_EQ(w1.duplicates, 1u);
-  EXPECT_EQ(w1.collisions, 1u);
+  EXPECT_EQ(w1.channel.attempts, 2u);
+  EXPECT_EQ(w1.channel.delivered, 1u);
+  EXPECT_EQ(w1.channel.duplicates, 1u);
+  EXPECT_EQ(w1.channel.collisions, 1u);
   EXPECT_EQ(w1.covered, 1u);
   EXPECT_EQ(w1.overhears, 1u);
-  EXPECT_EQ(w1.overhears_fresh, 0u);
+  EXPECT_EQ(w1.channel.overhear_deliveries, 0u);
   EXPECT_EQ(w1.listen_slots, 2u);
   EXPECT_EQ(series.end_slot, 71u);
 }
@@ -183,7 +183,7 @@ TEST(TimeSeries, MergeIsOrderIndependentAndAlignsWidths) {
   fine.trials = 1;
   fine.end_slot = 128;
   fine.windows.resize(4);
-  for (std::size_t i = 0; i < 4; ++i) fine.windows[i].tx_attempts = i + 1;
+  for (std::size_t i = 0; i < 4; ++i) fine.windows[i].channel.attempts = i + 1;
 
   obs::TimeSeries coarse;
   coarse.base_window_slots = 32;
@@ -191,7 +191,7 @@ TEST(TimeSeries, MergeIsOrderIndependentAndAlignsWidths) {
   coarse.trials = 2;
   coarse.end_slot = 192;
   coarse.windows.resize(3);
-  for (std::size_t i = 0; i < 3; ++i) coarse.windows[i].tx_attempts = 100;
+  for (std::size_t i = 0; i < 3; ++i) coarse.windows[i].channel.attempts = 100;
 
   obs::TimeSeries ab = fine;
   ab.merge(coarse);
@@ -200,15 +200,15 @@ TEST(TimeSeries, MergeIsOrderIndependentAndAlignsWidths) {
 
   ASSERT_EQ(ab.windows.size(), ba.windows.size());
   for (std::size_t i = 0; i < ab.windows.size(); ++i) {
-    EXPECT_EQ(ab.windows[i].tx_attempts, ba.windows[i].tx_attempts);
+    EXPECT_EQ(ab.windows[i].channel.attempts, ba.windows[i].channel.attempts);
   }
   EXPECT_EQ(ab.window_slots, 64u);
   EXPECT_EQ(ab.trials, 3u);
   EXPECT_EQ(ab.end_slot, 192u);
   // The fine side's windows pairwise-merged: (1+2), (3+4), then +100 each.
-  EXPECT_EQ(ab.windows[0].tx_attempts, 103u);
-  EXPECT_EQ(ab.windows[1].tx_attempts, 107u);
-  EXPECT_EQ(ab.windows[2].tx_attempts, 100u);
+  EXPECT_EQ(ab.windows[0].channel.attempts, 103u);
+  EXPECT_EQ(ab.windows[1].channel.attempts, 107u);
+  EXPECT_EQ(ab.windows[2].channel.attempts, 100u);
 
   obs::TimeSeries alien;
   alien.base_window_slots = alien.window_slots = 48;
@@ -268,11 +268,11 @@ TEST(TimeSeries, CollisionSpikeRuleComparesAgainstTrailingBaseline) {
   series.trials = 1;
   series.windows.resize(6);
   for (std::size_t i = 0; i < 5; ++i) {
-    series.windows[i].tx_attempts = 100;
-    series.windows[i].collisions = 5;  // 5% baseline.
+    series.windows[i].channel.attempts = 100;
+    series.windows[i].channel.collisions = 5;  // 5% baseline.
   }
-  series.windows[5].tx_attempts = 100;
-  series.windows[5].collisions = 40;  // 40% > 4 x 5%.
+  series.windows[5].channel.attempts = 100;
+  series.windows[5].channel.collisions = 40;  // 40% > 4 x 5%.
 
   obs::TimeSeriesOptions options;
   options.stall_windows = 0;
@@ -288,14 +288,14 @@ TEST(TimeSeries, CollisionSpikeRuleComparesAgainstTrailingBaseline) {
 
   // Collision-free baseline: the absolute 0.5 fallback applies.
   obs::TimeSeries quiet = series;
-  for (std::size_t i = 0; i < 5; ++i) quiet.windows[i].collisions = 0;
-  quiet.windows[5].collisions = 49;
+  for (std::size_t i = 0; i < 5; ++i) quiet.windows[i].channel.collisions = 0;
+  quiet.windows[5].channel.collisions = 49;
   EXPECT_TRUE(obs::evaluate_anomalies(quiet, options, nullptr).empty());
-  quiet.windows[5].collisions = 50;
+  quiet.windows[5].channel.collisions = 50;
   EXPECT_EQ(obs::evaluate_anomalies(quiet, options, nullptr).size(), 1u);
 
   // Below min attempts the rule stays silent.
-  series.windows[5].tx_attempts = 50;
+  series.windows[5].channel.attempts = 50;
   EXPECT_TRUE(obs::evaluate_anomalies(series, options, nullptr).empty());
 }
 
@@ -412,11 +412,11 @@ TEST(MultiObserverStack, ThreeObserverFanOutMatchesBareRun) {
   // The series observer watched the same run: its totals equal the run's.
   obs::SeriesWindow totals;
   for (const auto& w : series.series().windows) totals.add(w);
-  EXPECT_EQ(totals.tx_attempts, observed.metrics.channel.attempts);
-  EXPECT_EQ(totals.delivered, observed.metrics.channel.delivered);
-  EXPECT_EQ(totals.duplicates, observed.metrics.channel.duplicates);
-  EXPECT_EQ(totals.collisions, observed.metrics.channel.collisions);
-  EXPECT_EQ(totals.sync_misses, observed.metrics.channel.sync_misses);
+  EXPECT_EQ(totals.channel.attempts, observed.metrics.channel.attempts);
+  EXPECT_EQ(totals.channel.delivered, observed.metrics.channel.delivered);
+  EXPECT_EQ(totals.channel.duplicates, observed.metrics.channel.duplicates);
+  EXPECT_EQ(totals.channel.collisions, observed.metrics.channel.collisions);
+  EXPECT_EQ(totals.channel.sync_misses, observed.metrics.channel.sync_misses);
   EXPECT_EQ(series.series().end_slot, observed.metrics.end_slot);
   // Windowed listen slots sum to the tally's total listening account.
   std::uint64_t tally_listens = 0;

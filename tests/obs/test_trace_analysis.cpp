@@ -166,59 +166,6 @@ sim::TraceEvent run_end_event(SlotIndex end_slot, bool all_covered) {
   return ev;
 }
 
-// --- FlightRecorder --------------------------------------------------------
-
-void expect_same_events(const std::vector<sim::TraceEvent>& a,
-                        const std::vector<sim::TraceEvent>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("event " + std::to_string(i));
-    EXPECT_EQ(a[i].kind, b[i].kind);
-    EXPECT_EQ(a[i].slot, b[i].slot);
-    EXPECT_EQ(a[i].active, b[i].active);
-    EXPECT_EQ(a[i].sender, b[i].sender);
-    EXPECT_EQ(a[i].receiver, b[i].receiver);
-    EXPECT_EQ(a[i].node, b[i].node);
-    EXPECT_EQ(a[i].from, b[i].from);
-    EXPECT_EQ(a[i].packet, b[i].packet);
-    EXPECT_EQ(a[i].outcome, b[i].outcome);
-    EXPECT_EQ(a[i].duplicate, b[i].duplicate);
-    EXPECT_EQ(a[i].overheard, b[i].overheard);
-    EXPECT_EQ(a[i].end_slot, b[i].end_slot);
-    EXPECT_EQ(a[i].all_covered, b[i].all_covered);
-    EXPECT_EQ(a[i].truncated, b[i].truncated);
-  }
-}
-
-TEST(FlightRecorder, MatchesTraceObserverEventForEvent) {
-  const topology::Topology topo = golden_topology();
-  const sim::SimConfig config = golden_config();
-  for (const bool include_idle : {false, true}) {
-    SCOPED_TRACE(include_idle ? "full" : "elided");
-    std::stringstream trace;
-    sim::TraceObserver observer(trace, include_idle);
-    obs::FlightRecorder recorder(include_idle);
-    sim::MultiObserver fan_out;
-    fan_out.add(&observer);
-    fan_out.add(&recorder);
-    auto proto = protocols::make_protocol("dbao");
-    (void)sim::run_simulation(topo, config, *proto, &fan_out);
-    expect_same_events(recorder.events(), sim::read_event_trace(trace));
-  }
-}
-
-TEST(FlightRecorder, TakeMovesAndClearEmpties) {
-  obs::FlightRecorder recorder;
-  recorder.on_generate(0, 7);
-  ASSERT_EQ(recorder.events().size(), 1u);
-  const std::vector<sim::TraceEvent> taken = recorder.take();
-  EXPECT_EQ(taken.size(), 1u);
-  EXPECT_TRUE(recorder.events().empty());
-  recorder.on_generate(1, 9);
-  recorder.clear();
-  EXPECT_TRUE(recorder.events().empty());
-}
-
 // --- Cross-checks against the engine's own accounting ----------------------
 
 TEST(TraceAnalysis, AgreesWithEngineMetricsForEveryProtocol) {
@@ -226,7 +173,7 @@ TEST(TraceAnalysis, AgreesWithEngineMetricsForEveryProtocol) {
   const sim::SimConfig config = golden_config();
   for (const std::string& name : protocols::protocol_names()) {
     SCOPED_TRACE(name);
-    obs::FlightRecorder recorder;
+    sim::TraceObserver recorder;
     obs::StatsObserver stats(topo.num_nodes(), config.num_packets);
     sim::MultiObserver fan_out;
     fan_out.add(&recorder);
@@ -243,20 +190,20 @@ TEST(TraceAnalysis, AgreesWithEngineMetricsForEveryProtocol) {
 
     // Channel totals, bit-for-bit against RunMetrics.
     const auto& channel = res.metrics.channel;
-    EXPECT_EQ(analysis.tx_attempts, channel.attempts);
-    EXPECT_EQ(analysis.tx_delivered, channel.delivered);
-    EXPECT_EQ(analysis.tx_duplicates, channel.duplicates);
-    EXPECT_EQ(analysis.tx_losses, channel.losses);
-    EXPECT_EQ(analysis.tx_collisions, channel.collisions);
-    EXPECT_EQ(analysis.tx_receiver_busy, channel.receiver_busy);
-    EXPECT_EQ(analysis.tx_broadcasts, channel.broadcasts);
-    EXPECT_EQ(analysis.tx_sync_misses, channel.sync_misses);
-    EXPECT_EQ(analysis.deliveries_overheard, channel.overhear_deliveries);
+    EXPECT_EQ(analysis.channel.attempts, channel.attempts);
+    EXPECT_EQ(analysis.channel.delivered, channel.delivered);
+    EXPECT_EQ(analysis.channel.duplicates, channel.duplicates);
+    EXPECT_EQ(analysis.channel.losses, channel.losses);
+    EXPECT_EQ(analysis.channel.collisions, channel.collisions);
+    EXPECT_EQ(analysis.channel.receiver_busy, channel.receiver_busy);
+    EXPECT_EQ(analysis.channel.broadcasts, channel.broadcasts);
+    EXPECT_EQ(analysis.channel.sync_misses, channel.sync_misses);
+    EXPECT_EQ(analysis.channel.overhear_deliveries, channel.overhear_deliveries);
 
     // ... and against the StatsObserver registry watching the same run.
-    EXPECT_EQ(analysis.tx_attempts,
+    EXPECT_EQ(analysis.channel.attempts,
               stats.registry().counter("tx.attempts").value());
-    EXPECT_EQ(analysis.deliveries_overheard,
+    EXPECT_EQ(analysis.channel.overhear_deliveries,
               stats.registry().counter("delivery.overheard").value());
 
     // Per-packet: tree node counts are the engine's delivery counts, and
@@ -301,7 +248,7 @@ TEST(TraceAnalysis, FileRoundTripMatchesLiveRecorder) {
   const topology::Topology topo = golden_topology();
   const sim::SimConfig config = golden_config();
   const std::string path = testing::TempDir() + "ldcf_analysis_test.jsonl";
-  obs::FlightRecorder recorder;
+  sim::TraceObserver recorder;
   {
     sim::TraceObserver observer(path);
     sim::MultiObserver fan_out;
@@ -320,7 +267,7 @@ TEST(TraceAnalysis, FileRoundTripMatchesLiveRecorder) {
 
   ASSERT_EQ(live.trees.size(), parsed.trees.size());
   EXPECT_EQ(live.measured_fdl, parsed.measured_fdl);
-  EXPECT_EQ(live.tx_attempts, parsed.tx_attempts);
+  EXPECT_EQ(live.channel.attempts, parsed.channel.attempts);
   EXPECT_EQ(live.total_deliveries, parsed.total_deliveries);
   EXPECT_EQ(live.conformance.violations(), parsed.conformance.violations());
   for (std::size_t i = 0; i < live.trees.size(); ++i) {
@@ -331,7 +278,7 @@ TEST(TraceAnalysis, FileRoundTripMatchesLiveRecorder) {
 
 TEST(TraceAnalysis, DerivesSensorCountWhenNotGiven) {
   const topology::Topology topo = golden_topology();
-  obs::FlightRecorder recorder;
+  sim::TraceObserver recorder;
   auto proto = protocols::make_protocol("opt");
   (void)sim::run_simulation(topo, golden_config(), *proto, &recorder);
   const obs::TraceAnalysis analysis = obs::analyze_trace(recorder.events());
@@ -389,7 +336,7 @@ TEST(TraceAnalysis, ReconstructsHandWrittenTree) {
 
   EXPECT_EQ(analysis.measured_fdl, 6u);
   EXPECT_EQ(analysis.total_deliveries, 5u);
-  EXPECT_EQ(analysis.deliveries_overheard, 1u);
+  EXPECT_EQ(analysis.channel.overhear_deliveries, 1u);
 }
 
 TEST(TraceAnalysis, DecomposesBlockingFromSourceBusySlots) {
@@ -519,7 +466,7 @@ TEST(TraceAnalysis, FlagsBlockingBeyondCorollary1Window) {
 
 TEST(TraceAnalysis, BurstGenerationDisablesCorollary1Check) {
   const topology::Topology topo = golden_topology();
-  obs::FlightRecorder recorder;
+  sim::TraceObserver recorder;
   auto proto = protocols::make_protocol("opt");
   (void)sim::run_simulation(topo, golden_config(), *proto, &recorder);
   obs::TraceAnalysisOptions options;
@@ -538,7 +485,7 @@ TEST(TraceAnalysis, ReliableLinksConformToTheorem2) {
   // and FWL-floor checks must hold too.
   const topology::Topology topo = reliable_copy(golden_topology());
   const sim::SimConfig config = golden_config();
-  obs::FlightRecorder recorder;
+  sim::TraceObserver recorder;
   auto proto = protocols::make_protocol("opt");
   const sim::SimResult res =
       sim::run_simulation(topo, config, *proto, &recorder);
@@ -562,14 +509,14 @@ TEST(TraceAnalysis, ReliableLinksConformToTheorem2) {
 
 TEST(TraceAnalysis, BroadcastTracesVoidUnicastChecks) {
   const topology::Topology topo = golden_topology();
-  obs::FlightRecorder recorder;
+  sim::TraceObserver recorder;
   auto proto = protocols::make_protocol("flash");
   (void)sim::run_simulation(topo, golden_config(), *proto, &recorder);
   obs::TraceAnalysisOptions options;
   options.num_sensors = topo.num_sensors();
   const obs::TraceAnalysis analysis =
       obs::analyze_trace(recorder.events(), options);
-  EXPECT_GT(analysis.tx_broadcasts, 0u);
+  EXPECT_GT(analysis.channel.broadcasts, 0u);
   EXPECT_FALSE(find_check(analysis, "lemma12.gw_growth").applicable);
   EXPECT_FALSE(find_check(analysis, "lemma2.fwl_floor").applicable);
 }
@@ -601,7 +548,7 @@ TEST(TraceAnalysis, DotExportRendersTheTree) {
 TEST(TraceAnalysis, ReportIsSchemaTaggedBalancedJson) {
   const topology::Topology topo = golden_topology();
   const sim::SimConfig config = golden_config();
-  obs::FlightRecorder recorder;
+  sim::TraceObserver recorder;
   auto proto = protocols::make_protocol("opt");
   (void)sim::run_simulation(topo, config, *proto, &recorder);
   obs::TraceAnalysisOptions options;
@@ -627,7 +574,7 @@ TEST(TraceAnalysis, ReportIsSchemaTaggedBalancedJson) {
 
 TEST(TraceAnalysis, TextRenderingNamesEveryCheck) {
   const topology::Topology topo = golden_topology();
-  obs::FlightRecorder recorder;
+  sim::TraceObserver recorder;
   auto proto = protocols::make_protocol("opt");
   (void)sim::run_simulation(topo, golden_config(), *proto, &recorder);
   obs::TraceAnalysisOptions options;

@@ -258,7 +258,7 @@ TEST(GoldenMetrics, FingerprintsSurviveObserversAndProfiling) {
               row.end_slot);
     obs::SeriesWindow totals;
     for (const auto& w : series.series().windows) totals.add(w);
-    EXPECT_EQ(totals.tx_attempts, row.attempts);
+    EXPECT_EQ(totals.channel.attempts, row.attempts);
     EXPECT_EQ(totals.generated, config.num_packets);
     EXPECT_EQ(series.series().end_slot, row.end_slot);
     EXPECT_TRUE(res.profile.enabled);

@@ -87,5 +87,73 @@ TEST(ChannelCounters, FailuresAreLossPlusCollisionPlusBusy) {
   EXPECT_EQ(c.failures(), 20u);
 }
 
+TEST(ChannelCounters, RecordCountsEveryOutcomeOnce) {
+  struct Case {
+    TxOutcome outcome;
+    bool duplicate;
+    std::uint64_t ChannelCounters::*field;
+  };
+  const Case cases[] = {
+      {TxOutcome::kDelivered, false, &ChannelCounters::delivered},
+      {TxOutcome::kLostChannel, false, &ChannelCounters::losses},
+      {TxOutcome::kCollision, false, &ChannelCounters::collisions},
+      {TxOutcome::kReceiverBusy, false, &ChannelCounters::receiver_busy},
+      {TxOutcome::kBroadcast, false, &ChannelCounters::broadcasts},
+      {TxOutcome::kSyncMiss, false, &ChannelCounters::sync_misses},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.outcome));
+    ChannelCounters counters;
+    counters.record(c.outcome, c.duplicate);
+    EXPECT_EQ(counters.attempts, 1u);
+    EXPECT_EQ(counters.*c.field, 1u);
+    // Nothing else moved: attempts plus the one outcome field.
+    const std::uint64_t sum = counters.delivered + counters.duplicates +
+                              counters.losses + counters.collisions +
+                              counters.receiver_busy + counters.broadcasts +
+                              counters.sync_misses +
+                              counters.overhear_deliveries;
+    EXPECT_EQ(sum, 1u);
+  }
+  // A duplicate counts only on a delivery.
+  ChannelCounters dup;
+  dup.record(TxOutcome::kDelivered, true);
+  dup.record(TxOutcome::kCollision, true);
+  EXPECT_EQ(dup.attempts, 2u);
+  EXPECT_EQ(dup.delivered, 1u);
+  EXPECT_EQ(dup.duplicates, 1u);
+  EXPECT_EQ(dup.collisions, 1u);
+  // failures() is the four delivered-nothing outcomes.
+  ChannelCounters all;
+  for (const Case& c : cases) all.record(c.outcome, false);
+  EXPECT_EQ(all.attempts, 6u);
+  EXPECT_EQ(all.failures(), 4u);
+}
+
+TEST(ChannelCounters, AddIsFieldwise) {
+  ChannelCounters a;
+  a.attempts = 1;
+  a.delivered = 2;
+  a.duplicates = 3;
+  a.losses = 4;
+  a.collisions = 5;
+  a.receiver_busy = 6;
+  a.broadcasts = 7;
+  a.sync_misses = 8;
+  a.overhear_deliveries = 9;
+  ChannelCounters b = a;
+  b.add(a);
+  EXPECT_EQ(b.attempts, 2u);
+  EXPECT_EQ(b.delivered, 4u);
+  EXPECT_EQ(b.duplicates, 6u);
+  EXPECT_EQ(b.losses, 8u);
+  EXPECT_EQ(b.collisions, 10u);
+  EXPECT_EQ(b.receiver_busy, 12u);
+  EXPECT_EQ(b.broadcasts, 14u);
+  EXPECT_EQ(b.sync_misses, 16u);
+  EXPECT_EQ(b.overhear_deliveries, 18u);
+  EXPECT_EQ(b.failures(), 2 * a.failures());
+}
+
 }  // namespace
 }  // namespace ldcf::sim

@@ -5,7 +5,9 @@
 //  * Spans and the stage profiler must agree: one probe feeds both from
 //    one clock pair, so per-stage span-duration sums equal the profiler's
 //    stage totals exactly.
-//  * The engine emits its builtin counter tracks.
+//  * The engine is the one counter-track probe: it publishes coverage,
+//    in-flight, generated and every ChannelCounters field, with or without
+//    a StatsObserver attached.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <set>
 #include <string>
 
+#include "ldcf/analysis/experiment.hpp"
 #include "ldcf/obs/timeline.hpp"
 #include "ldcf/protocols/registry.hpp"
 #include "ldcf/sim/engine.hpp"
@@ -171,6 +174,52 @@ TEST(TimelineEngine, EngineEmitsBuiltinCounterTracks) {
   EXPECT_TRUE(tracks.count("engine.packets_in_flight") != 0);
   EXPECT_TRUE(tracks.count("engine.tx_attempts") != 0);
   EXPECT_DOUBLE_EQ(final_covered, 12.0) << "last sample = all covered";
+}
+
+// A sweep trial with a timeline but no stats (collect_stats off) gets the
+// same tracks as any run, and each track's last sample is the run's final
+// account.
+TEST(TimelineEngine, RunTrialPublishesEveryChannelTrackWithoutStats) {
+  const topology::Topology topo = small_topology();
+  const auto bare_proto = protocols::make_protocol("of");
+  const sim::SimResult res =
+      sim::run_simulation(topo, base_config(), *bare_proto);
+
+  obs::Timeline timeline;
+  sim::SimConfig config = base_config();
+  config.timeline = &timeline;
+  const analysis::TrialOptions options;
+  ASSERT_FALSE(options.collect_stats);
+  (void)analysis::run_trial(topo, "of", config, options);
+
+  std::map<std::string, double> last;
+  for (const auto& lane : timeline.snapshot()) {
+    EXPECT_EQ(lane.dropped_counters, 0u);
+    for (const auto& counter : lane.counters) {
+      last[counter.track] = counter.value;
+    }
+  }
+  const sim::ChannelCounters& c = res.metrics.channel;
+  const std::map<std::string, std::uint64_t> expected = {
+      {"engine.packets_covered", 12},
+      {"engine.packets_in_flight", 0},
+      {"engine.packets_generated", 12},
+      {"engine.tx_attempts", c.attempts},
+      {"engine.tx_delivered", c.delivered},
+      {"engine.tx_duplicates", c.duplicates},
+      {"engine.tx_losses", c.losses},
+      {"engine.tx_collisions", c.collisions},
+      {"engine.tx_receiver_busy", c.receiver_busy},
+      {"engine.tx_broadcasts", c.broadcasts},
+      {"engine.tx_sync_misses", c.sync_misses},
+      {"engine.overhear_deliveries", c.overhear_deliveries},
+  };
+  EXPECT_EQ(last.size(), expected.size());
+  for (const auto& [track, value] : expected) {
+    ASSERT_TRUE(last.count(track) != 0) << track;
+    EXPECT_DOUBLE_EQ(last[track], static_cast<double>(value)) << track;
+  }
+  EXPECT_GT(c.attempts, 0u);
 }
 
 }  // namespace

@@ -36,16 +36,24 @@ void expect_same_window(const obs::SeriesWindow& a, const obs::SeriesWindow& b,
   EXPECT_EQ(a.generated, b.generated) << label << " window " << index;
   EXPECT_EQ(a.covered, b.covered) << label << " window " << index;
   EXPECT_EQ(a.new_holders, b.new_holders) << label << " window " << index;
-  EXPECT_EQ(a.tx_attempts, b.tx_attempts) << label << " window " << index;
-  EXPECT_EQ(a.delivered, b.delivered) << label << " window " << index;
-  EXPECT_EQ(a.duplicates, b.duplicates) << label << " window " << index;
-  EXPECT_EQ(a.losses, b.losses) << label << " window " << index;
-  EXPECT_EQ(a.collisions, b.collisions) << label << " window " << index;
-  EXPECT_EQ(a.receiver_busy, b.receiver_busy) << label << " window " << index;
-  EXPECT_EQ(a.sync_misses, b.sync_misses) << label << " window " << index;
-  EXPECT_EQ(a.broadcasts, b.broadcasts) << label << " window " << index;
+  EXPECT_EQ(a.channel.attempts, b.channel.attempts)
+      << label << " window " << index;
+  EXPECT_EQ(a.channel.delivered, b.channel.delivered)
+      << label << " window " << index;
+  EXPECT_EQ(a.channel.duplicates, b.channel.duplicates)
+      << label << " window " << index;
+  EXPECT_EQ(a.channel.losses, b.channel.losses)
+      << label << " window " << index;
+  EXPECT_EQ(a.channel.collisions, b.channel.collisions)
+      << label << " window " << index;
+  EXPECT_EQ(a.channel.receiver_busy, b.channel.receiver_busy)
+      << label << " window " << index;
+  EXPECT_EQ(a.channel.sync_misses, b.channel.sync_misses)
+      << label << " window " << index;
+  EXPECT_EQ(a.channel.broadcasts, b.channel.broadcasts)
+      << label << " window " << index;
   EXPECT_EQ(a.overhears, b.overhears) << label << " window " << index;
-  EXPECT_EQ(a.overhears_fresh, b.overhears_fresh)
+  EXPECT_EQ(a.channel.overhear_deliveries, b.channel.overhear_deliveries)
       << label << " window " << index;
   EXPECT_EQ(a.listen_slots, b.listen_slots) << label << " window " << index;
 }

@@ -1,5 +1,7 @@
 // TraceObserver round-trip: a run's JSONL event stream, parsed back, must
-// reproduce the metrics the engine reported for the same run.
+// reproduce the metrics the engine reported for the same run and equal the
+// in-memory recording of it event for event; the reader rejects malformed
+// lines with a typed error that names the line.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +11,7 @@
 
 #include "ldcf/common/error.hpp"
 #include "ldcf/protocols/registry.hpp"
+#include "ldcf/sim/observer.hpp"
 #include "ldcf/sim/simulator.hpp"
 #include "ldcf/sim/trace_observer.hpp"
 #include "ldcf/topology/generators.hpp"
@@ -189,6 +192,118 @@ TEST(TraceObserver, ElidedTraceIsFullTraceMinusIdleSlotBegins) {
     EXPECT_EQ(elided[i].active, expected[i].active);
     EXPECT_EQ(elided[i].packet, expected[i].packet);
   }
+}
+
+void expect_same_events(const std::vector<sim::TraceEvent>& a,
+                        const std::vector<sim::TraceEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].slot, b[i].slot);
+    EXPECT_EQ(a[i].active, b[i].active);
+    EXPECT_EQ(a[i].sender, b[i].sender);
+    EXPECT_EQ(a[i].receiver, b[i].receiver);
+    EXPECT_EQ(a[i].node, b[i].node);
+    EXPECT_EQ(a[i].from, b[i].from);
+    EXPECT_EQ(a[i].packet, b[i].packet);
+    EXPECT_EQ(a[i].outcome, b[i].outcome);
+    EXPECT_EQ(a[i].duplicate, b[i].duplicate);
+    EXPECT_EQ(a[i].overheard, b[i].overheard);
+    EXPECT_EQ(a[i].end_slot, b[i].end_slot);
+    EXPECT_EQ(a[i].all_covered, b[i].all_covered);
+    EXPECT_EQ(a[i].truncated, b[i].truncated);
+  }
+}
+
+// One recorder, two sinks: the in-memory recording and the JSONL stream
+// (parsed back) of the same run are equal event for event — for every
+// protocol, on the dense and the compact path, with idle slots on and off.
+TEST(TraceObserver, InMemoryMatchesStreamedJsonlForEveryProtocol) {
+  const topology::Topology topo = small_topology();
+  for (const std::string& name : protocols::protocol_names()) {
+    for (const bool compact : {false, true}) {
+      for (const bool include_idle : {false, true}) {
+        SCOPED_TRACE(name + (compact ? " compact" : " dense") +
+                     (include_idle ? " full" : " elided"));
+        sim::SimConfig config = small_config();
+        config.compact_time = compact;
+        std::stringstream trace;
+        sim::TraceObserver streamed(trace, include_idle);
+        sim::TraceObserver recorded(include_idle);
+        sim::MultiObserver fan_out;
+        fan_out.add(&streamed);
+        fan_out.add(&recorded);
+        auto proto = protocols::make_protocol(name);
+        (void)sim::run_simulation(topo, config, *proto, &fan_out);
+        EXPECT_TRUE(streamed.events().empty());
+        ASSERT_FALSE(recorded.events().empty());
+        expect_same_events(recorded.events(), sim::read_event_trace(trace));
+      }
+    }
+  }
+}
+
+TEST(TraceObserver, TakeMovesTheRecordingOut) {
+  sim::TraceObserver recorder;
+  recorder.on_generate(0, 7);
+  ASSERT_EQ(recorder.events().size(), 1u);
+  const std::vector<sim::TraceEvent> taken = recorder.take();
+  EXPECT_EQ(taken.size(), 1u);
+  EXPECT_TRUE(recorder.events().empty());
+  recorder.on_generate(1, 9);
+  EXPECT_EQ(recorder.events().size(), 1u);
+}
+
+// Parse `text` and return the reader's error message ("" if it parsed).
+std::string reader_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    (void)sim::read_event_trace(in);
+  } catch (const InvalidArgument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+const char* const kGoodLine =
+    "{\"event\":\"generate\",\"slot\":3,\"packet\":1}\n";
+
+TEST(TraceObserver, ReaderRejectsNodeIdsBeyond32BitsInsteadOfTruncating) {
+  // 4294967297 = 2^32 + 1: a truncating cast would read node 1.
+  const std::string error = reader_error(
+      "{\"event\":\"tx\",\"slot\":5,\"sender\":4294967297,\"receiver\":2,"
+      "\"packet\":0,\"outcome\":\"delivered\",\"duplicate\":false}\n");
+  EXPECT_NE(error.find("at line 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("sender"), std::string::npos) << error;
+}
+
+TEST(TraceObserver, ReaderRejectsSlotsBeyond64BitsInsteadOfWrapping) {
+  // 2^64: a wrapping parse would read slot 0.
+  const std::string error = reader_error(
+      std::string(kGoodLine) +
+      "{\"event\":\"covered\",\"packet\":1,"
+      "\"slot\":18446744073709551616}\n");
+  EXPECT_NE(error.find("at line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("slot"), std::string::npos) << error;
+}
+
+TEST(TraceObserver, ReaderErrorsNameTheLine) {
+  // Blank lines count: the bad event sits on line 4.
+  const std::string error = reader_error(
+      std::string(kGoodLine) + "\n" + kGoodLine +
+      "{\"event\":\"generate\",\"slot\":-3,\"packet\":1}\n");
+  EXPECT_NE(error.find("at line 4"), std::string::npos) << error;
+}
+
+TEST(TraceObserver, ReaderRejectsTrailingContentAndUnknownKeys) {
+  const std::string trailing = reader_error(
+      "{\"event\":\"generate\",\"slot\":3,\"packet\":1}junk\n");
+  EXPECT_NE(trailing.find("at line 1"), std::string::npos) << trailing;
+  const std::string extra = reader_error(
+      "{\"event\":\"generate\",\"slot\":3,\"packet\":1,\"node\":2}\n");
+  EXPECT_NE(extra.find("at line 1"), std::string::npos) << extra;
+  EXPECT_EQ(reader_error(kGoodLine), "");
 }
 
 TEST(TraceObserver, ReaderRejectsMalformedLines) {
