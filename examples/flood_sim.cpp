@@ -25,14 +25,12 @@
 #include "ldcf/common/parse.hpp"
 #include "ldcf/obs/heartbeat.hpp"
 #include "ldcf/obs/report.hpp"
-#include "ldcf/obs/stats_observer.hpp"
 #include "ldcf/obs/timeline.hpp"
 #include "ldcf/obs/timeseries.hpp"
 #include "ldcf/obs/trace_analysis.hpp"
 #include "ldcf/obs/watchdog.hpp"
 #include "ldcf/protocols/registry.hpp"
 #include "ldcf/sim/simulator.hpp"
-#include "ldcf/sim/trace_observer.hpp"
 #include "ldcf/topology/generators.hpp"
 #include "ldcf/topology/trace_io.hpp"
 
@@ -189,7 +187,7 @@ int run_cli(int argc, char** argv) {
   };
   cli.add("--protocol", &protocol, analysis::knobs::protocol())
       .add("--topo", &topo_path, {"FILE", "load the topology from a trace"})
-      .add("--trace", &experiment.trace_path,
+      .add("--trace", &experiment.trial.trace_path,
            {"PATH", "write a JSONL event trace (per-trial suffix with --reps)"})
       .add("--sensors", &sensors, {"N", "generate an N-sensor topology"})
       .add("--generator", &generator, analysis::knobs::generator())
@@ -222,7 +220,7 @@ int run_cli(int argc, char** argv) {
            {"PATH", "write a provenance-stamped JSON run report (turns the "
                     "stage profiler on)"})
       .add("--progress", &show_progress, {"", "completion/ETA on stderr"})
-      .add("--analyze", &experiment.check_conformance,
+      .add("--analyze", &experiment.trial.check_conformance,
            {"", "run the causal trace analyzer (with --reps: count trials "
                 "violating the paper's bounds)"})
       .add("--timeline", &timeline_path,
@@ -230,11 +228,13 @@ int run_cli(int argc, char** argv) {
                     "trial spans, counters) as Chrome trace_event JSON"})
       .add("--heartbeat", &experiment.heartbeat_path,
            {"PATH", "append ldcf.heartbeat.v1 JSONL liveness records"})
-      .add("--heartbeat-secs", &experiment.heartbeat_seconds,
-           {"S", "seconds between heartbeats"})
+      .add("--heartbeat-secs", &experiment.trial.heartbeat_seconds,
+           common::Knob("S", "seconds between heartbeats").above(0))
       .add("--watchdog", &watchdog_config.stall_wall_seconds,
-           {"S", "stall after S wall seconds without progress: exit 3 with "
-                 "an ldcf.health.v1 diagnostic (off unless given)"})
+           common::Knob("S", "stall after S wall seconds without progress: "
+                             "exit 3 with an ldcf.health.v1 diagnostic (off "
+                             "unless given)")
+               .at_least(0))
       .add("--watchdog-slots", &watchdog_config.stall_slot_budget,
            {"N", "stall after N executed slots without progress (off unless "
                  "given)"})
@@ -250,34 +250,33 @@ int run_cli(int argc, char** argv) {
            {"PATH", "write ldcf.timeseries.v1 windowed telemetry"})
       .add("--netmap", &netmap_path,
            {"PATH", "write the ldcf.netmap.v1 hot-spot map (implies series)"})
-      .add("--window-slots", &experiment.series.window_slots,
+      .add("--window-slots", &experiment.trial.series.window_slots,
            {"N", "series window width in slots"})
-      .add("--top-k", &experiment.series.top_k,
+      .add("--top-k", &experiment.trial.series.top_k,
            {"K", "netmap table rows (1..65536)"});
   cli.parse_or_exit(argc, argv);
   if (experiment.repetitions > 1 && (csv || inject_stall)) {
     cli.usage_error("--csv and --inject-stall report one run; use --reps 1");
   }
-  const bool watchdog_enabled =
-      cli.seen("--watchdog") || cli.seen("--watchdog-slots");
+  if (cli.seen("--watchdog") || cli.seen("--watchdog-slots")) {
+    experiment.trial.watchdog = watchdog_config;
+  }
   config.channel_rng = channel_rng == "keyed"
                            ? sim::ChannelRngMode::kSlotKeyed
                            : sim::ChannelRngMode::kSequential;
   config.compact_time = compact_time == "on";
   config.duty = DutyCycle::from_ratio(duty_pct / 100.0);
   // --netmap implies series collection (one observer produces both).
-  const bool collect_series = !series_path.empty() || !netmap_path.empty();
-  if (collect_series) obs::validate(experiment.series);  // fail early.
+  experiment.trial.collect_series =
+      !series_path.empty() || !netmap_path.empty();
+  if (experiment.trial.collect_series) {
+    obs::validate(experiment.trial.series);  // fail early.
+  }
   // A report without profiler timings is half a report: turn the stage
   // profiler on for reported runs (it never changes results, only adds
   // two clock reads per stage per slot).
   if (!experiment.report_path.empty()) config.profiling = true;
   const auto wall_start = std::chrono::steady_clock::now();
-  const auto wall_seconds = [&wall_start] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall_start)
-        .count();
-  };
 
   topology::Topology topo =
       topo_path.empty()
@@ -328,38 +327,55 @@ int run_cli(int argc, char** argv) {
   if (!timeline_path.empty()) timeline.emplace();
   if (timeline) config.timeline = &*timeline;
 
-  if (experiment.repetitions > 1) {
-    // Multi-seed mode: average over the seeds, fanning the trials out
-    // over the parallel trial executor (bit-identical at any --threads).
-    if (watchdog_enabled) experiment.watchdog = watchdog_config;
-    experiment.collect_series = collect_series;
-    if (show_progress) experiment.progress = make_progress_printer();
-    // Ctrl-C / SIGTERM request cooperative cancellation: in-flight trials
-    // finish, remaining seeds are abandoned, and we exit 130 below without
-    // tearing any report file (all writers go through write_file_atomic).
-    analysis::install_cancel_signal_handlers();
-    analysis::ProtocolPoint point;
-    try {
+  // With --reps, average over the seeds on the parallel trial executor
+  // (bit-identical at any --threads); otherwise one run through the same
+  // observer wiring. Every exit flushes the timeline first.
+  const bool sweep = experiment.repetitions > 1;
+  analysis::ProtocolPoint point;
+  std::unique_ptr<sim::FloodingProtocol> proto;
+  analysis::ObservedRun run;
+  try {
+    if (sweep) {
+      if (show_progress) experiment.progress = make_progress_printer();
+      // Ctrl-C / SIGTERM cancel cooperatively: in-flight trials finish, the
+      // rest are abandoned, and we exit 130 below without tearing any
+      // report file (all writers go through write_file_atomic).
+      analysis::install_cancel_signal_handlers();
       point = analysis::run_point(topo, protocol, config.duty, experiment);
-    } catch (const analysis::CancelledError&) {
-      if (timeline) timeline->write_chrome_trace_file(timeline_path);
-      std::cerr << "flood_sim: cancelled by signal; in-flight trials "
-                   "finished, partial sweep discarded\n";
-      return 130;
-    } catch (const obs::WatchdogError& error) {
-      if (timeline) timeline->write_chrome_trace_file(timeline_path);
-      return report_watchdog_trip(error, watchdog_report_path);
+    } else {
+      proto = protocols::make_protocol(protocol);
+      if (inject_stall) {
+        proto = std::make_unique<StallAfterProtocol>(std::move(proto),
+                                                     *inject_stall);
+      }
+      analysis::TrialOptions options = experiment.trial;
+      options.collect_stats |= !experiment.report_path.empty();
+      std::optional<obs::HeartbeatWriter> heartbeat;
+      if (!experiment.heartbeat_path.empty()) {
+        options.heartbeat = &heartbeat.emplace(experiment.heartbeat_path);
+      }
+      run = analysis::run_observed(topo, *proto, config, options);
     }
+  } catch (const analysis::CancelledError&) {
     if (timeline) timeline->write_chrome_trace_file(timeline_path);
-    if (collect_series) {
-      write_series_artifacts(point.timeseries, point.netmap);
-    }
+    std::cerr << "flood_sim: cancelled by signal; in-flight trials "
+                 "finished, partial sweep discarded\n";
+    return 130;
+  } catch (const obs::WatchdogError& error) {
+    if (timeline) timeline->write_chrome_trace_file(timeline_path);
+    return report_watchdog_trip(error, watchdog_report_path);
+  }
+  if (timeline) timeline->write_chrome_trace_file(timeline_path);
+  if (experiment.trial.collect_series) {
+    write_series_artifacts(sweep ? point.timeseries : run.timeseries,
+                           sweep ? point.netmap : run.netmap);
+  }
+  if (sweep) {
     std::cout << "protocol " << point.protocol << " on " << topo.num_sensors()
               << " sensors, duty " << 100.0 * config.duty.ratio() << "% x"
               << config.slots_per_period << ", M = " << config.num_packets
               << ", seeds " << config.seed << ".."
-              << config.seed + experiment.repetitions - 1
-              << "\n";
+              << config.seed + experiment.repetitions - 1 << "\n";
     std::cout << "  delay slots: mean " << point.mean_delay << " +/- "
               << point.delay_stddev << " (queueing "
               << point.mean_queueing_delay << ", transmission "
@@ -369,7 +385,7 @@ int run_cli(int argc, char** argv) {
               << " duplicates\n";
     std::cout << "  energy per run: " << point.energy_total
               << ", est. lifetime " << point.lifetime_slots << " slots\n";
-    if (experiment.check_conformance) {
+    if (experiment.trial.check_conformance) {
       std::cout << "  conformance: " << point.violating_trials << " of "
                 << experiment.repetitions
                 << " trials violate the paper's bounds\n";
@@ -377,54 +393,7 @@ int run_cli(int argc, char** argv) {
     return point.all_covered ? 0 : 1;
   }
 
-  auto proto = protocols::make_protocol(protocol);
-  if (inject_stall) {
-    proto = std::make_unique<StallAfterProtocol>(std::move(proto),
-                                                 *inject_stall);
-  }
-  sim::MultiObserver fan_out;
-  std::optional<sim::TraceObserver> trace;
-  if (!experiment.trace_path.empty()) {
-    fan_out.add(&trace.emplace(experiment.trace_path));
-  }
-  std::optional<obs::StatsObserver> stats;
-  if (!experiment.report_path.empty()) {
-    fan_out.add(&stats.emplace(topo.num_nodes(), config.num_packets));
-  }
-  std::optional<obs::HeartbeatWriter> heartbeat_writer;
-  std::optional<obs::HeartbeatObserver> heartbeat;
-  if (!experiment.heartbeat_path.empty()) {
-    heartbeat_writer.emplace(experiment.heartbeat_path);
-    fan_out.add(&heartbeat.emplace(*heartbeat_writer, 0, protocol,
-                                   config.num_packets,
-                                   experiment.heartbeat_seconds));
-  }
-  // The series observer precedes the watchdog so a tripped invariant sees
-  // up-to-date windows when it snapshots current_causes().
-  std::optional<obs::TimeSeriesObserver> series;
-  if (collect_series) {
-    obs::TimeSeriesOptions run_series = experiment.series;
-    run_series.energy = config.energy;
-    series.emplace(topo, run_series);
-    fan_out.add(&*series);
-  }
-  std::optional<obs::WatchdogObserver> watchdog;
-  if (watchdog_enabled) {
-    fan_out.add(&watchdog.emplace(watchdog_config));
-    if (series) watchdog->set_cause_source(&*series);
-  }
-  std::optional<sim::TraceObserver> recorder;
-  if (experiment.check_conformance) fan_out.add(&recorder.emplace());
-  sim::SimResult result;
-  try {
-    result = sim::run_simulation(
-        topo, config, *proto, fan_out.size() > 0 ? &fan_out : nullptr);
-  } catch (const obs::WatchdogError& error) {
-    if (timeline) timeline->write_chrome_trace_file(timeline_path);
-    return report_watchdog_trip(error, watchdog_report_path);
-  }
-  if (timeline) timeline->write_chrome_trace_file(timeline_path);
-  if (series) write_series_artifacts(series->series(), series->netmap());
+  const sim::SimResult& result = run.result;
   if (!experiment.report_path.empty()) {
     obs::RunReportContext report;
     report.tool = "flood_sim";
@@ -432,27 +401,21 @@ int run_cli(int argc, char** argv) {
     report.topo = &topo;
     report.config = &config;
     report.result = &result;
-    report.metrics = &stats->registry();
-    if (series) {
-      report.timeseries = &series->series();
-      report.netmap = &series->netmap();
+    report.metrics = &run.metrics;
+    if (experiment.trial.collect_series) {
+      report.timeseries = &run.timeseries;
+      report.netmap = &run.netmap;
     }
-    report.wall_seconds = wall_seconds();
+    report.wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - wall_start)
+                              .count();
     obs::write_run_report_file(experiment.report_path, report);
   }
   if (result.metrics.truncated) {
     std::cerr << "flood_sim: warning: run stopped at max_slots ("
               << config.max_slots << ") before reaching coverage\n";
   }
-  if (recorder) {
-    obs::TraceAnalysisOptions options;
-    options.num_sensors = topo.num_sensors();
-    options.duty_period = config.duty.period;
-    options.source = config.source;
-    const obs::TraceAnalysis analysis =
-        obs::analyze_trace(recorder->events(), options);
-    obs::print_trace_analysis(std::cout, analysis);
-  }
+  if (run.analysis) obs::print_trace_analysis(std::cout, *run.analysis);
 
   if (csv) {
     analysis::Table table({"packet", "generated_at", "covered_at",

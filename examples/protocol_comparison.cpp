@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       .add("--watchdog", &watchdog_seconds,
            {"S", "abort after S wall seconds without progress (exit 3); "
                  "0 = off"})
-      .add("--series", &config.collect_series,
+      .add("--series", &config.trial.collect_series,
            {"", "collect windowed telemetry per trial"})
       .positional("duty_percent", &duty_percent, analysis::knobs::duty_pct(),
                   false)
@@ -48,14 +48,14 @@ int main(int argc, char** argv) {
       .positional("seed", &config.base.seed, {"S", "topology and run seed"},
                   false)
       .positional("threads", &config.threads, {"N", "0 = all cores"}, false)
-      .positional("event_trace_path", &config.trace_path,
+      .positional("event_trace_path", &config.trial.trace_path,
                   {"PATH", "per-trial JSONL event traces"}, false);
   cli.parse_or_exit(argc, argv);
   config.base.channel_rng = channel_rng == "keyed"
                                 ? sim::ChannelRngMode::kSlotKeyed
                                 : sim::ChannelRngMode::kSequential;
   if (watchdog_seconds > 0.0) {
-    config.watchdog.emplace().stall_wall_seconds = watchdog_seconds;
+    config.trial.watchdog.emplace().stall_wall_seconds = watchdog_seconds;
   }
   if (!config.report_path.empty()) config.base.profiling = true;
 
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nExpected ordering (paper Fig. 9/10): opt < dbao < of << "
                "naive.\n";
-  if (config.collect_series) {
+  if (config.trial.collect_series) {
     std::cout << "\nSeries telemetry per protocol:\n";
     for (const auto& point : points) {
       const auto& ts = point.timeseries;

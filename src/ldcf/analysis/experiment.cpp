@@ -12,7 +12,6 @@
 #include "ldcf/obs/heartbeat.hpp"
 #include "ldcf/obs/stats_observer.hpp"
 #include "ldcf/obs/timeline.hpp"
-#include "ldcf/obs/trace_analysis.hpp"
 #include "ldcf/protocols/registry.hpp"
 #include "ldcf/sim/trace_observer.hpp"
 #include "ldcf/topology/generators.hpp"
@@ -20,13 +19,10 @@
 
 namespace ldcf::analysis {
 
-TrialStats run_trial(const topology::Topology& topo,
-                     const std::string& protocol,
-                     const sim::SimConfig& config,
-                     const TrialOptions& options) {
-  obs::TimelineSpan trial_span(config.timeline, "trial", "executor", "trial",
-                               options.trial_id);
-  const auto proto = protocols::make_protocol(protocol);
+ObservedRun run_observed(const topology::Topology& topo,
+                         sim::FloodingProtocol& protocol,
+                         const sim::SimConfig& config,
+                         const TrialOptions& options) {
   // Optional observers share the engine's single observer slot through a
   // MultiObserver; the common no-observer path skips the fan-out entirely.
   sim::MultiObserver fan_out;
@@ -42,11 +38,10 @@ TrialStats run_trial(const topology::Topology& topo,
   if (options.check_conformance) fan_out.add(&recorder.emplace());
   std::optional<obs::HeartbeatObserver> heartbeat;
   if (options.heartbeat != nullptr) {
-    fan_out.add(&heartbeat.emplace(*options.heartbeat, options.trial_id,
-                                   options.label.empty() ? protocol
-                                                         : options.label,
-                                   config.num_packets,
-                                   options.heartbeat_seconds));
+    fan_out.add(&heartbeat.emplace(
+        *options.heartbeat, options.trial_id,
+        options.label.empty() ? std::string(protocol.name()) : options.label,
+        config.num_packets, options.heartbeat_seconds));
   }
   // The series observer precedes the watchdog so that when an invariant
   // trips mid-run, the windowed counters already include the current
@@ -58,27 +53,44 @@ TrialStats run_trial(const topology::Topology& topo,
     fan_out.add(&series_observer.emplace(topo, series_options));
   }
   std::optional<obs::WatchdogObserver> watchdog;
-  if (options.watchdog != nullptr) {
+  if (options.watchdog) {
     fan_out.add(&watchdog.emplace(*options.watchdog));
     if (series_observer) watchdog->set_cause_source(&*series_observer);
   }
-  const sim::SimResult res = sim::run_simulation(
-      topo, config, *proto, fan_out.size() > 0 ? &fan_out : nullptr);
-  TrialStats stats;
-  if (stats_observer) stats.metrics = std::move(stats_observer->registry());
+  ObservedRun run;
+  run.result = sim::run_simulation(topo, config, protocol,
+                                   fan_out.size() > 0 ? &fan_out : nullptr);
+  if (stats_observer) run.metrics = std::move(stats_observer->registry());
   if (series_observer) {
-    stats.timeseries = series_observer->take_series();
-    stats.netmap = series_observer->take_netmap();
+    run.timeseries = series_observer->take_series();
+    run.netmap = series_observer->take_netmap();
   }
   if (recorder) {
     obs::TraceAnalysisOptions analysis_options;
     analysis_options.num_sensors = topo.num_sensors();
     analysis_options.duty_period = config.duty.period;
     analysis_options.source = config.source;
-    const obs::TraceAnalysis analysis =
-        obs::analyze_trace(recorder->events(), analysis_options);
+    run.analysis = obs::analyze_trace(recorder->events(), analysis_options);
+  }
+  return run;
+}
+
+TrialStats run_trial(const topology::Topology& topo,
+                     const std::string& protocol,
+                     const sim::SimConfig& config,
+                     const TrialOptions& options) {
+  obs::TimelineSpan trial_span(config.timeline, "trial", "executor", "trial",
+                               options.trial_id);
+  const auto proto = protocols::make_protocol(protocol);
+  ObservedRun run = run_observed(topo, *proto, config, options);
+  const sim::SimResult& res = run.result;
+  TrialStats stats;
+  stats.metrics = std::move(run.metrics);
+  stats.timeseries = std::move(run.timeseries);
+  stats.netmap = std::move(run.netmap);
+  if (run.analysis) {
     stats.conformance_checked = true;
-    stats.conformance_violations = analysis.conformance.violations();
+    stats.conformance_violations = run.analysis->conformance.violations();
   }
   stats.profile = res.profile;
   stats.mean_delay = res.metrics.mean_total_delay();
@@ -96,7 +108,7 @@ TrialStats run_trial(const topology::Topology& topo,
 }
 
 ProtocolPoint reduce_trials(const std::string& protocol, DutyCycle duty,
-                            const std::vector<TrialStats>& trials) {
+                            std::span<const TrialStats> trials) {
   LDCF_REQUIRE(!trials.empty(), "need at least one trial");
   ProtocolPoint point;
   point.protocol = protocol;
@@ -135,6 +147,22 @@ ProtocolPoint reduce_trials(const std::string& protocol, DutyCycle duty,
   return point;
 }
 
+std::string trial_trace_path(const std::string& base,
+                             const std::string& protocol, DutyCycle duty,
+                             std::uint32_t rep, std::size_t total_trials) {
+  if (base.empty()) return {};
+  if (total_trials <= 1) return base;  // single trial: the path, verbatim.
+  std::string suffix = "-" + protocol + "-T" + std::to_string(duty.period) +
+                       "-r" + std::to_string(rep);
+  const std::size_t dot = base.find_last_of('.');
+  const std::size_t slash = base.find_last_of('/');
+  const bool has_ext =
+      dot != std::string::npos &&
+      (slash == std::string::npos || dot > slash);
+  if (!has_ext) return base + suffix;
+  return base.substr(0, dot) + suffix + base.substr(dot);
+}
+
 namespace {
 
 /// Per-repetition SimConfig for one sweep cell: the duty override and the
@@ -150,39 +178,22 @@ sim::SimConfig trial_config(const ExperimentConfig& config, DutyCycle duty,
   return run_config;
 }
 
-/// Stats are collected when explicitly requested or implied by a report.
-bool wants_stats(const ExperimentConfig& config) {
-  return config.collect_stats || !config.report_path.empty();
-}
-
-/// The shared per-sweep heartbeat writer, or nothing. unique_ptr because
-/// HeartbeatWriter owns a mutex and cannot move.
-std::unique_ptr<obs::HeartbeatWriter> make_heartbeat(
-    const ExperimentConfig& config) {
-  if (config.heartbeat_path.empty()) return nullptr;
-  return std::make_unique<obs::HeartbeatWriter>(config.heartbeat_path);
-}
-
-/// TrialOptions for one grid trial: observer switches from the experiment
-/// config plus the trial's identity (id + "proto-T<period>-r<rep>" label).
+/// TrialOptions for one grid trial: the experiment's template plus the
+/// trial's own trace file, the report's implied stats, and its identity
+/// (id + "proto-T<period>-r<rep>" heartbeat label).
 TrialOptions trial_options(const ExperimentConfig& config,
                            obs::HeartbeatWriter* heartbeat,
                            const std::string& protocol, DutyCycle duty,
                            std::uint32_t rep, std::uint64_t trial_id,
                            std::size_t total_trials) {
-  TrialOptions options;
-  options.trace_path = trial_trace_path(config.trace_path, protocol, duty,
-                                        rep, total_trials);
-  options.collect_stats = wants_stats(config);
-  options.check_conformance = config.check_conformance;
+  TrialOptions options = config.trial;
+  options.trace_path = trial_trace_path(config.trial.trace_path, protocol,
+                                        duty, rep, total_trials);
+  options.collect_stats |= !config.report_path.empty();
   options.heartbeat = heartbeat;
-  options.heartbeat_seconds = config.heartbeat_seconds;
   options.trial_id = trial_id;
   options.label = protocol + "-T" + std::to_string(duty.period) + "-r" +
                   std::to_string(rep);
-  options.watchdog = config.watchdog ? &*config.watchdog : nullptr;
-  options.collect_series = config.collect_series;
-  options.series = config.series;
   return options;
 }
 
@@ -207,86 +218,33 @@ void warn_truncated(const std::vector<ProtocolPoint>& points,
                "trials)\n";
 }
 
-}  // namespace
-
-std::string trial_trace_path(const std::string& base,
-                             const std::string& protocol, DutyCycle duty,
-                             std::uint32_t rep, std::size_t total_trials) {
-  if (base.empty()) return {};
-  if (total_trials <= 1) return base;  // single trial: the path, verbatim.
-  std::string suffix = "-" + protocol + "-T" + std::to_string(duty.period) +
-                       "-r" + std::to_string(rep);
-  const std::size_t dot = base.find_last_of('.');
-  const std::size_t slash = base.find_last_of('/');
-  const bool has_ext =
-      dot != std::string::npos &&
-      (slash == std::string::npos || dot > slash);
-  if (!has_ext) return base + suffix;
-  return base.substr(0, dot) + suffix + base.substr(dot);
-}
-
-ProtocolPoint run_point(const topology::Topology& topo,
-                        const std::string& protocol, DutyCycle duty,
-                        const ExperimentConfig& config) {
+/// run_point and run_duty_sweep: the (protocol x duty x repetition) grid
+/// as one task list, so a few cells still saturate all workers. Trial t is
+/// cell t / repetitions, repetition t % repetitions; cells reduce in grid
+/// order, so the output is bit-identical to the serial nested loop.
+std::vector<ProtocolPoint> run_grid(const topology::Topology& topo,
+                                    const std::vector<std::string>& protocols,
+                                    const std::vector<DutyCycle>& duties,
+                                    const ExperimentConfig& config,
+                                    const char* tool) {
   LDCF_REQUIRE(config.repetitions >= 1, "need at least one repetition");
   const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<TrialStats> trials(config.repetitions);
-  const std::unique_ptr<obs::HeartbeatWriter> heartbeat = make_heartbeat(config);
-  parallel_for_indexed(
-      trials.size(), config.threads,
-      [&](std::size_t rep) {
-        const auto r = static_cast<std::uint32_t>(rep);
-        trials[rep] = run_trial(
-            topo, protocol, trial_config(config, duty, r),
-            trial_options(config, heartbeat.get(), protocol,
-                          duty, r, rep, trials.size()));
-      },
-      config.progress);
-  ProtocolPoint point = [&] {
-    obs::TimelineSpan span(config.base.timeline, "reduce", "executor",
-                           "trials", trials.size());
-    return reduce_trials(protocol, duty, trials);
-  }();
-  warn_truncated({point}, trials.size());
-  if (!config.report_path.empty()) {
-    SweepReportContext report;
-    report.tool = "run_point";
-    report.topo = &topo;
-    report.config = &config;
-    const std::vector<ProtocolPoint> points = {point};
-    report.points = &points;
-    report.wall_seconds = seconds_since(wall_start);
-    write_sweep_report_file(config.report_path, report);
-  }
-  return point;
-}
-
-std::vector<ProtocolPoint> run_duty_sweep(
-    const topology::Topology& topo, const std::vector<std::string>& protocols,
-    const std::vector<double>& duty_ratios, const ExperimentConfig& config) {
-  LDCF_REQUIRE(config.repetitions >= 1, "need at least one repetition");
-  const auto wall_start = std::chrono::steady_clock::now();
-  // Flatten the whole (protocol x duty x repetition) grid into one task
-  // list so a few protocols at a few duty cycles still saturate all
-  // workers. Trial t belongs to grid cell t / repetitions, repetition
-  // t % repetitions; the reduction below walks cells in grid order, so
-  // the output is bit-identical to the serial nested loop.
   const std::size_t reps = config.repetitions;
-  const std::size_t cells = protocols.size() * duty_ratios.size();
+  const std::size_t cells = protocols.size() * duties.size();
   std::vector<TrialStats> trials(cells * reps);
-  const std::unique_ptr<obs::HeartbeatWriter> heartbeat = make_heartbeat(config);
+  std::optional<obs::HeartbeatWriter> heartbeat;  // shared by every worker.
+  if (!config.heartbeat_path.empty()) heartbeat.emplace(config.heartbeat_path);
   parallel_for_indexed(
       trials.size(), config.threads,
       [&](std::size_t t) {
         const std::size_t cell = t / reps;
         const auto rep = static_cast<std::uint32_t>(t % reps);
-        const std::string& protocol = protocols[cell / duty_ratios.size()];
-        const DutyCycle duty =
-            DutyCycle::from_ratio(duty_ratios[cell % duty_ratios.size()]);
+        const std::string& protocol = protocols[cell / duties.size()];
+        const DutyCycle duty = duties[cell % duties.size()];
         trials[t] = run_trial(
             topo, protocol, trial_config(config, duty, rep),
-            trial_options(config, heartbeat.get(), protocol,
-                          duty, rep, t, trials.size()));
+            trial_options(config, heartbeat ? &*heartbeat : nullptr,
+                          protocol, duty, rep, t, trials.size()));
       },
       config.progress);
 
@@ -296,19 +254,15 @@ std::vector<ProtocolPoint> run_duty_sweep(
     obs::TimelineSpan span(config.base.timeline, "reduce", "executor",
                            "trials", trials.size());
     for (std::size_t cell = 0; cell < cells; ++cell) {
-      const std::vector<TrialStats> cell_trials(
-          trials.begin() + static_cast<std::ptrdiff_t>(cell * reps),
-          trials.begin() + static_cast<std::ptrdiff_t>((cell + 1) * reps));
       points.push_back(reduce_trials(
-          protocols[cell / duty_ratios.size()],
-          DutyCycle::from_ratio(duty_ratios[cell % duty_ratios.size()]),
-          cell_trials));
+          protocols[cell / duties.size()], duties[cell % duties.size()],
+          std::span<const TrialStats>(trials).subspan(cell * reps, reps)));
     }
   }
   warn_truncated(points, trials.size());
   if (!config.report_path.empty()) {
     SweepReportContext report;
-    report.tool = "run_duty_sweep";
+    report.tool = tool;
     report.topo = &topo;
     report.config = &config;
     report.points = &points;
@@ -316,6 +270,24 @@ std::vector<ProtocolPoint> run_duty_sweep(
     write_sweep_report_file(config.report_path, report);
   }
   return points;
+}
+
+}  // namespace
+
+ProtocolPoint run_point(const topology::Topology& topo,
+                        const std::string& protocol, DutyCycle duty,
+                        const ExperimentConfig& config) {
+  return run_grid(topo, {protocol}, {duty}, config, "run_point").front();
+}
+
+std::vector<ProtocolPoint> run_duty_sweep(
+    const topology::Topology& topo, const std::vector<std::string>& protocols,
+    const std::vector<double>& duty_ratios, const ExperimentConfig& config) {
+  std::vector<DutyCycle> duties;
+  for (const double ratio : duty_ratios) {
+    duties.push_back(DutyCycle::from_ratio(ratio));
+  }
+  return run_grid(topo, protocols, duties, config, "run_duty_sweep");
 }
 
 double effective_k(const topology::Topology& topo, KEstimate mode) {
@@ -382,7 +354,7 @@ std::vector<ScalePoint> run_scale_sweep(
     sp.eccentricity = topo.eccentricity_from_source();
     ExperimentConfig per_size = config;
     per_size.report_path.clear();
-    per_size.trace_path.clear();
+    per_size.trial.trace_path.clear();
     // Scale sweeps always run the channel keyed: like the pair-keyed link
     // RNG above, counter-based draws make large-N realizations independent
     // of evaluation order. Nothing pins sequential realizations at these
@@ -401,9 +373,9 @@ PacketSeries run_packet_series(const topology::Topology& topo,
   PacketSeries series;
   series.protocol = protocol;
   const auto proto = protocols::make_protocol(protocol);
-  const sim::SimResult res = sim::run_simulation(topo, config, *proto);
-  series.total_delay.reserve(res.metrics.packets.size());
-  for (const auto& rec : res.metrics.packets) {
+  const ObservedRun run = run_observed(topo, *proto, config, TrialOptions{});
+  series.total_delay.reserve(run.result.metrics.packets.size());
+  for (const auto& rec : run.result.metrics.packets) {
     series.total_delay.push_back(rec.total_delay());
     series.queueing_delay.push_back(rec.queueing_delay());
     series.transmission_delay.push_back(rec.transmission_delay());

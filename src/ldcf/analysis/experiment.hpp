@@ -4,12 +4,14 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "ldcf/analysis/parallel.hpp"
 #include "ldcf/obs/registry.hpp"
 #include "ldcf/obs/timeseries.hpp"
+#include "ldcf/obs/trace_analysis.hpp"
 #include "ldcf/obs/watchdog.hpp"
 #include "ldcf/sim/simulator.hpp"
 #include "ldcf/topology/topology.hpp"
@@ -39,21 +41,47 @@ struct ProtocolPoint {
   std::uint32_t truncated_trials = 0;  ///< how many repetitions hit it.
   /// Repetitions whose trace analysis reported at least one theory
   /// violation (see obs/trace_analysis.hpp); counted only when
-  /// ExperimentConfig::check_conformance is on.
+  /// ExperimentConfig::trial.check_conformance is on.
   std::uint32_t violating_trials = 0;
   /// Telemetry merged across the point's trials in repetition order
   /// (bit-identical for any thread count). Empty unless the experiment
-  /// collected stats (ExperimentConfig::collect_stats / report_path).
+  /// collected stats (ExperimentConfig::trial.collect_stats / report_path).
   obs::MetricsRegistry metrics;
   /// Stage timings summed across trials; all-zero unless base.profiling.
   sim::StageProfile profile;
   /// Windowed telemetry merged across trials (order-independent counter
   /// addition; widths aligned by coarsening). Empty unless
-  /// ExperimentConfig::collect_series.
+  /// ExperimentConfig::trial.collect_series.
   obs::TimeSeries timeseries;
   /// Per-node/per-link hot-spot map merged across trials. Empty unless
-  /// ExperimentConfig::collect_series.
+  /// ExperimentConfig::trial.collect_series.
   obs::NetMap netmap;
+};
+
+/// Which observers run_observed attaches; `TrialOptions{}` attaches none.
+struct TrialOptions {
+  /// Non-empty: attach a TraceObserver writing JSONL here.
+  std::string trace_path;
+  /// Attach a StatsObserver (obs/stats_observer.hpp).
+  bool collect_stats = false;
+  /// Record the run in memory and check it against the paper's bounds
+  /// (Lemma 1/2, Corollary 1, Theorem 2 — see obs/trace_analysis.hpp).
+  bool check_conformance = false;
+  /// Non-null: attach a HeartbeatObserver streaming liveness records for
+  /// this run (identified by trial_id/label) to the shared writer.
+  obs::HeartbeatWriter* heartbeat = nullptr;
+  double heartbeat_seconds = 5.0;  ///< minimum wall time between samples.
+  std::uint64_t trial_id = 0;
+  std::string label;  ///< heartbeat label; empty = the protocol's name.
+  /// Set: attach a WatchdogObserver; a tripped invariant throws
+  /// WatchdogError out of the run.
+  std::optional<obs::WatchdogConfig> watchdog;
+  /// Attach a TimeSeriesObserver (energy model overridden with the run's,
+  /// so burn rates match its EnergyReport). With a watchdog too, the series
+  /// registers first and feeds it structured causes (AnomalySource), so a
+  /// tripped health report explains what led up to the failure.
+  bool collect_series = false;
+  obs::TimeSeriesOptions series{};
 };
 
 struct ExperimentConfig {
@@ -63,47 +91,20 @@ struct ExperimentConfig {
   /// hardware thread, 1 = exact serial fallback (no thread spawned).
   /// Results are bit-identical for every value (see parallel.hpp).
   std::uint32_t threads = 0;
-  /// When non-empty, every trial writes a JSONL event trace (see
-  /// trace_observer.hpp). A run of more than one trial appends a
-  /// "-<protocol>-T<period>-r<rep>" suffix before the extension so each
-  /// trial gets its own file; a single-trial run writes exactly this path
-  /// (the rule is trial_trace_path below).
-  std::string trace_path;
-  /// Attach a StatsObserver to every trial and merge the registries into
-  /// each ProtocolPoint (see obs/stats_observer.hpp). Implied by a
-  /// non-empty report_path.
-  bool collect_stats = false;
+  /// The observers every trial starts from. Per trial, the trace path is
+  /// suffixed (trial_trace_path), a report implies stats, and the shared
+  /// heartbeat writer, trial id and label are filled in.
+  TrialOptions trial{};
   /// When non-empty, run_point / run_duty_sweep write a provenance-stamped
   /// JSON sweep report here (see analysis/report.hpp).
   std::string report_path;
-  /// Record every trial in memory (sim::TraceObserver) and check it against
-  /// the paper's bounds (Lemma 1/2 growth, Lemma 2 FWL floor, Corollary 1
-  /// blocking window, Theorem 2 FDL envelope — see obs/trace_analysis.hpp);
-  /// violating trials are counted per point the way truncated ones are.
-  bool check_conformance = false;
   /// Completion callback forwarded to the parallel executor; see
   /// ProgressFn in parallel.hpp for the threading contract.
   ProgressFn progress;
   /// When non-empty, stream `ldcf.heartbeat.v1` JSONL liveness records
-  /// (one shared append-mode writer across all trial workers) to this
-  /// file; see obs/heartbeat.hpp.
+  /// (one shared append-mode writer across all trial workers, sampled every
+  /// trial.heartbeat_seconds) to this file; see obs/heartbeat.hpp.
   std::string heartbeat_path;
-  /// Minimum wall-clock seconds between heartbeat samples per trial (the
-  /// final `done` record always fires).
-  double heartbeat_seconds = 5.0;
-  /// When set, attach a WatchdogObserver with this config to every trial;
-  /// the first tripped invariant aborts the sweep with WatchdogError
-  /// (deterministically — the lowest-index failing trial wins, see
-  /// parallel.hpp).
-  std::optional<obs::WatchdogConfig> watchdog;
-  /// Attach a TimeSeriesObserver to every trial and merge the windowed
-  /// series / hot-spot maps into each ProtocolPoint. Never forces the
-  /// dense path; per-trial merging is bit-identical for any thread count.
-  bool collect_series = false;
-  /// Options for the per-trial series observers (the energy model is
-  /// overridden with base.energy so series burn rates match the run's
-  /// EnergyReport).
-  obs::TimeSeriesOptions series{};
   /// Called on each trial's resolved SimConfig (duty and seed already set)
   /// before the trial runs. A caching caller (the sweep service) uses this
   /// to attach memoized immutable artifacts — SimConfig::shared_schedules /
@@ -134,36 +135,27 @@ struct TrialStats {
   obs::NetMap netmap;            ///< populated when collect_series is on.
 };
 
-/// Per-trial observer selection for run_trial. Everything is optional and
-/// borrowed; the common all-defaults case attaches nothing.
-struct TrialOptions {
-  /// Non-empty: attach a TraceObserver writing JSONL here.
-  std::string trace_path;
-  /// Attach a StatsObserver and return its registry in TrialStats::metrics.
-  bool collect_stats = false;
-  /// Record the trial in memory and fill its conformance verdict.
-  bool check_conformance = false;
-  /// Non-null: attach a HeartbeatObserver streaming liveness records for
-  /// this trial (identified by trial_id/label) to the shared writer.
-  obs::HeartbeatWriter* heartbeat = nullptr;
-  double heartbeat_seconds = 5.0;
-  std::uint64_t trial_id = 0;
-  std::string label;  ///< heartbeat label, e.g. "naive-T20-r3".
-  /// Non-null: attach a WatchdogObserver with this config; a tripped
-  /// invariant throws WatchdogError out of run_trial.
-  const obs::WatchdogConfig* watchdog = nullptr;
-  /// Attach a TimeSeriesObserver and return its series/netmap in the
-  /// trial's stats. When a watchdog is also attached, the series observer
-  /// registers first and feeds it structured causes (AnomalySource), so a
-  /// tripped health report explains what led up to the failure.
-  bool collect_series = false;
-  obs::TimeSeriesOptions series{};
+/// One run's result plus what its selected observers collected.
+struct ObservedRun {
+  sim::SimResult result;
+  obs::MetricsRegistry metrics;  ///< collect_stats.
+  obs::TimeSeries timeseries;    ///< collect_series.
+  obs::NetMap netmap;            ///< collect_series.
+  std::optional<obs::TraceAnalysis> analysis;  ///< check_conformance.
 };
 
+/// The one place per-run observers are wired: every sweep trial and
+/// flood_sim's single run go through here.
+[[nodiscard]] ObservedRun run_observed(const topology::Topology& topo,
+                                       sim::FloodingProtocol& protocol,
+                                       const sim::SimConfig& config,
+                                       const TrialOptions& options);
+
 /// One simulation run of `protocol` under exactly `config` (duty and seed
-/// already set). Self-contained: safe to run concurrently with other
-/// trials — a shared config.timeline is fine (per-thread lanes), and the
-/// trial itself records a "trial" span on it.
+/// already set): make_protocol + run_observed, reduced to TrialStats.
+/// Self-contained: safe to run concurrently with other trials — a shared
+/// config.timeline is fine (per-thread lanes), and the trial itself records
+/// a "trial" span on it.
 [[nodiscard]] TrialStats run_trial(const topology::Topology& topo,
                                    const std::string& protocol,
                                    const sim::SimConfig& config,
@@ -177,13 +169,14 @@ struct TrialOptions {
 /// order (see histogram.hpp).
 [[nodiscard]] ProtocolPoint reduce_trials(const std::string& protocol,
                                           DutyCycle duty,
-                                          const std::vector<TrialStats>& trials);
+                                          std::span<const TrialStats> trials);
 
-/// The per-trial event-trace file for `base` (ExperimentConfig::trace_path):
-/// empty stays empty, a single-trial run (`total_trials <= 1`) gets exactly
-/// `base`, and any larger run splices "-<protocol>-T<period>-r<rep>" in
-/// before the extension (after the last '/'-separated component's last
-/// dot; appended when there is no extension).
+/// The per-trial event-trace file for `base` (ExperimentConfig::trial's
+/// trace_path): empty stays empty, a single-trial run (`total_trials <= 1`)
+/// gets exactly `base`, and any larger run splices
+/// "-<protocol>-T<period>-r<rep>" in before the extension (after the last
+/// '/'-separated component's last dot; appended when there is no
+/// extension).
 [[nodiscard]] std::string trial_trace_path(const std::string& base,
                                            const std::string& protocol,
                                            DutyCycle duty, std::uint32_t rep,
@@ -226,7 +219,7 @@ using TopologyFactory = std::function<topology::Topology(
 
 /// Run `protocol` at `duty_ratio` across network sizes. Sizes run in
 /// sequence (each one's repetitions fan out over config.threads);
-/// config.report_path and trace_path are ignored per size — one sweep
+/// config.report_path and trial.trace_path are ignored per size — one sweep
 /// produces one result set the caller renders. The channel always runs in
 /// ChannelRngMode::kSlotKeyed here (config.base.channel_rng is overridden),
 /// matching the pair-keyed link RNG of the default factory: large-N sweeps

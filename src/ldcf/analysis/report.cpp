@@ -51,8 +51,8 @@ void write_point(obs::JsonWriter& json, const ProtocolPoint& point) {
   json.key("metrics");
   obs::write_registry(json, point.metrics);
   // Windowed telemetry rides along only when the sweep collected it
-  // (ExperimentConfig::collect_series); the sections use the same bodies
-  // as the standalone ldcf.timeseries.v1 / ldcf.netmap.v1 artifacts.
+  // (ExperimentConfig::trial.collect_series); the sections use the same
+  // bodies as the standalone ldcf.timeseries.v1 / ldcf.netmap.v1 artifacts.
   if (!point.timeseries.empty()) {
     json.key("timeseries");
     obs::write_timeseries(json, point.timeseries);

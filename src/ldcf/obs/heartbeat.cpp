@@ -1,6 +1,5 @@
 #include "ldcf/obs/heartbeat.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "ldcf/common/error.hpp"
@@ -58,8 +57,7 @@ HeartbeatObserver::HeartbeatObserver(HeartbeatWriter& writer,
       trial_(trial),
       label_(std::move(label)),
       packets_total_(packets_total),
-      interval_ns_(static_cast<std::uint64_t>(
-          std::max(0.0, interval_seconds) * 1e9)) {
+      interval_ns_(interval_seconds * 1e9) {
   LDCF_REQUIRE(interval_seconds > 0.0, "interval_seconds must be positive");
   start_ns_ = wall_now_ns();
   last_emit_ns_ = start_ns_;
@@ -99,7 +97,7 @@ void HeartbeatObserver::on_slot_begin(SlotIndex slot,
   static constexpr std::uint64_t kCheckStride = 1024;
   if ((slot % kCheckStride) != 0) return;
   const std::uint64_t now = wall_now_ns();
-  if (now - last_emit_ns_ < interval_ns_) return;
+  if (static_cast<double>(now - last_emit_ns_) < interval_ns_) return;
   emit(slot, /*done=*/false);
 }
 

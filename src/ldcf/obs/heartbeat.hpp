@@ -6,14 +6,12 @@
 // server) can `tail -f`. The writer is shared by every trial worker, so a
 // sweep's heartbeats interleave into a single chronological file.
 //
-// Two producers emit records:
-//   * HeartbeatObserver — attached to one engine run; samples the run's
-//     progress (slots executed, packets covered, virtual-time rate, an
-//     ETA extrapolated from coverage progress) on a wall-clock interval,
-//     plus a final `done` record.
-//   * the parallel trial executor — one `done` record per finished trial
-//     (analysis/experiment.cpp), covering runs too short to ever hit the
-//     observer's sampling interval.
+// HeartbeatObserver is the one producer: attached to one engine run (the
+// analysis layer attaches one per trial, see analysis::run_observed), it
+// samples the run's progress (slots executed, packets covered, virtual-time
+// rate, an ETA extrapolated from coverage progress) on a wall-clock
+// interval, plus a final `done` record — so even a run too short to hit
+// the interval leaves one record.
 //
 // Purely observational: heartbeats never affect simulation results.
 #pragma once
@@ -82,7 +80,7 @@ class HeartbeatObserver final : public sim::SimObserver {
   std::uint64_t trial_;
   std::string label_;
   std::uint32_t packets_total_;
-  std::uint64_t interval_ns_;
+  double interval_ns_;  ///< double: seconds x 1e9 can exceed uint64_t.
   std::uint64_t start_ns_ = 0;
   std::uint64_t last_emit_ns_ = 0;
   std::uint64_t covered_ = 0;

@@ -27,9 +27,10 @@
 // The theory assumes reliable links and unicast dissemination; on lossy
 // topologies a failed Theorem 2 envelope check flags a run whose delay the
 // reliable-link theory cannot explain (that is the point: sweeps count such
-// trials via ExperimentConfig::check_conformance). Broadcast protocols void
-// the unicast growth model, so growth/FWL checks mark themselves not
-// applicable when the trace contains broadcast transmissions.
+// trials via ExperimentConfig::trial.check_conformance). Broadcast
+// protocols void the unicast growth model, so growth/FWL checks mark
+// themselves not applicable when the trace contains broadcast
+// transmissions.
 #pragma once
 
 #include <cstdint>

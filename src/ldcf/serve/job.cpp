@@ -99,7 +99,7 @@ analysis::ExperimentConfig make_experiment(const JobSpec& spec) {
   experiment.base.profiling = false;
   experiment.repetitions = spec.reps;
   experiment.threads = spec.threads;
-  experiment.collect_stats = spec.collect_stats;
+  experiment.trial.collect_stats = spec.collect_stats;
   return experiment;
 }
 

@@ -137,12 +137,19 @@ bool LineReader::next_line(std::string& line) {
   while (true) {
     const std::size_t newline = buffer_.find('\n', scan_from_);
     if (newline != std::string::npos) {
-      line.assign(buffer_, 0, newline);
-      buffer_.erase(0, newline + 1);
-      scan_from_ = 0;
+      line.assign(buffer_, head_, newline - head_);
+      head_ = scan_from_ = newline + 1;
       return true;
     }
+    // Compact once per recv, not once per line: pipelined frames cost
+    // linear time, however many arrive in one chunk.
+    buffer_.erase(0, head_);
+    head_ = 0;
     scan_from_ = buffer_.size();
+    if (buffer_.size() > kMaxLineBytes) {
+      throw InvalidArgument("frame exceeds " + std::to_string(kMaxLineBytes) +
+                            " bytes without a newline");
+    }
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n <= 0) {

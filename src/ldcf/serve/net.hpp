@@ -4,6 +4,7 @@
 // it to speak raw frames at the daemon.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -54,6 +55,12 @@ struct Endpoint {
 /// Write all of `data`, suppressing SIGPIPE; false once the peer is gone.
 [[nodiscard]] bool send_all(int fd, std::string_view data);
 
+/// Most bytes a LineReader buffers without seeing a newline. Every frame
+/// either side writes is one line; the largest, a result frame embedding a
+/// collect_stats sweep report, measures about 10 KiB (OF, 256 reps), so a
+/// longer "line" is a broken or hostile peer, not a frame.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{4} << 20;
+
 /// Buffered newline-delimited reads off a blocking socket.
 class LineReader {
  public:
@@ -61,13 +68,15 @@ class LineReader {
 
   /// Next '\n'-terminated line (terminator stripped). False on EOF or
   /// error; a trailing unterminated fragment is discarded, which is right
-  /// for a protocol where every frame ends in '\n'.
+  /// for a protocol where every frame ends in '\n'. Throws InvalidArgument
+  /// once more than kMaxLineBytes arrive without a newline.
   [[nodiscard]] bool next_line(std::string& line);
 
  private:
   int fd_;
   std::string buffer_;
-  std::size_t scan_from_ = 0;
+  std::size_t head_ = 0;       ///< start of the first unconsumed line.
+  std::size_t scan_from_ = 0;  ///< bytes before this hold no newline.
 };
 
 }  // namespace ldcf::serve

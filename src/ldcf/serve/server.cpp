@@ -205,9 +205,17 @@ void FloodServer::acceptor_loop() {
 void FloodServer::connection_loop(const std::shared_ptr<Connection>& conn) {
   LineReader reader(conn->sock.fd());
   std::string line;
-  while (reader.next_line(line)) {
-    if (line.empty()) continue;  // tolerate keep-alive blank lines.
-    handle_frame(conn, line);
+  try {
+    while (reader.next_line(line)) {
+      if (line.empty()) continue;  // tolerate keep-alive blank lines.
+      handle_frame(conn, line);
+    }
+  } catch (const InvalidArgument& e) {
+    // An over-long line (handle_frame catches its own errors): refuse it and
+    // drop the connection; its stream has no frame boundary left.
+    malformed_frames_.fetch_add(1, std::memory_order_relaxed);
+    (void)send_frame(*conn, error_frame(0, "frame_too_large", e.what()));
+    ::shutdown(conn->sock.fd(), SHUT_RDWR);
   }
   conn->alive.store(false, std::memory_order_relaxed);
 }

@@ -11,7 +11,9 @@
 //                                              "report":{ldcf.sweep_report.v2}}
 //
 // Malformed frames and inadmissible jobs get structured {"type":"rejected"}
-// or {"type":"error"} frames; the daemon never dies on client input.
+// or {"type":"error"} frames; the daemon never dies on client input. A line
+// longer than kMaxLineBytes (net.hpp) gets {"type":"error","job":0,
+// "code":"frame_too_large"} and the connection is closed.
 //
 // Architecture: one acceptor thread, one reader thread per connection, and
 // a bounded worker pool executing jobs FIFO. Each job's trials fan out

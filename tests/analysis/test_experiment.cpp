@@ -8,6 +8,9 @@
 #include <sstream>
 
 #include "ldcf/common/error.hpp"
+#include "ldcf/obs/heartbeat.hpp"
+#include "ldcf/obs/json_writer.hpp"
+#include "ldcf/obs/report.hpp"
 #include "ldcf/protocols/registry.hpp"
 #include "ldcf/topology/generators.hpp"
 
@@ -214,7 +217,7 @@ TEST(Experiment, MergedTelemetryIsBitIdenticalAcrossThreadCounts) {
   serial.base.num_packets = 4;
   serial.repetitions = 4;
   serial.threads = 1;
-  serial.collect_stats = true;
+  serial.trial.collect_stats = true;
   ExperimentConfig parallel = serial;
   parallel.threads = 4;
 
@@ -408,7 +411,7 @@ TEST(Experiment, ConformanceCountsViolatingTrials) {
   ExperimentConfig config = quick();
   config.base.duty = DutyCycle{10};
   config.repetitions = 3;
-  config.check_conformance = true;
+  config.trial.check_conformance = true;
 
   config.threads = 1;
   const auto serial = run_point(topo, "of", DutyCycle{10}, config);
@@ -427,7 +430,7 @@ TEST(Experiment, ConformanceReachesTheSweepReport) {
   const auto topo = small_trace();
   ExperimentConfig config = quick();
   config.repetitions = 2;
-  config.check_conformance = true;
+  config.trial.check_conformance = true;
   const std::string path =
       (std::filesystem::temp_directory_path() / "ldcf_conf_report.json")
           .string();
@@ -439,6 +442,133 @@ TEST(Experiment, ConformanceReachesTheSweepReport) {
   buffer << in.rdbuf();
   EXPECT_NE(buffer.str().find("\"violating_trials\""), std::string::npos);
   std::filesystem::remove(path);
+}
+
+// The contract every TrialOptions{} caller relies on: nothing is attached,
+// and the trial's scalars are exactly those of a bare engine run.
+TEST(RunPath, EmptyOptionsAttachNothingForEveryProtocol) {
+  const auto topo = small_trace();
+  sim::SimConfig config = quick().base;
+  config.duty = DutyCycle{10};
+  for (const std::string& name : protocols::protocol_names()) {
+    SCOPED_TRACE(name);
+    const TrialStats stats = run_trial(topo, name, config, TrialOptions{});
+    EXPECT_TRUE(stats.metrics.counters().empty());
+    EXPECT_TRUE(stats.metrics.gauges().empty());
+    EXPECT_TRUE(stats.metrics.histograms().empty());
+    EXPECT_TRUE(stats.timeseries.empty());
+    EXPECT_TRUE(stats.netmap.empty());
+    EXPECT_FALSE(stats.conformance_checked);
+
+    const auto proto = protocols::make_protocol(name);
+    const sim::SimResult bare = sim::run_simulation(topo, config, *proto);
+    EXPECT_EQ(stats.mean_delay, bare.metrics.mean_total_delay());
+    EXPECT_EQ(stats.mean_queueing_delay, bare.metrics.mean_queueing_delay());
+    EXPECT_EQ(stats.mean_transmission_delay,
+              bare.metrics.mean_transmission_delay());
+    EXPECT_EQ(stats.failures,
+              static_cast<double>(bare.metrics.channel.failures()));
+    EXPECT_EQ(stats.attempts,
+              static_cast<double>(bare.metrics.channel.attempts));
+    EXPECT_EQ(stats.duplicates,
+              static_cast<double>(bare.metrics.channel.duplicates));
+    EXPECT_EQ(stats.energy_total, bare.energy.total);
+    EXPECT_EQ(stats.lifetime_slots,
+              sim::estimate_lifetime_slots(bare.tally, config.energy,
+                                           bare.metrics.end_slot));
+    EXPECT_EQ(stats.all_covered, bare.metrics.all_covered);
+    EXPECT_EQ(stats.truncated, bare.metrics.truncated);
+  }
+}
+
+template <typename Write>
+std::string to_json(Write write) {
+  std::ostringstream out;
+  {
+    obs::JsonWriter json(out);
+    write(json);
+  }
+  return out.str();
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// run_trial is make_protocol + run_observed + a reduction: with every
+// observer on, the core's artifacts are exactly what the trial reports.
+TEST(RunPath, ObservedRunMatchesRunTrialWithEveryObserverOn) {
+  const auto topo = small_trace();
+  sim::SimConfig config = quick().base;
+  config.duty = DutyCycle{10};
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto heartbeat_path = dir / "ldcf_run_path_heartbeat.jsonl";
+  std::filesystem::remove(heartbeat_path);
+  obs::HeartbeatWriter heartbeat(heartbeat_path.string());
+
+  TrialOptions options;
+  options.collect_stats = true;
+  options.check_conformance = true;
+  options.heartbeat = &heartbeat;
+  options.watchdog = obs::WatchdogConfig{};
+  options.collect_series = true;
+  options.series.window_slots = 64;
+
+  const auto proto = protocols::make_protocol("dbao");
+  options.trace_path = (dir / "ldcf_run_path_core.jsonl").string();
+  const ObservedRun run = run_observed(topo, *proto, config, options);
+  options.trace_path = (dir / "ldcf_run_path_trial.jsonl").string();
+  const TrialStats stats = run_trial(topo, "dbao", config, options);
+
+  const sim::RunMetrics& m = run.result.metrics;
+  EXPECT_EQ(stats.mean_delay, m.mean_total_delay());
+  EXPECT_EQ(stats.attempts, static_cast<double>(m.channel.attempts));
+  EXPECT_EQ(stats.failures, static_cast<double>(m.channel.failures()));
+  EXPECT_EQ(stats.energy_total, run.result.energy.total);
+  EXPECT_EQ(stats.all_covered, m.all_covered);
+  EXPECT_FALSE(run.metrics.counters().empty());
+  EXPECT_EQ(to_json([&](obs::JsonWriter& j) {
+              obs::write_registry(j, stats.metrics);
+            }),
+            to_json([&](obs::JsonWriter& j) {
+              obs::write_registry(j, run.metrics);
+            }));
+  EXPECT_FALSE(run.timeseries.empty());
+  EXPECT_EQ(to_json([&](obs::JsonWriter& j) {
+              obs::write_timeseries(j, stats.timeseries);
+            }),
+            to_json([&](obs::JsonWriter& j) {
+              obs::write_timeseries(j, run.timeseries);
+            }));
+  EXPECT_EQ(to_json([&](obs::JsonWriter& j) {
+              obs::write_netmap(j, stats.netmap);
+            }),
+            to_json([&](obs::JsonWriter& j) {
+              obs::write_netmap(j, run.netmap);
+            }));
+  ASSERT_TRUE(run.analysis.has_value());
+  EXPECT_TRUE(stats.conformance_checked);
+  EXPECT_EQ(stats.conformance_violations,
+            run.analysis->conformance.violations());
+
+  const std::string core_trace = file_bytes(dir / "ldcf_run_path_core.jsonl");
+  EXPECT_FALSE(core_trace.empty());
+  EXPECT_EQ(core_trace, file_bytes(dir / "ldcf_run_path_trial.jsonl"));
+  // One `done` record per run, labelled with the protocol's name.
+  const std::string beats = file_bytes(heartbeat_path);
+  std::size_t done = 0;
+  for (std::size_t at = 0;
+       (at = beats.find("\"done\":true", at)) != std::string::npos; ++at) {
+    ++done;
+  }
+  EXPECT_EQ(done, 2u);
+  EXPECT_NE(beats.find("\"label\":\"dbao\""), std::string::npos);
+  std::filesystem::remove(dir / "ldcf_run_path_core.jsonl");
+  std::filesystem::remove(dir / "ldcf_run_path_trial.jsonl");
+  std::filesystem::remove(heartbeat_path);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "ldcf/serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstdio>
 #include <fstream>
@@ -16,6 +17,7 @@
 
 #include "ldcf/analysis/experiment.hpp"
 #include "ldcf/analysis/report.hpp"
+#include "ldcf/common/error.hpp"
 #include "ldcf/obs/json_reader.hpp"
 #include "ldcf/serve/client.hpp"
 #include "ldcf/serve/job.hpp"
@@ -242,6 +244,92 @@ TEST(FloodServerTest, StopFlushesQueuedJobsWithShutdownErrors) {
   EXPECT_EQ(error->str("type"), "error");
   EXPECT_EQ(error->str("code"), "shutdown");
   EXPECT_EQ(server.stats().jobs.failed, 1u);
+}
+
+/// A connected AF_UNIX stream pair: what one LineReader reads, the other
+/// end writes.
+std::pair<ldcf::serve::Socket, ldcf::serve::Socket> socket_pair() {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {ldcf::serve::Socket(fds[0]), ldcf::serve::Socket(fds[1])};
+}
+
+TEST(LineReader, SplitsPipelinedLinesAndJoinsFragments) {
+  auto [reader_end, writer_end] = socket_pair();
+  ASSERT_TRUE(ldcf::serve::send_all(writer_end.fd(), "a\nbb\n\nccc"));
+  ASSERT_TRUE(ldcf::serve::send_all(writer_end.fd(), "c\ntail"));
+  writer_end.close();
+  ldcf::serve::LineReader reader(reader_end.fd());
+  std::vector<std::string> lines;
+  for (std::string line; reader.next_line(line);) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{"a", "bb", "", "cccc"}));
+}
+
+TEST(LineReader, OverlongLineThrowsInvalidArgument) {
+  auto [reader_end, writer_end] = socket_pair();
+  std::thread writer([fd = writer_end.fd()] {
+    (void)ldcf::serve::send_all(
+        fd, std::string(2 * ldcf::serve::kMaxLineBytes, 'x'));
+    ::shutdown(fd, SHUT_WR);  // an unbounded reader sees EOF, not a hang.
+  });
+  ldcf::serve::LineReader reader(reader_end.fd());
+  std::string line;
+  EXPECT_THROW((void)reader.next_line(line), ldcf::InvalidArgument);
+  ::shutdown(reader_end.fd(), SHUT_RDWR);  // unblock the writer.
+  writer.join();
+}
+
+TEST(LineReader, ServerRefusesOverlongLineAndKeepsServing) {
+  FloodServer server(local_config());
+  server.start();
+  ldcf::serve::Socket sock = ldcf::serve::connect_to(client_endpoint(server));
+  std::thread writer([fd = sock.fd()] {
+    (void)ldcf::serve::send_all(
+        fd, std::string(2 * ldcf::serve::kMaxLineBytes, ' ') + "\n");
+  });
+  ldcf::serve::LineReader reader(sock.fd());
+  std::string reply;
+  const bool replied = reader.next_line(reply);
+  const JsonPtr frame = parse_json(replied ? reply : "{}");
+  // The refusal closes the connection: the next read sees its end.
+  std::string more;
+  const bool closed =
+      frame->str("type") == "error" && !reader.next_line(more);
+  ::shutdown(sock.fd(), SHUT_RDWR);  // unblock the writer.
+  writer.join();
+  ASSERT_TRUE(replied);
+  EXPECT_EQ(frame->str("type"), "error") << reply.substr(0, 200);
+  EXPECT_EQ(frame->str("code"), "frame_too_large");
+  EXPECT_TRUE(closed);
+
+  FloodClient client(client_endpoint(server));
+  EXPECT_EQ(client.request("{\"op\":\"ping\"}")->str("type"), "pong");
+  EXPECT_EQ(server.stats().malformed_frames, 1u);
+  server.stop();
+}
+
+TEST(LineReader, TenThousandPipelinedPingsGetTenThousandPongs) {
+  constexpr int kPings = 10'000;
+  FloodServer server(local_config());
+  server.start();
+  ldcf::serve::Socket sock = ldcf::serve::connect_to(client_endpoint(server));
+  std::string frames;
+  for (int i = 0; i < kPings; ++i) frames += "{\"op\":\"ping\"}\n";
+  // Send from a second thread: the replies must be read while the
+  // requests are still going out, or both socket buffers fill.
+  std::thread writer([&frames, fd = sock.fd()] {
+    EXPECT_TRUE(ldcf::serve::send_all(fd, frames));
+  });
+  ldcf::serve::LineReader reader(sock.fd());
+  std::string line;
+  int pongs = 0;
+  while (pongs < kPings && reader.next_line(line)) {
+    if (line != "{\"type\":\"pong\"}") break;
+    ++pongs;
+  }
+  writer.join();
+  EXPECT_EQ(pongs, kPings) << "last line: " << line;
+  server.stop();
 }
 
 TEST(FloodServerTest, StatsFileIsValidJson) {

@@ -403,7 +403,7 @@ TEST(KeyedStatistics, SequentialAndKeyedAggregatesAgreeAcrossSeeds) {
     config.base.channel_rng = mode;
     config.repetitions = 24;
     config.threads = 4;
-    config.collect_stats = true;
+    config.trial.collect_stats = true;
     return analysis::run_point(topo, protocol, config.base.duty, config);
   };
   const auto relative_gap = [](double a, double b) {

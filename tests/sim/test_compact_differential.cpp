@@ -276,7 +276,7 @@ TEST(CompactDifferential, ThreadCountOneVsFour) {
         config.base.compact_time = compact;
         config.repetitions = 4;
         config.threads = four ? 4 : 1;
-        config.collect_stats = true;
+        config.trial.collect_stats = true;
         points[compact][four] =
             analysis::run_point(topo, protocol, config.base.duty, config);
       }

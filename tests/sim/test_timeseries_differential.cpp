@@ -200,8 +200,8 @@ TEST(TimeSeriesDifferential, ExperimentMergeIsThreadCountInvariant) {
   config.base.num_packets = 8;
   config.base.seed = 5;
   config.repetitions = 6;
-  config.collect_series = true;
-  config.series.window_slots = 128;
+  config.trial.collect_series = true;
+  config.trial.series.window_slots = 128;
 
   config.threads = 1;
   const analysis::ProtocolPoint serial =
