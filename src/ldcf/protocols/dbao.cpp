@@ -57,11 +57,7 @@ void DbaoFlooding::initialize(const SimContext& ctx) {
   // adding every node's ETX-tree parent guarantees a delivery path from the
   // source to each reachable sensor.
   topology::Tree built;
-  if (ctx.energy_tree == nullptr) {
-    built = topology::build_etx_tree(topo, ctx.source);
-  }
-  const topology::Tree& tree =
-      ctx.energy_tree != nullptr ? *ctx.energy_tree : built;
+  const topology::Tree& tree = resolve_energy_tree(ctx, built);
   for (NodeId r = 0; r < topo.num_nodes(); ++r) {
     const NodeId parent = tree.parent[r];
     if (parent == kNoNode) continue;

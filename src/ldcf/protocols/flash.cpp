@@ -5,44 +5,50 @@
 namespace ldcf::protocols {
 
 void FlashFlooding::initialize(const SimContext& ctx) {
-  PendingSetProtocol::initialize(ctx);
+  ctx_ = &ctx;
+  rng_.emplace(ctx.seed);
   budget_per_packet_ = static_cast<std::uint64_t>(std::ceil(
       config_.budget_periods * static_cast<double>(ctx.duty.period)));
   if (budget_per_packet_ == 0) budget_per_packet_ = 1;
-  budget_.assign(ctx.topo->num_nodes(),
-                 std::vector<std::uint64_t>(ctx.num_packets, 0));
-  busy_ = false;
+  budget_.assign(
+      static_cast<std::size_t>(ctx.topo->num_nodes()) * ctx.num_packets, 0);
 }
 
-void FlashFlooding::enqueue_forwarding(NodeId node, PacketId packet,
-                                       NodeId /*from*/) {
-  budget_[node][packet] = budget_per_packet_;
-  busy_ = true;
+void FlashFlooding::on_generate(PacketId packet, SlotIndex slot) {
+  on_delivery(ctx_->source, packet, kNoNode, slot);
+}
+
+void FlashFlooding::on_delivery(NodeId receiver, PacketId packet,
+                                NodeId /*from*/, SlotIndex /*slot*/) {
+  budget_[static_cast<std::size_t>(receiver) * ctx_->num_packets + packet] =
+      budget_per_packet_;
 }
 
 void FlashFlooding::propose_transmissions(
     SlotIndex /*slot*/, std::span<const NodeId> /*active_receivers*/,
     std::vector<TxIntent>& out) {
-  const auto n = static_cast<NodeId>(ctx().topo->num_nodes());
+  const auto n = static_cast<NodeId>(ctx_->topo->num_nodes());
+  const std::uint32_t packets = ctx_->num_packets;
   // After the main budget drains, a slow "trickle" re-advertisement keeps
   // the flood live (real broadcast floods periodically re-announce; without
   // this, unlucky sleepers would never hear the packet at all).
   const double trickle = config_.fire_probability /
-                         (16.0 * static_cast<double>(ctx().duty.period));
+                         (16.0 * static_cast<double>(ctx_->duty.period));
   for (NodeId node = 0; node < n; ++node) {
+    std::uint64_t* budget = &budget_[static_cast<std::size_t>(node) * packets];
     // Oldest packet with remaining budget (FCFS, like the unicast family).
     bool fired = false;
-    for (PacketId p = 0; p < ctx().num_packets && !fired; ++p) {
-      if (budget_[node][p] == 0) continue;
-      if (!rng().bernoulli(config_.fire_probability)) break;
-      --budget_[node][p];
+    for (PacketId p = 0; p < packets && !fired; ++p) {
+      if (budget[p] == 0) continue;
+      if (!rng_->bernoulli(config_.fire_probability)) break;
+      --budget[p];
       out.push_back(TxIntent{node, kNoNode, p});
       fired = true;
     }
     if (fired) continue;
-    for (PacketId p = 0; p < ctx().num_packets; ++p) {
-      if (!node_has(node, p) || budget_[node][p] != 0) continue;
-      if (rng().bernoulli(trickle)) {
+    for (PacketId p = 0; p < packets; ++p) {
+      if (!ctx_->possession->has(node, p) || budget[p] != 0) continue;
+      if (rng_->bernoulli(trickle)) {
         out.push_back(TxIntent{node, kNoNode, p});
         break;
       }

@@ -11,8 +11,10 @@
 // it its capture advantage).
 #pragma once
 
+#include <optional>
 #include <vector>
 
+#include "ldcf/common/rng.hpp"
 #include "ldcf/protocols/protocol.hpp"
 
 namespace ldcf::protocols {
@@ -28,7 +30,8 @@ struct FlashConfig {
   double fire_probability = 0.35;
 };
 
-class FlashFlooding final : public PendingSetProtocol {
+/// Broadcast-only, so it keeps no pending sets.
+class FlashFlooding final : public FloodingProtocol {
  public:
   FlashFlooding() = default;
   explicit FlashFlooding(const FlashConfig& config) : config_(config) {}
@@ -36,29 +39,29 @@ class FlashFlooding final : public PendingSetProtocol {
   [[nodiscard]] std::string_view name() const override { return "flash"; }
 
   void initialize(const SimContext& ctx) override;
+  /// Every fresh copy, the source's included, arms the full budget.
+  void on_generate(PacketId packet, SlotIndex slot) override;
+  void on_delivery(NodeId receiver, PacketId packet, NodeId from,
+                   SlotIndex slot) override;
   void propose_transmissions(SlotIndex slot,
                              std::span<const NodeId> active_receivers,
                              std::vector<TxIntent>& out) override;
 
   /// Before any node holds a packet the proposal loop draws nothing; from
-  /// the first copy onward the trickle re-advertisement draws its Bernoulli
-  /// every slot forever, so the protocol is busy at every slot after that.
+  /// the first copy onward (the source's copy of packet 0) the trickle
+  /// re-advertisement draws its Bernoulli every slot forever, so the
+  /// protocol is busy at every slot after that.
   [[nodiscard]] SlotIndex next_busy_slot(SlotIndex from) const override {
-    return busy_ ? from : kNeverSlot;
+    return ctx_->possession->holders(0) != 0 ? from : kNeverSlot;
   }
-
- protected:
-  /// No unicast pending sets: everything is broadcast.
-  void enqueue_forwarding(NodeId node, PacketId packet, NodeId from) override;
 
  private:
   FlashConfig config_{};
+  const SimContext* ctx_ = nullptr;
+  std::optional<Rng> rng_;
   std::uint64_t budget_per_packet_ = 0;
-  /// Remaining broadcast budget per node per packet.
-  std::vector<std::vector<std::uint64_t>> budget_;
-  /// Any copy exists anywhere (latched on the first enqueue, never clears:
-  /// the trickle keeps re-advertising held packets indefinitely).
-  bool busy_ = false;
+  /// Remaining broadcast budget, [node * M + packet].
+  std::vector<std::uint64_t> budget_;
 };
 
 }  // namespace ldcf::protocols

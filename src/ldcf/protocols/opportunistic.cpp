@@ -4,17 +4,15 @@ namespace ldcf::protocols {
 
 void OpportunisticFlooding::initialize(const SimContext& ctx) {
   PendingSetProtocol::initialize(ctx);
-  tree_ = ctx.energy_tree != nullptr
-              ? *ctx.energy_tree
-              : topology::build_etx_tree(*ctx.topo, ctx.source);
-  children_ = tree_.children();
+  tree_ = &resolve_energy_tree(ctx, built_tree_);
+  children_ = tree_->children();
   // Tree children go through the pending machinery and the parent already
   // has the packet, so only non-tree links are gamble candidates.
-  gambles_.build(ctx, topology::tree_delay_distribution(*ctx.topo, tree_,
+  gambles_.build(ctx, topology::tree_delay_distribution(*ctx.topo, *tree_,
                                                          ctx.duty),
                  GambleFilter{.min_link_prr = config_.min_link_prr,
                               .quantile_z = config_.quantile_z,
-                              .tree_edges = &tree_});
+                              .tree_edges = tree_});
 }
 
 void OpportunisticFlooding::on_generate(PacketId packet, SlotIndex slot) {

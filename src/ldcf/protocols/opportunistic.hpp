@@ -56,7 +56,9 @@ class OpportunisticFlooding final : public PendingSetProtocol {
     return pending_next_busy_slot(from);
   }
 
-  [[nodiscard]] const topology::Tree& energy_tree() const { return tree_; }
+  /// The run's energy tree: the shared one when the run had it (valid while
+  /// that tree lives), else this protocol's own build.
+  [[nodiscard]] const topology::Tree& energy_tree() const { return *tree_; }
 
  protected:
   /// Tree children only (the deterministic part of OF).
@@ -64,7 +66,8 @@ class OpportunisticFlooding final : public PendingSetProtocol {
 
  private:
   OpportunisticConfig config_{};
-  topology::Tree tree_;
+  const topology::Tree* tree_ = nullptr;
+  topology::Tree built_tree_;  ///< used only when no shared tree came in.
   std::vector<std::vector<NodeId>> children_;
   /// Non-tree links worth gambling on, by receiver wake phase, plus the
   /// gambles already made (one per node, packet and neighbor: a node does

@@ -7,17 +7,14 @@
 namespace ldcf::protocols {
 
 void OptFlooding::initialize(const SimContext& ctx) {
-  PendingSetProtocol::initialize(ctx);
+  ctx_ = &ctx;
   const auto& topo = *ctx.topo;
   const auto n = static_cast<NodeId>(topo.num_nodes());
   first_missing_.assign(n, 0);
   generated_ = 0;
-  held_.assign(n, 0);
-  satisfied_.assign(n, 1);  // vacuous: nothing generated.
   unsat_cal_.reset(ctx.duty.period);
   frontier_.assign(n, 0);
   claimed_.assign(n, 0);
-  claimed_dirty_.clear();
   awake_.assign(n, 0);
 
   // Quality floor per receiver: a fraction of its best incoming PRR. When
@@ -30,11 +27,7 @@ void OptFlooding::initialize(const SimContext& ctx) {
   // fringe nodes whose only good links point at each other would wait for
   // one another forever.
   topology::Tree built;
-  if (ctx.energy_tree == nullptr) {
-    built = topology::build_etx_tree(topo, ctx.source);
-  }
-  const topology::Tree& tree =
-      ctx.energy_tree != nullptr ? *ctx.energy_tree : built;
+  const topology::Tree& tree = resolve_energy_tree(ctx, built);
   std::vector<double> best_in_prr(n, 0.0);
   for (NodeId u = 0; u < n; ++u) {
     for (const topology::Link& link : topo.neighbors(u)) {
@@ -87,46 +80,40 @@ void OptFlooding::gain(NodeId node, PacketId packet) {
   }
 }
 
-void OptFlooding::on_generate(PacketId packet, SlotIndex slot) {
-  PendingSetProtocol::on_generate(packet, slot);
+void OptFlooding::on_generate(PacketId packet, SlotIndex /*slot*/) {
   generated_ = packet + 1;
-  ++held_[ctx().source];
-  gain(ctx().source, packet);
-  // Every node that had caught up now misses the new packet (except the
-  // source, which just obtained it). O(N) per generation, amortized by the
-  // bounded packet count.
-  const auto num_nodes = static_cast<NodeId>(satisfied_.size());
+  first_missing_[ctx_->source] = generated_;
+  gain(ctx_->source, packet);
+  // Every other node that had caught up now misses the new packet. O(N)
+  // per generation, amortized by the bounded packet count.
+  const auto num_nodes = static_cast<NodeId>(first_missing_.size());
   for (NodeId n = 0; n < num_nodes; ++n) {
-    if (satisfied_[n] == 0 || held_[n] == generated_) continue;
-    satisfied_[n] = 0;
-    for (const std::uint32_t phase : ctx().schedules->active_slots(n)) {
+    if (first_missing_[n] != packet) continue;
+    for (const std::uint32_t phase : ctx_->schedules->active_slots(n)) {
       unsat_cal_.add(phase);
     }
   }
 }
 
-void OptFlooding::on_delivery(NodeId receiver, PacketId packet, NodeId from,
-                              SlotIndex slot) {
-  PendingSetProtocol::on_delivery(receiver, packet, from, slot);
-  ++held_[receiver];
+void OptFlooding::on_delivery(NodeId receiver, PacketId packet,
+                              NodeId /*from*/, SlotIndex /*slot*/) {
   gain(receiver, packet);
-  if (satisfied_[receiver] == 0 && held_[receiver] == generated_) {
-    satisfied_[receiver] = 1;
-    for (const std::uint32_t phase : ctx().schedules->active_slots(receiver)) {
+  // A fresh copy means the receiver was missing one; it may have caught up.
+  PacketId& cursor = first_missing_[receiver];
+  while (cursor < generated_ && node_has(receiver, cursor)) ++cursor;
+  if (cursor == generated_) {
+    for (const std::uint32_t phase :
+         ctx_->schedules->active_slots(receiver)) {
       unsat_cal_.remove(phase);
     }
   }
 }
 
-void OptFlooding::enqueue_forwarding(NodeId /*node*/, PacketId /*packet*/,
-                                     NodeId /*from*/) {
-  // Intentionally empty: the oracle matches receivers to senders directly.
-}
-
 void OptFlooding::propose_transmissions(
     SlotIndex slot, std::span<const NodeId> active_receivers,
     std::vector<TxIntent>& out) {
-  const auto phase = static_cast<std::size_t>(slot % ctx().duty.period);
+  const auto phase = static_cast<std::size_t>(slot % ctx_->duty.period);
+  const std::size_t first_intent = out.size();
   const std::span<const NodeId> order(
       order_.data() + order_offsets_[phase],
       order_.data() + order_offsets_[phase + 1]);
@@ -140,19 +127,19 @@ void OptFlooding::propose_transmissions(
     serve(r, out);
   }
   for (const NodeId r : active_receivers) awake_[r] = 0;
-  for (const NodeId node : claimed_dirty_) claimed_[node] = 0;
-  claimed_dirty_.clear();
+  for (std::size_t i = first_intent; i < out.size(); ++i) {
+    claimed_[out[i].sender] = claimed_[out[i].receiver] = 0;
+  }
 }
 
 void OptFlooding::serve(NodeId receiver, std::vector<TxIntent>& out) {
-  PacketId& cursor = first_missing_[receiver];
-  while (cursor < generated_ && node_has(receiver, cursor)) ++cursor;
   // Oldest missing packet some free neighbor holds (FCFS order), from the
   // first best link among them.
   const std::span<const topology::Link> links = in_.row(receiver);
   const topology::Link* best = nullptr;
   PacketId packet = kNoPacket;
-  for (PacketId p = cursor; p < generated_ && best == nullptr; ++p) {
+  for (PacketId p = first_missing_[receiver]; p < generated_ && best == nullptr;
+       ++p) {
     if (node_has(receiver, p)) continue;
     for (const topology::Link& in : links) {
       if (claimed_[in.to] != 0 || !node_has(in.to, p)) continue;
@@ -163,10 +150,7 @@ void OptFlooding::serve(NodeId receiver, std::vector<TxIntent>& out) {
     }
   }
   if (best == nullptr) return;
-  claimed_[best->to] = 1;
-  claimed_[receiver] = 1;
-  claimed_dirty_.push_back(best->to);
-  claimed_dirty_.push_back(receiver);
+  claimed_[best->to] = claimed_[receiver] = 1;
   out.push_back(TxIntent{best->to, receiver, packet});
 }
 

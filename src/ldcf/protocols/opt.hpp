@@ -24,7 +24,9 @@ struct OptConfig {
   double quality_floor_factor = 0.3;
 };
 
-class OptFlooding final : public PendingSetProtocol {
+/// Receiver-driven and RNG-free, so it keeps no pending sets: it uses only
+/// the link-row builders and the energy tree lookup of protocol.hpp.
+class OptFlooding final : public FloodingProtocol {
  public:
   OptFlooding() = default;
   explicit OptFlooding(const OptConfig& config) : config_(config) {}
@@ -52,11 +54,10 @@ class OptFlooding final : public PendingSetProtocol {
     return unsat_cal_.next_busy_slot(from);
   }
 
- protected:
-  /// OPT is receiver-driven; senders keep no pending queues.
-  void enqueue_forwarding(NodeId node, PacketId packet, NodeId from) override;
-
  private:
+  [[nodiscard]] bool node_has(NodeId node, PacketId packet) const {
+    return ctx_->possession->has(node, packet);
+  }
   /// Bookkeeping for `node` obtaining `packet`: drops the frontier pairs
   /// it now holds and adds one at every qualifying out-neighbor that lacks
   /// the packet.
@@ -66,8 +67,10 @@ class OptFlooding final : public PendingSetProtocol {
   void serve(NodeId receiver, std::vector<TxIntent>& out);
 
   OptConfig config_{};
-  /// first_missing_[v]: all packets below this id are held by v (monotone
-  /// cursor to keep the per-slot scan cheap).
+  const SimContext* ctx_ = nullptr;
+  /// first_missing_[v]: v's oldest missing packet, generated_ once v has
+  /// caught up (kept exact on every generation and fresh copy). v is on
+  /// unsat_cal_ iff first_missing_[v] < generated_.
   std::vector<PacketId> first_missing_;
   /// Qualifying in-links of every node: senders whose link to it reaches
   /// its quality floor. The oracle serves a receiver from whoever can
@@ -86,17 +89,12 @@ class OptFlooding final : public PendingSetProtocol {
   std::vector<std::size_t> order_offsets_;
   std::vector<NodeId> order_;
   /// Per-slot scratch, all-zero between proposals: nodes claimed as sender
-  /// or receiver (semi-duplex) with their dirty list, and the marks of the
-  /// slot's active receivers.
+  /// or receiver (semi-duplex; cleared from the slot's intents), and the
+  /// marks of the slot's active receivers.
   std::vector<std::uint8_t> claimed_;
-  std::vector<NodeId> claimed_dirty_;
   std::vector<std::uint8_t> awake_;
   /// Packets generated so far (bounds the per-slot scan).
   PacketId generated_ = 0;
-  /// held_[v]: distinct generated packets v possesses (mirror of the
-  /// engine's fresh-delivery stream); v is satisfied iff held_ == generated_.
-  std::vector<PacketId> held_;
-  std::vector<std::uint8_t> satisfied_;
   /// Wake phases of unsatisfied nodes — the compact-time busy index.
   schedule::PhaseCalendar unsat_cal_;
 };

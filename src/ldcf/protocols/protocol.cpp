@@ -3,28 +3,27 @@
 #include <algorithm>
 
 #include "ldcf/common/error.hpp"
+#include "ldcf/topology/tree.hpp"
 
 namespace ldcf::protocols {
 
-namespace {
-constexpr std::uint32_t kNoPos = 0xffffffffu;
-}  // namespace
+const topology::Tree& resolve_energy_tree(const SimContext& ctx,
+                                          topology::Tree& storage) {
+  if (ctx.energy_tree != nullptr) return *ctx.energy_tree;
+  storage = topology::build_etx_tree(*ctx.topo, ctx.source);
+  return storage;
+}
 
 void PendingSetProtocol::initialize(const SimContext& ctx) {
-  LDCF_REQUIRE(ctx.topo != nullptr && ctx.schedules != nullptr,
+  LDCF_REQUIRE(ctx.topo != nullptr && ctx.schedules != nullptr &&
+                   ctx.possession != nullptr,
                "incomplete simulation context");
   ctx_ = &ctx;
   rng_.emplace(ctx.seed);
-  packet_stride_ = ctx.num_packets;
-  has_.assign(static_cast<std::size_t>(ctx.topo->num_nodes()) * packet_stride_,
-              0);
-  buckets_.assign(ctx.topo->num_nodes(),
-                  std::vector<std::vector<PendingEntry>>(ctx.duty.period));
-  pending_cal_.reset(ctx.duty.period);
+  buckets_.assign(
+      static_cast<std::size_t>(ctx.topo->num_nodes()) * ctx.duty.period, {});
   senders_by_phase_.assign(ctx.duty.period, {});
-  sender_pos_.assign(
-      static_cast<std::size_t>(ctx.topo->num_nodes()) * ctx.duty.period,
-      kNoPos);
+  pending_cal_.reset(ctx.duty.period);
 }
 
 void PendingSetProtocol::pend(NodeId node, PacketId packet, NodeId neighbor) {
@@ -36,65 +35,45 @@ void PendingSetProtocol::pend(NodeId node, PacketId packet, NodeId neighbor) {
 
 void PendingSetProtocol::pend(NodeId node, PacketId packet,
                               const PendTarget& target) {
-  const std::uint32_t phase = target.phase;
-  auto& bucket = buckets_[node][phase];
+  auto& entries = buckets_[bucket_index(node, target.phase)];
   const bool already = std::any_of(
-      bucket.begin(), bucket.end(), [&](const PendingEntry& e) {
+      entries.begin(), entries.end(), [&](const PendingEntry& e) {
         return e.packet == packet && e.neighbor == target.neighbor;
       });
   if (already) return;
-  bucket.push_back(PendingEntry{packet, target.neighbor, target.prr});
-  pending_cal_.add(phase);
-  if (bucket.size() == 1) {
-    auto& members = senders_by_phase_[phase];
-    sender_pos_[static_cast<std::size_t>(node) * ctx_->duty.period + phase] =
-        static_cast<std::uint32_t>(members.size());
-    members.push_back(node);
+  entries.push_back(PendingEntry{packet, target.neighbor, target.prr});
+  if (entries.size() == 1) {
+    auto& senders = senders_by_phase_[target.phase];
+    senders.insert(std::lower_bound(senders.begin(), senders.end(), node),
+                   node);
+    pending_cal_.add(target.phase);
   }
 }
 
 void PendingSetProtocol::unpend(NodeId node, PacketId packet,
                                 NodeId neighbor) {
   const std::uint32_t phase = ctx_->schedules->active_slot(neighbor);
-  auto& bucket = buckets_[node][phase];
-  const auto erased = std::erase_if(bucket, [&](const PendingEntry& e) {
+  auto& entries = buckets_[bucket_index(node, phase)];
+  const auto erased = std::erase_if(entries, [&](const PendingEntry& e) {
     return e.packet == packet && e.neighbor == neighbor;
   });
-  if (erased == 0) return;
-  pending_cal_.remove(phase, erased);
-  if (bucket.empty()) {
-    // Swap-remove the node from the phase's membership list.
-    auto& members = senders_by_phase_[phase];
-    const std::size_t slot_key =
-        static_cast<std::size_t>(node) * ctx_->duty.period + phase;
-    const std::uint32_t pos = sender_pos_[slot_key];
-    const NodeId last = members.back();
-    members[pos] = last;
-    sender_pos_[static_cast<std::size_t>(last) * ctx_->duty.period + phase] =
-        pos;
-    members.pop_back();
-    sender_pos_[slot_key] = kNoPos;
+  if (erased != 0 && entries.empty()) {
+    auto& senders = senders_by_phase_[phase];
+    senders.erase(std::lower_bound(senders.begin(), senders.end(), node));
+    pending_cal_.remove(phase);
   }
-}
-
-std::span<const NodeId> PendingSetProtocol::pending_senders_at(
-    SlotIndex slot) {
-  const auto& members = senders_by_phase_[slot % ctx_->duty.period];
-  sender_scratch_.assign(members.begin(), members.end());
-  std::sort(sender_scratch_.begin(), sender_scratch_.end());
-  return sender_scratch_;
 }
 
 const std::vector<PendingEntry>& PendingSetProtocol::pending_at_phase(
     NodeId node, SlotIndex slot) const {
-  return buckets_[node][slot % ctx_->duty.period];
+  return buckets_[bucket_index(node, static_cast<std::uint32_t>(
+                                   slot % ctx_->duty.period))];
 }
 
 const PendingEntry* PendingSetProtocol::fcfs_entry(NodeId node,
                                                   SlotIndex slot) const {
-  const auto& bucket = pending_at_phase(node, slot);
   const PendingEntry* best = nullptr;
-  for (const PendingEntry& e : bucket) {
+  for (const PendingEntry& e : pending_at_phase(node, slot)) {
     if (e.not_before > slot) continue;  // still backing off.
     if (best == nullptr || e.packet < best->packet ||
         (e.packet == best->packet && e.prr > best->prr)) {
@@ -106,7 +85,9 @@ const PendingEntry* PendingSetProtocol::fcfs_entry(NodeId node,
 
 std::size_t PendingSetProtocol::pending_count(NodeId node) const {
   std::size_t total = 0;
-  for (const auto& bucket : buckets_[node]) total += bucket.size();
+  for (std::uint32_t phase = 0; phase < ctx_->duty.period; ++phase) {
+    total += buckets_[bucket_index(node, phase)].size();
+  }
   return total;
 }
 
@@ -120,13 +101,11 @@ void PendingSetProtocol::enqueue_forwarding(NodeId node, PacketId packet,
 }
 
 void PendingSetProtocol::on_generate(PacketId packet, SlotIndex /*slot*/) {
-  has_[static_cast<std::size_t>(ctx_->source) * packet_stride_ + packet] = 1;
   enqueue_forwarding(ctx_->source, packet, kNoNode);
 }
 
 void PendingSetProtocol::on_delivery(NodeId receiver, PacketId packet,
                                      NodeId from, SlotIndex /*slot*/) {
-  has_[static_cast<std::size_t>(receiver) * packet_stride_ + packet] = 1;
   enqueue_forwarding(receiver, packet, from);
 }
 
@@ -142,21 +121,21 @@ void PendingSetProtocol::on_outcome(const TxResult& result, SlotIndex slot) {
   if (result.outcome == TxOutcome::kCollision ||
       result.outcome == TxOutcome::kReceiverBusy) {
     const auto period = ctx().duty.period;
-    auto& bucket =
-        buckets_[result.intent.sender]
-                [ctx().schedules->active_slot(result.intent.receiver)];
+    auto& entries = buckets_[bucket_index(
+        result.intent.sender,
+        ctx().schedules->active_slot(result.intent.receiver))];
     // Silence the whole sender->receiver pair: backing off only the packet
     // that collided would let the next queued packet collide at the very
     // next wakeup, so the contender crowd would never thin.
     std::uint8_t exp = 0;
-    for (const PendingEntry& e : bucket) {
+    for (const PendingEntry& e : entries) {
       if (e.neighbor == result.intent.receiver) {
         exp = std::max(exp, e.backoff_exp);
       }
     }
     const std::uint64_t window = 1ULL << std::min<std::uint8_t>(exp, 6);
     const SlotIndex resume = slot + (1 + rng().below(window)) * period;
-    for (PendingEntry& e : bucket) {
+    for (PendingEntry& e : entries) {
       if (e.neighbor == result.intent.receiver) {
         e.not_before = resume;
         if (e.backoff_exp <= exp) e.backoff_exp = static_cast<std::uint8_t>(exp + 1);

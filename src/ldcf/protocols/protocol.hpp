@@ -17,6 +17,7 @@
 #include "ldcf/common/rng.hpp"
 #include "ldcf/schedule/calendar_queue.hpp"
 #include "ldcf/sim/flooding_protocol.hpp"
+#include "ldcf/sim/node_state.hpp"
 
 namespace ldcf::protocols {
 
@@ -101,7 +102,13 @@ template <typename Keep>
       [&](NodeId u) { return topo.neighbors(u); }, keep);
 }
 
-/// Base class with possession mirrors and phase-bucketed pending sets.
+/// The run's ETX energy tree rooted at the source: the context's shared
+/// tree when the caller cached one, else built into `storage`. The build is
+/// deterministic, so both paths give the same tree.
+[[nodiscard]] const topology::Tree& resolve_energy_tree(
+    const SimContext& ctx, topology::Tree& storage);
+
+/// Base class with phase-bucketed pending sets.
 class PendingSetProtocol : public FloodingProtocol {
  public:
   void initialize(const SimContext& ctx) override;
@@ -114,9 +121,10 @@ class PendingSetProtocol : public FloodingProtocol {
   [[nodiscard]] const SimContext& ctx() const { return *ctx_; }
   [[nodiscard]] Rng& rng() { return *rng_; }
 
-  /// Local possession knowledge (exact mirror of engine deliveries).
+  /// Whether `node` holds `packet`, read from the engine's possession state
+  /// (SimContext::possession).
   [[nodiscard]] bool node_has(NodeId node, PacketId packet) const {
-    return has_[static_cast<std::size_t>(node) * packet_stride_ + packet] != 0;
+    return ctx_->possession->has(node, packet);
   }
 
   /// Queue (packet -> target.neighbor) at `node`. No-op if already queued.
@@ -134,12 +142,15 @@ class PendingSetProtocol : public FloodingProtocol {
       NodeId node, SlotIndex slot) const;
 
   /// Nodes with at least one pending entry at phase t mod T, ascending by
-  /// id (sorted into a reused scratch buffer; the view is invalidated by
-  /// the next call or any pend/unpend). Proposal loops iterate this instead
-  /// of all N nodes: only these senders can produce an FCFS intent in the
-  /// slot, and ascending order preserves the intent order — and therefore
-  /// the channel RNG draw order — of a full 0..N scan.
-  [[nodiscard]] std::span<const NodeId> pending_senders_at(SlotIndex slot);
+  /// id (the view is invalidated by the next call or any pend/unpend).
+  /// Proposal loops iterate this instead of all N nodes: only these senders
+  /// can produce an FCFS intent in the slot, and ascending order preserves
+  /// the intent order — and therefore the channel RNG draw order — of a
+  /// full 0..N scan.
+  [[nodiscard]] std::span<const NodeId> pending_senders_at(
+      SlotIndex slot) const {
+    return senders_by_phase_[slot % ctx_->duty.period];
+  }
 
   /// Earliest slot >= from whose phase holds any pending entry, kNeverSlot
   /// when no entries are queued anywhere. Conservative next_busy_slot
@@ -172,23 +183,22 @@ class PendingSetProtocol : public FloodingProtocol {
   virtual void enqueue_forwarding(NodeId node, PacketId packet, NodeId from);
 
  private:
+  [[nodiscard]] std::size_t bucket_index(NodeId node,
+                                         std::uint32_t phase) const {
+    return static_cast<std::size_t>(node) * ctx_->duty.period + phase;
+  }
+
   const SimContext* ctx_ = nullptr;
   std::optional<Rng> rng_;
-  // Flat [node][packet] byte matrix: node_has is the hottest query the
-  // protocols make (every candidate scan hits it), so it must be one
-  // multiply-add and a byte load, not a vector<bool> bit gather.
-  std::vector<std::uint8_t> has_;
-  std::uint32_t packet_stride_ = 0;
-  // buckets_[node][phase] -> pending entries for neighbors at that phase.
-  std::vector<std::vector<std::vector<PendingEntry>>> buckets_;
-  // Compact-time index maintained by pend/unpend: per-phase entry counts
-  // (feeds pending_next_busy_slot) and the membership lists + positions
-  // behind pending_senders_at. Lists are unordered for O(1) removal and
-  // sorted on demand into sender_scratch_.
-  schedule::PhaseCalendar pending_cal_;
+  // buckets_[node * T + phase] -> pending entries for neighbors at that
+  // phase.
+  std::vector<std::vector<PendingEntry>> buckets_;
+  // The one index of which (node, phase) has work, changed only when a
+  // bucket goes empty <-> non-empty: each phase's ascending list of senders
+  // with a non-empty bucket there (pending_senders_at), and the count of
+  // those buckets per phase (pending_next_busy_slot).
   std::vector<std::vector<NodeId>> senders_by_phase_;
-  std::vector<std::uint32_t> sender_pos_;  ///< [node * T + phase] or kNoPos.
-  std::vector<NodeId> sender_scratch_;
+  schedule::PhaseCalendar pending_cal_;
 };
 
 }  // namespace ldcf::protocols

@@ -144,19 +144,20 @@ void FloodServer::stop() {
     queue_.clear();
   }
 
-  // Unblock every connection reader, then join them.
-  std::vector<std::shared_ptr<Connection>> connections;
+  // Unblock every connection reader, then join them all. The thread
+  // handles are taken under the lock because an exiting reader moves its
+  // own; each reader then removes its connection from connections_.
+  std::vector<std::thread> readers;
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
+    readers.swap(finished_readers_);
+    for (const std::shared_ptr<Connection>& conn : connections_) {
+      conn->alive.store(false, std::memory_order_relaxed);
+      if (conn->sock.valid()) ::shutdown(conn->sock.fd(), SHUT_RDWR);
+      readers.push_back(std::move(conn->reader));
+    }
   }
-  for (const std::shared_ptr<Connection>& conn : connections) {
-    conn->alive.store(false, std::memory_order_relaxed);
-    if (conn->sock.valid()) ::shutdown(conn->sock.fd(), SHUT_RDWR);
-  }
-  for (const std::shared_ptr<Connection>& conn : connections) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
+  for (std::thread& reader : readers) reader.join();
 }
 
 ServerStats FloodServer::stats() const {
@@ -194,11 +195,15 @@ void FloodServer::acceptor_loop() {
     connections_seen_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Connection>();
     conn->sock = std::move(client);
+    std::vector<std::thread> finished;
     {
+      // Spawned under the lock: the reader's exit path moves conn->reader.
       std::lock_guard<std::mutex> lock(connections_mutex_);
-      connections_.push_back(conn);
+      conn->reader = std::thread([this, conn] { connection_loop(conn); });
+      connections_.push_back(std::move(conn));
+      finished.swap(finished_readers_);
     }
-    conn->reader = std::thread([this, conn] { connection_loop(conn); });
+    for (std::thread& reader : finished) reader.join();
   }
 }
 
@@ -218,6 +223,12 @@ void FloodServer::connection_loop(const std::shared_ptr<Connection>& conn) {
     ::shutdown(conn->sock.fd(), SHUT_RDWR);
   }
   conn->alive.store(false, std::memory_order_relaxed);
+  // Leave the live set and hand this thread over to be joined. The socket
+  // closes with the last reference: here, or when a queued job that still
+  // holds the connection finishes (its send_frame sees alive == false).
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  std::erase(connections_, conn);
+  finished_readers_.push_back(std::move(conn->reader));
 }
 
 void FloodServer::handle_frame(const std::shared_ptr<Connection>& conn,

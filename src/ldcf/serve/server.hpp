@@ -118,8 +118,12 @@ class FloodServer {
   std::thread acceptor_;
   std::vector<std::thread> workers_;
 
+  // Live connections, and the readers of closed ones awaiting a join (at
+  // the next accept, or in stop()). A reader leaves connections_ when its
+  // client goes away, so the socket closes once no queued job holds it.
   std::mutex connections_mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;
+  std::vector<std::thread> finished_readers_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

@@ -205,9 +205,15 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
   ctx.seed = protocol_seed_;
   ctx.source = config_.source;
   ctx.energy_tree = config_.shared_tree.get();
-  protocol.initialize(ctx);
+  ctx.possession = &possession_;
 
   obs::Timeline* const tl = config_.timeline;
+  if (tl != nullptr) tl->label_current_thread("engine");
+  {
+    // Protocol setup is a timeline span, not one of the 12 profiler stages.
+    obs::TimelineSpan setup(tl, "setup", "engine");
+    protocol.initialize(ctx);
+  }
   profiler_.reset(config_.profiling, tl);
   // Compact time is purely an execution strategy: results are bit-identical
   // to the dense loop (differential suite). Observers that enumerate every
@@ -215,7 +221,6 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
   const bool use_compact =
       config_.compact_time &&
       (observer == nullptr || !observer->wants_every_slot());
-  if (tl != nullptr) tl->label_current_thread("engine");
   // The slot loop's wall time; add_wall closes it and records the "run"
   // span that encloses every stage span.
   const std::uint64_t run_t0 = profiler_.now();

@@ -79,7 +79,8 @@ struct SimConfig {
   /// Span timeline collector (obs/timeline.hpp), or nullptr for none. When
   /// attached, every executed stage — the channel kernel's gather/draw/apply
   /// phases included — records a span named after its profiler stage, from
-  /// the same clock pair as the stage totals. Like `profiling`, tracing
+  /// the same clock pair as the stage totals; protocol setup records one
+  /// "setup" span before the slot loop. Like `profiling`, tracing
   /// never affects simulation results: with both off, a stage probe is one
   /// branch, zero clock reads, zero allocation.
   obs::Timeline* timeline = nullptr;

@@ -5,6 +5,12 @@
 // is centralized *code* simulating distributed behaviour: it may coordinate
 // internally only through information the real nodes would have (schedules
 // via local synchronization, link-layer ACKs, carrier sensing, overhearing).
+//
+// Possession is read, never mirrored: SimContext::possession is the
+// engine's own X_p matrix. The engine marks a copy there before it reports
+// it — the source's copy before on_generate, a fresh unicast or overheard
+// copy before on_delivery — so inside every callback the view holds
+// exactly the copies reported so far, the one being reported included.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +27,8 @@ struct Tree;  // topology/tree.hpp; the context only carries a pointer.
 }
 
 namespace ldcf::sim {
+
+class PossessionState;  // sim/node_state.hpp; the context only holds a pointer.
 
 /// One proposed transmission for the current slot. A unicast names its
 /// receiver, which must be active in the slot and a neighbor of the sender;
@@ -62,11 +70,11 @@ struct SimContext {
   std::uint32_t num_packets = 0;
   std::uint64_t seed = 0;  ///< protocols derive their own substreams.
   NodeId source = 0;       ///< the flooding source (paper default: node 0).
-  /// Pre-built ETX energy tree rooted at `source`, or nullptr. Supplied
-  /// when the caller cached the artifact (SimConfig::shared_tree);
-  /// protocols that need the tree use it instead of rebuilding. The build
-  /// is deterministic, so using the cache never changes results.
+  /// Pre-built ETX energy tree rooted at `source` (SimConfig::shared_tree),
+  /// or nullptr; protocols::resolve_energy_tree builds the same tree then.
   const topology::Tree* energy_tree = nullptr;
+  /// Who holds what: the engine's own state (see the file comment).
+  const PossessionState* possession = nullptr;
 };
 
 /// Interface implemented by each flooding scheme (OPT, DBAO, OF, ...).
@@ -80,15 +88,15 @@ class FloodingProtocol {
   virtual void initialize(const SimContext& ctx) = 0;
 
   /// A new packet became available at the source (node 0).
-  virtual void on_generate(PacketId packet, SlotIndex slot) = 0;
+  virtual void on_generate(PacketId /*packet*/, SlotIndex /*slot*/) {}
 
   /// Node `receiver` obtained `packet` (unicast delivery or overhearing).
   /// `from` is the transmitter.
-  virtual void on_delivery(NodeId receiver, PacketId packet, NodeId from,
-                           SlotIndex slot) = 0;
+  virtual void on_delivery(NodeId /*receiver*/, PacketId /*packet*/,
+                           NodeId /*from*/, SlotIndex /*slot*/) {}
 
   /// Link-layer ACK feedback for an intent this protocol proposed.
-  virtual void on_outcome(const TxResult& result, SlotIndex slot) = 0;
+  virtual void on_outcome(const TxResult& /*result*/, SlotIndex /*slot*/) {}
 
   /// Node `listener` decoded a transmission addressed to someone else and
   /// thereby learned that `sender` possesses `packet` (and obtained the
@@ -101,13 +109,8 @@ class FloodingProtocol {
   /// ascending listener id. Protocol state updates may depend on this
   /// order; they must not depend on anything finer (e.g. interleaving of
   /// unicast and overhear callbacks), which no mode provides.
-  virtual void on_overhear(NodeId listener, NodeId sender, PacketId packet,
-                           SlotIndex slot) {
-    (void)listener;
-    (void)sender;
-    (void)packet;
-    (void)slot;
-  }
+  virtual void on_overhear(NodeId /*listener*/, NodeId /*sender*/,
+                           PacketId /*packet*/, SlotIndex /*slot*/) {}
 
   /// Propose this slot's unicasts. `active_receivers` lists nodes that can
   /// receive in this slot (ascending ids): the schedule's wake bucket for

@@ -32,12 +32,6 @@ bool PossessionState::deliver(NodeId node, PacketId packet) {
   return true;
 }
 
-bool PossessionState::has(NodeId node, PacketId packet) const {
-  LDCF_REQUIRE(node < num_nodes_ && packet < num_packets_, "has out of range");
-  const std::size_t i = index(node, packet);
-  return ((bits_[i / 64] >> (i % 64)) & 1) != 0;
-}
-
 std::uint64_t PossessionState::holders(PacketId packet) const {
   LDCF_REQUIRE(packet < num_packets_, "packet out of range");
   return holders_[packet];

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ldcf/common/error.hpp"
 #include "ldcf/common/types.hpp"
 
 namespace ldcf::sim {
@@ -19,7 +20,12 @@ class PossessionState {
   /// Mark `node` as holding `packet`; returns false if it already did.
   bool deliver(NodeId node, PacketId packet);
 
-  [[nodiscard]] bool has(NodeId node, PacketId packet) const;
+  [[nodiscard]] bool has(NodeId node, PacketId packet) const {
+    LDCF_REQUIRE(node < num_nodes_ && packet < num_packets_,
+                 "has out of range");
+    const std::size_t i = index(node, packet);
+    return ((bits_[i / 64] >> (i % 64)) & 1) != 0;
+  }
 
   /// Number of nodes (incl. source) holding `packet`.
   [[nodiscard]] std::uint64_t holders(PacketId packet) const;
@@ -30,9 +36,6 @@ class PossessionState {
   /// Forget every delivery (all counts back to zero), keeping the storage
   /// allocated. Lets an engine reuse one instance across runs.
   void reset();
-
-  [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
-  [[nodiscard]] std::uint32_t num_packets() const { return num_packets_; }
 
  private:
   [[nodiscard]] std::size_t index(NodeId node, PacketId packet) const {

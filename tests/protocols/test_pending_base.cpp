@@ -1,8 +1,13 @@
 // Unit tests for the shared pending-set machinery (PendingSetProtocol).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ldcf/common/error.hpp"
+#include "ldcf/common/rng.hpp"
 #include "ldcf/protocols/protocol.hpp"
+#include "ldcf/sim/node_state.hpp"
 #include "ldcf/topology/topology.hpp"
 
 namespace ldcf::protocols {
@@ -27,15 +32,30 @@ class Harness final : public PendingSetProtocol {
   using PendingSetProtocol::pend;
   using PendingSetProtocol::pending_at_phase;
   using PendingSetProtocol::pending_count;
+  using PendingSetProtocol::pending_next_busy_slot;
+  using PendingSetProtocol::pending_senders_at;
   using PendingSetProtocol::select_fcfs;
   using PendingSetProtocol::unpend;
 };
 
+/// Drives the protocol the way SimEngine does: a copy is marked in the
+/// possession state first, then the callback reports it.
 struct Fixture {
   Topology topo{std::vector<Point2D>{{0, 0}, {1, 0}, {2, 0}, {3, 0}}};
   schedule::ScheduleSet schedules{{0, 1, 2, 3}, DutyCycle{4}};
+  sim::PossessionState possession{4, 4};
   SimContext ctx;
   Harness proto;
+
+  void generate(PacketId packet, SlotIndex slot) {
+    possession.deliver(ctx.source, packet);
+    proto.on_generate(packet, slot);
+  }
+  void deliver(NodeId receiver, PacketId packet, NodeId from, SlotIndex slot) {
+    if (possession.deliver(receiver, packet)) {
+      proto.on_delivery(receiver, packet, from, slot);
+    }
+  }
 
   Fixture() {
     topo.add_symmetric_link(0, 1, 0.9);
@@ -47,20 +67,21 @@ struct Fixture {
     ctx.duty = DutyCycle{4};
     ctx.num_packets = 4;
     ctx.seed = 99;
+    ctx.possession = &possession;
     proto.initialize(ctx);
   }
 };
 
 TEST(PendingBase, GenerateEnqueuesAllNeighbors) {
   Fixture f;
-  f.proto.on_generate(0, 0);
+  f.generate(0, 0);
   EXPECT_TRUE(f.proto.node_has(0, 0));
   EXPECT_EQ(f.proto.pending_count(0), 2u);  // neighbors 1 and 2.
 }
 
 TEST(PendingBase, DeliveryEnqueuesAllButSender) {
   Fixture f;
-  f.proto.on_delivery(2, 0, 0, 5);
+  f.deliver(2, 0, 0, 5);
   EXPECT_TRUE(f.proto.node_has(2, 0));
   // Neighbors of 2 are {0, 1, 3}; 0 was the sender.
   EXPECT_EQ(f.proto.pending_count(2), 2u);
@@ -175,6 +196,121 @@ TEST(PendingBase, BackoffWindowGrowsExponentially) {
     slot = next;
   }
   EXPECT_GT(max_gap, 4u * 2u);  // beyond the initial one-period window.
+}
+
+TEST(PendingBase, NeedsThePossessionView) {
+  Fixture f;
+  f.ctx.possession = nullptr;
+  Harness proto;
+  EXPECT_THROW(proto.initialize(f.ctx), InvalidArgument);
+}
+
+// The sender index against brute force: after every step of a seeded random
+// pend / unpend / delivery / outcome sequence, each phase's sender list is
+// the ascending scan of non-empty buckets and the busy hint is the first
+// slot whose phase has one. Retiring queued entries is the likeliest step,
+// so buckets and whole phases drain again and again.
+TEST(PendingBase, SenderIndexMatchesABruteForceScan) {
+  constexpr std::uint32_t kPeriod = 5;
+  constexpr NodeId kNodes = 7;
+  constexpr std::uint32_t kPackets = 6;
+  Topology topo{std::vector<Point2D>{
+      {0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 2}}};
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (NodeId v = u + 1; v < kNodes; ++v) {
+      if ((u * 3 + v) % 4 != 0) topo.add_symmetric_link(u, v, 0.2 + 0.1 * v);
+    }
+  }
+  // Two nodes share a phase and phase 4 stays empty.
+  const schedule::ScheduleSet schedules{{0, 1, 2, 3, 1, 2, 0},
+                                        DutyCycle{kPeriod}};
+  std::vector<std::pair<NodeId, NodeId>> links;
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (const topology::Link& link : topo.neighbors(u)) {
+      links.emplace_back(u, link.to);
+    }
+  }
+  const TxOutcome outcomes[] = {TxOutcome::kDelivered, TxOutcome::kLostChannel,
+                                TxOutcome::kCollision,
+                                TxOutcome::kReceiverBusy};
+
+  // The sequences must reach shared phases, hints that skip ahead, and
+  // fully drained sets.
+  std::size_t most_senders = 0;
+  std::size_t skips = 0;
+  std::size_t drained = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::PossessionState possession(kNodes, kPackets);
+    SimContext ctx;
+    ctx.topo = &topo;
+    ctx.schedules = &schedules;
+    ctx.duty = DutyCycle{kPeriod};
+    ctx.num_packets = kPackets;
+    ctx.seed = seed;
+    ctx.possession = &possession;
+    Harness proto;
+    proto.initialize(ctx);
+    Rng rng(seed * 7919);
+    for (int step = 0; step < 600; ++step) {
+      const auto [node, neighbor] = links[rng.below(links.size())];
+      const auto packet = static_cast<PacketId>(rng.below(kPackets));
+      const auto slot = static_cast<SlotIndex>(step);
+      TxResult result;
+      result.intent = TxIntent{node, neighbor, packet};
+      result.outcome = outcomes[rng.below(4)];
+      const std::uint64_t op = rng.below(8);
+      if (op == 0) {
+        proto.pend(node, packet, neighbor);
+      } else if (op == 1) {
+        proto.unpend(node, packet, neighbor);
+      } else if (op == 2) {
+        if (possession.deliver(neighbor, packet)) {
+          proto.on_delivery(neighbor, packet, node, slot);
+        }
+      } else if (op == 3) {
+        proto.on_outcome(result, slot);
+      } else {
+        // Retire a queued entry of `node`, by unpend or by an ACK.
+        const auto& bucket = proto.pending_at_phase(node, rng.below(kPeriod));
+        if (!bucket.empty()) {
+          const PendingEntry e = bucket[rng.below(bucket.size())];
+          result.intent = TxIntent{node, e.neighbor, e.packet};
+          result.outcome = TxOutcome::kDelivered;
+          if (op % 2 == 0) {
+            proto.unpend(node, e.packet, e.neighbor);
+          } else {
+            proto.on_outcome(result, slot);
+          }
+        }
+      }
+      for (SlotIndex t = 0; t < 2 * kPeriod; ++t) {
+        std::vector<NodeId> expected;
+        for (NodeId n = 0; n < kNodes; ++n) {
+          if (!proto.pending_at_phase(n, t).empty()) expected.push_back(n);
+        }
+        most_senders = std::max(most_senders, expected.size());
+        const auto senders = proto.pending_senders_at(t);
+        ASSERT_EQ(std::vector<NodeId>(senders.begin(), senders.end()),
+                  expected)
+            << "step " << step << " slot " << t;
+
+        SlotIndex busy = kNeverSlot;
+        for (SlotIndex u = t; u < t + kPeriod && busy == kNeverSlot; ++u) {
+          for (NodeId n = 0; n < kNodes; ++n) {
+            if (!proto.pending_at_phase(n, u).empty()) busy = u;
+          }
+        }
+        ASSERT_EQ(proto.pending_next_busy_slot(t), busy)
+            << "step " << step << " slot " << t;
+        if (busy != t && busy != kNeverSlot) ++skips;
+        if (busy == kNeverSlot) ++drained;
+      }
+    }
+  }
+  EXPECT_GE(most_senders, 2u);
+  EXPECT_GT(skips, 0u);
+  EXPECT_GT(drained, 0u);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -70,6 +72,38 @@ TEST(FloodServerTest, PingPongAndStats) {
   const JsonValue* jobs = stats->find("jobs");
   ASSERT_NE(jobs, nullptr);
   EXPECT_EQ(jobs->num("accepted", 99), 0.0);
+  server.stop();
+}
+
+std::size_t open_descriptors() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+// A closed client's socket and reader thread are released while the server
+// keeps running, not only at stop(): sequential clients must not grow the
+// process's open descriptors.
+TEST(FloodServerTest, ClosedConnectionsReleaseTheirDescriptors) {
+  FloodServer server(local_config());
+  server.start();
+  const std::size_t before = open_descriptors();
+  for (int i = 0; i < 50; ++i) {
+    FloodClient client(client_endpoint(server));
+    ASSERT_EQ(client.request("{\"op\":\"ping\"}")->str("type"), "pong");
+  }
+  // The last readers may still be on their way out: allow them a moment.
+  std::size_t after = open_descriptors();
+  for (int wait = 0; wait < 200 && after > before + 2; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = open_descriptors();
+  }
+  EXPECT_LE(after, before + 2);
+  EXPECT_EQ(server.stats().connections, 50u);
   server.stop();
 }
 

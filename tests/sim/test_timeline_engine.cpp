@@ -5,6 +5,7 @@
 //  * Spans and the stage profiler must agree: one probe feeds both from
 //    one clock pair, so per-stage span-duration sums equal the profiler's
 //    stage totals exactly.
+//  * Protocol setup is one "setup" span per run, outside the stages.
 //  * The engine is the one counter-track probe: it publishes coverage,
 //    in-flight, generated and every ChannelCounters field, with or without
 //    a StatsObserver attached.
@@ -14,6 +15,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "ldcf/analysis/experiment.hpp"
 #include "ldcf/obs/timeline.hpp"
@@ -150,6 +152,36 @@ TEST(TimelineEngine, SpanSumsTrackProfilerStageTotals) {
                            "channel", "energy", "apply", "coverage"}) {
     EXPECT_TRUE(span_ns.count(name) != 0) << name;
   }
+}
+
+// Protocol setup is visible without being a profiler stage: each run
+// records one "setup" span, closed before that run's "run" span opens.
+TEST(TimelineEngine, SetupSpanPrecedesEachRunSpan) {
+  const topology::Topology topo = small_topology();
+  obs::Timeline timeline;
+  sim::SimConfig config = base_config();
+  config.timeline = &timeline;
+  const auto proto = protocols::make_protocol("of");
+  sim::SimEngine engine(topo, config);
+  (void)engine.run(*proto);
+  (void)engine.run(*proto);
+
+  std::vector<obs::SpanRecord> setups;
+  std::vector<obs::SpanRecord> runs;
+  for (const auto& lane : timeline.snapshot()) {
+    EXPECT_EQ(lane.dropped_spans, 0u);
+    for (const auto& span : lane.spans) {
+      if (std::string(span.name) == "setup") setups.push_back(span);
+      if (std::string(span.name) == "run") runs.push_back(span);
+    }
+  }
+  ASSERT_EQ(setups.size(), 2u);
+  ASSERT_EQ(runs.size(), 2u);
+  for (std::size_t i = 0; i < setups.size(); ++i) {
+    EXPECT_STREQ(setups[i].category, "engine");
+    EXPECT_LE(setups[i].start_ns + setups[i].dur_ns, runs[i].start_ns);
+  }
+  EXPECT_GE(setups[1].start_ns, runs[0].start_ns + runs[0].dur_ns);
 }
 
 TEST(TimelineEngine, EngineEmitsBuiltinCounterTracks) {
