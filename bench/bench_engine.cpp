@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -65,14 +66,16 @@ double median(std::vector<double> values) {
 ldcf::topology::Topology make_star_forest() {
   using namespace ldcf;
   const std::uint32_t nodes = kChannelHubs * (kChannelLeaves + 1);
-  topology::Topology topo{std::vector<topology::Point2D>(nodes)};
+  std::vector<topology::LinkRecord> links;
   for (std::uint32_t s = 0; s < kChannelHubs; ++s) {
     const NodeId hub = s * (kChannelLeaves + 1);
     for (std::uint32_t l = 1; l <= kChannelLeaves; ++l) {
-      topo.add_symmetric_link(hub, hub + l, 0.5);
+      links.push_back({hub, hub + l, 0.5});
+      links.push_back({hub + l, hub, 0.5});
     }
   }
-  return topo;
+  return topology::Topology::from_links(
+      std::vector<topology::Point2D>(nodes), std::move(links));
 }
 
 ChannelRow run_channel_bench(const std::string& label,

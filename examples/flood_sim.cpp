@@ -6,7 +6,6 @@
 // prints them with their ranges and defaults.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -293,12 +292,8 @@ int run_cli(int argc, char** argv) {
                 if (sensors > 2000) gen.base.require_connectivity = false;
                 return topology::make_clustered(gen);
               }
-              topology::GeneratorConfig gen;
-              gen.num_sensors = sensors;
-              gen.area_side_m =
-                  560.0 * std::sqrt(static_cast<double>(sensors) / 298.0);
-              gen.radio.path_loss_exponent = 3.3;
-              gen.seed = topo_seed;
+              topology::GeneratorConfig gen =
+                  topology::scaled_generator_config(sensors, topo_seed);
               gen.link_rng = link_rng;
               if (sensors > 2000) gen.require_connectivity = false;
               if (generator == "uniform") return topology::make_uniform(gen);

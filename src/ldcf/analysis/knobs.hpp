@@ -11,9 +11,11 @@ namespace ldcf::analysis::knobs {
 
 using common::Knob;
 
+/// The floor keeps the period T = 100 / duty at most 10,000 slots: every
+/// per-period table is sized by T.
 inline Knob duty_pct() {
   return Knob("PCT", "duty cycle: percent of slots a sensor is awake")
-      .above(0)
+      .at_least(0.01)
       .at_most(100);
 }
 inline Knob coverage() {

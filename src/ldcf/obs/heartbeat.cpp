@@ -93,9 +93,10 @@ void HeartbeatObserver::emit(std::uint64_t slots, bool done) {
 void HeartbeatObserver::on_slot_begin(SlotIndex slot,
                                       std::span<const NodeId> /*active*/) {
   // Check the clock sparsely: a heartbeat interval is seconds, slots are
-  // microseconds.
+  // microseconds. Count executed slots, not slot indices: compact time
+  // skips most indices, so a multiple of the stride may never execute.
   static constexpr std::uint64_t kCheckStride = 1024;
-  if ((slot % kCheckStride) != 0) return;
+  if (slots_seen_++ % kCheckStride != 0) return;
   const std::uint64_t now = wall_now_ns();
   if (static_cast<double>(now - last_emit_ns_) < interval_ns_) return;
   emit(slot, /*done=*/false);

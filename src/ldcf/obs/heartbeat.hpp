@@ -83,6 +83,7 @@ class HeartbeatObserver final : public sim::SimObserver {
   double interval_ns_;  ///< double: seconds x 1e9 can exceed uint64_t.
   std::uint64_t start_ns_ = 0;
   std::uint64_t last_emit_ns_ = 0;
+  std::uint64_t slots_seen_ = 0;  ///< executed slots, for the clock stride.
   std::uint64_t covered_ = 0;
 };
 

@@ -1,7 +1,7 @@
 // Fingerprint-keyed memoization of immutable simulation artifacts.
 //
 // The sweep service sees the same experiment shapes over and over: repeated
-// jobs share sealed topologies, per-trial working schedules, and OF energy
+// jobs share built topologies, per-trial working schedules, and OF energy
 // trees, all of which are pure functions of their fingerprinted inputs.
 // ArtifactCache memoizes them under one LRU byte budget:
 //

@@ -1,5 +1,6 @@
 #include "ldcf/serve/job.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "ldcf/analysis/knobs.hpp"
@@ -15,12 +16,14 @@ JobSpec parse_job_spec(const obs::JsonValue& config) {
   common::OptionTable keys("config", "one sweep point");
   keys.add("protocol", &spec.protocol, analysis::knobs::protocol())
       .add("generator", &spec.generator, analysis::knobs::generator())
-      .add("sensors", &spec.sensors, common::Knob("N", "").at_least(2))
+      .add("sensors", &spec.sensors,
+           common::Knob("N", "").at_least(2).at_most(kMaxJobSensors))
       .add("topology_seed", &spec.topology_seed, {"S", "generator seed"})
       .add("duty_pct", &spec.duty_pct, analysis::knobs::duty_pct())
       .add("slots_per_period", &spec.slots_per_period,
            analysis::knobs::slots_per_period())
-      .add("num_packets", &spec.num_packets, analysis::knobs::packets())
+      .add("num_packets", &spec.num_packets,
+           analysis::knobs::packets().at_most(kMaxJobPackets))
       .add("packet_spacing", &spec.packet_spacing, analysis::knobs::spacing())
       .add("seed", &spec.seed, {"S", "run seed"})
       .add("max_slots", &spec.max_slots, common::Knob("K", "").at_least(1))
@@ -76,9 +79,8 @@ topology::Topology build_topology(const JobSpec& spec) {
         topology::scaled_cluster_config(spec.sensors, spec.topology_seed);
     return topology::make_clustered(config);
   }
-  topology::GeneratorConfig config;
-  config.num_sensors = spec.sensors;
-  config.seed = spec.topology_seed;
+  const topology::GeneratorConfig config =
+      topology::scaled_generator_config(spec.sensors, spec.topology_seed);
   if (spec.generator == "uniform") return topology::make_uniform(config);
   if (spec.generator == "grid") return topology::make_grid(config);
   return topology::make_uniform_disk(config);
@@ -105,6 +107,12 @@ analysis::ExperimentConfig make_experiment(const JobSpec& spec) {
 
 DutyCycle spec_duty(const JobSpec& spec) {
   return DutyCycle::from_ratio(spec.duty_pct / 100.0);
+}
+
+std::uint64_t job_cells(const JobSpec& spec) {
+  const std::uint64_t width =
+      std::max<std::uint64_t>(spec_duty(spec).period, spec.num_packets);
+  return (std::uint64_t{spec.sensors} + 1) * width;
 }
 
 }  // namespace ldcf::serve

@@ -24,6 +24,13 @@
 
 namespace ldcf::serve {
 
+/// Per-spec ceilings on what one job may ask for.
+inline constexpr std::uint32_t kMaxJobSensors = 100'000;
+inline constexpr std::uint32_t kMaxJobPackets = 10'000;
+/// Admission ceiling on job_cells: the server rejects larger jobs with
+/// `job_too_large` before queueing them.
+inline constexpr std::uint64_t kMaxJobCells = std::uint64_t{1} << 24;
+
 /// One sweep-point request. The defaults are part of every fingerprint and
 /// differ from flood_sim's (dbao, 298 sensors, 100 packets, seed 7).
 struct JobSpec {
@@ -61,7 +68,9 @@ struct JobSpec {
 /// consumes (generator, sensors, topology_seed).
 [[nodiscard]] std::uint64_t topology_key(const JobSpec& spec);
 
-/// Build the spec's topology (deterministic in topology_key inputs).
+/// Build the spec's topology (deterministic in topology_key inputs) from
+/// the same scaled, constant-density configs as `flood_sim --sensors`,
+/// with source connectivity required at every size.
 [[nodiscard]] topology::Topology build_topology(const JobSpec& spec);
 
 /// The spec as an ExperimentConfig. Profiling is forced off — stage
@@ -71,5 +80,10 @@ struct JobSpec {
 
 /// The spec's duty cycle (duty_pct as a ratio).
 [[nodiscard]] DutyCycle spec_duty(const JobSpec& spec);
+
+/// (sensors + 1) x max(T, num_packets): the size of the job's largest
+/// per-node tables (the N x T pending buckets, the N x M possession
+/// bits), which is what one job's memory grows with.
+[[nodiscard]] std::uint64_t job_cells(const JobSpec& spec);
 
 }  // namespace ldcf::serve

@@ -270,6 +270,17 @@ void FloodServer::handle_frame(const std::shared_ptr<Connection>& conn,
                            std::to_string(config_.max_trials_per_job)));
         return;
       }
+      if (const std::uint64_t cells = job_cells(spec); cells > kMaxJobCells) {
+        jobs_rejected_.fetch_add(1, std::memory_order_relaxed);
+        (void)send_frame(
+            *conn, rejected_frame(
+                       "job_too_large",
+                       "(sensors + 1) x max(period, num_packets) = " +
+                           std::to_string(cells) +
+                           " exceeds the per-job ceiling " +
+                           std::to_string(kMaxJobCells)));
+        return;
+      }
       std::uint64_t id = 0;
       std::size_t depth = 0;
       {

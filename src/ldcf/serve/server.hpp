@@ -19,7 +19,7 @@
 // a bounded worker pool executing jobs FIFO. Each job's trials fan out
 // through analysis::run_point (the same executor the CLI uses), with
 // progress streamed back per completed trial. Immutable artifacts —
-// sealed topologies, per-trial working schedules, OF energy trees — are
+// built topologies, per-trial working schedules, OF energy trees — are
 // memoized in an ArtifactCache keyed on content fingerprints, and results
 // are byte-identical whether artifacts came from the cache or were built
 // cold (profiling is forced off and report wall_seconds pinned to zero, so

@@ -16,7 +16,7 @@ namespace {
 /// Wire up every pair within plausible radio range: sample a persistent
 /// shadowing offset per unordered pair, derive directional PRRs (slightly
 /// asymmetric, as measured traces are), keep links above the usable floor.
-/// Returns the sealed topology (DESIGN.md §9).
+/// Returns the finished topology (DESIGN.md §9).
 ///
 /// In-range pairs come from a spatial hash grid range query rather than an
 /// all-pairs scan. In kSequential mode its canonical ascending-(a, b)
@@ -101,8 +101,6 @@ Topology generate_with_retries(const GeneratorConfig& config,
         config.seed +
         static_cast<std::uint64_t>(attempt) * std::uint64_t{0x9e37};
     Rng rng(attempt_seed);
-    // Born sealed, so the returned topology is safe to share across the
-    // parallel trial executor's threads without a first-query race window.
     Topology topo = build_links(place(rng), config.radio, rng,
                                 config.link_rng, attempt_seed);
     if (!config.require_connectivity ||
@@ -188,17 +186,24 @@ Topology make_clustered(const ClusterConfig& config) {
   });
 }
 
+GeneratorConfig scaled_generator_config(std::uint32_t num_sensors,
+                                        std::uint64_t seed) {
+  LDCF_REQUIRE(num_sensors >= 1, "need at least one sensor");
+  GeneratorConfig config;
+  config.num_sensors = num_sensors;
+  // Constant density: the GreenOrbs stand-in packs 298 sensors in a 560 m
+  // square, so the side grows with sqrt(N).
+  config.area_side_m =
+      560.0 * std::sqrt(static_cast<double>(num_sensors) / 298.0);
+  config.radio.path_loss_exponent = 3.3;
+  config.seed = seed;
+  return config;
+}
+
 ClusterConfig scaled_cluster_config(std::uint32_t num_sensors,
                                     std::uint64_t seed) {
-  LDCF_REQUIRE(num_sensors >= 1, "need at least one sensor");
   ClusterConfig config;
-  config.base.num_sensors = num_sensors;
-  // Constant density: the GreenOrbs stand-in packs 298 sensors in a 560 m
-  // square, so the side grows with sqrt(N) and clusters with N.
-  config.base.area_side_m =
-      560.0 * std::sqrt(static_cast<double>(num_sensors) / 298.0);
-  config.base.radio.path_loss_exponent = 3.3;
-  config.base.seed = seed;
+  config.base = scaled_generator_config(num_sensors, seed);
   config.num_clusters = std::max(4u, num_sensors / 17u);
   config.cluster_sigma_m = 34.0;
   return config;
@@ -222,16 +227,16 @@ Topology make_greenorbs_like(std::uint64_t seed) {
 Topology make_complete(std::uint32_t num_sensors, double prr) {
   LDCF_REQUIRE(num_sensors >= 1, "need at least one sensor");
   LDCF_REQUIRE(prr > 0.0 && prr <= 1.0, "PRR must be in (0, 1]");
-  std::vector<Point2D> pts(num_sensors + 1);  // geometry is irrelevant here.
-  Topology topo(std::move(pts));
-  const auto n = static_cast<NodeId>(topo.num_nodes());
+  const NodeId n = num_sensors + 1;
+  std::vector<LinkRecord> links;
+  links.reserve(static_cast<std::size_t>(n) * num_sensors);
   for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) {
-      topo.add_symmetric_link(a, b, prr);
+    for (NodeId b = 0; b < n; ++b) {
+      if (a != b) links.push_back(LinkRecord{a, b, prr});
     }
   }
-  topo.seal();
-  return topo;
+  // Geometry is irrelevant here.
+  return Topology::from_links(std::vector<Point2D>(n), std::move(links));
 }
 
 }  // namespace ldcf::topology

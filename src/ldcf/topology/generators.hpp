@@ -9,7 +9,7 @@
 //
 // Link construction uses a spatial hash grid range query instead of the
 // historical all-pairs loop — O(N + links) rather than O(N^2), which is
-// what makes 100k-node topologies buildable — and writes the sealed CSR in
+// what makes 100k-node topologies buildable — and writes the finished CSR in
 // the same pass (DESIGN.md §9, `bench_scale`).
 #pragma once
 
@@ -71,11 +71,18 @@ struct ClusterConfig {
 };
 [[nodiscard]] Topology make_clustered(const ClusterConfig& config);
 
-/// A GreenOrbs-density clustered config scaled to `num_sensors`: the area
-/// grows like sqrt(N) (constant sensor density) and the cluster count like
-/// N, so mean degree and PRR mix stay in the deployment's regime at any
-/// scale. This is the shape `flood_sim --sensors` and the N-scaling benches
-/// use; pair it with LinkRngMode::kPairKeyed for order-independent links.
+/// A GreenOrbs-density config scaled to `num_sensors`: the stand-in packs
+/// 298 sensors in a 560 m square with path-loss exponent 3.3, so the side
+/// grows like sqrt(N) (constant sensor density) and the mean degree stays
+/// in the deployment's regime at any scale. `flood_sim --sensors` and the
+/// sweep server build their uniform, grid and disk networks from it.
+[[nodiscard]] GeneratorConfig scaled_generator_config(
+    std::uint32_t num_sensors, std::uint64_t seed);
+
+/// scaled_generator_config plus a cluster count growing like N. This is
+/// the shape `flood_sim --sensors`, the sweep server and the N-scaling
+/// benches use for clustered networks; pair it with LinkRngMode::kPairKeyed
+/// for order-independent links.
 [[nodiscard]] ClusterConfig scaled_cluster_config(std::uint32_t num_sensors,
                                                   std::uint64_t seed);
 

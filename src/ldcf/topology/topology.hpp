@@ -6,23 +6,21 @@
 // walk contiguous memory even at 100k nodes. Node 0 is the flooding source
 // by convention (paper §III-A).
 //
-// Two ways in. Generators hand over a finished CSR (the adopting
-// constructor validates it once and the topology starts sealed). Traces,
-// hand-built test graphs and make_complete use add_link, which inserts into
-// per-node staging rows (with immediate duplicate/range validation); the
-// first read-side query seals the staging rows into the CSR arrays and
-// releases them. A later add_link thaws the CSR back into staging, so
-// interleaved build/query code keeps working; it just pays a re-seal.
-// Sealing is idempotent, thread-safe (double-checked under a global mutex)
-// and observable only through memory locality.
+// A Topology never changes once constructed: the paper floods a fixed
+// graph. Two ways in. Generators hand over a finished CSR to the adopting
+// constructor, which validates it once; traces, hand-built test graphs and
+// make_complete pass a list of directed link records to from_links, which
+// sorts them into that CSR. Every query reads plain vectors, so concurrent
+// readers need no synchronisation.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "ldcf/common/error.hpp"
 #include "ldcf/common/types.hpp"
 #include "ldcf/topology/geometry.hpp"
 
@@ -34,36 +32,33 @@ struct Link {
   double prr = 0.0;  ///< packet reception ratio in (0, 1].
 };
 
-/// Immutable-after-build network graph.
+/// One directed link u -> v, in any order: the input of from_links.
+struct LinkRecord {
+  NodeId from = kNoNode;
+  NodeId to = kNoNode;
+  double prr = 0.0;
+};
+
+/// Network graph, fixed at construction.
 class Topology {
  public:
+  /// No nodes; only useful as the target of an assignment.
   Topology() = default;
-
-  /// Construct with `count` nodes (ids 0..count-1) at the given positions.
-  explicit Topology(std::vector<Point2D> positions);
 
   /// Adopt a finished CSR adjacency: row n is links[offsets[n],
   /// offsets[n+1]). Validated once in O(links) — offsets has one entry per
   /// node plus one, starts at 0, never decreases and ends at links.size();
   /// every id is in range, no self-loops, PRR in (0, 1], each row strictly
-  /// ascending by id — and InvalidArgument is thrown otherwise. The result
-  /// is already sealed.
+  /// ascending by id — and InvalidArgument is thrown otherwise.
   Topology(std::vector<Point2D> positions, std::vector<std::size_t> offsets,
            std::vector<Link> links);
 
-  Topology(const Topology& other);
-  Topology& operator=(const Topology& other);
-  Topology(Topology&& other) noexcept;
-  Topology& operator=(Topology&& other) noexcept;
-  ~Topology() = default;
-
-  /// Add a directed link u -> v with the given PRR. Throws on out-of-range
-  /// ids, self-loops, PRR outside (0, 1], or duplicate links. Invalidates
-  /// spans previously returned by neighbors().
-  void add_link(NodeId from, NodeId to, double prr);
-
-  /// Add u <-> v with the same PRR both ways.
-  void add_symmetric_link(NodeId a, NodeId b, double prr);
+  /// Build from directed link records in any order: sorts them by
+  /// (from, to) into the CSR. Throws InvalidArgument on an empty position
+  /// list, an out-of-range id, a self-loop, a PRR outside (0, 1] or a
+  /// duplicate (from, to) pair (the message names the pair).
+  [[nodiscard]] static Topology from_links(std::vector<Point2D> positions,
+                                           std::vector<LinkRecord> links);
 
   /// Number of nodes including the source.
   [[nodiscard]] std::size_t num_nodes() const { return positions_.size(); }
@@ -74,7 +69,7 @@ class Topology {
   }
 
   /// Total directed link count.
-  [[nodiscard]] std::size_t num_links() const { return num_links_; }
+  [[nodiscard]] std::size_t num_links() const { return links_.size(); }
 
   [[nodiscard]] const Point2D& position(NodeId n) const;
 
@@ -84,11 +79,22 @@ class Topology {
   }
 
   /// Out-neighbors of `n`, sorted by neighbor id. The span points into the
-  /// CSR link array and stays valid until the next add_link.
-  [[nodiscard]] std::span<const Link> neighbors(NodeId n) const;
+  /// CSR link array and is valid for the topology's lifetime.
+  [[nodiscard]] std::span<const Link> neighbors(NodeId n) const {
+    LDCF_REQUIRE(n < num_nodes(), "node id out of range");
+    return {links_.data() + offsets_[n], links_.data() + offsets_[n + 1]};
+  }
 
   /// PRR of the directed link u -> v, or nullopt if absent.
-  [[nodiscard]] std::optional<double> prr(NodeId from, NodeId to) const;
+  [[nodiscard]] std::optional<double> prr(NodeId from, NodeId to) const {
+    LDCF_REQUIRE(to < num_nodes(), "node id out of range");
+    const std::span<const Link> row = neighbors(from);
+    const auto it = std::lower_bound(
+        row.begin(), row.end(), to,
+        [](const Link& l, NodeId id) { return l.to < id; });
+    if (it != row.end() && it->to == to) return it->prr;
+    return std::nullopt;
+  }
 
   [[nodiscard]] bool has_link(NodeId from, NodeId to) const {
     return prr(from, to).has_value();
@@ -115,45 +121,20 @@ class Topology {
 
   /// Structural fingerprint: FNV-1a over the node count, then every
   /// (from, to, prr bits) link in CSR order. Any changed PRR bit changes
-  /// it. Hashed on the first call and memoized; add_link drops the memo,
-  /// copies and moves carry it.
-  [[nodiscard]] std::uint64_t fingerprint() const;
+  /// it. Hashed once, by the constructor; a default-constructed topology's
+  /// is 0.
+  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Force the CSR seal now (it otherwise happens lazily on first query).
-  /// Call this before handing an add_link-built topology to concurrent
-  /// readers.
-  void seal() const { ensure_sealed(); }
-
-  /// True when the CSR arrays are current (introspection for tests).
-  [[nodiscard]] bool sealed() const {
-    return sealed_.load(std::memory_order_acquire);
-  }
-
-  /// True when fingerprint() is memoized (introspection for tests).
-  [[nodiscard]] bool fingerprinted() const {
-    return fingerprint_valid_.load(std::memory_order_acquire);
-  }
+  /// Does nothing: a constructed topology is already in its final CSR
+  /// form. Kept only because perfbench/src/paper_sweep.cpp still calls it.
+  void seal() const {}
 
  private:
-  /// Seal staging rows into the CSR arrays (idempotent, thread-safe).
-  void ensure_sealed() const;
-  /// Rebuild staging rows from the CSR arrays before a mutation.
-  void thaw();
-
   std::vector<Point2D> positions_;
-  std::size_t num_links_ = 0;
-
-  // Build-phase adjacency rows; emptied by the seal, rebuilt by a thaw.
-  mutable std::vector<std::vector<Link>> staging_;
-
-  // CSR adjacency: row n is csr_links_[csr_offsets_[n] .. csr_offsets_[n+1]).
-  mutable std::vector<std::size_t> csr_offsets_;
-  mutable std::vector<Link> csr_links_;
-  mutable std::atomic<bool> sealed_{false};
-
-  // fingerprint() memo; published under the seal lock.
-  mutable std::uint64_t fingerprint_ = 0;
-  mutable std::atomic<bool> fingerprint_valid_{false};
+  // CSR adjacency: row n is links_[offsets_[n] .. offsets_[n+1]).
+  std::vector<std::size_t> offsets_;
+  std::vector<Link> links_;
+  std::uint64_t fingerprint_ = 0;
 };
 
 }  // namespace ldcf::topology

@@ -1,10 +1,12 @@
 #include "ldcf/topology/trace_io.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ldcf/common/error.hpp"
@@ -44,12 +46,9 @@ Topology read_trace(std::istream& in) {
                "missing or unknown trace header");
 
   std::vector<Point2D> positions;
-  struct PendingLink {
-    NodeId from;
-    NodeId to;
-    double prr;
-  };
-  std::vector<PendingLink> links;
+  std::vector<LinkRecord> links;
+  // (from << 32 | to, line) per link, to name a duplicate's second line.
+  std::vector<std::pair<std::uint64_t, std::size_t>> link_lines;
   bool seen_link = false;
 
   std::size_t line_no = 1;
@@ -94,7 +93,19 @@ Topology read_trace(std::istream& in) {
       const NodeId from = parse_field("from", common::parse_u32);
       const NodeId to = parse_field("to", common::parse_u32);
       const double prr = parse_field("prr", common::parse_double);
-      links.push_back(PendingLink{from, to, prr});
+      // Checked here, so the error names the trace line, not our source.
+      const auto require = [&](bool ok, const char* why) {
+        if (!ok) {
+          throw InvalidArgument(std::string(why) + " at line " +
+                                std::to_string(line_no));
+        }
+      };
+      require(from < positions.size() && to < positions.size(),
+              "node id out of range");
+      require(from != to, "self-loop");
+      require(prr > 0.0 && prr <= 1.0, "PRR must be in (0, 1]");
+      links.push_back(LinkRecord{from, to, prr});
+      link_lines.emplace_back(std::uint64_t{from} << 32 | to, line_no);
     } else {
       throw InvalidArgument("unknown record kind '" + std::string(kind) +
                             "' at line " + std::to_string(line_no));
@@ -104,11 +115,16 @@ Topology read_trace(std::istream& in) {
   }
 
   LDCF_REQUIRE(!positions.empty(), "trace contains no nodes");
-  Topology topo(std::move(positions));
-  for (const auto& l : links) {
-    topo.add_link(l.from, l.to, l.prr);
+  std::sort(link_lines.begin(), link_lines.end());
+  for (std::size_t i = 1; i < link_lines.size(); ++i) {
+    const auto [key, dup_line] = link_lines[i];
+    if (key == link_lines[i - 1].first) {
+      throw InvalidArgument("duplicate link " + std::to_string(key >> 32) +
+                            " -> " + std::to_string(key & 0xffffffffu) +
+                            " at line " + std::to_string(dup_line));
+    }
   }
-  return topo;
+  return Topology::from_links(std::move(positions), std::move(links));
 }
 
 Topology read_trace_file(const std::string& path) {

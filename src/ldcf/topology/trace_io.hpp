@@ -26,7 +26,9 @@ void write_trace_file(const Topology& topo, const std::string& path);
 
 /// Parse a trace from the stream. Throws InvalidArgument naming the line on
 /// malformed input (bad header, unknown record, missing or extra field,
-/// out-of-order nodes, invalid PRR, ...). Every scalar goes through the
+/// out-of-order nodes, out-of-range node id, self-loop, invalid PRR, ...);
+/// a duplicate link names the pair and the line of its second occurrence.
+/// Every scalar goes through the
 /// strict common/parse.hpp helpers: no trailing junk or whitespace, no
 /// signs on ids, ids within 32 bits.
 [[nodiscard]] Topology read_trace(std::istream& in);

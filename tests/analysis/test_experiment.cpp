@@ -325,14 +325,15 @@ TEST(EffectiveK, HomogeneousNetworkCollapsesAllModes) {
 }
 
 TEST(EffectiveK, RejectsLinklessTopology) {
-  const topology::Topology lonely{std::vector<topology::Point2D>(3)};
+  const topology::Topology lonely =
+      topology::Topology::from_links(std::vector<topology::Point2D>(3), {});
   EXPECT_THROW((void)effective_k(lonely, KEstimate::kInverseMeanPrr),
                InvalidArgument);
 }
 
 TEST(EffectiveK, SingleLinkTopologyCollapsesAllModes) {
-  topology::Topology topo{std::vector<topology::Point2D>(2)};
-  topo.add_link(0, 1, 0.5);
+  const topology::Topology topo = topology::Topology::from_links(
+      std::vector<topology::Point2D>(2), {{0, 1, 0.5}});
   for (const auto mode :
        {KEstimate::kInverseMeanPrr, KEstimate::kHarmonicMean,
         KEstimate::kTreeWeighted}) {
@@ -352,8 +353,8 @@ TEST(EffectiveK, PerfectLinksNeedExactlyOneTransmission) {
 TEST(EffectiveK, TreeWeightedThrowsWhenSourceReachesNothing) {
   // Links exist (so the linkless check passes) but none leave the source:
   // the ETX tree from node 0 is empty and the reduction must refuse.
-  topology::Topology topo{std::vector<topology::Point2D>(3)};
-  topo.add_link(1, 2, 0.8);
+  const topology::Topology topo = topology::Topology::from_links(
+      std::vector<topology::Point2D>(3), {{1, 2, 0.8}});
   EXPECT_THROW((void)effective_k(topo, KEstimate::kTreeWeighted),
                InvalidArgument);
   // The link-global reductions still work on the same topology.

@@ -133,7 +133,7 @@ TEST(Options, OutOfRangeValueNamesTheFlagAndTheRange) {
   EXPECT_EQ(argv_error({"--packets", "0"}),
             "bad --packets: '0' (must be >= 1)");
   EXPECT_EQ(argv_error({"--duty", "100.5"}),
-            "bad --duty: '100.5' (must be in (0, 100])");
+            "bad --duty: '100.5' (must be in [0.01, 100])");
   // The type's own range comes first: no silent 32-bit wrap.
   EXPECT_EQ(argv_error({"--packets", "4294967299"}),
             "bad --packets: '4294967299' (out of range for a 32-bit unsigned "
@@ -152,7 +152,7 @@ TEST(Options, BadChoiceListsTheChoices) {
 }
 
 TEST(Options, SharedDutyRowRejectsZeroIdenticallyFromArgvAndJson) {
-  const std::string why = "'0' (must be in (0, 100])";
+  const std::string why = "'0' (must be in [0.01, 100])";
   EXPECT_EQ(argv_error({"--duty", "0"}), "bad --duty: " + why);
   EXPECT_EQ(json_error(R"({"duty_pct":0})"), "bad duty_pct: " + why);
 }
@@ -195,7 +195,8 @@ TEST(Options, HelpStopsParsingAndListsEveryRow) {
         << row << " missing from:\n" << usage;
   }
   // Ranges and defaults are rendered from the rows themselves.
-  EXPECT_NE(usage.find("(in (0, 100]) [default: 5]"), std::string::npos);
+  EXPECT_NE(usage.find("(in [0.01, 100]) [default:\n      5]"),
+            std::string::npos);
   EXPECT_NE(usage.find("(>= 1) [default: 20]"), std::string::npos);
 }
 

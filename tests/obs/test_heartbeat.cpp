@@ -2,6 +2,7 @@
 // record, and the end-to-end experiment wiring.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -102,6 +103,34 @@ TEST(HeartbeatObserver, EmitsAFinalDoneRecord) {
   EXPECT_NE(lines[0].find("\"slots\":4096"), std::string::npos);
   EXPECT_NE(lines[0].find("\"packets_covered\":2"), std::string::npos);
   EXPECT_NE(lines[0].find("\"eta_seconds\":0"), std::string::npos);
+  std::filesystem::remove(path);
+}
+
+TEST(HeartbeatObserver, StridesOverExecutedSlotsNotSlotIndices) {
+  // Compact time executes only slots where something can happen: here
+  // every odd index, so no executed slot is a multiple of the 1024-slot
+  // clock stride. Heartbeats must still fire mid-run.
+  const std::string path = temp_path("ldcf_heartbeat_compact_test.jsonl");
+  std::filesystem::remove(path);
+  constexpr std::uint64_t kExecuted = 8 * 1024;
+  {
+    obs::HeartbeatWriter writer(path);
+    obs::HeartbeatObserver observer(writer, 0, "dbao", 6, 1e-9);
+    for (std::uint64_t k = 0; k < kExecuted; ++k) {
+      observer.on_slot_begin(2 * k + 1, {});
+    }
+    sim::SimResult result;
+    result.metrics.end_slot = 2 * kExecuted;
+    observer.on_run_end(result);
+  }
+  const auto lines = read_lines(path);
+  // One check on the first executed slot and every 1024th after it, each
+  // past the 1 ns interval, plus the done record.
+  ASSERT_EQ(lines.size(), kExecuted / 1024 + 1);
+  for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+    EXPECT_NE(lines[i].find("\"done\":false"), std::string::npos) << i;
+  }
+  EXPECT_NE(lines.back().find("\"done\":true"), std::string::npos);
   std::filesystem::remove(path);
 }
 

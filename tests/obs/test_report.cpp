@@ -106,22 +106,18 @@ TEST(Provenance, CurrentIsPopulated) {
 }
 
 TEST(TopologyFingerprint, SensitiveToEveryLinkBit) {
-  topology::Topology a{std::vector<topology::Point2D>(3)};
-  a.add_link(0, 1, 0.5);
-  a.add_link(1, 2, 0.25);
-  topology::Topology b{std::vector<topology::Point2D>(3)};
-  b.add_link(0, 1, 0.5);
-  b.add_link(1, 2, 0.25);
+  const auto build = [](std::size_t nodes, double prr_12) {
+    return topology::Topology::from_links(
+        std::vector<topology::Point2D>(nodes), {{0, 1, 0.5}, {1, 2, prr_12}});
+  };
+  const topology::Topology a = build(3, 0.25);
+  const topology::Topology b = build(3, 0.25);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
 
-  topology::Topology prr_changed{std::vector<topology::Point2D>(3)};
-  prr_changed.add_link(0, 1, 0.5);
-  prr_changed.add_link(1, 2, 0.250000001);
+  const topology::Topology prr_changed = build(3, 0.250000001);
   EXPECT_NE(a.fingerprint(), prr_changed.fingerprint());
 
-  topology::Topology extra_node{std::vector<topology::Point2D>(4)};
-  extra_node.add_link(0, 1, 0.5);
-  extra_node.add_link(1, 2, 0.25);
+  const topology::Topology extra_node = build(4, 0.25);
   EXPECT_NE(a.fingerprint(), extra_node.fingerprint());
 }
 

@@ -34,7 +34,7 @@ topology::Topology line_topology(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     positions[i].x = 10.0 * static_cast<double>(i);
   }
-  return topology::Topology(std::move(positions));
+  return topology::Topology::from_links(std::move(positions), {});
 }
 
 sim::TxResult unicast(NodeId sender, NodeId receiver, sim::TxOutcome outcome,

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ldcf/common/error.hpp"
@@ -54,13 +55,14 @@ topology::Topology reliable_copy(const topology::Topology& topo) {
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {
     positions.push_back(topo.position(n));
   }
-  topology::Topology reliable(std::move(positions));
+  std::vector<topology::LinkRecord> links;
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {
     for (const topology::Link& link : topo.neighbors(n)) {
-      reliable.add_link(n, link.to, 1.0);
+      links.push_back({n, link.to, 1.0});
     }
   }
-  return reliable;
+  return topology::Topology::from_links(std::move(positions),
+                                        std::move(links));
 }
 
 const obs::ConformanceCheck& find_check(const obs::TraceAnalysis& analysis,

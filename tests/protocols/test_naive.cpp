@@ -4,11 +4,11 @@
 
 #include "ldcf/sim/simulator.hpp"
 #include "ldcf/topology/generators.hpp"
+#include "support/graphs.hpp"
 
 namespace ldcf::protocols {
 namespace {
 
-using topology::Point2D;
 using topology::Topology;
 
 TEST(Naive, FlagsAndName) {
@@ -21,8 +21,7 @@ TEST(Naive, FlagsAndName) {
 TEST(Naive, SingleLinkBehavesExactly) {
   // On a two-node network naive flooding is optimal: one pending pair,
   // served at the receiver's wakeups until the ACK.
-  Topology topo{std::vector<Point2D>(2)};
-  topo.add_symmetric_link(0, 1, 1.0);
+  Topology topo = test_support::undirected(2, {{0, 1, 1.0}});
   sim::SimConfig config;
   config.num_packets = 3;
   config.duty = DutyCycle{6};
@@ -38,10 +37,8 @@ TEST(Naive, SingleLinkBehavesExactly) {
 TEST(Naive, FloodsEveryNeighborSoDuplicatesAbound) {
   // On a triangle, both relays push the packet at each other: the second
   // copy is a duplicate the protocol cannot avoid (no overhearing).
-  Topology topo{std::vector<Point2D>(3)};
-  topo.add_symmetric_link(0, 1, 1.0);
-  topo.add_symmetric_link(0, 2, 1.0);
-  topo.add_symmetric_link(1, 2, 1.0);
+  Topology topo = test_support::undirected(
+      3, {{0, 1, 1.0}, {0, 2, 1.0}, {1, 2, 1.0}});
   sim::SimConfig config;
   config.num_packets = 1;
   config.duty = DutyCycle{5};

@@ -11,6 +11,7 @@
 #include "ldcf/topology/generators.hpp"
 #include "ldcf/topology/tree.hpp"
 #include "protocol_diff.hpp"
+#include "support/graphs.hpp"
 
 namespace ldcf::protocols {
 namespace {
@@ -54,10 +55,8 @@ TEST(Opt, ServesReceiverFromBestHolderNeighbor) {
   // The oracle must use the good relay once 2 holds the packet, not hammer
   // the bad direct link; with everything perfect, each unicast succeeds
   // first try.
-  Topology topo{std::vector<Point2D>(3)};
-  topo.add_symmetric_link(0, 1, 0.2);
-  topo.add_symmetric_link(0, 2, 1.0);
-  topo.add_symmetric_link(2, 1, 1.0);
+  Topology topo = test_support::undirected(
+      3, {{0, 1, 0.2}, {0, 2, 1.0}, {2, 1, 1.0}});
   sim::SimConfig config;
   config.num_packets = 1;
   config.coverage_fraction = 1.0;
@@ -76,9 +75,11 @@ TEST(Opt, AsymmetricOnlyInLinkStillServes) {
   // Node 2 is reachable only through a one-way link 1 -> 2 (no 2 -> 1):
   // the oracle must find the in-neighbor even though 2's out-neighbor list
   // does not contain it.
-  Topology topo{std::vector<Point2D>(3)};
-  topo.add_symmetric_link(0, 1, 1.0);
-  topo.add_link(1, 2, 1.0);  // one-way.
+  std::vector<topology::LinkRecord> links =
+      test_support::both_ways({{0, 1, 1.0}});
+  links.push_back({1, 2, 1.0});  // one-way.
+  const Topology topo =
+      Topology::from_links(std::vector<Point2D>(3), std::move(links));
   sim::SimConfig config;
   config.num_packets = 1;
   config.coverage_fraction = 1.0;
@@ -91,8 +92,7 @@ TEST(Opt, AsymmetricOnlyInLinkStillServes) {
 
 TEST(Opt, FcfsServesOldestPacketFirst) {
   // Two packets over one perfect link: packet 0 must complete before 1.
-  Topology topo{std::vector<Point2D>(2)};
-  topo.add_symmetric_link(0, 1, 1.0);
+  Topology topo = test_support::undirected(2, {{0, 1, 1.0}});
   sim::SimConfig config;
   config.num_packets = 2;
   config.coverage_fraction = 1.0;

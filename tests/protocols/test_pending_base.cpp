@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "ldcf/common/error.hpp"
@@ -9,6 +10,7 @@
 #include "ldcf/protocols/protocol.hpp"
 #include "ldcf/sim/node_state.hpp"
 #include "ldcf/topology/topology.hpp"
+#include "support/graphs.hpp"
 
 namespace ldcf::protocols {
 namespace {
@@ -41,7 +43,10 @@ class Harness final : public PendingSetProtocol {
 /// Drives the protocol the way SimEngine does: a copy is marked in the
 /// possession state first, then the callback reports it.
 struct Fixture {
-  Topology topo{std::vector<Point2D>{{0, 0}, {1, 0}, {2, 0}, {3, 0}}};
+  Topology topo = Topology::from_links(
+      std::vector<Point2D>{{0, 0}, {1, 0}, {2, 0}, {3, 0}},
+      test_support::both_ways(
+          {{0, 1, 0.9}, {0, 2, 0.5}, {1, 2, 1.0}, {2, 3, 0.8}}));
   schedule::ScheduleSet schedules{{0, 1, 2, 3}, DutyCycle{4}};
   sim::PossessionState possession{4, 4};
   SimContext ctx;
@@ -58,10 +63,6 @@ struct Fixture {
   }
 
   Fixture() {
-    topo.add_symmetric_link(0, 1, 0.9);
-    topo.add_symmetric_link(0, 2, 0.5);
-    topo.add_symmetric_link(1, 2, 1.0);
-    topo.add_symmetric_link(2, 3, 0.8);
     ctx.topo = &topo;
     ctx.schedules = &schedules;
     ctx.duty = DutyCycle{4};
@@ -214,13 +215,18 @@ TEST(PendingBase, SenderIndexMatchesABruteForceScan) {
   constexpr std::uint32_t kPeriod = 5;
   constexpr NodeId kNodes = 7;
   constexpr std::uint32_t kPackets = 6;
-  Topology topo{std::vector<Point2D>{
-      {0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 2}}};
+  std::vector<topology::LinkRecord> records;
   for (NodeId u = 0; u < kNodes; ++u) {
     for (NodeId v = u + 1; v < kNodes; ++v) {
-      if ((u * 3 + v) % 4 != 0) topo.add_symmetric_link(u, v, 0.2 + 0.1 * v);
+      if ((u * 3 + v) % 4 == 0) continue;
+      records.push_back({u, v, 0.2 + 0.1 * v});
+      records.push_back({v, u, 0.2 + 0.1 * v});
     }
   }
+  const Topology topo = Topology::from_links(
+      std::vector<Point2D>{
+          {0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 2}},
+      std::move(records));
   // Two nodes share a phase and phase 4 stays empty.
   const schedule::ScheduleSet schedules{{0, 1, 2, 3, 1, 2, 0},
                                         DutyCycle{kPeriod}};

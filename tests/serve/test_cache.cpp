@@ -95,7 +95,8 @@ TEST(ArtifactCacheTest, LruEvictionRespectsTheBudgetAndRecency) {
   (void)cache.get<int>("num", 2, build(2), bytes);  // was evicted: rebuild.
   EXPECT_EQ(builds, 4);
 
-  const CacheKindStats* num = kind_stats(cache.stats(), "num");
+  const CacheStats stats = cache.stats();  // kind_stats points into it.
+  const CacheKindStats* num = kind_stats(stats, "num");
   ASSERT_NE(num, nullptr);
   EXPECT_GE(num->evictions, 1u);
 }

@@ -8,6 +8,7 @@
 
 #include "ldcf/common/error.hpp"
 #include "ldcf/obs/json_reader.hpp"
+#include "ldcf/topology/generators.hpp"
 
 namespace {
 
@@ -87,15 +88,55 @@ TEST(ParseJobSpec, ErrorsNameTheKey) {
     return "no error";
   };
   EXPECT_EQ(message(R"({"sensor":500})"), "bad key: 'sensor' (unknown key)");
-  EXPECT_EQ(message(R"({"sensors":1})"), "bad sensors: '1' (must be >= 2)");
+  EXPECT_EQ(message(R"({"sensors":1})"), "bad sensors: '1' (must be in [2, 100000])");
   EXPECT_EQ(message(R"({"duty_pct":0})"),
-            "bad duty_pct: '0' (must be in (0, 100])");
+            "bad duty_pct: '0' (must be in [0.01, 100])");
   // A non-string or empty protocol used to fall back to the default
   // silently; now it is a wrong kind or a bad choice like any other key.
   EXPECT_EQ(message(R"({"protocol":3})"),
             "bad protocol: '3' (expected a string)");
   EXPECT_NE(message(R"({"protocol":""})").find("(must be one of "),
             std::string::npos);
+}
+
+TEST(ParseJobSpec, BoundsWhatOneJobMayAllocate) {
+  const auto message = [](const std::string& json) -> std::string {
+    try {
+      (void)parse(json);
+    } catch (const InvalidArgument& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  // Below 0.01 % the period T = 100 / duty would pass 10,000 slots.
+  EXPECT_EQ(message(R"({"duty_pct":0.001})"),
+            "bad duty_pct: '0.001' (must be in [0.01, 100])");
+  EXPECT_EQ(message(R"({"duty_pct":1e-300})"),
+            "bad duty_pct: '1e-300' (must be in [0.01, 100])");
+  EXPECT_EQ(message(R"({"sensors":100001})"),
+            "bad sensors: '100001' (must be in [2, 100000])");
+  EXPECT_EQ(message(R"({"num_packets":10001})"),
+            "bad num_packets: '10001' (must be in [1, 10000])");
+  // The ceilings themselves are accepted.
+  EXPECT_EQ(ldcf::serve::spec_duty(parse(R"({"duty_pct":0.01})")).period,
+            10'000u);
+  EXPECT_EQ(parse(R"({"sensors":100000,"num_packets":10000})").sensors,
+            100'000u);
+}
+
+TEST(ParseJobSpec, JobCellsCountTheLargestPerNodeTable) {
+  // (sensors + 1) x max(T, M): the 5 % default has T = 20 = M.
+  EXPECT_EQ(ldcf::serve::job_cells(parse("{}")), 61u * 20u);
+  EXPECT_EQ(ldcf::serve::job_cells(parse(R"({"duty_pct":1})")), 61u * 100u);
+  EXPECT_EQ(ldcf::serve::job_cells(parse(R"({"num_packets":500})")),
+            61u * 500u);
+  // serve_mix's largest spec sits far below the admission ceiling; the
+  // largest spec the parser accepts sits far above it.
+  EXPECT_LE(ldcf::serve::job_cells(parse(R"({"sensors":10000})")),
+            ldcf::serve::kMaxJobCells);
+  EXPECT_GT(ldcf::serve::job_cells(parse(
+                R"({"sensors":100000,"duty_pct":0.01,"num_packets":10000})")),
+            ldcf::serve::kMaxJobCells);
 }
 
 TEST(SpecFingerprint, SpelledOutDefaultsHashIdentically) {
@@ -158,6 +199,24 @@ TEST(BuildTopology, IsDeterministicInItsKey) {
   const ldcf::topology::Topology b = ldcf::serve::build_topology(spec);
   EXPECT_EQ(a.num_nodes(), b.num_nodes());
   EXPECT_EQ(a.num_links(), b.num_links());
+}
+
+TEST(BuildTopology, SharesFloodSimsScaledGenerators) {
+  // One generator name, one network: the server builds uniform, grid and
+  // disk specs from the same constant-density config as flood_sim.
+  for (const char* generator : {"uniform", "grid", "disk"}) {
+    SCOPED_TRACE(generator);
+    const JobSpec spec = parse(std::string(R"({"generator":")") + generator +
+                               R"(","sensors":200,"topology_seed":3})");
+    const ldcf::topology::GeneratorConfig config =
+        ldcf::topology::scaled_generator_config(200, 3);
+    const ldcf::topology::Topology expected =
+        spec.generator == "uniform" ? ldcf::topology::make_uniform(config)
+        : spec.generator == "grid"  ? ldcf::topology::make_grid(config)
+                                    : ldcf::topology::make_uniform_disk(config);
+    EXPECT_EQ(ldcf::serve::build_topology(spec).fingerprint(),
+              expected.fingerprint());
+  }
 }
 
 TEST(MakeExperiment, ForcesProfilingOff) {

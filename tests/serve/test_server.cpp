@@ -227,6 +227,30 @@ TEST(FloodServerTest, TooManyTrialsRejection) {
   server.stop();
 }
 
+TEST(FloodServerTest, JobTooLargeRejectionKeepsServing) {
+  ServerConfig config = local_config();
+  config.job_workers = 0;
+  FloodServer server(config);
+  server.start();
+  FloodClient client(client_endpoint(server));
+  // 100,001 nodes x T = 10,000 slots: within every per-key bound, but
+  // far past the per-job cell ceiling.
+  const JsonPtr reply = client.request(
+      R"({"op":"submit","config":{"sensors":100000,"duty_pct":0.01}})");
+  EXPECT_EQ(reply->str("type"), "rejected");
+  EXPECT_EQ(reply->str("code"), "job_too_large");
+  // Over a per-key bound: a bad_request, not a crash either.
+  const JsonPtr oversized = client.request(
+      R"({"op":"submit","config":{"sensors":100001}})");
+  EXPECT_EQ(oversized->str("type"), "rejected");
+  EXPECT_EQ(oversized->str("code"), "bad_request");
+  EXPECT_EQ(client.request(R"({"op":"ping"})")->str("type"), "pong");
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.jobs.rejected, 1u);
+  EXPECT_EQ(stats.jobs.accepted, 0u);
+  server.stop();
+}
+
 TEST(FloodServerTest, MalformedFramesGetRejectedNotFatal) {
   FloodServer server(local_config());
   server.start();

@@ -4,20 +4,17 @@
 
 #include "ldcf/common/error.hpp"
 #include "ldcf/topology/topology.hpp"
+#include "support/graphs.hpp"
 
 namespace ldcf::sim {
 namespace {
 
-using topology::Point2D;
 using topology::Topology;
 
 /// 0 -- 1 -- 2 -- 3 chain plus a 0--2 shortcut, all perfect links.
 Topology chain4() {
-  Topology topo{std::vector<Point2D>(4)};
-  topo.add_symmetric_link(0, 1, 1.0);
-  topo.add_symmetric_link(1, 2, 1.0);
-  topo.add_symmetric_link(2, 3, 1.0);
-  topo.add_symmetric_link(0, 2, 1.0);
+  Topology topo = test_support::undirected(
+      4, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {0, 2, 1.0}});
   return topo;
 }
 
@@ -32,8 +29,7 @@ TEST(Channel, PerfectLinkDelivers) {
 }
 
 TEST(Channel, LossyLinkMatchesPrrStatistically) {
-  Topology topo{std::vector<Point2D>(2)};
-  topo.add_symmetric_link(0, 1, 0.3);
+  Topology topo = test_support::undirected(2, {{0, 1, 0.3}});
   Rng rng(7);
   int delivered = 0;
   constexpr int kTrials = 20000;
@@ -113,11 +109,8 @@ TEST(Channel, NoOverhearingWhenDisabled) {
 TEST(Channel, OverhearCollisionWhenTwoAudible) {
   // Node 1 hears both 0 and 2 transmitting (to other receivers): the
   // overhear attempt is itself a collision, nothing decoded.
-  Topology topo{std::vector<Point2D>(5)};
-  topo.add_symmetric_link(0, 1, 1.0);
-  topo.add_symmetric_link(2, 1, 1.0);
-  topo.add_symmetric_link(0, 3, 1.0);
-  topo.add_symmetric_link(2, 4, 1.0);
+  Topology topo = test_support::undirected(
+      5, {{0, 1, 1.0}, {2, 1, 1.0}, {0, 3, 1.0}, {2, 4, 1.0}});
   Rng rng(6);
   const std::vector<TxIntent> intents{{0, 3, 0}, {2, 4, 0}};
   const auto res =
@@ -143,9 +136,7 @@ TEST(Channel, AddresseesAndTransmittersDoNotOverhear) {
 TEST(Channel, CaptureLetsTheDominantTransmissionSurvive) {
   // 0 -> 2 over a strong link, 3 -> 2 over a weak one: with capture enabled
   // and enough quality separation, the strong copy decodes.
-  Topology topo{std::vector<Point2D>(4)};
-  topo.add_symmetric_link(0, 2, 0.95);
-  topo.add_symmetric_link(3, 2, 0.2);
+  Topology topo = test_support::undirected(4, {{0, 2, 0.95}, {3, 2, 0.2}});
   Rng rng(13);
   const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
   ChannelConfig config{true, false, 1.0, /*capture_ratio=*/2.0};
@@ -159,9 +150,7 @@ TEST(Channel, CaptureLetsTheDominantTransmissionSurvive) {
 }
 
 TEST(Channel, NoCaptureWhenLinksAreComparable) {
-  Topology topo{std::vector<Point2D>(4)};
-  topo.add_symmetric_link(0, 2, 0.8);
-  topo.add_symmetric_link(3, 2, 0.7);
+  Topology topo = test_support::undirected(4, {{0, 2, 0.8}, {3, 2, 0.7}});
   Rng rng(14);
   const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
   const ChannelConfig config{true, false, 1.0, /*capture_ratio=*/2.0};
@@ -171,9 +160,7 @@ TEST(Channel, NoCaptureWhenLinksAreComparable) {
 }
 
 TEST(Channel, CaptureDisabledByDefault) {
-  Topology topo{std::vector<Point2D>(4)};
-  topo.add_symmetric_link(0, 2, 0.99);
-  topo.add_symmetric_link(3, 2, 0.1);
+  Topology topo = test_support::undirected(4, {{0, 2, 0.99}, {3, 2, 0.1}});
   Rng rng(15);
   const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
   const ChannelConfig config{true, false};
@@ -182,8 +169,7 @@ TEST(Channel, CaptureDisabledByDefault) {
 }
 
 TEST(Channel, PrrScaleDegradesDelivery) {
-  Topology topo{std::vector<Point2D>(2)};
-  topo.add_symmetric_link(0, 1, 1.0);
+  Topology topo = test_support::undirected(2, {{0, 1, 1.0}});
   Rng rng(16);
   ChannelConfig config{true, false, /*prr_scale=*/0.3};
   int delivered = 0;
@@ -199,9 +185,7 @@ TEST(Channel, PrrScaleDegradesDelivery) {
 TEST(Channel, CaptureTieOnEqualPrrCollides) {
   // Equal-strength contenders: best/second PRR tie, so best >= ratio*second
   // fails for any ratio > 1 and the overlap stays destructive.
-  Topology topo{std::vector<Point2D>(4)};
-  topo.add_symmetric_link(0, 2, 0.8);
-  topo.add_symmetric_link(3, 2, 0.8);
+  Topology topo = test_support::undirected(4, {{0, 2, 0.8}, {3, 2, 0.8}});
   Rng rng(17);
   const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
   const ChannelConfig config{true, false, 1.0, /*capture_ratio=*/2.0};
@@ -214,9 +198,7 @@ TEST(Channel, CaptureRatioOneLetsFirstMaxPrrWin) {
   // capture_ratio = 1.0 degenerates to "any strictly-first maximum wins":
   // even an exact tie satisfies best >= 1.0 * second, and the first intent
   // holding the maximum (strict-greater updates) is the one captured.
-  Topology topo{std::vector<Point2D>(4)};
-  topo.add_symmetric_link(0, 2, 0.8);
-  topo.add_symmetric_link(3, 2, 0.8);
+  Topology topo = test_support::undirected(4, {{0, 2, 0.8}, {3, 2, 0.8}});
   Rng rng(18);
   const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
   const ChannelConfig config{true, false, 1.0, /*capture_ratio=*/1.0};
@@ -233,10 +215,8 @@ TEST(Channel, AudibleBroadcastDefeatsCapturedUnicast) {
   // A unicast that would capture its receiver still collides when a
   // broadcast is audible there: capture only settles the unicast overlap,
   // broadcast interference remains destructive.
-  Topology topo{std::vector<Point2D>(4)};
-  topo.add_symmetric_link(0, 2, 0.95);
-  topo.add_symmetric_link(3, 2, 0.2);
-  topo.add_symmetric_link(1, 2, 0.9);
+  Topology topo = test_support::undirected(
+      4, {{0, 2, 0.95}, {3, 2, 0.2}, {1, 2, 0.9}});
   Rng rng(19);
   const std::vector<TxIntent> intents{
       {0, 2, 0}, {3, 2, 1}, {1, kNoNode, 2}};
@@ -293,9 +273,7 @@ TEST(Channel, ListenerPassIsIdenticalUnderBothEvaluationOrders) {
   // carries no RNG sensitivity, so both paths must report the exact same
   // overhear. Sender 0 has degree 2, so active {1,2,3,4} (2 < 4) takes
   // scatter while active {2} (2 < 1 is false) takes gather.
-  Topology topo{std::vector<Point2D>(5)};
-  topo.add_symmetric_link(0, 1, 1.0);
-  topo.add_symmetric_link(0, 2, 1.0);
+  Topology topo = test_support::undirected(5, {{0, 1, 1.0}, {0, 2, 1.0}});
   const std::vector<TxIntent> intents{{0, 1, 0}};
   const ChannelConfig config{true, true};
 

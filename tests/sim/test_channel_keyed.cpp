@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ldcf/analysis/experiment.hpp"
@@ -63,13 +64,16 @@ TEST(ChannelKeyed, KeyedUnitIsInTheHalfOpenUnitInterval) {
 topology::Topology star_forest(std::uint32_t senders, std::uint32_t leaves,
                                double prr) {
   const std::uint32_t nodes = senders * (leaves + 1);
-  topology::Topology topo{std::vector<topology::Point2D>(nodes)};
+  std::vector<topology::LinkRecord> links;
   for (std::uint32_t s = 0; s < senders; ++s) {
     const NodeId hub = s * (leaves + 1);
     for (std::uint32_t l = 1; l <= leaves; ++l) {
-      topo.add_symmetric_link(hub, hub + l, prr);
+      links.push_back({hub, hub + l, prr});
+      links.push_back({hub + l, hub, prr});
     }
   }
+  topology::Topology topo = topology::Topology::from_links(
+      std::vector<topology::Point2D>(nodes), std::move(links));
   return topo;
 }
 
@@ -230,14 +234,16 @@ TEST(ChannelKeyed, OverhearsMatchABruteForcePerListenerReference) {
   // resolves every slot, so stale per-listener scratch would show.
   constexpr NodeId kNodes = 160;
   Rng gen(2024);
-  topology::Topology topo{std::vector<topology::Point2D>(kNodes)};
+  std::vector<topology::LinkRecord> links;
   for (NodeId u = 0; u < kNodes; ++u) {
     for (NodeId v = 0; v < kNodes; ++v) {
       if (u != v && gen.bernoulli(0.08)) {
-        topo.add_link(u, v, 0.05 + 0.95 * gen.uniform());
+        links.push_back({u, v, 0.05 + 0.95 * gen.uniform()});
       }
     }
   }
+  const topology::Topology topo = topology::Topology::from_links(
+      std::vector<topology::Point2D>(kNodes), std::move(links));
   sim::Channel channel(topo);
   std::size_t scatter_slots = 0;
   std::size_t scan_slots = 0;

@@ -51,7 +51,6 @@ Perturbations standard_faults() {
 TEST(Scale, TenKNodeTopologyIsPlausibleAndSealed) {
   const auto& topo = big_trace();
   EXPECT_EQ(topo.num_sensors(), kSensors);
-  EXPECT_TRUE(topo.sealed());  // generators seal before handing out.
   EXPECT_GT(topo.mean_degree(), 4.0);
   EXPECT_LT(topo.mean_degree(), 120.0);
   EXPECT_GT(topo.mean_prr(), 0.1);

@@ -4,11 +4,11 @@
 
 #include "ldcf/common/error.hpp"
 #include "ldcf/topology/generators.hpp"
+#include "support/graphs.hpp"
 
 namespace ldcf::sim {
 namespace {
 
-using topology::Point2D;
 using topology::Topology;
 
 /// Minimal well-behaved protocol: the source unicasts each packet to every
@@ -68,8 +68,7 @@ class MiniFlood final : public FloodingProtocol {
 };
 
 Topology pair_topology(double prr = 1.0) {
-  Topology topo{std::vector<Point2D>(2)};
-  topo.add_symmetric_link(0, 1, prr);
+  Topology topo = test_support::undirected(2, {{0, 1, prr}});
   return topo;
 }
 
@@ -159,8 +158,7 @@ TEST(Simulator, PacketSpacingDelaysGeneration) {
 TEST(Simulator, MaxSlotsStopsUncoverableRuns) {
   // Node 2 is unreachable but coverage_fraction = 1.0 demands it... the
   // engine clips the target to reachable sensors, so this still completes.
-  Topology topo{std::vector<Point2D>(3)};
-  topo.add_symmetric_link(0, 1, 1.0);
+  Topology topo = test_support::undirected(3, {{0, 1, 1.0}});
   SimConfig config;
   config.num_packets = 1;
   config.coverage_fraction = 1.0;
@@ -272,8 +270,7 @@ class RogueProtocol final : public FloodingProtocol {
 };
 
 TEST(Simulator, RogueIntentsAreRejected) {
-  Topology topo{std::vector<Point2D>(3)};
-  topo.add_symmetric_link(0, 1, 1.0);
+  Topology topo = test_support::undirected(3, {{0, 1, 1.0}});
   SimConfig config;
   config.num_packets = 1;
   config.seed = 1;

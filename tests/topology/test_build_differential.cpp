@@ -1,7 +1,8 @@
 // Differential test of the one-pass CSR topology builder against the
-// add_link-based builder it replaced. The Reference* functions below are
+// per-link builder it replaced. The Reference* functions below are
 // verbatim copies of that builder (build_links, its candidate enumeration
-// and generate_with_retries) plus the generators' placement lambdas; every
+// and generate_with_retries) plus the generators' placement lambdas, with
+// its per-link inserts collected as records for Topology::from_links; every
 // generated topology must match them bit for bit — positions, CSR offsets,
 // every link's id and PRR bits, link count and fingerprint — in both link
 // RNG modes, including a configuration that needs connectivity retries.
@@ -15,6 +16,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ldcf/common/error.hpp"
@@ -49,24 +51,26 @@ void reference_candidates_above(const SpatialHashGrid& grid,
   std::sort(out.begin(), out.end());
 }
 
-void reference_build_links(Topology& topo, const RadioModel& radio, Rng& rng,
-                           LinkRngMode mode, std::uint64_t pair_base) {
+std::vector<LinkRecord> reference_build_links(
+    std::span<const Point2D> positions, const RadioModel& radio, Rng& rng,
+    LinkRngMode mode, std::uint64_t pair_base) {
+  std::vector<LinkRecord> links;
   const double max_range = radio.range_at_prr(0.01) * 1.5;
-  const auto n = static_cast<NodeId>(topo.num_nodes());
-  const SpatialHashGrid grid(topo.positions(), max_range);
+  const auto n = static_cast<NodeId>(positions.size());
+  const SpatialHashGrid grid(positions, max_range);
   const auto realize = [&](NodeId a, NodeId b, double dist, Rng& r) {
     const double rssi = radio.sample_rssi_dbm(dist, r);
     const double asym = 0.5 * r.normal();
     const double prr_ab = radio.prr_of_rssi(rssi + asym);
     const double prr_ba = radio.prr_of_rssi(rssi - asym);
-    if (prr_ab >= radio.min_usable_prr) topo.add_link(a, b, prr_ab);
-    if (prr_ba >= radio.min_usable_prr) topo.add_link(b, a, prr_ba);
+    if (prr_ab >= radio.min_usable_prr) links.push_back({a, b, prr_ab});
+    if (prr_ba >= radio.min_usable_prr) links.push_back({b, a, prr_ba});
   };
   std::vector<NodeId> candidates;
   for (NodeId a = 0; a < n; ++a) {
-    reference_candidates_above(grid, topo.positions(), a, candidates);
+    reference_candidates_above(grid, positions, a, candidates);
     for (const NodeId b : candidates) {
-      const double dist = distance(topo.position(a), topo.position(b));
+      const double dist = distance(positions[a], positions[b]);
       if (dist > max_range) continue;
       if (mode == LinkRngMode::kPairKeyed) {
         Rng pair_rng(pair_stream_seed(pair_base, a, b));
@@ -76,6 +80,7 @@ void reference_build_links(Topology& topo, const RadioModel& radio, Rng& rng,
       }
     }
   }
+  return links;
 }
 
 double reference_reachable_fraction(const Topology& topo) {
@@ -94,10 +99,11 @@ Topology reference_generate(const GeneratorConfig& config, PlaceFn&& place,
         config.seed +
         static_cast<std::uint64_t>(attempt) * std::uint64_t{0x9e37};
     Rng rng(attempt_seed);
-    Topology topo(place(rng));
-    reference_build_links(topo, config.radio, rng, config.link_rng,
-                          attempt_seed);
-    topo.seal();
+    std::vector<Point2D> positions = place(rng);
+    std::vector<LinkRecord> links = reference_build_links(
+        positions, config.radio, rng, config.link_rng, attempt_seed);
+    Topology topo =
+        Topology::from_links(std::move(positions), std::move(links));
     if (!config.require_connectivity ||
         reference_reachable_fraction(topo) >= config.min_reachable_fraction) {
       if (attempts_used != nullptr) *attempts_used = attempt;
@@ -181,7 +187,6 @@ Topology reference_clustered(const ClusterConfig& config) {
 
 void expect_bit_identical(const Topology& got, const Topology& want) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
-  EXPECT_TRUE(got.sealed());
   for (NodeId n = 0; n < want.num_nodes(); ++n) {
     ASSERT_EQ(got.position(n), want.position(n)) << "node " << n;
   }
@@ -290,7 +295,7 @@ TEST_F(TopologyBuildDifferential, MatchesAcrossConnectivityRetries) {
 
 TEST_F(TopologyBuildDifferential, ServerTopologiesArePinned) {
   // flood_server's cold-submit path at 2k and 10k sensors; the values were
-  // recorded from the add_link builder.
+  // recorded from the per-link builder this one replaced.
   serve::JobSpec spec;
   spec.sensors = 2000;
   const Topology small = serve::build_topology(spec);

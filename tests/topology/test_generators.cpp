@@ -144,23 +144,24 @@ TEST(Generators, SpatialHashMatchesLegacyAllPairsBitForBit) {
     p = Point2D{rng.uniform() * config.area_side_m,
                 rng.uniform() * config.area_side_m};
   }
-  Topology reference(std::move(pts));
   const RadioModel& radio = config.radio;
   const double max_range = radio.range_at_prr(0.01) * 1.5;
-  const auto n = static_cast<NodeId>(reference.num_nodes());
+  const auto n = static_cast<NodeId>(pts.size());
+  std::vector<LinkRecord> links;
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = a + 1; b < n; ++b) {
-      const double dist = distance(reference.position(a),
-                                   reference.position(b));
+      const double dist = distance(pts[a], pts[b]);
       if (dist > max_range) continue;
       const double rssi = radio.sample_rssi_dbm(dist, rng);
       const double asym = 0.5 * rng.normal();
       const double prr_ab = radio.prr_of_rssi(rssi + asym);
       const double prr_ba = radio.prr_of_rssi(rssi - asym);
-      if (prr_ab >= radio.min_usable_prr) reference.add_link(a, b, prr_ab);
-      if (prr_ba >= radio.min_usable_prr) reference.add_link(b, a, prr_ba);
+      if (prr_ab >= radio.min_usable_prr) links.push_back({a, b, prr_ab});
+      if (prr_ba >= radio.min_usable_prr) links.push_back({b, a, prr_ba});
     }
   }
+  const Topology reference =
+      Topology::from_links(std::move(pts), std::move(links));
 
   ASSERT_EQ(topo.num_links(), reference.num_links());
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {

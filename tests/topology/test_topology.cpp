@@ -4,42 +4,61 @@
 
 #include <algorithm>
 #include <cmath>
-#include <atomic>
-#include <thread>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "ldcf/common/error.hpp"
+#include "support/graphs.hpp"
 
 namespace ldcf::topology {
 namespace {
 
 Topology line_of(std::size_t n, double prr = 1.0) {
-  Topology topo{std::vector<Point2D>(n)};
+  std::vector<LinkRecord> links;
   for (NodeId i = 0; i + 1 < n; ++i) {
-    topo.add_symmetric_link(i, i + 1, prr);
+    links.push_back({i, i + 1, prr});
+    links.push_back({i + 1, i, prr});
   }
-  return topo;
+  return Topology::from_links(std::vector<Point2D>(n), std::move(links));
+}
+
+/// `nodes` nodes at the origin and the given directed links.
+Topology directed(std::size_t nodes, std::vector<LinkRecord> links) {
+  return Topology::from_links(std::vector<Point2D>(nodes), std::move(links));
 }
 
 TEST(Topology, CountsNodesAndSensors) {
-  const Topology topo(std::vector<Point2D>(5));
+  const Topology topo = directed(5, {});
   EXPECT_EQ(topo.num_nodes(), 5u);
   EXPECT_EQ(topo.num_sensors(), 4u);
   EXPECT_EQ(topo.num_links(), 0u);
 }
 
 TEST(Topology, RejectsEmpty) {
-  EXPECT_THROW(Topology(std::vector<Point2D>{}), InvalidArgument);
+  EXPECT_THROW((void)directed(0, {}), InvalidArgument);
 }
 
-TEST(Topology, AddLinkValidation) {
-  Topology topo(std::vector<Point2D>(3));
-  topo.add_link(0, 1, 0.5);
-  EXPECT_THROW(topo.add_link(0, 1, 0.5), InvalidArgument);  // duplicate.
-  EXPECT_THROW(topo.add_link(0, 0, 0.5), InvalidArgument);  // self loop.
-  EXPECT_THROW(topo.add_link(0, 3, 0.5), InvalidArgument);  // out of range.
-  EXPECT_THROW(topo.add_link(1, 2, 0.0), InvalidArgument);  // bad prr.
-  EXPECT_THROW(topo.add_link(1, 2, 1.5), InvalidArgument);
+TEST(Topology, FromLinksValidation) {
+  const auto rejects = [](std::vector<LinkRecord> links) {
+    EXPECT_THROW((void)directed(3, std::move(links)), InvalidArgument);
+  };
+  rejects({{0, 1, 0.5}, {2, 0, 0.5}, {0, 1, 0.25}});  // duplicate.
+  rejects({{0, 0, 0.5}});                              // self loop.
+  rejects({{0, 3, 0.5}});                              // out of range.
+  rejects({{3, 0, 0.5}});
+  rejects({{kNoNode, 0, 0.5}});
+  rejects({{1, 2, 0.0}});                              // bad prr.
+  rejects({{1, 2, 1.5}});
+  rejects({{1, 2, std::nan("")}});
+  try {
+    (void)directed(3, {{2, 1, 0.5}, {0, 1, 0.5}, {2, 1, 0.5}});
+    ADD_FAILURE() << "duplicate accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate link 2 -> 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// Three nodes, row 0 -> {1, 2}, row 1 -> {0}, row 2 empty.
@@ -53,16 +72,13 @@ struct Csr {
 
 TEST(Topology, CsrConstructorAdoptsASealedGraph) {
   const Topology topo = Csr{}.build();
-  EXPECT_TRUE(topo.sealed());
   EXPECT_EQ(topo.num_links(), 3u);
   EXPECT_DOUBLE_EQ(topo.prr(0, 2).value(), 0.25);
   EXPECT_DOUBLE_EQ(topo.prr(1, 0).value(), 1.0);
   EXPECT_TRUE(topo.neighbors(2).empty());
 
-  Topology same(std::vector<Point2D>(3));
-  same.add_link(1, 0, 1.0);
-  same.add_link(0, 2, 0.25);
-  same.add_link(0, 1, 0.5);
+  // The same links in any order build the same CSR.
+  const Topology same = directed(3, {{1, 0, 1.0}, {0, 2, 0.25}, {0, 1, 0.5}});
   EXPECT_EQ(topo.fingerprint(), same.fingerprint());
 }
 
@@ -109,55 +125,31 @@ TEST(Topology, CsrConstructorRejectsBadLinks) {
   EXPECT_THROW((void)descending.build(), InvalidArgument);
 }
 
-TEST(Topology, AddLinkDropsTheFingerprintMemo) {
-  Topology topo = Csr{}.build();
-  EXPECT_FALSE(topo.fingerprinted());
-  const std::uint64_t before = topo.fingerprint();
-  EXPECT_TRUE(topo.fingerprinted());
-  topo.add_link(2, 0, 0.75);
-  EXPECT_FALSE(topo.fingerprinted());
-  const std::uint64_t after = topo.fingerprint();
-  EXPECT_NE(before, after);
-
-  Topology fresh(std::vector<Point2D>(3));
-  fresh.add_link(0, 1, 0.5);
-  fresh.add_link(0, 2, 0.25);
-  fresh.add_link(1, 0, 1.0);
-  fresh.add_link(2, 0, 0.75);
-  EXPECT_EQ(after, fresh.fingerprint());
-}
-
 TEST(Topology, CopyAndMoveCarryTheFingerprintMemo) {
   Topology topo = Csr{}.build();
   const std::uint64_t fp = topo.fingerprint();
 
   const Topology copy(topo);
-  EXPECT_TRUE(copy.fingerprinted());
   EXPECT_EQ(copy.fingerprint(), fp);
   Topology assigned;
+  EXPECT_EQ(assigned.fingerprint(), 0u);  // no nodes, nothing hashed.
   assigned = topo;
-  EXPECT_TRUE(assigned.fingerprinted());
   EXPECT_EQ(assigned.fingerprint(), fp);
 
   Topology moved(std::move(topo));
-  EXPECT_TRUE(moved.fingerprinted());
   EXPECT_EQ(moved.fingerprint(), fp);
   Topology move_assigned;
   move_assigned = std::move(moved);
-  EXPECT_TRUE(move_assigned.fingerprinted());
   EXPECT_EQ(move_assigned.fingerprint(), fp);
 
-  // A copy's memo is its own: mutating the copy leaves the source intact.
-  Topology mutated(assigned);
-  mutated.add_link(2, 1, 0.5);
-  EXPECT_TRUE(assigned.fingerprinted());
-  EXPECT_NE(mutated.fingerprint(), assigned.fingerprint());
+  // The constructor hashed every link: one more link changes it.
+  const Topology grown =
+      directed(3, {{0, 1, 0.5}, {0, 2, 0.25}, {1, 0, 1.0}, {2, 1, 0.5}});
+  EXPECT_NE(grown.fingerprint(), fp);
 }
 
 TEST(Topology, DirectedLinksAreIndependent) {
-  Topology topo(std::vector<Point2D>(3));
-  topo.add_link(0, 1, 0.9);
-  topo.add_link(1, 0, 0.4);
+  const Topology topo = directed(3, {{0, 1, 0.9}, {1, 0, 0.4}});
   EXPECT_DOUBLE_EQ(topo.prr(0, 1).value(), 0.9);
   EXPECT_DOUBLE_EQ(topo.prr(1, 0).value(), 0.4);
   EXPECT_FALSE(topo.prr(0, 2).has_value());
@@ -166,10 +158,7 @@ TEST(Topology, DirectedLinksAreIndependent) {
 }
 
 TEST(Topology, NeighborsSortedById) {
-  Topology topo(std::vector<Point2D>(5));
-  topo.add_link(0, 4, 0.5);
-  topo.add_link(0, 2, 0.6);
-  topo.add_link(0, 3, 0.7);
+  const Topology topo = directed(5, {{0, 4, 0.5}, {0, 2, 0.6}, {0, 3, 0.7}});
   const auto nbrs = topo.neighbors(0);
   ASSERT_EQ(nbrs.size(), 3u);
   EXPECT_EQ(nbrs[0].to, 2u);
@@ -178,9 +167,8 @@ TEST(Topology, NeighborsSortedById) {
 }
 
 TEST(Topology, MeanDegreeAndPrr) {
-  Topology topo(std::vector<Point2D>(4));
-  topo.add_symmetric_link(0, 1, 0.5);
-  topo.add_symmetric_link(1, 2, 1.0);
+  const Topology topo =
+      test_support::undirected(4, {{0, 1, 0.5}, {1, 2, 1.0}});
   EXPECT_DOUBLE_EQ(topo.mean_degree(), 1.0);  // 4 directed links / 4 nodes.
   EXPECT_DOUBLE_EQ(topo.mean_prr(), 0.75);
 }
@@ -195,9 +183,8 @@ TEST(Topology, HopDistancesOnALine) {
 }
 
 TEST(Topology, DisconnectedComponentDetected) {
-  Topology topo(std::vector<Point2D>(4));
-  topo.add_symmetric_link(0, 1, 1.0);
-  topo.add_symmetric_link(2, 3, 1.0);
+  const Topology topo =
+      test_support::undirected(4, {{0, 1, 1.0}, {2, 3, 1.0}});
   EXPECT_FALSE(topo.connected_from_source());
   EXPECT_EQ(topo.reachable_count(0), 2u);
   const auto dist = topo.hop_distances(0);
@@ -210,51 +197,22 @@ TEST(Topology, ConnectedFromSource) {
 }
 
 TEST(Topology, PositionAccess) {
-  Topology topo(std::vector<Point2D>{{0, 0}, {3, 4}});
+  const Topology topo =
+      Topology::from_links(std::vector<Point2D>{{0, 0}, {3, 4}}, {});
   EXPECT_DOUBLE_EQ(topo.position(1).x, 3.0);
   EXPECT_DOUBLE_EQ(distance(topo.position(0), topo.position(1)), 5.0);
   EXPECT_THROW((void)topo.position(2), InvalidArgument);
 }
 
 TEST(Topology, HopDistanceRespectsDirectedness) {
-  Topology topo(std::vector<Point2D>(3));
-  topo.add_link(0, 1, 1.0);
-  topo.add_link(1, 2, 1.0);
+  const Topology topo = directed(3, {{0, 1, 1.0}, {1, 2, 1.0}});
   // No reverse links: node 2 cannot reach 0.
   EXPECT_EQ(topo.hop_distances(0)[2], 2u);
   EXPECT_EQ(topo.hop_distances(2)[0], kNeverSlot);
 }
 
-TEST(Topology, SealsLazilyOnFirstQuery) {
-  Topology topo(std::vector<Point2D>(3));
-  topo.add_link(0, 1, 0.5);
-  EXPECT_FALSE(topo.sealed());
-  EXPECT_EQ(topo.neighbors(0).size(), 1u);  // first query seals.
-  EXPECT_TRUE(topo.sealed());
-  topo.seal();  // idempotent.
-  EXPECT_TRUE(topo.sealed());
-}
-
-TEST(Topology, ThawsOnAddLinkAfterSeal) {
-  // Interleaved build/query: queries between add_links must keep seeing
-  // consistent state (the CSR re-seals transparently).
-  Topology topo(std::vector<Point2D>(4));
-  topo.add_link(0, 1, 0.5);
-  EXPECT_TRUE(topo.has_link(0, 1));  // seals.
-  topo.add_link(0, 2, 0.6);          // thaws.
-  EXPECT_FALSE(topo.sealed());
-  topo.add_link(2, 3, 0.7);
-  EXPECT_TRUE(topo.has_link(0, 2));  // re-seals.
-  EXPECT_TRUE(topo.has_link(2, 3));
-  EXPECT_TRUE(topo.has_link(0, 1));  // earlier link survived the round trip.
-  EXPECT_EQ(topo.num_links(), 3u);
-  // Duplicate detection still works across a thaw.
-  EXPECT_THROW(topo.add_link(0, 1, 0.5), InvalidArgument);
-}
-
 TEST(Topology, CsrRowsAreContiguousAndSorted) {
-  Topology topo = line_of(6, 0.8);
-  topo.seal();
+  const Topology topo = line_of(6, 0.8);
   // Adjacent nodes' spans tile one flat array: row n ends where row n+1
   // starts (links of a line: 1, 2, 2, 2, 2, 1).
   const auto first = topo.neighbors(0);
@@ -272,19 +230,11 @@ TEST(Topology, CsrRowsAreContiguousAndSorted) {
 
 TEST(Topology, CopyAndMovePreserveGraphAndSealState) {
   Topology topo = line_of(5, 0.9);
-  topo.seal();
   const Topology copy(topo);
-  EXPECT_TRUE(copy.sealed());
   EXPECT_EQ(copy.num_links(), topo.num_links());
   EXPECT_EQ(copy.prr(1, 2).value(), 0.9);
 
-  Topology unsealed = line_of(5, 0.4);
-  const Topology copied_unsealed(unsealed);
-  EXPECT_FALSE(copied_unsealed.sealed());
-  EXPECT_EQ(copied_unsealed.prr(3, 4).value(), 0.4);
-
   Topology moved(std::move(topo));
-  EXPECT_TRUE(moved.sealed());
   EXPECT_EQ(moved.num_links(), 8u);
   EXPECT_EQ(moved.prr(0, 1).value(), 0.9);
 
@@ -294,30 +244,9 @@ TEST(Topology, CopyAndMovePreserveGraphAndSealState) {
   EXPECT_TRUE(assigned.has_link(4, 3));
 }
 
-TEST(Topology, ConcurrentFirstQueriesSealOnce) {
-  // The lazy seal is double-checked behind a mutex; hammer the first-query
-  // window from several threads (this is the case the TSan job watches).
-  Topology topo = line_of(200, 0.7);
-  ASSERT_FALSE(topo.sealed());
-  std::vector<std::thread> workers;
-  std::atomic<std::size_t> total{0};
-  workers.reserve(4);
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&topo, &total] {
-      std::size_t links = 0;
-      for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-        links += topo.neighbors(n).size();
-      }
-      total += links;
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  EXPECT_TRUE(topo.sealed());
-  EXPECT_EQ(total.load(), 4u * topo.num_links());
-}
-
 TEST(Topology, PositionsSpanMatchesAccessor) {
-  Topology topo(std::vector<Point2D>{{0, 0}, {3, 4}, {6, 8}});
+  const Topology topo =
+      Topology::from_links(std::vector<Point2D>{{0, 0}, {3, 4}, {6, 8}}, {});
   const auto span = topo.positions();
   ASSERT_EQ(span.size(), 3u);
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {

@@ -29,9 +29,9 @@ void expect_same(const Topology& a, const Topology& b) {
 }
 
 TEST(TraceIo, RoundTripsSmallTopology) {
-  Topology topo(std::vector<Point2D>{{0, 0}, {10, 0}, {10, 10}});
-  topo.add_symmetric_link(0, 1, 0.8);
-  topo.add_link(1, 2, 0.33);
+  const Topology topo =
+      Topology::from_links(std::vector<Point2D>{{0, 0}, {10, 0}, {10, 10}},
+                           {{0, 1, 0.8}, {1, 0, 0.8}, {1, 2, 0.33}});
   std::stringstream stream;
   write_trace(topo, stream);
   const Topology loaded = read_trace(stream);
@@ -132,6 +132,46 @@ TEST(TraceIo, RejectsNonNumericFieldsTyped) {
   expect_rejected_at_line("# ldcf-trace v1\nnode,0,,0\n", "at line 2");
 }
 
+// Link records are checked at the line that holds them, not deep inside
+// the topology build.
+constexpr const char* kTwoNodes = "# ldcf-trace v1\nnode,0,0,0\nnode,1,1,1\n";
+
+TEST(TraceIo, RejectsOutOfRangeIdAtItsLine) {
+  expect_rejected_at_line(std::string(kTwoNodes) + "link,0,2,0.5\n",
+                          "node id out of range at line 4");
+  expect_rejected_at_line(
+      std::string(kTwoNodes) + "link,0,1,0.5\nlink,7,0,1\n",
+      "node id out of range at line 5");
+  // A link before any node names no node in range.
+  expect_rejected_at_line("# ldcf-trace v1\nlink,0,1,0.5\n",
+                          "node id out of range at line 2");
+}
+
+TEST(TraceIo, RejectsSelfLoopAtItsLine) {
+  expect_rejected_at_line(std::string(kTwoNodes) + "link,1,1,0.5\n",
+                          "self-loop at line 4");
+}
+
+TEST(TraceIo, RejectsBadPrrAtItsLine) {
+  expect_rejected_at_line(std::string(kTwoNodes) + "link,0,1,1.5\n",
+                          "PRR must be in (0, 1] at line 4");
+  expect_rejected_at_line(std::string(kTwoNodes) + "link,0,1,0\n",
+                          "PRR must be in (0, 1] at line 4");
+  expect_rejected_at_line(std::string(kTwoNodes) + "link,0,1,nan\n",
+                          "at line 4");
+}
+
+TEST(TraceIo, DuplicateLinkNamesThePairAndItsSecondLine) {
+  expect_rejected_at_line(std::string(kTwoNodes) +
+                              "link,1,0,0.5\nlink,0,1,0.5\n# gap\n"
+                              "link,0,1,0.25\n",
+                          "duplicate link 0 -> 1 at line 7");
+  // The reverse direction is a different link.
+  std::stringstream both(std::string(kTwoNodes) +
+                         "link,0,1,0.5\nlink,1,0,0.5\n");
+  EXPECT_EQ(read_trace(both).num_links(), 2u);
+}
+
 TEST(TraceIo, RejectsEmptyTrace) {
   std::stringstream stream("# ldcf-trace v1\n");
   EXPECT_THROW((void)read_trace(stream), InvalidArgument);
@@ -147,9 +187,9 @@ TEST(TraceIo, SkipsCommentsAndBlankLines) {
 }
 
 TEST(TraceIo, DotExportContainsNodesAndEdges) {
-  Topology topo(std::vector<Point2D>{{0, 0}, {10, 20}, {30, 40}});
-  topo.add_symmetric_link(0, 1, 0.9);
-  topo.add_link(1, 2, 0.3);
+  const Topology topo =
+      Topology::from_links(std::vector<Point2D>{{0, 0}, {10, 20}, {30, 40}},
+                           {{0, 1, 0.9}, {1, 0, 0.9}, {1, 2, 0.3}});
   std::stringstream stream;
   write_dot(topo, stream);
   const std::string dot = stream.str();
@@ -185,7 +225,7 @@ TEST(TraceIo, DotFileRoundTrip) {
 TEST(TraceIo, MissingFileThrows) {
   EXPECT_THROW((void)read_trace_file("/nonexistent/path/trace.csv"),
                InvalidArgument);
-  const Topology topo(std::vector<Point2D>(1));
+  const Topology topo = Topology::from_links(std::vector<Point2D>(1), {});
   EXPECT_THROW(write_trace_file(topo, "/nonexistent/path/trace.csv"),
                InvalidArgument);
 }

@@ -7,17 +7,19 @@
 #include "ldcf/common/error.hpp"
 #include "ldcf/common/rng.hpp"
 #include "ldcf/topology/generators.hpp"
+#include "support/graphs.hpp"
 
 namespace ldcf::topology {
 namespace {
 
 /// Diamond: 0 -> {1, 2} -> 3, with one cheap and one lossy branch.
 Topology diamond() {
-  Topology topo(std::vector<Point2D>(4));
-  topo.add_symmetric_link(0, 1, 1.0);   // ETX 1
-  topo.add_symmetric_link(0, 2, 0.25);  // ETX 4
-  topo.add_symmetric_link(1, 3, 0.5);   // ETX 2
-  topo.add_symmetric_link(2, 3, 1.0);   // ETX 1
+  Topology topo = test_support::undirected(4, {
+      {0, 1, 1.0},   // ETX 1
+      {0, 2, 0.25},  // ETX 4
+      {1, 3, 0.5},   // ETX 2
+      {2, 3, 1.0},   // ETX 1
+  });
   return topo;
 }
 
@@ -34,8 +36,7 @@ TEST(EtxTree, PicksMinimumExpectedTransmissions) {
 }
 
 TEST(EtxTree, UnreachableNodesStayUnparented) {
-  Topology topo(std::vector<Point2D>(3));
-  topo.add_symmetric_link(0, 1, 0.5);
+  Topology topo = test_support::undirected(3, {{0, 1, 0.5}});
   const Tree tree = build_etx_tree(topo, 0);
   EXPECT_FALSE(tree.reached(2));
   EXPECT_TRUE(std::isinf(tree.cost[2]));
@@ -118,8 +119,7 @@ TEST(DelayDistributionTest, QuantileAddsScaledStddev) {
 }
 
 TEST(DelayDistributionTest, UnreachableNodesAreInfinite) {
-  Topology topo(std::vector<Point2D>(3));
-  topo.add_symmetric_link(0, 1, 0.5);
+  Topology topo = test_support::undirected(3, {{0, 1, 0.5}});
   const Tree tree = build_etx_tree(topo, 0);
   const auto dist = tree_delay_distribution(topo, tree, DutyCycle{5});
   EXPECT_TRUE(std::isinf(dist.mean[2]));
