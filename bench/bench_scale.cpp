@@ -1,9 +1,10 @@
 // Large-N scaling benchmark: topology construction throughput and engine
-// slot throughput at 1k / 10k / 100k nodes (clustered GreenOrbs density,
-// order-independent pair-keyed link RNG and slot-keyed channel draws —
-// the same configuration run_scale_sweep uses). Construction must scale near
-// linearly in N — the spatial hash grid replaced the historical all-pairs
-// O(N^2) loop precisely to make the 100k row of this bench finishable.
+// slot throughput at 1k / 10k / 100k nodes (make_network's clustered
+// GreenOrbs-density network, order-independent pair-keyed link RNG and
+// slot-keyed channel draws — the same configuration run_scale_sweep uses).
+// Construction must scale near linearly in N — the spatial hash grid
+// replaced the historical all-pairs O(N^2) loop precisely to make the 100k
+// row of this bench finishable.
 // Two sim segments per size, each through both engine modes — compact time
 // (default) and the dense slot-by-slot loop — cross-checked for agreement:
 //
@@ -43,6 +44,7 @@ struct ScaleRow {
   std::uint64_t sensors = 0;
   std::uint64_t links = 0;
   double mean_degree = 0.0;
+  double reachable_fraction = 0.0;  ///< sensors the source reaches.
   double build_seconds = 0.0;
   double nodes_per_sec = 0.0;
   std::uint64_t sim_slots = 0;
@@ -134,6 +136,7 @@ void write_bench_report(const std::string& path,
         .field("sensors", row.sensors)
         .field("links", row.links)
         .field("mean_degree", row.mean_degree)
+        .field("reachable_fraction", row.reachable_fraction)
         .field("build_seconds", row.build_seconds)
         .field("nodes_per_sec", row.nodes_per_sec)
         .field("sim_slots", row.sim_slots)
@@ -191,15 +194,12 @@ int main() {
                "int slots/sec", "int speedup"});
   std::vector<ScaleRow> rows;
   for (const std::uint32_t sensors : counts) {
-    topology::ClusterConfig gen = topology::scaled_cluster_config(sensors, 1);
-    gen.base.link_rng = topology::LinkRngMode::kPairKeyed;
-    gen.base.require_connectivity = false;  // retries dwarf the build cost.
-
     double build_best = 0.0;
     topology::Topology topo;
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
       const auto start = Clock::now();
-      topo = topology::make_clustered(gen);
+      topo = topology::make_network("clustered", sensors, 1,
+                                    topology::LinkRngMode::kPairKeyed);
       const std::chrono::duration<double> elapsed = Clock::now() - start;
       if (rep == 0 || elapsed.count() < build_best) {
         build_best = elapsed.count();
@@ -274,6 +274,7 @@ int main() {
     row.sensors = sensors;
     row.links = topo.num_links();
     row.mean_degree = topo.mean_degree();
+    row.reachable_fraction = topo.reachable_fraction();
     row.build_seconds = build_best;
     row.nodes_per_sec = static_cast<double>(topo.num_nodes()) / build_best;
     row.sim_slots = result.metrics.end_slot;

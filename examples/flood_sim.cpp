@@ -277,29 +277,12 @@ int run_cli(int argc, char** argv) {
   if (!experiment.report_path.empty()) config.profiling = true;
   const auto wall_start = std::chrono::steady_clock::now();
 
-  topology::Topology topo =
+  const topology::Topology topo =
       topo_path.empty()
-          ? [&] {
-              const auto link_rng = keyed_links
-                                        ? topology::LinkRngMode::kPairKeyed
-                                        : topology::LinkRngMode::kSequential;
-              if (generator == "clustered") {
-                topology::ClusterConfig gen =
-                    topology::scaled_cluster_config(sensors, topo_seed);
-                gen.base.link_rng = link_rng;
-                // Connectivity retries are prohibitive at large N; the
-                // engine clips its coverage target to the reachable set.
-                if (sensors > 2000) gen.base.require_connectivity = false;
-                return topology::make_clustered(gen);
-              }
-              topology::GeneratorConfig gen =
-                  topology::scaled_generator_config(sensors, topo_seed);
-              gen.link_rng = link_rng;
-              if (sensors > 2000) gen.require_connectivity = false;
-              if (generator == "uniform") return topology::make_uniform(gen);
-              if (generator == "grid") return topology::make_grid(gen);
-              return topology::make_uniform_disk(gen);
-            }()
+          ? topology::make_network(generator, sensors, topo_seed,
+                                   keyed_links
+                                       ? topology::LinkRngMode::kPairKeyed
+                                       : topology::LinkRngMode::kSequential)
           : topology::read_trace_file(topo_path);
 
   const auto write_series_artifacts = [&](const obs::TimeSeries& series,

@@ -325,32 +325,20 @@ double effective_k(const topology::Topology& topo, KEstimate mode) {
 std::vector<ScalePoint> run_scale_sweep(
     const std::vector<std::uint32_t>& sensor_counts,
     const std::string& protocol, double duty_ratio,
-    const ExperimentConfig& config, const TopologyFactory& factory) {
+    const ExperimentConfig& config) {
   LDCF_REQUIRE(!sensor_counts.empty(), "need at least one network size");
-  const TopologyFactory make =
-      factory ? factory
-              : [](std::uint32_t n, std::uint64_t seed) {
-                  topology::ClusterConfig cc =
-                      topology::scaled_cluster_config(n, seed);
-                  cc.base.link_rng = topology::LinkRngMode::kPairKeyed;
-                  cc.base.require_connectivity = false;
-                  return topology::make_clustered(cc);
-                };
   std::vector<ScalePoint> points;
   points.reserve(sensor_counts.size());
   for (const std::uint32_t n : sensor_counts) {
     const auto build_start = std::chrono::steady_clock::now();
-    const topology::Topology topo = make(n, config.base.seed);
+    const topology::Topology topo = topology::make_network(
+        "clustered", n, config.base.seed, topology::LinkRngMode::kPairKeyed);
     ScalePoint sp;
     sp.topology_build_seconds = seconds_since(build_start);
     sp.num_sensors = n;
     sp.num_links = topo.num_links();
     sp.mean_degree = topo.mean_degree();
-    sp.reachable_fraction =
-        topo.num_sensors() == 0
-            ? 1.0
-            : static_cast<double>(topo.reachable_count(0) - 1) /
-                  static_cast<double>(topo.num_sensors());
+    sp.reachable_fraction = topo.reachable_fraction();
     sp.eccentricity = topo.eccentricity_from_source();
     ExperimentConfig per_size = config;
     per_size.report_path.clear();

@@ -209,26 +209,21 @@ struct ScalePoint {
   ProtocolPoint point;                 ///< simulated numbers at this size.
 };
 
-/// Builds the topology for one sweep size. The default (empty) factory uses
-/// scaled_cluster_config (constant GreenOrbs density) with order-independent
-/// pair-keyed link RNG and no connectivity retries — retrying a 100k-node
-/// build is far more expensive than letting the engine clip its coverage
-/// target to the reachable set.
-using TopologyFactory = std::function<topology::Topology(
-    std::uint32_t num_sensors, std::uint64_t seed)>;
-
-/// Run `protocol` at `duty_ratio` across network sizes. Sizes run in
-/// sequence (each one's repetitions fan out over config.threads);
-/// config.report_path and trial.trace_path are ignored per size — one sweep
-/// produces one result set the caller renders. The channel always runs in
+/// Run `protocol` at `duty_ratio` across network sizes. Each size floods
+/// topology::make_network("clustered", n, config.base.seed, kPairKeyed):
+/// constant GreenOrbs density, order-independent links, and a source that
+/// reaches >= 99 % of the sensors. Sizes run in sequence (each one's
+/// repetitions fan out over config.threads); config.report_path and
+/// trial.trace_path are ignored per size — one sweep produces one result
+/// set the caller renders. The channel always runs in
 /// ChannelRngMode::kSlotKeyed here (config.base.channel_rng is overridden),
-/// matching the pair-keyed link RNG of the default factory: large-N sweeps
-/// care about order-independence, and no golden pins sequential
-/// realizations at these sizes.
+/// matching the pair-keyed link RNG: large-N sweeps care about
+/// order-independence, and no golden pins sequential realizations at these
+/// sizes.
 [[nodiscard]] std::vector<ScalePoint> run_scale_sweep(
     const std::vector<std::uint32_t>& sensor_counts,
     const std::string& protocol, double duty_ratio,
-    const ExperimentConfig& config, const TopologyFactory& factory = {});
+    const ExperimentConfig& config);
 
 /// Per-packet series for Fig. 9: one run, delays indexed by packet.
 struct PacketSeries {

@@ -6,6 +6,7 @@
 
 #include "ldcf/common/options.hpp"
 #include "ldcf/protocols/registry.hpp"
+#include "ldcf/topology/generators.hpp"
 
 namespace ldcf::analysis::knobs {
 
@@ -36,8 +37,7 @@ inline Knob reps() {
   return Knob("R", "repetitions, seeds seed..seed+R-1").at_least(1);
 }
 inline Knob generator() {
-  return Knob("", "topology generator")
-      .one_of({"clustered", "uniform", "grid", "disk"});
+  return Knob("", "topology generator").one_of(topology::generator_names());
 }
 inline Knob protocol() {
   return Knob("", "flooding protocol").one_of(protocols::protocol_names());

@@ -74,16 +74,8 @@ std::uint64_t topology_key(const JobSpec& spec) {
 }
 
 topology::Topology build_topology(const JobSpec& spec) {
-  if (spec.generator == "clustered") {
-    topology::ClusterConfig config =
-        topology::scaled_cluster_config(spec.sensors, spec.topology_seed);
-    return topology::make_clustered(config);
-  }
-  const topology::GeneratorConfig config =
-      topology::scaled_generator_config(spec.sensors, spec.topology_seed);
-  if (spec.generator == "uniform") return topology::make_uniform(config);
-  if (spec.generator == "grid") return topology::make_grid(config);
-  return topology::make_uniform_disk(config);
+  return topology::make_network(spec.generator, spec.sensors,
+                                spec.topology_seed);
 }
 
 analysis::ExperimentConfig make_experiment(const JobSpec& spec) {

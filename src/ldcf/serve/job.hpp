@@ -68,9 +68,8 @@ struct JobSpec {
 /// consumes (generator, sensors, topology_seed).
 [[nodiscard]] std::uint64_t topology_key(const JobSpec& spec);
 
-/// Build the spec's topology (deterministic in topology_key inputs) from
-/// the same scaled, constant-density configs as `flood_sim --sensors`,
-/// with source connectivity required at every size.
+/// Build the spec's topology (deterministic in topology_key inputs):
+/// topology::make_network, the same network `flood_sim --sensors` builds.
 [[nodiscard]] topology::Topology build_topology(const JobSpec& spec);
 
 /// The spec as an ExperimentConfig. Profiling is forced off — stage

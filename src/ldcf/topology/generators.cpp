@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <limits>
 #include <numbers>
+#include <sstream>
 #include <vector>
 
 #include "ldcf/common/error.hpp"
@@ -85,32 +87,30 @@ Topology build_links(std::vector<Point2D> positions, const RadioModel& radio,
   return Topology(std::move(positions), std::move(offsets), std::move(links));
 }
 
-/// Fraction of sensors the source can reach.
-double reachable_fraction(const Topology& topo) {
-  if (topo.num_nodes() <= 1) return 1.0;
-  return static_cast<double>(topo.reachable_count(0) - 1) /
-         static_cast<double>(topo.num_sensors());
-}
-
 template <typename PlaceFn>
 Topology generate_with_retries(const GeneratorConfig& config,
                                PlaceFn&& place) {
-  const int max_attempts = config.require_connectivity ? 32 : 1;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  constexpr double kMinReachable = 0.99;
+  constexpr int kMaxAttempts = 32;
+  double best = 0.0;
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     const std::uint64_t attempt_seed =
         config.seed +
         static_cast<std::uint64_t>(attempt) * std::uint64_t{0x9e37};
     Rng rng(attempt_seed);
     Topology topo = build_links(place(rng), config.radio, rng,
                                 config.link_rng, attempt_seed);
-    if (!config.require_connectivity ||
-        reachable_fraction(topo) >= config.min_reachable_fraction) {
-      return topo;
-    }
+    const double reached = topo.reachable_fraction();
+    if (reached >= kMinReachable) return topo;
+    best = std::max(best, reached);
   }
-  throw InvalidArgument(
-      "could not generate a sufficiently connected topology; enlarge the "
-      "radio range or shrink the area");
+  std::ostringstream message;
+  message << "could not generate a connected topology: in " << kMaxAttempts
+          << " attempts from seed " << config.seed << " the source reached"
+          << " at most " << std::fixed << std::setprecision(2) << 100 * best
+          << " % of N = " << config.num_sensors << " sensors (need "
+          << 100 * kMinReachable << " %)";
+  throw InvalidArgument(message.str());
 }
 
 }  // namespace
@@ -207,6 +207,26 @@ ClusterConfig scaled_cluster_config(std::uint32_t num_sensors,
   config.num_clusters = std::max(4u, num_sensors / 17u);
   config.cluster_sigma_m = 34.0;
   return config;
+}
+
+std::vector<std::string> generator_names() {
+  return {"clustered", "uniform", "grid", "disk"};
+}
+
+Topology make_network(const std::string& generator,
+                      std::uint32_t num_sensors, std::uint64_t seed,
+                      LinkRngMode link_rng) {
+  if (generator == "clustered") {
+    ClusterConfig config = scaled_cluster_config(num_sensors, seed);
+    config.base.link_rng = link_rng;
+    return make_clustered(config);
+  }
+  GeneratorConfig config = scaled_generator_config(num_sensors, seed);
+  config.link_rng = link_rng;
+  if (generator == "uniform") return make_uniform(config);
+  if (generator == "grid") return make_grid(config);
+  if (generator == "disk") return make_uniform_disk(config);
+  throw InvalidArgument("unknown generator '" + generator + "'");
 }
 
 Topology make_greenorbs_like(std::uint64_t seed) {

@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "ldcf/common/rng.hpp"
 #include "ldcf/topology/radio_propagation.hpp"
@@ -34,17 +36,14 @@ enum class LinkRngMode {
   kPairKeyed,
 };
 
-/// Common knobs for the random generators.
+/// Common knobs for the random generators. Each one retries with a perturbed
+/// seed until the source reaches >= 99 % of the sensors, and throws
+/// InvalidArgument after 32 misses.
 struct GeneratorConfig {
   std::uint32_t num_sensors = 298;  ///< N; total nodes is N + 1.
   double area_side_m = 350.0;       ///< deployment square side.
   RadioModel radio{};               ///< propagation model for link PRRs.
   std::uint64_t seed = 1;           ///< drives placement and shadowing.
-  /// If true (default), rejects topologies whose source cannot reach at
-  /// least `min_reachable_fraction` of the sensors and retries with a
-  /// perturbed seed (up to 32 attempts).
-  bool require_connectivity = true;
-  double min_reachable_fraction = 0.99;
   /// Link-shadowing draw scheme (see LinkRngMode).
   LinkRngMode link_rng = LinkRngMode::kSequential;
 };
@@ -74,17 +73,25 @@ struct ClusterConfig {
 /// A GreenOrbs-density config scaled to `num_sensors`: the stand-in packs
 /// 298 sensors in a 560 m square with path-loss exponent 3.3, so the side
 /// grows like sqrt(N) (constant sensor density) and the mean degree stays
-/// in the deployment's regime at any scale. `flood_sim --sensors` and the
-/// sweep server build their uniform, grid and disk networks from it.
+/// in the deployment's regime at any scale. make_network builds its
+/// uniform, grid and disk networks from it.
 [[nodiscard]] GeneratorConfig scaled_generator_config(
     std::uint32_t num_sensors, std::uint64_t seed);
 
-/// scaled_generator_config plus a cluster count growing like N. This is
-/// the shape `flood_sim --sensors`, the sweep server and the N-scaling
-/// benches use for clustered networks; pair it with LinkRngMode::kPairKeyed
-/// for order-independent links.
+/// scaled_generator_config plus a cluster count growing like N: the shape
+/// of make_network's clustered networks.
 [[nodiscard]] ClusterConfig scaled_cluster_config(std::uint32_t num_sensors,
                                                   std::uint64_t seed);
+
+/// The names make_network accepts.
+[[nodiscard]] std::vector<std::string> generator_names();
+
+/// The one builder of a named network at GreenOrbs density (the scaled_*
+/// configs above), used by flood_sim, the server and the scale sweep and
+/// bench. Throws InvalidArgument for a name not in generator_names().
+[[nodiscard]] Topology make_network(
+    const std::string& generator, std::uint32_t num_sensors,
+    std::uint64_t seed, LinkRngMode link_rng = LinkRngMode::kSequential);
 
 /// The GreenOrbs stand-in: 298 sensors, clustered forest placement, CC2420
 /// radio defaults, deterministic per seed.

@@ -137,6 +137,12 @@ std::size_t Topology::reachable_count(NodeId from) const {
                     [](std::uint64_t d) { return d != kNeverSlot; }));
 }
 
+double Topology::reachable_fraction() const {
+  if (num_nodes() <= 1) return 1.0;
+  return static_cast<double>(reachable_count(0) - 1) /
+         static_cast<double>(num_sensors());
+}
+
 bool Topology::connected_from_source() const {
   return reachable_count(0) == num_nodes();
 }

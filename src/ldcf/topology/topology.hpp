@@ -113,6 +113,10 @@ class Topology {
   /// Nodes reachable from `from` (including itself).
   [[nodiscard]] std::size_t reachable_count(NodeId from) const;
 
+  /// Fraction of the sensors the source (node 0) reaches; 1 when there
+  /// are no sensors.
+  [[nodiscard]] double reachable_fraction() const;
+
   /// True if every node is reachable from the source (node 0).
   [[nodiscard]] bool connected_from_source() const;
 

@@ -17,16 +17,10 @@ namespace {
 constexpr std::uint32_t kSensors = 10'000;
 
 /// One shared 10k-node topology (built once; keyed link RNG, constant
-/// GreenOrbs density). Connectivity is not required — the engine clips its
-/// coverage target to the source's reachable set.
+/// GreenOrbs density, source reaching >= 99 % of the sensors).
 const topology::Topology& big_trace() {
-  static const topology::Topology topo = [] {
-    topology::ClusterConfig config =
-        topology::scaled_cluster_config(kSensors, 2);
-    config.base.link_rng = topology::LinkRngMode::kPairKeyed;
-    config.base.require_connectivity = false;
-    return topology::make_clustered(config);
-  }();
+  static const topology::Topology topo = topology::make_network(
+      "clustered", kSensors, 2, topology::LinkRngMode::kPairKeyed);
   return topo;
 }
 
@@ -51,6 +45,7 @@ Perturbations standard_faults() {
 TEST(Scale, TenKNodeTopologyIsPlausibleAndSealed) {
   const auto& topo = big_trace();
   EXPECT_EQ(topo.num_sensors(), kSensors);
+  EXPECT_GE(topo.reachable_fraction(), 0.99);
   EXPECT_GT(topo.mean_degree(), 4.0);
   EXPECT_LT(topo.mean_degree(), 120.0);
   EXPECT_GT(topo.mean_prr(), 0.1);
@@ -133,7 +128,7 @@ TEST(Scale, ScaleSweepReportsMonotoneSizes) {
   for (const analysis::ScalePoint& p : points) {
     EXPECT_GT(p.num_links, 0u);
     EXPECT_GT(p.mean_degree, 1.0);
-    EXPECT_GE(p.reachable_fraction, 0.0);
+    EXPECT_GE(p.reachable_fraction, 0.99);
     EXPECT_LE(p.reachable_fraction, 1.0);
     EXPECT_GT(p.eccentricity, 0u);
     EXPECT_GE(p.topology_build_seconds, 0.0);

@@ -93,8 +93,7 @@ double reference_reachable_fraction(const Topology& topo) {
 template <typename PlaceFn>
 Topology reference_generate(const GeneratorConfig& config, PlaceFn&& place,
                             int* attempts_used = nullptr) {
-  const int max_attempts = config.require_connectivity ? 32 : 1;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < 32; ++attempt) {
     const std::uint64_t attempt_seed =
         config.seed +
         static_cast<std::uint64_t>(attempt) * std::uint64_t{0x9e37};
@@ -104,8 +103,7 @@ Topology reference_generate(const GeneratorConfig& config, PlaceFn&& place,
         positions, config.radio, rng, config.link_rng, attempt_seed);
     Topology topo =
         Topology::from_links(std::move(positions), std::move(links));
-    if (!config.require_connectivity ||
-        reference_reachable_fraction(topo) >= config.min_reachable_fraction) {
+    if (reference_reachable_fraction(topo) >= 0.99) {
       if (attempts_used != nullptr) *attempts_used = attempt;
       return topo;
     }
@@ -239,13 +237,11 @@ TEST_P(TopologyBuildDifferential, MatchesTheAddLinkBuilder) {
     expect_bit_identical(make_clustered(config), reference_clustered(config));
     return;
   }
-  // Constant density: the default 298-sensor area scaled like sqrt(N). The
-  // sparse generators need not reach 99 % coverage, so take attempt 0.
+  // Constant density: the default 298-sensor area scaled like sqrt(N).
   GeneratorConfig config;
   config.num_sensors = c.sensors;
   config.seed = 7;
   config.area_side_m = 350.0 * std::sqrt(c.sensors / 298.0);
-  config.require_connectivity = false;
   config.link_rng = c.mode;
   if (c.generator == "uniform") {
     expect_bit_identical(make_uniform(config), reference_uniform(config));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ldcf/common/error.hpp"
 
 namespace ldcf::topology {
@@ -93,11 +95,35 @@ TEST(Generators, ConnectivityRequirementEnforced) {
   GeneratorConfig config;
   config.num_sensors = 40;
   config.area_side_m = 100000.0;  // hopeless: nodes far beyond radio range.
-  config.require_connectivity = true;
-  EXPECT_THROW((void)make_uniform(config), InvalidArgument);
-  config.require_connectivity = false;
-  const Topology topo = make_uniform(config);  // allowed to be disconnected.
-  EXPECT_EQ(topo.num_sensors(), 40u);
+  config.seed = 5;
+  // The error says what was tried and how close it came.
+  try {
+    (void)make_uniform(config);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& error) {
+    const std::string message = error.what();
+    for (const char* part : {"32 attempts from seed 5", "reached at most ",
+                             "% of N = 40 sensors", "need 99"}) {
+      EXPECT_NE(message.find(part), std::string::npos) << message;
+    }
+  }
+}
+
+TEST(Generators, MakeNetworkBuildsEveryNamedGenerator) {
+  for (const std::string& name : generator_names()) {
+    const Topology topo = make_network(name, 120, 3);
+    EXPECT_EQ(topo.num_sensors(), 120u) << name;
+    EXPECT_GE(topo.reachable_fraction(), 0.99) << name;
+  }
+}
+
+TEST(Generators, MakeNetworkRejectsAnUnknownGenerator) {
+  try {
+    (void)make_network("hexagonal", 120, 3);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "unknown generator 'hexagonal'");
+  }
 }
 
 TEST(Generators, CompleteTopologyIsComplete) {
@@ -135,7 +161,7 @@ TEST(Generators, SpatialHashMatchesLegacyAllPairsBitForBit) {
   config.num_sensors = 120;
   config.area_side_m = 300.0;
   config.seed = 17;
-  config.require_connectivity = false;  // exactly one attempt, seed verbatim.
+  // Connected at the first attempt, so the seed is used verbatim.
   const Topology topo = make_uniform(config);
 
   Rng rng(config.seed);
@@ -185,7 +211,6 @@ TEST(Generators, PairKeyedLinksAreRecomputableInIsolation) {
   config.num_sensors = 90;
   config.area_side_m = 260.0;
   config.seed = 31;
-  config.require_connectivity = false;
   config.link_rng = LinkRngMode::kPairKeyed;
   const Topology topo = make_uniform_disk(config);
 
@@ -216,7 +241,6 @@ TEST(Generators, SequentialAndKeyedModesDifferButShareGeometry) {
   config.num_sensors = 70;
   config.area_side_m = 200.0;
   config.seed = 4;
-  config.require_connectivity = false;
   const Topology sequential = make_uniform(config);
   config.link_rng = LinkRngMode::kPairKeyed;
   const Topology keyed = make_uniform(config);
@@ -268,7 +292,6 @@ TEST(Generators, ScaledClusterConfigKeepsGreenOrbsDensity) {
 
   // A mid-size instance builds and keeps a GreenOrbs-like degree.
   ClusterConfig mid = scaled_cluster_config(600, 3);
-  mid.base.require_connectivity = false;
   mid.base.link_rng = LinkRngMode::kPairKeyed;
   const Topology topo = make_clustered(mid);
   EXPECT_EQ(topo.num_sensors(), 600u);

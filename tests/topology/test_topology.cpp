@@ -187,6 +187,7 @@ TEST(Topology, DisconnectedComponentDetected) {
       test_support::undirected(4, {{0, 1, 1.0}, {2, 3, 1.0}});
   EXPECT_FALSE(topo.connected_from_source());
   EXPECT_EQ(topo.reachable_count(0), 2u);
+  EXPECT_DOUBLE_EQ(topo.reachable_fraction(), 1.0 / 3.0);  // 1 of 3 sensors.
   const auto dist = topo.hop_distances(0);
   EXPECT_EQ(dist[2], kNeverSlot);
   EXPECT_EQ(dist[3], kNeverSlot);
@@ -194,6 +195,7 @@ TEST(Topology, DisconnectedComponentDetected) {
 
 TEST(Topology, ConnectedFromSource) {
   EXPECT_TRUE(line_of(10).connected_from_source());
+  EXPECT_DOUBLE_EQ(line_of(10).reachable_fraction(), 1.0);
 }
 
 TEST(Topology, PositionAccess) {
