@@ -1,6 +1,7 @@
 #include "ldcf/protocols/dbao.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "ldcf/common/error.hpp"
 #include "ldcf/topology/tree.hpp"
@@ -24,17 +25,14 @@ void DbaoFlooding::initialize(const SimContext& ctx) {
   // in-neighbors (falling back to all in-neighbors if none are reachable,
   // so pathological traces still flood).
   const auto hop = topo.hop_distances(ctx.source);
-  LinkRows in_links = build_in_links(
-      topo, [](NodeId /*from*/, const topology::Link& /*link*/) {
-        return true;
-      });
-  const auto target = [&](NodeId r, double prr) {
-    return PendTarget{r, prr, ctx.schedules->active_slot(r)};
-  };
   responsible_.assign(topo.num_nodes(), {});
+  std::vector<topology::Link> candidates;  // Link{sender, prr} of r's in-links.
   for (NodeId r = 0; r < topo.num_nodes(); ++r) {
     if (r == ctx.source) continue;  // nobody needs to serve the source.
-    const std::span<topology::Link> candidates = in_links.row(r);
+    candidates.clear();
+    for (const topology::InLink& in : topo.in_links(r)) {
+      candidates.push_back(topology::Link{in.from, topo.link(in.id).prr});
+    }
     auto reachable_end = std::partition(
         candidates.begin(), candidates.end(),
         [&](const topology::Link& l) { return hop[l.to] != kNeverSlot; });
@@ -49,7 +47,8 @@ void DbaoFlooding::initialize(const SimContext& ctx) {
                               static_cast<std::size_t>(end - begin));
     for (std::size_t i = 0; i < keep; ++i) {
       const topology::Link& best = begin[static_cast<std::ptrdiff_t>(i)];
-      responsible_[best.to].push_back(target(r, best.prr));
+      responsible_[best.to].push_back(
+          PendTarget{r, best.prr, ctx.schedules->active_slot(r)});
     }
   }
 
@@ -65,11 +64,10 @@ void DbaoFlooding::initialize(const SimContext& ctx) {
     const bool listed =
         std::any_of(served.begin(), served.end(),
                     [&](const PendTarget& t) { return t.neighbor == r; });
-    if (!listed) {
-      const auto prr = topo.prr(parent, r);
-      LDCF_REQUIRE(prr.has_value(), "energy tree edge is not a link");
-      served.push_back(target(r, *prr));
-    }
+    if (listed) continue;
+    const auto prr = topo.prr(parent, r);
+    LDCF_REQUIRE(prr.has_value(), "energy tree edge is not a link");
+    served.push_back(PendTarget{r, *prr, ctx.schedules->active_slot(r)});
   }
   deferred_.clear();
   candidates_.clear();

@@ -1,11 +1,21 @@
 #include "ldcf/protocols/opportunistic.hpp"
 
+#include "ldcf/common/error.hpp"
+
 namespace ldcf::protocols {
 
 void OpportunisticFlooding::initialize(const SimContext& ctx) {
   PendingSetProtocol::initialize(ctx);
   tree_ = &resolve_energy_tree(ctx, built_tree_);
-  children_ = tree_->children();
+  children_.assign(ctx.topo->num_nodes(), {});
+  for (NodeId v = 0; v < tree_->parent.size(); ++v) {
+    const NodeId parent = tree_->parent[v];
+    if (parent == kNoNode) continue;
+    const auto prr = ctx.topo->prr(parent, v);
+    LDCF_REQUIRE(prr.has_value(), "energy tree edge is not a link");
+    children_[parent].push_back(
+        PendTarget{v, *prr, ctx.schedules->active_slot(v)});
+  }
   // Tree children go through the pending machinery and the parent already
   // has the packet, so only non-tree links are gamble candidates.
   gambles_.build(ctx, topology::tree_delay_distribution(*ctx.topo, *tree_,
@@ -23,9 +33,7 @@ void OpportunisticFlooding::on_generate(PacketId packet, SlotIndex slot) {
 void OpportunisticFlooding::enqueue_forwarding(NodeId node, PacketId packet,
                                                NodeId /*from*/) {
   // Deterministic traffic follows the energy tree only.
-  for (const NodeId child : children_[node]) {
-    pend(node, packet, child);
-  }
+  for (const PendTarget& child : children_[node]) pend(node, packet, child);
 }
 
 void OpportunisticFlooding::propose_transmissions(

@@ -68,7 +68,8 @@ class OpportunisticFlooding final : public PendingSetProtocol {
   OpportunisticConfig config_{};
   const topology::Tree* tree_ = nullptr;
   topology::Tree built_tree_;  ///< used only when no shared tree came in.
-  std::vector<std::vector<NodeId>> children_;
+  /// Each node's energy-tree children (ascending), as pend targets.
+  std::vector<std::vector<PendTarget>> children_;
   /// Non-tree links worth gambling on, by receiver wake phase, plus the
   /// gambles already made (one per node, packet and neighbor: a node does
   /// not hammer the same neighbor with the same packet every period).

@@ -28,21 +28,30 @@ void OptFlooding::initialize(const SimContext& ctx) {
   // one another forever.
   topology::Tree built;
   const topology::Tree& tree = resolve_energy_tree(ctx, built);
-  std::vector<double> best_in_prr(n, 0.0);
+  std::vector<double> floors(n, 0.0);
   for (NodeId u = 0; u < n; ++u) {
     for (const topology::Link& link : topo.neighbors(u)) {
       if (tree.cost[u] < tree.cost[link.to]) {
-        best_in_prr[link.to] = std::max(best_in_prr[link.to], link.prr);
+        floors[link.to] = std::max(floors[link.to], link.prr);
       }
     }
   }
-  const auto qualifies = [&](NodeId /*from*/, const topology::Link& link) {
-    return link.prr >= config_.quality_floor_factor * best_in_prr[link.to];
-  };
-  in_ = build_in_links(topo, qualifies);
-  out_ = reverse_links(
-      n, [&](NodeId r) { return in_.row(r); },
-      [](NodeId /*to*/, const topology::Link& /*from*/) { return true; });
+  for (double& f : floors) f *= config_.quality_floor_factor;
+  // Keep the links that reach their receiver's floor, from both sides: the
+  // topology's rows already ascend by sender and by receiver.
+  in_ = Rows{{0}, {}};
+  out_ = Rows{{0}, {}};
+  for (NodeId v = 0; v < n; ++v) {
+    for (const topology::InLink& in : topo.in_links(v)) {
+      const double prr = topo.link(in.id).prr;
+      if (prr >= floors[v]) in_.links.push_back(topology::Link{in.from, prr});
+    }
+    in_.offsets.push_back(in_.links.size());
+    for (const topology::Link& link : topo.neighbors(v)) {
+      if (link.prr >= floors[link.to]) out_.links.push_back(link);
+    }
+    out_.offsets.push_back(out_.links.size());
+  }
 
   // Serve the most-constrained receivers first: a receiver with few viable
   // senders must grab its sender before better-connected receivers consume

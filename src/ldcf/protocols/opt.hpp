@@ -25,7 +25,7 @@ struct OptConfig {
 };
 
 /// Receiver-driven and RNG-free, so it keeps no pending sets: it uses only
-/// the link-row builders and the energy tree lookup of protocol.hpp.
+/// the energy tree lookup of protocol.hpp.
 class OptFlooding final : public FloodingProtocol {
  public:
   OptFlooding() = default;
@@ -66,6 +66,15 @@ class OptFlooding final : public FloodingProtocol {
   /// qualifying in-neighbor holds, from the best such neighbor.
   void serve(NodeId receiver, std::vector<TxIntent>& out);
 
+  /// Filtered link rows as one CSR: row u is links[offsets[u], offsets[u+1]).
+  struct Rows {
+    std::vector<std::size_t> offsets;
+    std::vector<topology::Link> links;
+    [[nodiscard]] std::span<const topology::Link> row(NodeId u) const {
+      return {links.data() + offsets[u], links.data() + offsets[u + 1]};
+    }
+  };
+
   OptConfig config_{};
   const SimContext* ctx_ = nullptr;
   /// first_missing_[v]: v's oldest missing packet, generated_ once v has
@@ -75,11 +84,12 @@ class OptFlooding final : public FloodingProtocol {
   /// Qualifying in-links of every node: senders whose link to it reaches
   /// its quality floor. The oracle serves a receiver from whoever can
   /// transmit *to* it, which under asymmetric links is not the same as its
-  /// out-neighbor set; links below the floor can never be chosen.
-  LinkRows in_;
-  /// The same qualifying links from the sender side (in_ reversed): row u
-  /// lists every v for which u -> v qualifies.
-  LinkRows out_;
+  /// out-neighbor set; links below the floor can never be chosen. Row v
+  /// holds Link{sender, prr}, ascending by sender.
+  Rows in_;
+  /// The same qualifying links from the sender side: row u lists every v
+  /// for which u -> v qualifies.
+  Rows out_;
   /// frontier_[v]: (qualifying in-neighbor, packet) pairs where the
   /// neighbor holds a generated packet v lacks. A receiver at 0 cannot be
   /// served, so the proposal skips it without looking at its links.

@@ -26,13 +26,6 @@ void PendingSetProtocol::initialize(const SimContext& ctx) {
   pending_cal_.reset(ctx.duty.period);
 }
 
-void PendingSetProtocol::pend(NodeId node, PacketId packet, NodeId neighbor) {
-  const auto prr = ctx_->topo->prr(node, neighbor);
-  LDCF_REQUIRE(prr.has_value(), "pend over a non-existent link");
-  pend(node, packet,
-       PendTarget{neighbor, *prr, ctx_->schedules->active_slot(neighbor)});
-}
-
 void PendingSetProtocol::pend(NodeId node, PacketId packet,
                               const PendTarget& target) {
   auto& entries = buckets_[bucket_index(node, target.phase)];

@@ -53,55 +53,6 @@ struct PendTarget {
   std::uint32_t phase = 0;
 };
 
-/// Per-node link lists as one CSR: row u holds Link{v, prr} entries.
-struct LinkRows {
-  std::vector<std::size_t> offsets;  ///< row u: [offsets[u], offsets[u+1]).
-  std::vector<topology::Link> links;
-
-  [[nodiscard]] std::span<const topology::Link> row(NodeId u) const {
-    return {links.data() + offsets[u], links.data() + offsets[u + 1]};
-  }
-  [[nodiscard]] std::span<topology::Link> row(NodeId u) {
-    return {links.data() + offsets[u], links.data() + offsets[u + 1]};
-  }
-};
-
-/// Reverses `n` nodes' link rows: row v of the result holds Link{u, prr}
-/// for each Link{v, prr} in `rows(u)` that `keep(u, link)` accepts, in
-/// ascending u order. Built in two passes.
-template <typename Rows, typename Keep>
-[[nodiscard]] LinkRows reverse_links(NodeId n, Rows rows, Keep keep) {
-  LinkRows out;
-  out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    for (const topology::Link& link : rows(u)) {
-      if (keep(u, link)) ++out.offsets[link.to + 1];
-    }
-  }
-  for (NodeId v = 0; v < n; ++v) out.offsets[v + 1] += out.offsets[v];
-  out.links.resize(out.offsets[n]);
-  std::vector<std::size_t> fill(out.offsets.begin(), out.offsets.end() - 1);
-  for (NodeId u = 0; u < n; ++u) {
-    for (const topology::Link& link : rows(u)) {
-      if (keep(u, link)) {
-        out.links[fill[link.to]++] = topology::Link{u, link.prr};
-      }
-    }
-  }
-  return out;
-}
-
-/// In-links of every node: row r holds Link{u, prr} for each link u -> r
-/// that `keep(u, link)` accepts, in ascending u order (the order a 0..N
-/// scan of the out-rows meets them).
-template <typename Keep>
-[[nodiscard]] LinkRows build_in_links(const topology::Topology& topo,
-                                      Keep keep) {
-  return reverse_links(
-      static_cast<NodeId>(topo.num_nodes()),
-      [&](NodeId u) { return topo.neighbors(u); }, keep);
-}
-
 /// The run's ETX energy tree rooted at the source: the context's shared
 /// tree when the caller cached one, else built into `storage`. The build is
 /// deterministic, so both paths give the same tree.
@@ -129,10 +80,6 @@ class PendingSetProtocol : public FloodingProtocol {
 
   /// Queue (packet -> target.neighbor) at `node`. No-op if already queued.
   void pend(NodeId node, PacketId packet, const PendTarget& target);
-
-  /// pend() with the link PRR and wake phase looked up; throws if there is
-  /// no link node -> neighbor.
-  void pend(NodeId node, PacketId packet, NodeId neighbor);
 
   /// Retire a queued pair (no-op if absent).
   void unpend(NodeId node, PacketId packet, NodeId neighbor);

@@ -22,7 +22,9 @@ namespace {
 /// Rough live sizes for the cache budget. These only have to be honest
 /// enough that the LRU budget means something — exactness is not needed.
 std::size_t topology_bytes(const topology::Topology& topo) {
-  return topo.num_nodes() * 48 + topo.num_links() * 16;
+  // Positions and out-rows, 48 B per node and 16 per link, plus the
+  // in-link index, 8 B per node (+ 8) and 8 per link.
+  return topo.num_nodes() * 56 + 8 + topo.num_links() * 24;
 }
 
 std::size_t tree_bytes(const topology::Tree& tree) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <numeric>
 #include <queue>
 #include <string>
 #include <utility>
@@ -63,7 +65,22 @@ Topology::Topology(std::vector<Point2D> positions,
                    "CSR rows must be strictly ascending by id");
     }
   }
+  LDCF_REQUIRE(links_.size() <= std::numeric_limits<LinkId>::max(),
+               "more than 2^32 - 1 links");
   fingerprint_ = hash_csr(offsets_, links_);
+
+  // The in-link index by one counting sort: senders scanned in ascending
+  // order fill each row ascending by sender.
+  in_offsets_.assign(n + 1, 0);
+  for (const Link& link : links_) ++in_offsets_[link.to + 1];
+  std::partial_sum(in_offsets_.begin(), in_offsets_.end(), in_offsets_.begin());
+  in_links_.resize(links_.size());
+  std::vector<std::size_t> fill(in_offsets_.begin(), in_offsets_.end() - 1);
+  for (NodeId from = 0; from < n; ++from) {
+    for (std::size_t i = offsets_[from]; i < offsets_[from + 1]; ++i) {
+      in_links_[fill[links_[i].to]++] = InLink{from, static_cast<LinkId>(i)};
+    }
+  }
 }
 
 Topology Topology::from_links(std::vector<Point2D> positions,
@@ -141,10 +158,6 @@ double Topology::reachable_fraction() const {
   if (num_nodes() <= 1) return 1.0;
   return static_cast<double>(reachable_count(0) - 1) /
          static_cast<double>(num_sensors());
-}
-
-bool Topology::connected_from_source() const {
-  return reachable_count(0) == num_nodes();
 }
 
 std::uint64_t Topology::eccentricity_from_source() const {

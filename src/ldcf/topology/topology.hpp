@@ -10,8 +10,9 @@
 // graph. Two ways in. Generators hand over a finished CSR to the adopting
 // constructor, which validates it once; traces, hand-built test graphs and
 // make_complete pass a list of directed link records to from_links, which
-// sorts them into that CSR. Every query reads plain vectors, so concurrent
-// readers need no synchronisation.
+// sorts them into that CSR. The constructor also builds the in-link index.
+// Every query reads plain vectors, so concurrent readers need no
+// synchronisation.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +33,16 @@ struct Link {
   double prr = 0.0;  ///< packet reception ratio in (0, 1].
 };
 
+/// A directed link's offset in the CSR link array: stable for the
+/// topology's lifetime.
+using LinkId = std::uint32_t;
+
+/// One entry of a node's in-link row: the sender and its link's id.
+struct InLink {
+  NodeId from = kNoNode;
+  LinkId id = 0;
+};
+
 /// One directed link u -> v, in any order: the input of from_links.
 struct LinkRecord {
   NodeId from = kNoNode;
@@ -49,7 +60,8 @@ class Topology {
   /// offsets[n+1]). Validated once in O(links) — offsets has one entry per
   /// node plus one, starts at 0, never decreases and ends at links.size();
   /// every id is in range, no self-loops, PRR in (0, 1], each row strictly
-  /// ascending by id — and InvalidArgument is thrown otherwise.
+  /// ascending by id, at most 2^32 - 1 links — and InvalidArgument is
+  /// thrown otherwise.
   Topology(std::vector<Point2D> positions, std::vector<std::size_t> offsets,
            std::vector<Link> links);
 
@@ -85,6 +97,21 @@ class Topology {
     return {links_.data() + offsets_[n], links_.data() + offsets_[n + 1]};
   }
 
+  /// The link with CSR offset `id`: Link{to, prr} of its from -> to.
+  [[nodiscard]] const Link& link(LinkId id) const {
+    LDCF_REQUIRE(id < links_.size(), "link id out of range");
+    return links_[id];
+  }
+
+  /// In-links of `to`: one InLink per link u -> to, ascending by u (the
+  /// order a 0..N scan of the out-rows meets them). Valid for the
+  /// topology's lifetime.
+  [[nodiscard]] std::span<const InLink> in_links(NodeId to) const {
+    LDCF_REQUIRE(to < num_nodes(), "node id out of range");
+    return {in_links_.data() + in_offsets_[to],
+            in_links_.data() + in_offsets_[to + 1]};
+  }
+
   /// PRR of the directed link u -> v, or nullopt if absent.
   [[nodiscard]] std::optional<double> prr(NodeId from, NodeId to) const {
     LDCF_REQUIRE(to < num_nodes(), "node id out of range");
@@ -117,9 +144,6 @@ class Topology {
   /// are no sensors.
   [[nodiscard]] double reachable_fraction() const;
 
-  /// True if every node is reachable from the source (node 0).
-  [[nodiscard]] bool connected_from_source() const;
-
   /// Maximum finite hop distance from the source.
   [[nodiscard]] std::uint64_t eccentricity_from_source() const;
 
@@ -138,6 +162,9 @@ class Topology {
   // CSR adjacency: row n is links_[offsets_[n] .. offsets_[n+1]).
   std::vector<std::size_t> offsets_;
   std::vector<Link> links_;
+  // Reverse CSR: row v is in_links_[in_offsets_[v] .. in_offsets_[v+1]).
+  std::vector<std::size_t> in_offsets_;
+  std::vector<InLink> in_links_;
   std::uint64_t fingerprint_ = 0;
 };
 

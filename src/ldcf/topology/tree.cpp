@@ -45,14 +45,6 @@ Tree dijkstra(const Topology& topo, NodeId root, WeightFn&& link_weight) {
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> Tree::children() const {
-  std::vector<std::vector<NodeId>> out(parent.size());
-  for (NodeId v = 0; v < parent.size(); ++v) {
-    if (parent[v] != kNoNode) out[parent[v]].push_back(v);
-  }
-  return out;
-}
-
 std::vector<std::uint64_t> Tree::depths() const {
   std::vector<std::uint64_t> depth(parent.size(), kNeverSlot);
   depth[root] = 0;

@@ -28,9 +28,6 @@ struct Tree {
     return v == root || parent[v] != kNoNode;
   }
 
-  /// Children lists derived from `parent`.
-  [[nodiscard]] std::vector<std::vector<NodeId>> children() const;
-
   /// Depth (hop count) of each node in the tree; unreachable: kNeverSlot.
   [[nodiscard]] std::vector<std::uint64_t> depths() const;
 };

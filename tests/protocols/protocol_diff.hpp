@@ -1,6 +1,6 @@
 // Differential-test helpers for protocol rewrites: a forwarding wrapper
-// that logs every intent a protocol proposes, and a field-by-field SimResult
-// comparison.
+// that logs every intent a protocol proposes, a field-by-field SimResult
+// comparison, and the pend target of a link looked up on demand.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "ldcf/protocols/protocol.hpp"
 #include "ldcf/sim/flooding_protocol.hpp"
 #include "ldcf/sim/simulator.hpp"
 
@@ -16,6 +17,14 @@ namespace ldcf::protocols::test {
 using sim::SimContext;
 using sim::TxIntent;
 using sim::TxResult;
+
+/// The PendTarget of the link from -> to, with its PRR searched and the
+/// receiver's wake phase looked up on every call, as test references and
+/// hand-driven pending sets need. Throws if there is no such link.
+inline PendTarget link_target(const SimContext& ctx, NodeId from, NodeId to) {
+  return PendTarget{to, ctx.topo->prr(from, to).value(),
+                    ctx.schedules->active_slot(to)};
+}
 
 using IntentLog = std::vector<std::tuple<SlotIndex, NodeId, NodeId, PacketId>>;
 

@@ -264,7 +264,7 @@ class ReferenceDbao final : public PendingSetProtocol {
   void enqueue_forwarding(NodeId node, PacketId packet, NodeId from) override {
     for (const NodeId r : responsible_[node]) {
       if (r == from) continue;
-      pend(node, packet, r);
+      pend(node, packet, test::link_target(ctx(), node, r));
     }
   }
 

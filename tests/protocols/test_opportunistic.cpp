@@ -8,11 +8,13 @@
 #include <limits>
 #include <vector>
 
+#include "ldcf/common/error.hpp"
 #include "ldcf/sim/engine.hpp"
 #include "ldcf/sim/simulator.hpp"
 #include "ldcf/topology/generators.hpp"
 #include "ldcf/topology/tree.hpp"
 #include "protocol_diff.hpp"
+#include "support/graphs.hpp"
 
 namespace ldcf::protocols {
 namespace {
@@ -69,6 +71,26 @@ TEST(Of, BuildsTheEnergyTree) {
     if (tree.reached(v)) ++reached;
   }
   EXPECT_EQ(reached, topo.reachable_count(0));
+}
+
+// initialize files each energy-tree edge as a pend target once, so a tree
+// edge that is not a link is rejected there, not at the first pend.
+TEST(Of, InitializeRequiresTreeEdgesToBeLinks) {
+  const topology::Topology topo = test_support::undirected(
+      4, {{0, 1, 0.9}, {0, 2, 0.5}, {1, 2, 1.0}, {2, 3, 0.8}});
+  const schedule::ScheduleSet schedules{{0, 1, 2, 3}, DutyCycle{4}};
+  const sim::PossessionState possession{4, 4};
+  topology::Tree tree = topology::build_etx_tree(topo, 0);
+  SimContext ctx;
+  ctx.topo = &topo;
+  ctx.schedules = &schedules;
+  ctx.duty = DutyCycle{4};
+  ctx.num_packets = 4;
+  ctx.possession = &possession;
+  ctx.energy_tree = &tree;
+  EXPECT_NO_THROW(OpportunisticFlooding().initialize(ctx));
+  tree.parent[3] = 0;  // 0-3 not linked.
+  EXPECT_THROW(OpportunisticFlooding().initialize(ctx), InvalidArgument);
 }
 
 TEST(Of, TreeOnlyVariantIsSlower) {
@@ -130,7 +152,10 @@ class ReferenceOf final : public PendingSetProtocol {
   void initialize(const SimContext& ctx) override {
     PendingSetProtocol::initialize(ctx);
     tree_ = topology::build_etx_tree(*ctx.topo, ctx.source);
-    children_ = tree_.children();
+    children_.assign(ctx.topo->num_nodes(), {});
+    for (NodeId v = 0; v < tree_.parent.size(); ++v) {
+      if (tree_.parent[v] != kNoNode) children_[tree_.parent[v]].push_back(v);
+    }
     delay_ = topology::tree_delay_distribution(*ctx.topo, tree_, ctx.duty);
     generated_at_.assign(ctx.num_packets, kNeverSlot);
     gambled_.assign(ctx.topo->num_nodes(),
@@ -204,7 +229,9 @@ class ReferenceOf final : public PendingSetProtocol {
  protected:
   void enqueue_forwarding(NodeId node, PacketId packet,
                           NodeId /*from*/) override {
-    for (const NodeId child : children_[node]) pend(node, packet, child);
+    for (const NodeId child : children_[node]) {
+      pend(node, packet, test::link_target(ctx(), node, child));
+    }
   }
 
  private:

@@ -10,6 +10,7 @@
 #include "ldcf/protocols/protocol.hpp"
 #include "ldcf/sim/node_state.hpp"
 #include "ldcf/topology/topology.hpp"
+#include "protocol_diff.hpp"
 #include "support/graphs.hpp"
 
 namespace ldcf::protocols {
@@ -56,6 +57,10 @@ struct Fixture {
     possession.deliver(ctx.source, packet);
     proto.on_generate(packet, slot);
   }
+  /// Queue (packet -> neighbor) at `node` over their link.
+  void pend(NodeId node, PacketId packet, NodeId neighbor) {
+    proto.pend(node, packet, test::link_target(ctx, node, neighbor));
+  }
   void deliver(NodeId receiver, PacketId packet, NodeId from, SlotIndex slot) {
     if (possession.deliver(receiver, packet)) {
       proto.on_delivery(receiver, packet, from, slot);
@@ -90,23 +95,18 @@ TEST(PendingBase, DeliveryEnqueuesAllButSender) {
 
 TEST(PendingBase, PendIsIdempotent) {
   Fixture f;
-  f.proto.pend(0, 1, 1);
-  f.proto.pend(0, 1, 1);
+  f.pend(0, 1, 1);
+  f.pend(0, 1, 1);
   EXPECT_EQ(f.proto.pending_count(0), 1u);
   f.proto.unpend(0, 1, 1);
   EXPECT_EQ(f.proto.pending_count(0), 0u);
   f.proto.unpend(0, 1, 1);  // no-op.
 }
 
-TEST(PendingBase, PendRequiresLink) {
-  Fixture f;
-  EXPECT_THROW(f.proto.pend(0, 0, 3), InvalidArgument);  // 0-3 not linked.
-}
-
 TEST(PendingBase, EntriesLandInTheNeighborsPhaseBucket) {
   Fixture f;
-  f.proto.pend(0, 0, 1);  // node 1 wakes at phase 1.
-  f.proto.pend(0, 0, 2);  // node 2 wakes at phase 2.
+  f.pend(0, 0, 1);  // node 1 wakes at phase 1.
+  f.pend(0, 0, 2);  // node 2 wakes at phase 2.
   EXPECT_EQ(f.proto.pending_at_phase(0, 1).size(), 1u);
   EXPECT_EQ(f.proto.pending_at_phase(0, 2).size(), 1u);
   EXPECT_EQ(f.proto.pending_at_phase(0, 5).size(), 1u);  // 5 mod 4 == 1.
@@ -117,8 +117,8 @@ TEST(PendingBase, SelectFcfsPicksOldestPacketThenBestLink) {
   Fixture f;
   // Node 2's neighbors 1 (prr 1.0 via 2->1) and 0 (prr 0.5) share no phase,
   // so construct the tie at node 0: neighbors 1 (phase 1) and 2 (phase 2).
-  f.proto.pend(0, 2, 1);
-  f.proto.pend(0, 1, 1);  // older packet to the same phase-1 neighbor.
+  f.pend(0, 2, 1);
+  f.pend(0, 1, 1);  // older packet to the same phase-1 neighbor.
   const auto intent = f.proto.select_fcfs(0, 1);
   ASSERT_TRUE(intent.has_value());
   EXPECT_EQ(intent->packet, 1u);
@@ -129,7 +129,7 @@ TEST(PendingBase, SelectFcfsPicksOldestPacketThenBestLink) {
 
 TEST(PendingBase, AckRetiresEntry) {
   Fixture f;
-  f.proto.pend(0, 0, 1);
+  f.pend(0, 0, 1);
   TxResult result;
   result.intent = TxIntent{0, 1, 0};
   result.outcome = TxOutcome::kDelivered;
@@ -139,7 +139,7 @@ TEST(PendingBase, AckRetiresEntry) {
 
 TEST(PendingBase, ChannelLossKeepsEntryEligible) {
   Fixture f;
-  f.proto.pend(0, 0, 1);
+  f.pend(0, 0, 1);
   TxResult result;
   result.intent = TxIntent{0, 1, 0};
   result.outcome = TxOutcome::kLostChannel;
@@ -150,8 +150,8 @@ TEST(PendingBase, ChannelLossKeepsEntryEligible) {
 
 TEST(PendingBase, CollisionBacksOffTheWholePair) {
   Fixture f;
-  f.proto.pend(0, 0, 1);
-  f.proto.pend(0, 1, 1);  // second packet to the same receiver.
+  f.pend(0, 0, 1);
+  f.pend(0, 1, 1);  // second packet to the same receiver.
   TxResult result;
   result.intent = TxIntent{0, 1, 0};
   result.outcome = TxOutcome::kCollision;
@@ -175,7 +175,7 @@ TEST(PendingBase, CollisionBacksOffTheWholePair) {
 
 TEST(PendingBase, BackoffWindowGrowsExponentially) {
   Fixture f;
-  f.proto.pend(0, 0, 1);
+  f.pend(0, 0, 1);
   TxResult result;
   result.intent = TxIntent{0, 1, 0};
   result.outcome = TxOutcome::kCollision;
@@ -267,7 +267,7 @@ TEST(PendingBase, SenderIndexMatchesABruteForceScan) {
       result.outcome = outcomes[rng.below(4)];
       const std::uint64_t op = rng.below(8);
       if (op == 0) {
-        proto.pend(node, packet, neighbor);
+        proto.pend(node, packet, test::link_target(ctx, node, neighbor));
       } else if (op == 1) {
         proto.unpend(node, packet, neighbor);
       } else if (op == 2) {

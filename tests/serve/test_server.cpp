@@ -141,6 +141,27 @@ TEST(FloodServerTest, ResultMatchesDirectRunPointByteForByte) {
   EXPECT_EQ(report_field(raw), expected);
 }
 
+// The cache charges a topology for its in-link index as well as its
+// out-rows: after one cold job its artifacts count at least 24 B per link
+// (a 16 B Link plus an 8 B InLink) and 8 B per node, so the LRU budget
+// bounds what is really resident.
+TEST(FloodServerTest, CacheBytesCountTheInLinkIndex) {
+  const std::string config_json =
+      R"({"protocol":"opt","sensors":1000,"topology_seed":1,"seed":1,)"
+      R"("duty_pct":5,"num_packets":4,"reps":1,"threads":1})";
+  FloodServer server(local_config());
+  server.start();
+  FloodClient client(client_endpoint(server));
+  ASSERT_EQ(client.submit(config_json)->str("type"), "result");
+  const ServerStats stats = server.stats();
+  server.stop();
+
+  const ldcf::topology::Topology topo = ldcf::serve::build_topology(
+      ldcf::serve::parse_job_spec(*parse_json(config_json)));
+  EXPECT_GE(stats.cache.bytes_in_use,
+            24 * topo.num_links() + 8 * topo.num_nodes());
+}
+
 TEST(FloodServerTest, SoakRepeatedJobsHitTheCacheAndStayByteIdentical) {
   ServerConfig config = local_config();
   config.job_workers = 2;

@@ -1,5 +1,6 @@
 // Hand-built test graphs: undirected edge lists expanded into the directed
-// link records Topology::from_links takes.
+// link records Topology::from_links takes, and a check of a topology's
+// in-link index against its out-rows.
 #pragma once
 
 #include <initializer_list>
@@ -32,6 +33,31 @@ inline topology::Topology undirected(std::size_t nodes,
                                      std::initializer_list<Edge> edges) {
   return topology::Topology::from_links(
       std::vector<topology::Point2D>(nodes), both_ways(edges));
+}
+
+/// Whether every in-link row of `topo` ascends strictly by sender, each
+/// entry's id names the forward link from -> to inside the sender's
+/// out-row, and the rows together hold every link once.
+inline bool in_links_mirror_out_links(const topology::Topology& topo) {
+  std::size_t total = 0;
+  for (NodeId to = 0; to < topo.num_nodes(); ++to) {
+    const auto row = topo.in_links(to);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const topology::InLink& in = row[i];
+      if (i > 0 && row[i - 1].from >= in.from) return false;
+      if (in.from >= topo.num_nodes() || in.id >= topo.num_links()) {
+        return false;
+      }
+      const auto out = topo.neighbors(in.from);
+      const topology::Link* link = &topo.link(in.id);
+      if (link < out.data() || link >= out.data() + out.size() ||
+          link->to != to) {
+        return false;
+      }
+    }
+    total += row.size();
+  }
+  return total == topo.num_links();
 }
 
 }  // namespace ldcf::test_support

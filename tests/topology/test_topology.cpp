@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ldcf/common/error.hpp"
+#include "ldcf/topology/generators.hpp"
 #include "support/graphs.hpp"
 
 namespace ldcf::topology {
@@ -185,7 +186,6 @@ TEST(Topology, HopDistancesOnALine) {
 TEST(Topology, DisconnectedComponentDetected) {
   const Topology topo =
       test_support::undirected(4, {{0, 1, 1.0}, {2, 3, 1.0}});
-  EXPECT_FALSE(topo.connected_from_source());
   EXPECT_EQ(topo.reachable_count(0), 2u);
   EXPECT_DOUBLE_EQ(topo.reachable_fraction(), 1.0 / 3.0);  // 1 of 3 sensors.
   const auto dist = topo.hop_distances(0);
@@ -194,7 +194,6 @@ TEST(Topology, DisconnectedComponentDetected) {
 }
 
 TEST(Topology, ConnectedFromSource) {
-  EXPECT_TRUE(line_of(10).connected_from_source());
   EXPECT_DOUBLE_EQ(line_of(10).reachable_fraction(), 1.0);
 }
 
@@ -244,6 +243,29 @@ TEST(Topology, CopyAndMovePreserveGraphAndSealState) {
   assigned = std::move(moved);
   EXPECT_EQ(assigned.num_links(), 8u);
   EXPECT_TRUE(assigned.has_link(4, 3));
+}
+
+TEST(Topology, InLinksMirrorOutLinks) {
+  for (const std::string& name : generator_names()) {
+    SCOPED_TRACE(name);
+    const Topology topo = make_network(name, 60, 2);
+    EXPECT_GT(topo.num_links(), 0u);
+    EXPECT_TRUE(test_support::in_links_mirror_out_links(topo));
+  }
+
+  // Records in no particular order; node 4 has out-links but no in-links.
+  const Topology topo = directed(
+      5, {{3, 0, 0.4}, {4, 1, 0.9}, {0, 2, 0.7}, {4, 0, 0.6}, {2, 0, 0.5},
+          {1, 2, 0.8}, {0, 1, 0.3}, {4, 3, 1.0}});
+  EXPECT_TRUE(test_support::in_links_mirror_out_links(topo));
+  EXPECT_TRUE(topo.in_links(4).empty());
+  std::vector<NodeId> senders;
+  for (const InLink& in : topo.in_links(0)) senders.push_back(in.from);
+  EXPECT_EQ(senders, (std::vector<NodeId>{2, 3, 4}));
+  EXPECT_EQ(topo.link(topo.in_links(0)[1].id).prr, 0.4);
+  EXPECT_THROW((void)topo.in_links(5), InvalidArgument);
+  EXPECT_THROW((void)topo.link(static_cast<LinkId>(topo.num_links())),
+               InvalidArgument);
 }
 
 TEST(Topology, PositionsSpanMatchesAccessor) {

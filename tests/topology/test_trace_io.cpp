@@ -3,11 +3,15 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ldcf/common/error.hpp"
+#include "ldcf/common/rng.hpp"
 #include "ldcf/topology/generators.hpp"
+#include "support/graphs.hpp"
 
 namespace ldcf::topology {
 namespace {
@@ -228,6 +232,93 @@ TEST(TraceIo, MissingFileThrows) {
   const Topology topo = Topology::from_links(std::vector<Point2D>(1), {});
   EXPECT_THROW(write_trace_file(topo, "/nonexistent/path/trace.csv"),
                InvalidArgument);
+}
+
+/// Offsets where the lines of `text` start.
+std::vector<std::size_t> line_starts(const std::string& text) {
+  std::vector<std::size_t> starts{0};
+  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+    if (text[i] == '\n') starts.push_back(i + 1);
+  }
+  return starts;
+}
+
+/// The line of `text` starting at `start`, with its newline.
+std::string line_at(const std::string& text, std::size_t start) {
+  const std::size_t end = text.find('\n', start);
+  return text.substr(start, end == std::string::npos ? end : end - start + 1);
+}
+
+/// One seeded mutation of a trace: a byte flip, a deletion, a duplicated
+/// line, a line spliced in elsewhere, or a truncation.
+void mutate(std::string& text, Rng& rng) {
+  static const std::string kAlphabet = "0123456789,.-+e \n#abdiklnortx";
+  if (text.empty()) return;
+  const std::size_t at = rng.below(text.size());
+  const std::vector<std::size_t> starts = line_starts(text);
+  switch (rng.below(5)) {
+    case 0:
+      text[at] = rng.below(2) == 0
+                     ? kAlphabet[rng.below(kAlphabet.size())]
+                     : static_cast<char>(rng.below(256));
+      break;
+    case 1:
+      text.erase(at, 1 + rng.below(4));
+      break;
+    case 2: {
+      const std::size_t start = starts[rng.below(starts.size())];
+      text.insert(start, line_at(text, start));
+      break;
+    }
+    case 3: {
+      // The tail of one line joined onto the head of another.
+      const std::string donor = line_at(text, starts[rng.below(starts.size())]);
+      text.insert(at, donor.substr(rng.below(donor.size())));
+      break;
+    }
+    default:
+      text.resize(at);
+      break;
+  }
+}
+
+// Seeded mutants of a valid trace either load into a topology whose
+// in-link index mirrors its out-rows, or are rejected with the typed
+// InvalidArgument — never another exception, a crash or a broken index.
+TEST(TraceIoFuzz, MutantsLoadOrThrowTyped) {
+  constexpr std::uint64_t kSeed = 2011;
+  constexpr int kMutants = 2000;
+  const Topology topo = Topology::from_links(
+      std::vector<Point2D>{{0, 0}, {10, 0}, {10, 10}, {0, 10}, {5, 5}},
+      {{0, 1, 0.8}, {1, 0, 0.75}, {1, 2, 0.33}, {2, 3, 1.0}, {3, 0, 0.5},
+       {4, 0, 0.9}, {0, 4, 0.125}, {2, 4, 0.6}});
+  std::stringstream clean;
+  write_trace(topo, clean);
+  const std::string base = clean.str();
+
+  Rng rng(kSeed);
+  int loaded = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string text = base;
+    const std::uint64_t mutations = 1 + rng.below(3);
+    for (std::uint64_t m = 0; m < mutations; ++m) mutate(text, rng);
+    std::istringstream in(text);
+    try {
+      const Topology mutant = read_trace(in);
+      ++loaded;
+      EXPECT_TRUE(test_support::in_links_mirror_out_links(mutant))
+          << "seed " << kSeed << " mutant " << i << ":\n" << text;
+    } catch (const InvalidArgument&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "seed " << kSeed << " mutant " << i << " threw "
+                    << error.what() << ":\n" << text;
+    }
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(loaded, kMutants / 20);
+  EXPECT_GT(rejected, kMutants / 20);
 }
 
 }  // namespace

@@ -60,16 +60,6 @@ TEST(DelayTree, SameShapeAsEtxForUniformPeriod) {
   }
 }
 
-TEST(TreeStructure, ChildrenInvertParents) {
-  const Tree tree = build_etx_tree(diamond(), 0);
-  const auto kids = tree.children();
-  ASSERT_EQ(kids.size(), 4u);
-  EXPECT_EQ(kids[0].size(), 2u);
-  EXPECT_EQ(kids[1].size(), 1u);
-  EXPECT_EQ(kids[1][0], 3u);
-  EXPECT_TRUE(kids[3].empty());
-}
-
 TEST(TreeStructure, DepthsFollowParentChain) {
   const Tree tree = build_etx_tree(diamond(), 0);
   const auto depth = tree.depths();
