@@ -6,9 +6,11 @@
 // the trace-driven figure benches vary protocol behaviour, this one pins
 // raw slot-loop and draw-kernel cost.
 //
-// Env knobs: LDCF_BENCH_PACKETS (default 60), LDCF_BENCH_REPS (default 3,
-// best-of), LDCF_ENGINE_DUTY_PCT (default 5), LDCF_BENCH_REPORT (JSON
-// output path, default BENCH_engine.json; empty disables it).
+// Env knobs: LDCF_BENCH_PACKETS (default 60), LDCF_BENCH_REPS (default 3:
+// protocol rows report the median and quartiles over the repetitions,
+// channel rows the best), LDCF_ENGINE_DUTY_PCT (default 5),
+// LDCF_BENCH_REPORT (JSON output path, default BENCH_engine.json; empty
+// disables it).
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -33,8 +35,11 @@ struct BenchRow {
   std::string protocol;
   std::uint64_t slots = 0;
   std::uint64_t attempts = 0;
-  double best_seconds = 0.0;
-  double slots_per_sec = 0.0;
+  /// Wall time of one run over the repetitions: median and quartiles.
+  double median_seconds = 0.0;
+  double q1_seconds = 0.0;
+  double q3_seconds = 0.0;
+  double slots_per_sec = 0.0;  ///< at the median.
   /// Only on the series_overhead row: observed/bare slot throughput with
   /// the windowed telemetry observer attached (1.0 = free, floor in CI).
   double series_speed_ratio = 0.0;
@@ -57,10 +62,15 @@ constexpr std::uint32_t kChannelHubs = 32;
 constexpr std::uint32_t kChannelLeaves = 511;
 constexpr std::uint32_t kChannelSlots = 200;
 
-/// Median of a sample set (copies, then sorts; upper median for even n).
-double median(std::vector<double> values) {
+/// The q-quantile of a non-empty sample set, interpolating linearly between
+/// order statistics (copies, then sorts).
+double quantile(std::vector<double> values, double q) {
   std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] + frac * (values[hi] - values[lo]);
 }
 
 ldcf::topology::Topology make_star_forest() {
@@ -142,7 +152,7 @@ void write_bench_report(const std::string& path,
       .field("num_packets", config.num_packets)
       .field("duty_percent", duty_pct)
       .field("seed", config.seed)
-      .field("best_of", reps)
+      .field("reps", reps)
       .field("channel_hubs", kChannelHubs)
       .field("channel_leaves", kChannelLeaves)
       .field("channel_slots", kChannelSlots)
@@ -155,7 +165,9 @@ void write_bench_report(const std::string& path,
         .field("protocol", row.protocol)
         .field("slots", row.slots)
         .field("attempts", row.attempts)
-        .field("best_seconds", row.best_seconds)
+        .field("median_seconds", row.median_seconds)
+        .field("q1_seconds", row.q1_seconds)
+        .field("q3_seconds", row.q3_seconds)
         .field("slots_per_sec", row.slots_per_sec);
     if (row.series_speed_ratio > 0.0) {
       json.field("series_speed_ratio", row.series_speed_ratio);
@@ -206,31 +218,34 @@ int main() {
 
   std::cout << "=== Engine throughput (N = " << topo.num_nodes()
             << " nodes, M = " << config.num_packets << ", duty " << duty_pct
-            << "%, best of " << reps << ") ===\n";
+            << "%, median of " << reps << ") ===\n";
 
-  Table table({"protocol", "slots", "attempts", "ms", "slots/sec"});
+  Table table({"protocol", "slots", "attempts", "ms (q1-q3)", "slots/sec"});
   std::vector<BenchRow> rows;
   for (const char* name : {"opt", "dbao", "of", "naive"}) {
-    double best_seconds = 0.0;
+    std::vector<double> seconds;
     sim::SimResult result;
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
       const auto proto = protocols::make_protocol(name);
       const auto start = Clock::now();
       result = sim::run_simulation(topo, config, *proto);
       const std::chrono::duration<double> elapsed = Clock::now() - start;
-      if (rep == 0 || elapsed.count() < best_seconds) {
-        best_seconds = elapsed.count();
-      }
+      seconds.push_back(elapsed.count());
     }
-    const double slots_per_sec =
-        static_cast<double>(result.metrics.end_slot) / best_seconds;
-    table.add_row({name, Table::num(result.metrics.end_slot),
-                   Table::num(result.metrics.channel.attempts),
-                   Table::num(1e3 * best_seconds, 1),
-                   Table::num(slots_per_sec, 0)});
-    rows.push_back(BenchRow{name, result.metrics.end_slot,
-                            result.metrics.channel.attempts, best_seconds,
-                            slots_per_sec});
+    BenchRow row{name, result.metrics.end_slot,
+                 result.metrics.channel.attempts};
+    row.median_seconds = quantile(seconds, 0.5);
+    row.q1_seconds = quantile(seconds, 0.25);
+    row.q3_seconds = quantile(seconds, 0.75);
+    row.slots_per_sec =
+        static_cast<double>(result.metrics.end_slot) / row.median_seconds;
+    table.add_row({name, Table::num(row.slots),
+                   Table::num(row.attempts),
+                   Table::num(1e3 * row.median_seconds, 1) + " (" +
+                       Table::num(1e3 * row.q1_seconds, 1) + "-" +
+                       Table::num(1e3 * row.q3_seconds, 1) + ")",
+                   Table::num(row.slots_per_sec, 0)});
+    rows.push_back(row);
     if (result.metrics.truncated) {
       std::cout << "warning: " << name << " truncated at max_slots\n";
     }
@@ -279,12 +294,12 @@ int main() {
     std::sort(pair_ratios.begin(), pair_ratios.end());
     const double median_ratio = pair_ratios[overhead_reps / 2];
     const double observed_median =
-        median(observed_times);  // sorts its copy.
+        quantile(observed_times, 0.5);  // sorts its copy.
     BenchRow row;
     row.protocol = "series_overhead";
     row.slots = result.metrics.end_slot;
     row.attempts = result.metrics.channel.attempts;
-    row.best_seconds = observed_median;
+    row.median_seconds = observed_median;
     row.slots_per_sec =
         static_cast<double>(result.metrics.end_slot) / observed_median;
     row.series_speed_ratio = median_ratio;
@@ -294,7 +309,7 @@ int main() {
               << " slots/sec vs bare "
               << static_cast<std::uint64_t>(
                      static_cast<double>(result.metrics.end_slot) /
-                     median(bare_times))
+                     quantile(bare_times, 0.5))
               << " -> ratio " << row.series_speed_ratio << "\n";
     rows.push_back(row);
   }

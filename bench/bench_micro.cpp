@@ -59,7 +59,7 @@ void BM_ChannelResolve(benchmark::State& state) {
        ++u) {
     const auto nbrs = topo.neighbors(u);
     if (nbrs.empty()) continue;
-    intents.push_back(sim::TxIntent{u, nbrs[0].to, 0});
+    intents.push_back(sim::TxIntent{u, nbrs[0].to, 0, topo.first_link(u)});
     receivers.push_back(nbrs[0].to);
   }
   const sim::ChannelConfig config{true, true};

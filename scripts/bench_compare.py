@@ -75,8 +75,9 @@ def same_workload(fresh, reference):
         return False
     fresh_config = dict(fresh.get("config", {}))
     ref_config = dict(reference.get("config", {}))
-    fresh_config.pop("best_of", None)  # repetitions affect timing only.
-    ref_config.pop("best_of", None)
+    for key in ("best_of", "reps"):  # repetitions affect timing only.
+        fresh_config.pop(key, None)
+        ref_config.pop(key, None)
     # Scale reports build their own topologies (no top-level fingerprint);
     # None == None keeps this check vacuous for them.
     same_topo = fresh.get("topology", {}).get("fingerprint") == reference.get(

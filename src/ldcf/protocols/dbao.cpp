@@ -26,29 +26,33 @@ void DbaoFlooding::initialize(const SimContext& ctx) {
   // so pathological traces still flood).
   const auto hop = topo.hop_distances(ctx.source);
   responsible_.assign(topo.num_nodes(), {});
-  std::vector<topology::Link> candidates;  // Link{sender, prr} of r's in-links.
+  struct InCandidate {
+    topology::InLink in;
+    double prr = 0.0;
+  };
+  std::vector<InCandidate> candidates;  // r's in-links with their PRR.
   for (NodeId r = 0; r < topo.num_nodes(); ++r) {
     if (r == ctx.source) continue;  // nobody needs to serve the source.
     candidates.clear();
     for (const topology::InLink& in : topo.in_links(r)) {
-      candidates.push_back(topology::Link{in.from, topo.link(in.id).prr});
+      candidates.push_back(InCandidate{in, topo.link(in.id).prr});
     }
     auto reachable_end = std::partition(
         candidates.begin(), candidates.end(),
-        [&](const topology::Link& l) { return hop[l.to] != kNeverSlot; });
+        [&](const InCandidate& c) { return hop[c.in.from] != kNeverSlot; });
     auto begin = candidates.begin();
     auto end = reachable_end == candidates.begin() ? candidates.end()
                                                    : reachable_end;
-    std::sort(begin, end, [](const topology::Link& a, const topology::Link& b) {
-      return a.prr > b.prr || (a.prr == b.prr && a.to < b.to);
+    std::sort(begin, end, [](const InCandidate& a, const InCandidate& b) {
+      return a.prr > b.prr || (a.prr == b.prr && a.in.from < b.in.from);
     });
     const std::size_t keep =
         std::min<std::size_t>(config_.responsible_senders,
                               static_cast<std::size_t>(end - begin));
     for (std::size_t i = 0; i < keep; ++i) {
-      const topology::Link& best = begin[static_cast<std::ptrdiff_t>(i)];
-      responsible_[best.to].push_back(
-          PendTarget{r, best.prr, ctx.schedules->active_slot(r)});
+      const InCandidate& best = begin[static_cast<std::ptrdiff_t>(i)];
+      responsible_[best.in.from].push_back(PendTarget{
+          r, best.prr, ctx.schedules->active_slot(r), best.in.id});
     }
   }
 
@@ -65,9 +69,10 @@ void DbaoFlooding::initialize(const SimContext& ctx) {
         std::any_of(served.begin(), served.end(),
                     [&](const PendTarget& t) { return t.neighbor == r; });
     if (listed) continue;
-    const auto prr = topo.prr(parent, r);
-    LDCF_REQUIRE(prr.has_value(), "energy tree edge is not a link");
-    served.push_back(PendTarget{r, *prr, ctx.schedules->active_slot(r)});
+    const auto id = topo.link_id(parent, r);
+    LDCF_REQUIRE(id.has_value(), "energy tree edge is not a link");
+    served.push_back(PendTarget{r, topo.link(*id).prr,
+                                ctx.schedules->active_slot(r), *id});
   }
   deferred_.clear();
   candidates_.clear();
@@ -104,8 +109,8 @@ void DbaoFlooding::propose_transmissions(
   candidates.clear();
   for (const NodeId node : pending_senders_at(slot)) {
     if (const PendingEntry* e = fcfs_entry(node, slot)) {
-      candidates.push_back(
-          Candidate{TxIntent{node, e->neighbor, e->packet}, e->prr, false});
+      candidates.push_back(Candidate{
+          TxIntent{node, e->neighbor, e->packet, e->link}, e->prr, false});
     }
   }
 

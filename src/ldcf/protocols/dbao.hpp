@@ -76,7 +76,7 @@ class DbaoFlooding : public PendingSetProtocol {
   DbaoConfig config_{};
   double cs_range_ = 0.0;
   /// responsible_[u] = receivers u serves (u is among their best senders),
-  /// each with its link PRR and wake phase.
+  /// each with its link PRR, wake phase and link id.
   std::vector<std::vector<PendTarget>> responsible_;
   /// Contenders that deferred this slot, per receiver: if the winner's
   /// transmission succeeds they overhear the exchange and cancel their own

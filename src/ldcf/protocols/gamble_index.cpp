@@ -26,7 +26,9 @@ void GambleIndex::build(const sim::SimContext& ctx,
   by_phase_.assign(ctx.duty.period, {});
   std::uint32_t links = 0;
   for (NodeId u = 0; u < n; ++u) {
+    topology::LinkId next_id = topo.first_link(u);
     for (const topology::Link& link : topo.neighbors(u)) {
+      const topology::LinkId id = next_id++;
       const NodeId j = link.to;
       if (link.prr < filter.min_link_prr) continue;
       if (std::isinf(delay.mean[j])) continue;  // no tree baseline.
@@ -34,7 +36,7 @@ void GambleIndex::build(const sim::SimContext& ctx,
       if (tree != nullptr && (j == tree->parent[u] || tree->parent[j] == u)) {
         continue;
       }
-      const Candidate c{u, j, links++, link.prr};
+      const Candidate c{u, j, links++, id, link.prr};
       if (!filter.every_active_slot) {
         by_phase_[ctx.schedules->active_slot(j)].push_back(c);
         continue;

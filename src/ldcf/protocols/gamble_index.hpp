@@ -29,7 +29,8 @@ class GambleIndex {
   struct Candidate {
     NodeId sender = kNoNode;
     NodeId receiver = kNoNode;
-    std::uint32_t link = 0;  ///< one id per (sender, receiver) pair.
+    std::uint32_t link = 0;  ///< one number per candidate pair.
+    topology::LinkId id = topology::kNoLink;  ///< the topology's link id.
     double prr = 0.0;
   };
 
@@ -39,7 +40,7 @@ class GambleIndex {
     PacketId packet = kNoPacket;
     double prr = -1.0;
     [[nodiscard]] sim::TxIntent intent() const {
-      return {link->sender, link->receiver, packet};
+      return {link->sender, link->receiver, packet, link->id};
     }
   };
 

@@ -11,10 +11,10 @@ void OpportunisticFlooding::initialize(const SimContext& ctx) {
   for (NodeId v = 0; v < tree_->parent.size(); ++v) {
     const NodeId parent = tree_->parent[v];
     if (parent == kNoNode) continue;
-    const auto prr = ctx.topo->prr(parent, v);
-    LDCF_REQUIRE(prr.has_value(), "energy tree edge is not a link");
-    children_[parent].push_back(
-        PendTarget{v, *prr, ctx.schedules->active_slot(v)});
+    const auto id = ctx.topo->link_id(parent, v);
+    LDCF_REQUIRE(id.has_value(), "energy tree edge is not a link");
+    children_[parent].push_back(PendTarget{v, ctx.topo->link(*id).prr,
+                                           ctx.schedules->active_slot(v), *id});
   }
   // Tree children go through the pending machinery and the parent already
   // has the packet, so only non-tree links are gamble candidates.
@@ -44,7 +44,7 @@ void OpportunisticFlooding::propose_transmissions(
   // only the former remain. Both lists ascend, and so does their merge:
   // the node order of a full scan, and therefore the RNG draw order.
   const double next = static_cast<double>(slot + 1);
-  const std::span<const NodeId> pending = pending_senders_at(slot);
+  const SetBits pending = pending_senders_at(slot);
   std::span<const GambleIndex::Candidate> links;
   if (next < gambles_.deadline()) links = gambles_.candidates_at(slot);
   auto pi = pending.begin();

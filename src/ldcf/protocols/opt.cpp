@@ -39,18 +39,18 @@ void OptFlooding::initialize(const SimContext& ctx) {
   for (double& f : floors) f *= config_.quality_floor_factor;
   // Keep the links that reach their receiver's floor, from both sides: the
   // topology's rows already ascend by sender and by receiver.
-  in_ = Rows{{0}, {}};
-  out_ = Rows{{0}, {}};
+  in_ = {};
+  out_ = {};
   for (NodeId v = 0; v < n; ++v) {
     for (const topology::InLink& in : topo.in_links(v)) {
       const double prr = topo.link(in.id).prr;
-      if (prr >= floors[v]) in_.links.push_back(topology::Link{in.from, prr});
+      if (prr >= floors[v]) in_.items.push_back(InEdge{in.from, in.id, prr});
     }
-    in_.offsets.push_back(in_.links.size());
+    in_.offsets.push_back(in_.items.size());
     for (const topology::Link& link : topo.neighbors(v)) {
-      if (link.prr >= floors[link.to]) out_.links.push_back(link);
+      if (link.prr >= floors[link.to]) out_.items.push_back(link.to);
     }
-    out_.offsets.push_back(out_.links.size());
+    out_.offsets.push_back(out_.items.size());
   }
 
   // Serve the most-constrained receivers first: a receiver with few viable
@@ -80,12 +80,12 @@ void OptFlooding::gain(NodeId node, PacketId packet) {
   // Branch-free: whether a neighbor holds the packet is a coin flip during
   // the flood, so the counts are summed rather than tested.
   std::uint32_t holders = 0;
-  for (const topology::Link& in : in_.row(node)) {
-    holders += node_has(in.to, packet) ? 1U : 0U;
+  for (const InEdge& in : in_.row(node)) {
+    holders += node_has(in.from, packet) ? 1U : 0U;
   }
   frontier_[node] -= holders;
-  for (const topology::Link& out : out_.row(node)) {
-    frontier_[out.to] += node_has(out.to, packet) ? 0U : 1U;
+  for (const NodeId to : out_.row(node)) {
+    frontier_[to] += node_has(to, packet) ? 0U : 1U;
   }
 }
 
@@ -144,14 +144,14 @@ void OptFlooding::propose_transmissions(
 void OptFlooding::serve(NodeId receiver, std::vector<TxIntent>& out) {
   // Oldest missing packet some free neighbor holds (FCFS order), from the
   // first best link among them.
-  const std::span<const topology::Link> links = in_.row(receiver);
-  const topology::Link* best = nullptr;
+  const std::span<const InEdge> links = in_.row(receiver);
+  const InEdge* best = nullptr;
   PacketId packet = kNoPacket;
   for (PacketId p = first_missing_[receiver]; p < generated_ && best == nullptr;
        ++p) {
     if (node_has(receiver, p)) continue;
-    for (const topology::Link& in : links) {
-      if (claimed_[in.to] != 0 || !node_has(in.to, p)) continue;
+    for (const InEdge& in : links) {
+      if (claimed_[in.from] != 0 || !node_has(in.from, p)) continue;
       if (best == nullptr || in.prr > best->prr) {
         best = &in;
         packet = p;
@@ -159,8 +159,8 @@ void OptFlooding::serve(NodeId receiver, std::vector<TxIntent>& out) {
     }
   }
   if (best == nullptr) return;
-  claimed_[best->to] = claimed_[receiver] = 1;
-  out.push_back(TxIntent{best->to, receiver, packet});
+  claimed_[best->from] = claimed_[receiver] = 1;
+  out.push_back(TxIntent{best->from, receiver, packet, best->id});
 }
 
 }  // namespace ldcf::protocols

@@ -66,12 +66,20 @@ class OptFlooding final : public FloodingProtocol {
   /// qualifying in-neighbor holds, from the best such neighbor.
   void serve(NodeId receiver, std::vector<TxIntent>& out);
 
-  /// Filtered link rows as one CSR: row u is links[offsets[u], offsets[u+1]).
+  /// A qualifying in-link: its sender, the topology's id and the PRR.
+  struct InEdge {
+    NodeId from = kNoNode;
+    topology::LinkId id = topology::kNoLink;
+    double prr = 0.0;
+  };
+
+  /// Filtered link rows as one CSR: row u is items[offsets[u], offsets[u+1]).
+  template <class T>
   struct Rows {
-    std::vector<std::size_t> offsets;
-    std::vector<topology::Link> links;
-    [[nodiscard]] std::span<const topology::Link> row(NodeId u) const {
-      return {links.data() + offsets[u], links.data() + offsets[u + 1]};
+    std::vector<std::size_t> offsets{0};
+    std::vector<T> items;
+    [[nodiscard]] std::span<const T> row(NodeId u) const {
+      return {items.data() + offsets[u], items.data() + offsets[u + 1]};
     }
   };
 
@@ -85,11 +93,11 @@ class OptFlooding final : public FloodingProtocol {
   /// its quality floor. The oracle serves a receiver from whoever can
   /// transmit *to* it, which under asymmetric links is not the same as its
   /// out-neighbor set; links below the floor can never be chosen. Row v
-  /// holds Link{sender, prr}, ascending by sender.
-  Rows in_;
+  /// ascends by sender.
+  Rows<InEdge> in_;
   /// The same qualifying links from the sender side: row u lists every v
   /// for which u -> v qualifies.
-  Rows out_;
+  Rows<NodeId> out_;
   /// frontier_[v]: (qualifying in-neighbor, packet) pairs where the
   /// neighbor holds a generated packet v lacks. A receiver at 0 cannot be
   /// served, so the proposal skips it without looking at its links.

@@ -1,6 +1,7 @@
 #include "ldcf/schedule/working_schedule.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "ldcf/common/error.hpp"
 
@@ -8,12 +9,12 @@ namespace ldcf::schedule {
 
 ScheduleSet::ScheduleSet(std::size_t num_nodes, DutyCycle duty, Rng& rng,
                          std::uint32_t slots_per_period)
-    : duty_(duty), slots_per_period_(slots_per_period) {
+    : duty_(duty), slots_per_period_(slots_per_period), num_nodes_(num_nodes) {
   LDCF_REQUIRE(num_nodes >= 1, "need at least one node");
   LDCF_REQUIRE(duty.period >= 1, "period must be >= 1");
   LDCF_REQUIRE(slots_per_period >= 1 && slots_per_period <= duty.period,
                "active slots per period must be in [1, T]");
-  slots_.resize(num_nodes);
+  slots_.reserve(num_nodes * slots_per_period);
   // Two samplers for k distinct slots out of T. Sparse k keeps the
   // historical rejection loop (its draw sequence is pinned by golden
   // tests); dense k (2k > T) switches to a partial Fisher-Yates shuffle,
@@ -25,7 +26,9 @@ ScheduleSet::ScheduleSet(std::size_t num_nodes, DutyCycle duty, Rng& rng,
     pool.resize(duty.period);
     for (std::uint32_t i = 0; i < duty.period; ++i) pool[i] = i;
   }
-  for (auto& node_slots : slots_) {
+  std::vector<std::uint32_t> node_slots;
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    node_slots.clear();
     if (dense) {
       // Exactly k draws per node. The pool stays permuted between nodes;
       // Fisher-Yates selects uniformly regardless of starting order.
@@ -48,51 +51,44 @@ ScheduleSet::ScheduleSet(std::size_t num_nodes, DutyCycle duty, Rng& rng,
       }
     }
     std::sort(node_slots.begin(), node_slots.end());
+    slots_.insert(slots_.end(), node_slots.begin(), node_slots.end());
   }
   build_buckets();
 }
 
 ScheduleSet::ScheduleSet(std::vector<std::uint32_t> active_slots,
                          DutyCycle duty)
-    : duty_(duty), slots_per_period_(1) {
-  LDCF_REQUIRE(!active_slots.empty(), "need at least one node");
-  slots_.reserve(active_slots.size());
-  for (const auto slot : active_slots) {
+    : duty_(duty),
+      slots_per_period_(1),
+      num_nodes_(active_slots.size()),
+      slots_(std::move(active_slots)) {
+  LDCF_REQUIRE(num_nodes_ >= 1, "need at least one node");
+  for (const auto slot : slots_) {
     LDCF_REQUIRE(slot < duty.period, "active slot outside period");
-    slots_.push_back({slot});
   }
   build_buckets();
 }
 
 void ScheduleSet::build_buckets() {
-  nodes_by_slot_.assign(duty_.period, {});
-  for (NodeId n = 0; n < slots_.size(); ++n) {
-    for (const auto slot : slots_[n]) {
-      nodes_by_slot_[slot].push_back(n);
-    }
+  // Counting sort by phase; filling in node order keeps each bucket
+  // ascending.
+  bucket_offsets_.assign(static_cast<std::size_t>(duty_.period) + 1, 0);
+  for (const std::uint32_t slot : slots_) ++bucket_offsets_[slot + 1];
+  for (std::uint32_t p = 0; p < duty_.period; ++p) {
+    bucket_offsets_[p + 1] += bucket_offsets_[p];
+  }
+  bucket_nodes_.resize(slots_.size());
+  std::vector<std::size_t> fill(bucket_offsets_.begin(),
+                                bucket_offsets_.end() - 1);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    bucket_nodes_[fill[slots_[i]]++] =
+        static_cast<NodeId>(i / slots_per_period_);
   }
 }
 
-std::uint32_t ScheduleSet::active_slot(NodeId n) const {
-  LDCF_REQUIRE(n < num_nodes(), "node out of range");
-  return slots_[n].front();
-}
-
-std::span<const std::uint32_t> ScheduleSet::active_slots(NodeId n) const {
-  LDCF_REQUIRE(n < num_nodes(), "node out of range");
-  return slots_[n];
-}
-
-bool ScheduleSet::is_active(NodeId n, SlotIndex t) const {
-  LDCF_REQUIRE(n < num_nodes(), "node out of range");
-  const auto phase = static_cast<std::uint32_t>(t % duty_.period);
-  return std::binary_search(slots_[n].begin(), slots_[n].end(), phase);
-}
-
 SlotIndex ScheduleSet::next_active_slot(NodeId n, SlotIndex t) const {
-  LDCF_REQUIRE(n < num_nodes(), "node out of range");
   const auto phase = static_cast<std::uint32_t>(t % duty_.period);
-  const auto& slots = slots_[n];
+  const std::span<const std::uint32_t> slots = active_slots(n);
   // First active slot at or after the current phase, else wrap around.
   const auto it = std::lower_bound(slots.begin(), slots.end(), phase);
   if (it != slots.end()) return t + (*it - phase);
@@ -101,7 +97,7 @@ SlotIndex ScheduleSet::next_active_slot(NodeId n, SlotIndex t) const {
 
 std::uint64_t ScheduleSet::active_count_in(NodeId n, SlotIndex from,
                                            SlotIndex to) const {
-  LDCF_REQUIRE(n < num_nodes(), "node out of range");
+  const std::span<const std::uint32_t> slots = active_slots(n);
   if (to <= from) return 0;
   // Count per active phase: occurrences of phase p in [from, to) equal
   // floor((to - 1 - p') / T) - floor((from - 1 - p') / T) for any anchor,
@@ -111,9 +107,8 @@ std::uint64_t ScheduleSet::active_count_in(NodeId n, SlotIndex from,
   const SlotIndex whole = span / period;
   const SlotIndex rem = span % period;
   const auto start_phase = static_cast<std::uint32_t>(from % period);
-  std::uint64_t count =
-      whole * static_cast<std::uint64_t>(slots_[n].size());
-  for (const std::uint32_t p : slots_[n]) {
+  std::uint64_t count = whole * static_cast<std::uint64_t>(slots.size());
+  for (const std::uint32_t p : slots) {
     // Phase p falls in the residual window [from + whole*T, to) iff its
     // offset from start_phase (mod T) is below rem.
     const SlotIndex offset = p >= start_phase
@@ -125,11 +120,14 @@ std::uint64_t ScheduleSet::active_count_in(NodeId n, SlotIndex from,
 }
 
 std::vector<NodeId> ScheduleSet::active_nodes(SlotIndex t) const {
-  return nodes_by_slot_[t % duty_.period];
+  const std::span<const NodeId> nodes = active_nodes_at(t);
+  return {nodes.begin(), nodes.end()};
 }
 
 std::span<const NodeId> ScheduleSet::active_nodes_at(SlotIndex t) const {
-  return nodes_by_slot_[t % duty_.period];
+  const std::size_t phase = t % duty_.period;
+  return {bucket_nodes_.data() + bucket_offsets_[phase],
+          bucket_nodes_.data() + bucket_offsets_[phase + 1]};
 }
 
 double ScheduleSet::expected_sleep_latency() const {

@@ -12,10 +12,13 @@
 // neighbors' schedules; `next_active_slot` is exactly that query.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "ldcf/common/error.hpp"
 #include "ldcf/common/rng.hpp"
 #include "ldcf/common/types.hpp"
 
@@ -34,7 +37,7 @@ class ScheduleSet {
   /// Explicit single-slot schedules (active slot per node), for tests.
   ScheduleSet(std::vector<std::uint32_t> active_slots, DutyCycle duty);
 
-  [[nodiscard]] std::size_t num_nodes() const { return slots_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
   [[nodiscard]] DutyCycle duty() const { return duty_; }
   [[nodiscard]] std::uint32_t period() const { return duty_.period; }
   [[nodiscard]] std::uint32_t slots_per_period() const {
@@ -51,13 +54,25 @@ class ScheduleSet {
   /// obligations by wakeup phase use this slot; with multi-slot schedules
   /// it is a conservative choice (the node is active then, and possibly at
   /// other phases too).
-  [[nodiscard]] std::uint32_t active_slot(NodeId n) const;
+  [[nodiscard]] std::uint32_t active_slot(NodeId n) const {
+    LDCF_REQUIRE(n < num_nodes(), "node out of range");
+    return slots_[static_cast<std::size_t>(n) * slots_per_period_];
+  }
 
   /// All active slots of node `n`, ascending.
-  [[nodiscard]] std::span<const std::uint32_t> active_slots(NodeId n) const;
+  [[nodiscard]] std::span<const std::uint32_t> active_slots(NodeId n) const {
+    LDCF_REQUIRE(n < num_nodes(), "node out of range");
+    return {slots_.data() + static_cast<std::size_t>(n) * slots_per_period_,
+            slots_per_period_};
+  }
 
   /// True iff node `n` is active (can receive) in absolute slot `t`.
-  [[nodiscard]] bool is_active(NodeId n, SlotIndex t) const;
+  [[nodiscard]] bool is_active(NodeId n, SlotIndex t) const {
+    const auto phase = static_cast<std::uint32_t>(t % duty_.period);
+    if (slots_per_period_ == 1) return active_slot(n) == phase;
+    const std::span<const std::uint32_t> slots = active_slots(n);
+    return std::binary_search(slots.begin(), slots.end(), phase);
+  }
 
   /// Smallest t' >= t at which node `n` is active. This is the sender-side
   /// "when can I reach this neighbor" query enabled by local
@@ -84,13 +99,25 @@ class ScheduleSet {
   /// evenly spread slots roughly (T/k - 1) / 2.
   [[nodiscard]] double expected_sleep_latency() const;
 
+  /// Bytes the schedule's arrays hold: the cache charges this.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return slots_.size() * sizeof(std::uint32_t) +
+           bucket_offsets_.size() * sizeof(std::size_t) +
+           bucket_nodes_.size() * sizeof(NodeId);
+  }
+
  private:
   void build_buckets();
 
-  std::vector<std::vector<std::uint32_t>> slots_;   // sorted per node.
-  std::vector<std::vector<NodeId>> nodes_by_slot_;  // period buckets.
   DutyCycle duty_{};
   std::uint32_t slots_per_period_ = 1;
+  std::size_t num_nodes_ = 0;
+  // Node n's k active slots, ascending: slots_[n * k, (n + 1) * k).
+  std::vector<std::uint32_t> slots_;
+  // Phase buckets as a CSR: the nodes active at phase p, ascending, are
+  // bucket_nodes_[bucket_offsets_[p], bucket_offsets_[p + 1]).
+  std::vector<std::size_t> bucket_offsets_;
+  std::vector<NodeId> bucket_nodes_;
 };
 
 }  // namespace ldcf::schedule

@@ -32,7 +32,7 @@ std::size_t tree_bytes(const topology::Tree& tree) {
 }
 
 std::size_t schedule_bytes(const schedule::ScheduleSet& schedules) {
-  return schedules.num_nodes() * (16 + 4ull * schedules.slots_per_period());
+  return schedules.memory_bytes();
 }
 
 std::string hex_fingerprint(std::uint64_t fingerprint) {

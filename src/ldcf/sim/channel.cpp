@@ -90,6 +90,9 @@ void Channel::resolve(std::span<const TxIntent> intents,
     if (intent.is_broadcast()) {
       broadcast_senders_.push_back(intent.sender);
     } else {
+      LDCF_CHECK(intent.link < topo_.num_links() &&
+                     topo_.link(intent.link).to == intent.receiver,
+                 "intent over a non-existent link");
       if (intents_on_receiver_[intent.receiver] == 0) {
         rx_dirty_.push_back(intent.receiver);
       }
@@ -112,7 +115,7 @@ void Channel::resolve(std::span<const TxIntent> intents,
       const TxIntent& intent = intents[i];
       if (intent.is_broadcast()) continue;
       const NodeId r = intent.receiver;
-      const double prr = topo_.prr(intent.sender, r).value_or(0.0);
+      const double prr = topo_.link(intent.link).prr;
       if (prr > rx_best_prr_[r]) {
         rx_second_prr_[r] = rx_best_prr_[r];
         rx_best_prr_[r] = prr;
@@ -147,8 +150,6 @@ void Channel::resolve(std::span<const TxIntent> intents,
                (!survives_overlap || broadcast_audible_at(intent.receiver))) {
       result.outcome = TxOutcome::kCollision;
     } else {
-      const auto prr = topo_.prr(intent.sender, intent.receiver);
-      LDCF_CHECK(prr.has_value(), "intent over a non-existent link");
       // Provisionally lost; the apply phase patches the winners. The clamp
       // keeps the probability a draw sees inside [0, 1] even for degenerate
       // prr_scale perturbations.
@@ -157,7 +158,8 @@ void Channel::resolve(std::span<const TxIntent> intents,
       uni_sender_.push_back(intent.sender);
       uni_receiver_.push_back(intent.receiver);
       uni_packet_.push_back(intent.packet);
-      uni_prob_.push_back(std::min(*prr * config.prr_scale, 1.0));
+      uni_prob_.push_back(
+          std::min(topo_.link(intent.link).prr * config.prr_scale, 1.0));
     }
     out.results.push_back(result);
   }

@@ -90,11 +90,12 @@ class Channel {
   /// Resolve one slot's intents into `out` (cleared first; capacity is
   /// reused). `active_receivers` must reflect the schedule; intents must
   /// already be validated (sender holds the packet, receiver is an active
-  /// neighbor). `slot` keys the draws in kSlotKeyed mode (ignored under
-  /// kSequential). `profiler`, when non-null, times the
+  /// neighbor, `link` names sender -> receiver): a unicast's PRR is read
+  /// through its link id. `slot` keys the draws in kSlotKeyed mode
+  /// (ignored under kSequential). `profiler`, when non-null, times the
   /// channel_gather/channel_draw/channel_apply phases into whichever sinks
   /// it holds (totals, timeline spans). Throws InternalError if a sender
-  /// appears twice.
+  /// appears twice or a unicast's link id points at another receiver.
   void resolve(std::span<const TxIntent> intents,
                std::span<const NodeId> active_receivers, SlotIndex slot,
                const ChannelConfig& config, Rng& rng, SlotResolution& out,

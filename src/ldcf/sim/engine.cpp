@@ -80,7 +80,7 @@ void validate_intents(const topology::Topology& topo,
                  "intent receiver out of range");
     LDCF_REQUIRE(intent.sender != intent.receiver,
                  "intent sender == receiver");
-    LDCF_REQUIRE(topo.has_link(intent.sender, intent.receiver),
+    LDCF_REQUIRE(topo.is_link(intent.link, intent.sender, intent.receiver),
                  "intent over a non-existent link");
     LDCF_REQUIRE(schedules.is_active(intent.receiver, slot),
                  "intent to a dormant receiver");

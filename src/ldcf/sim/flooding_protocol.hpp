@@ -31,14 +31,19 @@ namespace ldcf::sim {
 class PossessionState;  // sim/node_state.hpp; the context only holds a pointer.
 
 /// One proposed transmission for the current slot. A unicast names its
-/// receiver, which must be active in the slot and a neighbor of the sender;
-/// `receiver == kNoNode` is a broadcast, decodable by any active neighbor
-/// that hears nothing else. Either way a sender may propose at most one
-/// intent per slot (§III-B).
+/// receiver, which must be active in the slot and a neighbor of the sender,
+/// and carries the id of its link sender -> receiver: the engine checks
+/// the id in O(1) and the channel reads the link's PRR through it, so no
+/// stage searches the adjacency again. A unicast whose id does not name
+/// that link is rejected. `receiver == kNoNode` is a broadcast, decodable
+/// by any active neighbor that hears nothing else; it carries no link.
+/// Either way a sender may propose at most one intent per slot (§III-B).
+/// The id is simulation plumbing: traces and reports never serialize it.
 struct TxIntent {
   NodeId sender = kNoNode;
   NodeId receiver = kNoNode;  ///< kNoNode = broadcast.
   PacketId packet = kNoPacket;
+  topology::LinkId link = topology::kNoLink;  ///< sender -> receiver.
 
   [[nodiscard]] bool is_broadcast() const { return receiver == kNoNode; }
 };

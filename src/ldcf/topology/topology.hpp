@@ -37,6 +37,9 @@ struct Link {
 /// topology's lifetime.
 using LinkId = std::uint32_t;
 
+/// No link: the id a broadcast intent carries.
+inline constexpr LinkId kNoLink = 0xffffffffU;
+
 /// One entry of a node's in-link row: the sender and its link's id.
 struct InLink {
   NodeId from = kNoNode;
@@ -112,15 +115,33 @@ class Topology {
             in_links_.data() + in_offsets_[to + 1]};
   }
 
+  /// Id of the first link in `n`'s out-row: neighbors(n)[i] has id
+  /// first_link(n) + i.
+  [[nodiscard]] LinkId first_link(NodeId n) const {
+    LDCF_REQUIRE(n < num_nodes(), "node id out of range");
+    return static_cast<LinkId>(offsets_[n]);
+  }
+
+  /// Id of the directed link u -> v, or nullopt if absent (a binary search
+  /// of u's row; hot paths carry the id instead).
+  [[nodiscard]] std::optional<LinkId> link_id(NodeId from, NodeId to) const {
+    const Link* link = find_link(from, to);
+    if (link == nullptr) return std::nullopt;
+    return static_cast<LinkId>(link - links_.data());
+  }
+
+  /// Whether `id` names the directed link u -> v: it lies inside u's
+  /// out-row and points at v. O(1); false for any out-of-range argument.
+  [[nodiscard]] bool is_link(LinkId id, NodeId from, NodeId to) const {
+    return from < num_nodes() && id >= offsets_[from] &&
+           id < offsets_[from + 1] && links_[id].to == to;
+  }
+
   /// PRR of the directed link u -> v, or nullopt if absent.
   [[nodiscard]] std::optional<double> prr(NodeId from, NodeId to) const {
-    LDCF_REQUIRE(to < num_nodes(), "node id out of range");
-    const std::span<const Link> row = neighbors(from);
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), to,
-        [](const Link& l, NodeId id) { return l.to < id; });
-    if (it != row.end() && it->to == to) return it->prr;
-    return std::nullopt;
+    const Link* link = find_link(from, to);
+    if (link == nullptr) return std::nullopt;
+    return link->prr;
   }
 
   [[nodiscard]] bool has_link(NodeId from, NodeId to) const {
@@ -158,6 +179,16 @@ class Topology {
   void seal() const {}
 
  private:
+  /// The link u -> v in u's row, or nullptr if absent.
+  [[nodiscard]] const Link* find_link(NodeId from, NodeId to) const {
+    LDCF_REQUIRE(to < num_nodes(), "node id out of range");
+    const std::span<const Link> row = neighbors(from);
+    const auto it = std::lower_bound(
+        row.begin(), row.end(), to,
+        [](const Link& l, NodeId id) { return l.to < id; });
+    return it != row.end() && it->to == to ? &*it : nullptr;
+  }
+
   std::vector<Point2D> positions_;
   // CSR adjacency: row n is links_[offsets_[n] .. offsets_[n+1]).
   std::vector<std::size_t> offsets_;

@@ -1,6 +1,7 @@
 // Differential-test helpers for protocol rewrites: a forwarding wrapper
 // that logs every intent a protocol proposes, a field-by-field SimResult
-// comparison, and the pend target of a link looked up on demand.
+// comparison, and the pend target of a link looked up on demand (plus
+// support/intents.hpp's unicast helper).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "ldcf/protocols/protocol.hpp"
 #include "ldcf/sim/flooding_protocol.hpp"
 #include "ldcf/sim/simulator.hpp"
+#include "support/intents.hpp"
 
 namespace ldcf::protocols::test {
 
@@ -18,12 +20,13 @@ using sim::SimContext;
 using sim::TxIntent;
 using sim::TxResult;
 
-/// The PendTarget of the link from -> to, with its PRR searched and the
+/// The PendTarget of the link from -> to, with its id searched and the
 /// receiver's wake phase looked up on every call, as test references and
 /// hand-driven pending sets need. Throws if there is no such link.
 inline PendTarget link_target(const SimContext& ctx, NodeId from, NodeId to) {
-  return PendTarget{to, ctx.topo->prr(from, to).value(),
-                    ctx.schedules->active_slot(to)};
+  const topology::LinkId id = ctx.topo->link_id(from, to).value();
+  return PendTarget{to, ctx.topo->link(id).prr,
+                    ctx.schedules->active_slot(to), id};
 }
 
 using IntentLog = std::vector<std::tuple<SlotIndex, NodeId, NodeId, PacketId>>;

@@ -180,7 +180,7 @@ class ReferenceXlayer final : public DbaoFlooding {
           if (!gamble_worthwhile(j, p, slot, link.prr)) continue;
           if (link.prr > best_prr) {
             best_prr = link.prr;
-            gamble = TxIntent{node, j, p};
+            gamble = test_support::unicast(topo, node, j, p);
           }
           break;
         }

@@ -213,7 +213,7 @@ class ReferenceOf final : public PendingSetProtocol {
           if (!opportunistic_worthwhile(j, p, slot, link.prr)) continue;
           if (link.prr > best_prr) {
             best_prr = link.prr;
-            gamble = TxIntent{node, j, p};
+            gamble = test_support::unicast(topo, node, j, p);
           }
           break;
         }

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "ldcf/sim/node_state.hpp"
 #include "ldcf/sim/simulator.hpp"
 #include "ldcf/topology/generators.hpp"
 #include "ldcf/topology/tree.hpp"
@@ -103,6 +104,36 @@ TEST(Opt, FcfsServesOldestPacketFirst) {
   ASSERT_TRUE(res.metrics.all_covered);
   EXPECT_LT(res.metrics.packets[0].covered_at,
             res.metrics.packets[1].covered_at);
+}
+
+TEST(Opt, EqualPrrUpstreamSendersServeFromTheLowerId) {
+  // 1 and 2 both hold packet 0 and reach 3 over equal 0.7 links: the
+  // first best in-link, the lower sender id, serves.
+  const Topology topo = test_support::undirected(
+      4, {{0, 1, 1.0}, {0, 2, 1.0}, {1, 3, 0.7}, {2, 3, 0.7}});
+  const schedule::ScheduleSet schedules{{0, 1, 2, 3}, DutyCycle{4}};
+  sim::PossessionState possession{4, 1};
+  SimContext ctx;
+  ctx.topo = &topo;
+  ctx.schedules = &schedules;
+  ctx.duty = DutyCycle{4};
+  ctx.num_packets = 1;
+  ctx.possession = &possession;
+  OptFlooding opt;
+  opt.initialize(ctx);
+  possession.deliver(0, 0);
+  opt.on_generate(0, 0);
+  for (const NodeId holder : {NodeId{2}, NodeId{1}}) {
+    possession.deliver(holder, 0);
+    opt.on_delivery(holder, 0, 0, 0);
+  }
+  std::vector<TxIntent> out;
+  const std::vector<NodeId> awake{3};
+  opt.propose_transmissions(3, awake, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].sender, 1u);
+  EXPECT_EQ(out[0].receiver, 3u);
+  EXPECT_EQ(out[0].link, topo.link_id(1, 3));
 }
 
 // OPT as it was before the frontier count and the static receiver order:
@@ -206,7 +237,7 @@ class ReferenceOpt final : public PendingSetProtocol {
           if (in.prr < floor_prr) continue;
           if (in.prr > best_prr) {
             best_prr = in.prr;
-            chosen = TxIntent{in.to, r, p};
+            chosen = test_support::unicast(topo, in.to, r, p);
           }
         }
       }

@@ -12,10 +12,12 @@
 #include "ldcf/topology/topology.hpp"
 #include "protocol_diff.hpp"
 #include "support/graphs.hpp"
+#include "support/intents.hpp"
 
 namespace ldcf::protocols {
 namespace {
 
+using test_support::unicast;
 using topology::Point2D;
 using topology::Topology;
 
@@ -127,11 +129,81 @@ TEST(PendingBase, SelectFcfsPicksOldestPacketThenBestLink) {
   EXPECT_FALSE(f.proto.select_fcfs(0, 0).has_value());
 }
 
+/// Node 0 with three neighbors that all wake at phase 1: 1 over a 0.5
+/// link, 2 and 3 over equal 0.9 links.
+struct SharedPhaseFixture {
+  Topology topo = test_support::undirected(
+      4, {{0, 1, 0.5}, {0, 2, 0.9}, {0, 3, 0.9}});
+  schedule::ScheduleSet schedules{{0, 1, 1, 1}, DutyCycle{4}};
+  sim::PossessionState possession{4, 4};
+  SimContext ctx;
+  Harness proto;
+
+  void pend(NodeId node, PacketId packet, NodeId neighbor) {
+    proto.pend(node, packet, test::link_target(ctx, node, neighbor));
+  }
+
+  SharedPhaseFixture() {
+    ctx.topo = &topo;
+    ctx.schedules = &schedules;
+    ctx.duty = DutyCycle{4};
+    ctx.num_packets = 4;
+    ctx.seed = 99;
+    ctx.possession = &possession;
+    proto.initialize(ctx);
+  }
+};
+
+TEST(PendingBase, SelectFcfsBreaksPacketTiesTowardTheBetterLink) {
+  for (const bool better_first : {true, false}) {
+    SCOPED_TRACE(better_first);
+    SharedPhaseFixture f;
+    f.pend(0, 0, better_first ? 2 : 1);
+    f.pend(0, 0, better_first ? 1 : 2);
+    const auto intent = f.proto.select_fcfs(0, 1);
+    ASSERT_TRUE(intent.has_value());
+    EXPECT_EQ(intent->receiver, 2u);  // 0.9 beats 0.5 in either pend order.
+    EXPECT_EQ(intent->link, f.topo.link_id(0, 2));
+  }
+}
+
+TEST(PendingBase, SelectFcfsBreaksFullTiesTowardTheFirstPended) {
+  for (const NodeId first : {NodeId{2}, NodeId{3}}) {
+    SCOPED_TRACE(first);
+    SharedPhaseFixture f;
+    f.pend(0, 0, first);
+    f.pend(0, 0, first == 2 ? 3 : 2);  // same packet, same PRR.
+    const auto intent = f.proto.select_fcfs(0, 1);
+    ASSERT_TRUE(intent.has_value());
+    EXPECT_EQ(intent->receiver, first);
+  }
+}
+
+TEST(PendingBase, SilencedPairStillServesALaterPendedPacket) {
+  SharedPhaseFixture f;
+  f.pend(0, 0, 2);
+  TxResult result;
+  result.intent = unicast(f.topo, 0, 2, 0);
+  result.outcome = TxOutcome::kCollision;
+  // Repeated collisions widen the pair's window past the next wake-up.
+  for (int round = 0; round < 6; ++round) f.proto.on_outcome(result, 1);
+  const auto silenced = f.proto.pending_at_phase(0, 1);
+  ASSERT_EQ(silenced.size(), 1u);
+  ASSERT_GT(silenced[0].not_before, 5u);
+  // A packet pended after the collision starts with not_before = 0, so it
+  // is due at the receiver's next wake-up while the older one waits.
+  f.pend(0, 1, 2);
+  const auto intent = f.proto.select_fcfs(0, 5);
+  ASSERT_TRUE(intent.has_value());
+  EXPECT_EQ(intent->packet, 1u);
+  EXPECT_EQ(intent->receiver, 2u);
+}
+
 TEST(PendingBase, AckRetiresEntry) {
   Fixture f;
   f.pend(0, 0, 1);
   TxResult result;
-  result.intent = TxIntent{0, 1, 0};
+  result.intent = unicast(f.topo, 0, 1, 0);
   result.outcome = TxOutcome::kDelivered;
   f.proto.on_outcome(result, 1);
   EXPECT_EQ(f.proto.pending_count(0), 0u);
@@ -141,7 +213,7 @@ TEST(PendingBase, ChannelLossKeepsEntryEligible) {
   Fixture f;
   f.pend(0, 0, 1);
   TxResult result;
-  result.intent = TxIntent{0, 1, 0};
+  result.intent = unicast(f.topo, 0, 1, 0);
   result.outcome = TxOutcome::kLostChannel;
   f.proto.on_outcome(result, 1);
   EXPECT_EQ(f.proto.pending_count(0), 1u);
@@ -153,7 +225,7 @@ TEST(PendingBase, CollisionBacksOffTheWholePair) {
   f.pend(0, 0, 1);
   f.pend(0, 1, 1);  // second packet to the same receiver.
   TxResult result;
-  result.intent = TxIntent{0, 1, 0};
+  result.intent = unicast(f.topo, 0, 1, 0);
   result.outcome = TxOutcome::kCollision;
   f.proto.on_outcome(result, 1);
   // Both packets to receiver 1 are silenced together: until the pair's
@@ -177,7 +249,7 @@ TEST(PendingBase, BackoffWindowGrowsExponentially) {
   Fixture f;
   f.pend(0, 0, 1);
   TxResult result;
-  result.intent = TxIntent{0, 1, 0};
+  result.intent = unicast(f.topo, 0, 1, 0);
   result.outcome = TxOutcome::kCollision;
   // Repeated collisions: the not_before horizon must be able to exceed the
   // initial 1-period window.
@@ -263,7 +335,7 @@ TEST(PendingBase, SenderIndexMatchesABruteForceScan) {
       const auto packet = static_cast<PacketId>(rng.below(kPackets));
       const auto slot = static_cast<SlotIndex>(step);
       TxResult result;
-      result.intent = TxIntent{node, neighbor, packet};
+      result.intent = unicast(topo, node, neighbor, packet);
       result.outcome = outcomes[rng.below(4)];
       const std::uint64_t op = rng.below(8);
       if (op == 0) {
@@ -281,7 +353,7 @@ TEST(PendingBase, SenderIndexMatchesABruteForceScan) {
         const auto& bucket = proto.pending_at_phase(node, rng.below(kPeriod));
         if (!bucket.empty()) {
           const PendingEntry e = bucket[rng.below(bucket.size())];
-          result.intent = TxIntent{node, e.neighbor, e.packet};
+          result.intent = TxIntent{node, e.neighbor, e.packet, e.link};
           result.outcome = TxOutcome::kDelivered;
           if (op % 2 == 0) {
             proto.unpend(node, e.packet, e.neighbor);

@@ -5,10 +5,12 @@
 #include "ldcf/common/error.hpp"
 #include "ldcf/topology/topology.hpp"
 #include "support/graphs.hpp"
+#include "support/intents.hpp"
 
 namespace ldcf::sim {
 namespace {
 
+using test_support::unicast;
 using topology::Topology;
 
 /// 0 -- 1 -- 2 -- 3 chain plus a 0--2 shortcut, all perfect links.
@@ -21,7 +23,7 @@ Topology chain4() {
 TEST(Channel, PerfectLinkDelivers) {
   const Topology topo = chain4();
   Rng rng(1);
-  const std::vector<TxIntent> intents{{0, 1, 0}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 1, 0)};
   const auto res =
       resolve_slot(topo, intents, {1}, ChannelConfig{true, false}, rng);
   ASSERT_EQ(res.results.size(), 1u);
@@ -34,7 +36,7 @@ TEST(Channel, LossyLinkMatchesPrrStatistically) {
   int delivered = 0;
   constexpr int kTrials = 20000;
   for (int i = 0; i < kTrials; ++i) {
-    const std::vector<TxIntent> intents{{0, 1, 0}};
+    const std::vector<TxIntent> intents{unicast(topo, 0, 1, 0)};
     const auto res =
         resolve_slot(topo, intents, {1}, ChannelConfig{true, false}, rng);
     if (res.results[0].outcome == TxOutcome::kDelivered) ++delivered;
@@ -45,7 +47,8 @@ TEST(Channel, LossyLinkMatchesPrrStatistically) {
 TEST(Channel, ConcurrentTransmissionsToSameReceiverCollide) {
   const Topology topo = chain4();
   Rng rng(2);
-  const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 2, 0),
+                                      unicast(topo, 3, 2, 1)};
   const auto res =
       resolve_slot(topo, intents, {2}, ChannelConfig{true, false}, rng);
   EXPECT_EQ(res.results[0].outcome, TxOutcome::kCollision);
@@ -55,7 +58,8 @@ TEST(Channel, ConcurrentTransmissionsToSameReceiverCollide) {
 TEST(Channel, OracleModeIgnoresCollisions) {
   const Topology topo = chain4();
   Rng rng(2);
-  const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 2, 0),
+                                      unicast(topo, 3, 2, 1)};
   const auto res =
       resolve_slot(topo, intents, {2}, ChannelConfig{false, false}, rng);
   EXPECT_EQ(res.results[0].outcome, TxOutcome::kDelivered);
@@ -67,7 +71,8 @@ TEST(Channel, TransmittingReceiverIsBusy) {
   Rng rng(3);
   // 1 transmits to 2 while 0 transmits to 1: the copy to 1 is lost to
   // semi-duplex.
-  const std::vector<TxIntent> intents{{1, 2, 0}, {0, 1, 0}};
+  const std::vector<TxIntent> intents{unicast(topo, 1, 2, 0),
+                                      unicast(topo, 0, 1, 0)};
   const auto res =
       resolve_slot(topo, intents, {1, 2}, ChannelConfig{true, false}, rng);
   EXPECT_EQ(res.results[0].outcome, TxOutcome::kDelivered);
@@ -77,10 +82,23 @@ TEST(Channel, TransmittingReceiverIsBusy) {
 TEST(Channel, DuplicateSenderIsRejected) {
   const Topology topo = chain4();
   Rng rng(4);
-  const std::vector<TxIntent> intents{{0, 1, 0}, {0, 2, 0}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 1, 0),
+                                      unicast(topo, 0, 2, 0)};
   EXPECT_THROW(
       (void)resolve_slot(topo, intents, {1, 2}, ChannelConfig{true, false}, rng),
       ::ldcf::InternalError);
+}
+
+TEST(Channel, UnicastOverAnotherReceiversLinkIsRejected) {
+  // The PRR is read through the intent's link id, so an id that points at
+  // another receiver must not be resolved silently.
+  const Topology topo = chain4();
+  Rng rng(4);
+  TxIntent intent = unicast(topo, 0, 1, 0);
+  intent.link = unicast(topo, 0, 2, 0).link;
+  EXPECT_THROW((void)resolve_slot(topo, {intent}, {1},
+                                  ChannelConfig{true, false}, rng),
+               ::ldcf::InternalError);
 }
 
 TEST(Channel, OverhearingDeliversToBystander) {
@@ -88,7 +106,7 @@ TEST(Channel, OverhearingDeliversToBystander) {
   Rng rng(5);
   // 1 -> 2; node 0 is active, idle, adjacent to 1: it must overhear (all
   // links perfect).
-  const std::vector<TxIntent> intents{{1, 2, 7}};
+  const std::vector<TxIntent> intents{unicast(topo, 1, 2, 7)};
   const auto res =
       resolve_slot(topo, intents, {0, 2}, ChannelConfig{true, true}, rng);
   ASSERT_EQ(res.overhears.size(), 1u);
@@ -100,7 +118,7 @@ TEST(Channel, OverhearingDeliversToBystander) {
 TEST(Channel, NoOverhearingWhenDisabled) {
   const Topology topo = chain4();
   Rng rng(5);
-  const std::vector<TxIntent> intents{{1, 2, 7}};
+  const std::vector<TxIntent> intents{unicast(topo, 1, 2, 7)};
   const auto res =
       resolve_slot(topo, intents, {0, 2}, ChannelConfig{true, false}, rng);
   EXPECT_TRUE(res.overhears.empty());
@@ -112,7 +130,8 @@ TEST(Channel, OverhearCollisionWhenTwoAudible) {
   Topology topo = test_support::undirected(
       5, {{0, 1, 1.0}, {2, 1, 1.0}, {0, 3, 1.0}, {2, 4, 1.0}});
   Rng rng(6);
-  const std::vector<TxIntent> intents{{0, 3, 0}, {2, 4, 0}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 3, 0),
+                                      unicast(topo, 2, 4, 0)};
   const auto res =
       resolve_slot(topo, intents, {1, 3, 4}, ChannelConfig{true, true}, rng);
   EXPECT_TRUE(res.overhears.empty());
@@ -123,7 +142,8 @@ TEST(Channel, AddresseesAndTransmittersDoNotOverhear) {
   Rng rng(8);
   // 0 -> 1 and 2 -> 3: node 2 transmits so it cannot overhear 0 -> 1 even
   // though it is adjacent to... (2 is adjacent to 1, not 0; use 1's tx).
-  const std::vector<TxIntent> intents{{1, 0, 0}, {2, 3, 1}};
+  const std::vector<TxIntent> intents{unicast(topo, 1, 0, 0),
+                                      unicast(topo, 2, 3, 1)};
   const auto res =
       resolve_slot(topo, intents, {0, 3}, ChannelConfig{true, true}, rng);
   for (const auto& ov : res.overhears) {
@@ -138,7 +158,8 @@ TEST(Channel, CaptureLetsTheDominantTransmissionSurvive) {
   // and enough quality separation, the strong copy decodes.
   Topology topo = test_support::undirected(4, {{0, 2, 0.95}, {3, 2, 0.2}});
   Rng rng(13);
-  const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 2, 0),
+                                      unicast(topo, 3, 2, 1)};
   ChannelConfig config{true, false, 1.0, /*capture_ratio=*/2.0};
   int strong_delivered = 0;
   for (int i = 0; i < 500; ++i) {
@@ -152,7 +173,8 @@ TEST(Channel, CaptureLetsTheDominantTransmissionSurvive) {
 TEST(Channel, NoCaptureWhenLinksAreComparable) {
   Topology topo = test_support::undirected(4, {{0, 2, 0.8}, {3, 2, 0.7}});
   Rng rng(14);
-  const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 2, 0),
+                                      unicast(topo, 3, 2, 1)};
   const ChannelConfig config{true, false, 1.0, /*capture_ratio=*/2.0};
   const auto res = resolve_slot(topo, intents, {2}, config, rng);
   EXPECT_EQ(res.results[0].outcome, TxOutcome::kCollision);
@@ -162,7 +184,8 @@ TEST(Channel, NoCaptureWhenLinksAreComparable) {
 TEST(Channel, CaptureDisabledByDefault) {
   Topology topo = test_support::undirected(4, {{0, 2, 0.99}, {3, 2, 0.1}});
   Rng rng(15);
-  const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 2, 0),
+                                      unicast(topo, 3, 2, 1)};
   const ChannelConfig config{true, false};
   const auto res = resolve_slot(topo, intents, {2}, config, rng);
   EXPECT_EQ(res.results[0].outcome, TxOutcome::kCollision);
@@ -175,7 +198,7 @@ TEST(Channel, PrrScaleDegradesDelivery) {
   int delivered = 0;
   constexpr int kTrials = 10000;
   for (int i = 0; i < kTrials; ++i) {
-    const std::vector<TxIntent> intents{{0, 1, 0}};
+    const std::vector<TxIntent> intents{unicast(topo, 0, 1, 0)};
     const auto res = resolve_slot(topo, intents, {1}, config, rng);
     if (res.results[0].outcome == TxOutcome::kDelivered) ++delivered;
   }
@@ -187,7 +210,8 @@ TEST(Channel, CaptureTieOnEqualPrrCollides) {
   // fails for any ratio > 1 and the overlap stays destructive.
   Topology topo = test_support::undirected(4, {{0, 2, 0.8}, {3, 2, 0.8}});
   Rng rng(17);
-  const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 2, 0),
+                                      unicast(topo, 3, 2, 1)};
   const ChannelConfig config{true, false, 1.0, /*capture_ratio=*/2.0};
   const auto res = resolve_slot(topo, intents, {2}, config, rng);
   EXPECT_EQ(res.results[0].outcome, TxOutcome::kCollision);
@@ -200,7 +224,8 @@ TEST(Channel, CaptureRatioOneLetsFirstMaxPrrWin) {
   // holding the maximum (strict-greater updates) is the one captured.
   Topology topo = test_support::undirected(4, {{0, 2, 0.8}, {3, 2, 0.8}});
   Rng rng(18);
-  const std::vector<TxIntent> intents{{0, 2, 0}, {3, 2, 1}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 2, 0),
+                                      unicast(topo, 3, 2, 1)};
   const ChannelConfig config{true, false, 1.0, /*capture_ratio=*/1.0};
   int first_delivered = 0;
   for (int i = 0; i < 500; ++i) {
@@ -219,7 +244,7 @@ TEST(Channel, AudibleBroadcastDefeatsCapturedUnicast) {
       4, {{0, 2, 0.95}, {3, 2, 0.2}, {1, 2, 0.9}});
   Rng rng(19);
   const std::vector<TxIntent> intents{
-      {0, 2, 0}, {3, 2, 1}, {1, kNoNode, 2}};
+      unicast(topo, 0, 2, 0), unicast(topo, 3, 2, 1), {1, kNoNode, 2}};
   const ChannelConfig config{true, false, 1.0, /*capture_ratio=*/2.0};
   const auto res = resolve_slot(topo, intents, {2}, config, rng);
   EXPECT_EQ(res.results[0].outcome, TxOutcome::kCollision);
@@ -233,11 +258,11 @@ TEST(Channel, ReusedChannelMatchesFreshResolvesAcrossSlots) {
   const Topology topo = chain4();
   const ChannelConfig config{true, true, 1.0, /*capture_ratio=*/2.0};
   const std::vector<std::vector<TxIntent>> slots{
-      {{0, 2, 0}, {3, 2, 1}},           // contested receiver.
-      {{1, 2, 0}},                      // clean unicast.
+      {unicast(topo, 0, 2, 0), unicast(topo, 3, 2, 1)},  // contested.
+      {unicast(topo, 1, 2, 0)},                          // clean unicast.
       {{0, kNoNode, 1}},                // broadcast.
       {},                               // idle.
-      {{2, 1, 1}, {0, 1, 2}},           // contested again, new nodes.
+      {unicast(topo, 2, 1, 1), unicast(topo, 0, 1, 2)},  // contested again.
   };
   const std::vector<NodeId> active{0, 1, 2, 3};
 
@@ -274,7 +299,7 @@ TEST(Channel, ListenerPassIsIdenticalUnderBothEvaluationOrders) {
   // overhear. Sender 0 has degree 2, so active {1,2,3,4} (2 < 4) takes
   // scatter while active {2} (2 < 1 is false) takes gather.
   Topology topo = test_support::undirected(5, {{0, 1, 1.0}, {0, 2, 1.0}});
-  const std::vector<TxIntent> intents{{0, 1, 0}};
+  const std::vector<TxIntent> intents{unicast(topo, 0, 1, 0)};
   const ChannelConfig config{true, true};
 
   const auto overhears_with = [&](const std::vector<NodeId>& active) {

@@ -25,6 +25,7 @@
 #include "ldcf/sim/simulator.hpp"
 #include "ldcf/topology/generators.hpp"
 #include "ldcf/topology/topology.hpp"
+#include "support/intents.hpp"
 
 namespace {
 
@@ -107,7 +108,7 @@ TEST(ChannelKeyed, DrawsAreIndependentOfIntentOrder) {
   std::vector<sim::TxIntent> forward;
   for (std::uint32_t s = 0; s < 8; ++s) {
     // Unicast to the first leaf; the other 63 leaves overhear.
-    forward.push_back(sim::TxIntent{s * 65, s * 65 + 1, s});
+    forward.push_back(test_support::unicast(topo, s * 65, s * 65 + 1, s));
   }
   std::vector<sim::TxIntent> reversed(forward.rbegin(), forward.rend());
 
@@ -273,7 +274,8 @@ TEST(ChannelKeyed, OverhearsMatchABruteForcePerListenerReference) {
       if (!gen.bernoulli(0.25)) {
         for (const topology::Link& link : topo.neighbors(sender)) {
           if (is_active[link.to] != 0) {
-            intent.receiver = link.to;
+            intent = test_support::unicast(topo, sender, link.to,
+                                           intent.packet);
             break;
           }
         }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ldcf/common/error.hpp"
 #include "ldcf/topology/generators.hpp"
 #include "support/graphs.hpp"
+#include "support/intents.hpp"
 
 namespace ldcf::sim {
 namespace {
@@ -47,7 +50,8 @@ class MiniFlood final : public FloodingProtocol {
     for (NodeId node = 0; node < pending_.size(); ++node) {
       for (const auto& [packet, neighbor] : pending_[node]) {
         if (ctx_->schedules->is_active(neighbor, slot)) {
-          out.push_back(TxIntent{node, neighbor, packet});
+          out.push_back(
+              test_support::unicast(*ctx_->topo, node, neighbor, packet));
           break;
         }
       }
@@ -286,6 +290,29 @@ TEST(Simulator, RogueIntentsAreRejected) {
     RogueProtocol rogue(TxIntent{0, 0, 0});  // self-loop.
     EXPECT_THROW((void)run_simulation(topo, config, rogue), InvalidArgument);
   }
+}
+
+TEST(Simulator, UnicastLinkIdsAreValidated) {
+  // Rows: 0 -> {1, 2}, 1 -> {0, 3}, 2 -> {0}, 3 -> {1}.
+  const Topology topo =
+      test_support::undirected(4, {{0, 1, 1.0}, {0, 2, 1.0}, {3, 1, 1.0}});
+  SimConfig config;
+  config.num_packets = 1;
+  config.seed = 1;
+  const auto rejects = [&](topology::LinkId link) {
+    RogueProtocol rogue(TxIntent{0, 1, 0, link});
+    try {
+      (void)run_simulation(topo, config, rogue);
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what()).find("intent over a non-existent link") !=
+             std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects(topology::kNoLink));    // a link-less unicast.
+  EXPECT_TRUE(rejects(999));                  // out of range.
+  EXPECT_TRUE(rejects(*topo.link_id(3, 1)));  // in another sender's row.
+  EXPECT_TRUE(rejects(*topo.link_id(0, 2)));  // names another receiver.
 }
 
 }  // namespace

@@ -268,6 +268,28 @@ TEST(Topology, InLinksMirrorOutLinks) {
                InvalidArgument);
 }
 
+TEST(Topology, LinkIdsNameTheirLinks) {
+  const Topology topo = directed(
+      4, {{0, 1, 0.3}, {0, 2, 0.7}, {2, 0, 0.5}, {3, 1, 0.9}});
+  for (NodeId from = 0; from < topo.num_nodes(); ++from) {
+    const auto row = topo.neighbors(from);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const auto id = static_cast<LinkId>(topo.first_link(from) + i);
+      EXPECT_EQ(&topo.link(id), &row[i]);
+      EXPECT_EQ(topo.link_id(from, row[i].to), id);
+      EXPECT_TRUE(topo.is_link(id, from, row[i].to));
+    }
+  }
+  EXPECT_FALSE(topo.link_id(0, 3).has_value());
+  const LinkId zero_two = *topo.link_id(0, 2);
+  EXPECT_FALSE(topo.is_link(zero_two, 0, 1));  // another receiver.
+  EXPECT_FALSE(topo.is_link(zero_two, 2, 2));  // another sender's row.
+  EXPECT_FALSE(topo.is_link(*topo.link_id(3, 1), 0, 1));
+  EXPECT_FALSE(topo.is_link(kNoLink, 0, 2));  // out of range.
+  EXPECT_FALSE(topo.is_link(zero_two, 9, 2));  // sender out of range.
+  EXPECT_EQ(topo.first_link(1), topo.first_link(2));  // 1 has no out-links.
+}
+
 TEST(Topology, PositionsSpanMatchesAccessor) {
   const Topology topo =
       Topology::from_links(std::vector<Point2D>{{0, 0}, {3, 4}, {6, 8}}, {});
