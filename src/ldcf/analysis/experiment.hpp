@@ -78,7 +78,7 @@ struct TrialOptions {
   std::optional<obs::WatchdogConfig> watchdog;
   /// Attach a TimeSeriesObserver (energy model overridden with the run's,
   /// so burn rates match its EnergyReport). With a watchdog too, the series
-  /// registers first and feeds it structured causes (AnomalySource), so a
+  /// registers first and feeds it its anomaly findings as causes, so a
   /// tripped health report explains what led up to the failure.
   bool collect_series = false;
   obs::TimeSeriesOptions series{};

@@ -1,23 +1,11 @@
 #include "ldcf/obs/heartbeat.hpp"
 
-#include <chrono>
-
 #include "ldcf/common/error.hpp"
 #include "ldcf/obs/json_writer.hpp"
+#include "ldcf/obs/timeline.hpp"
 #include "ldcf/sim/engine.hpp"
 
 namespace ldcf::obs {
-
-namespace {
-
-std::uint64_t wall_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 HeartbeatWriter::HeartbeatWriter(const std::string& path)
     : out_(path, std::ios::app) {
@@ -59,12 +47,12 @@ HeartbeatObserver::HeartbeatObserver(HeartbeatWriter& writer,
       packets_total_(packets_total),
       interval_ns_(interval_seconds * 1e9) {
   LDCF_REQUIRE(interval_seconds > 0.0, "interval_seconds must be positive");
-  start_ns_ = wall_now_ns();
+  start_ns_ = steady_now_ns();
   last_emit_ns_ = start_ns_;
 }
 
 void HeartbeatObserver::emit(std::uint64_t slots, bool done) {
-  const std::uint64_t now = wall_now_ns();
+  const std::uint64_t now = steady_now_ns();
   HeartbeatRecord rec;
   rec.trial = trial_;
   rec.label = label_;
@@ -97,7 +85,7 @@ void HeartbeatObserver::on_slot_begin(SlotIndex slot,
   // skips most indices, so a multiple of the stride may never execute.
   static constexpr std::uint64_t kCheckStride = 1024;
   if (slots_seen_++ % kCheckStride != 0) return;
-  const std::uint64_t now = wall_now_ns();
+  const std::uint64_t now = steady_now_ns();
   if (static_cast<double>(now - last_emit_ns_) < interval_ns_) return;
   emit(slot, /*done=*/false);
 }

@@ -6,26 +6,14 @@
 
 namespace ldcf::obs {
 
-Histogram::Histogram(const HistogramOptions& options)
-    : options_(options), width_(options.bin_width) {
-  LDCF_REQUIRE(options_.bin_width > 0.0 && std::isfinite(options_.bin_width),
-               "histogram bin width must be positive and finite");
-  LDCF_REQUIRE(options_.max_bins >= 1, "histogram needs at least one bin");
-  bins_.assign(options_.max_bins, 0);
-}
-
 void Histogram::record(double value, std::uint64_t weight) {
   LDCF_REQUIRE(value >= 0.0 && std::isfinite(value),
                "histogram samples must be non-negative and finite");
   if (weight == 0) return;
   auto bucket = static_cast<std::size_t>(value / width_);
   if (bucket >= bins_.size()) {
-    if (options_.auto_range) {
-      coarsen_until_fits(bucket);
-      bucket = static_cast<std::size_t>(value / width_);
-    } else {
-      bucket = bins_.size() - 1;  // saturate into the last bin.
-    }
+    coarsen_until_fits(bucket);
+    bucket = static_cast<std::size_t>(value / width_);
   }
   bins_[bucket] += weight;
   if (count_ == 0 || value < min_) min_ = value;
@@ -48,13 +36,9 @@ void Histogram::coarsen_until_fits(std::size_t bucket) {
 }
 
 void Histogram::merge(const Histogram& other) {
-  LDCF_REQUIRE(options_.bin_width == other.options_.bin_width &&
-                   options_.max_bins == other.options_.max_bins &&
-                   options_.auto_range == other.options_.auto_range,
-               "cannot merge histograms with different options");
   if (other.count_ == 0) return;
-  // Align to the coarser width. Both widths are bin_width * 2^k, so the
-  // ratio is an exact power of two and pairwise folding loses nothing.
+  // Align to the coarser width. Both widths are 2^k, so the ratio is an
+  // exact power of two and pairwise folding loses nothing.
   if (other.width_ > width_) {
     std::size_t needed = bins_.size();
     double w = width_;

@@ -2,15 +2,14 @@
 //
 // The paper's claims are distributional — Theorem 1 predicts how the
 // flooding-delay distribution shifts with m and M, Corollary 1 bounds the
-// blocking tail — so scalar means are not enough to validate them. A
-// Histogram buckets non-negative samples into `max_bins` bins of uniform
-// width. When auto-ranging is on (the default) and a sample lands past the
-// last bin, the bin width doubles — adjacent bins merge pairwise, every
-// count preserved — until the sample fits; bin widths therefore always
-// equal `bin_width * 2^k`, which is what makes cross-histogram merges
-// exact: two histograms built from the same options can always be aligned
-// by coarsening the finer one, and merged counts are identical no matter
-// the merge order.
+// blocking tail — so scalar means are not enough to validate them. Every
+// Histogram has one shape: kNumBins bins that start 1 unit wide (one slot
+// for delays). When a sample lands past the last bin, the bin width
+// doubles — adjacent bins merge pairwise, every count preserved — until the
+// sample fits; bin widths therefore always equal 2^k, which is what makes
+// cross-histogram merges exact: two histograms can always be aligned by
+// coarsening the finer one, and merged counts are identical no matter the
+// merge order.
 //
 // The hot path is branch + array increment; record() never allocates after
 // construction.
@@ -21,22 +20,15 @@
 
 namespace ldcf::obs {
 
-/// Shape parameters. Two histograms merge only if their options match.
-struct HistogramOptions {
-  double bin_width = 1.0;     ///< initial width of every bin (> 0).
-  std::size_t max_bins = 64;  ///< bins allocated up front (>= 1).
-  /// true: overflow doubles the bin width until the sample fits (counts
-  /// preserved). false: overflow samples clamp into the last bin.
-  bool auto_range = true;
-};
-
 /// Fixed-memory histogram over non-negative samples. Exact aggregates
 /// (count/sum/min/max) ride alongside the binned counts, so means stay
 /// exact regardless of binning resolution.
 class Histogram {
  public:
-  Histogram() : Histogram(HistogramOptions{}) {}
-  explicit Histogram(const HistogramOptions& options);
+  /// Bins allocated up front; the initial width of each is 1.
+  static constexpr std::size_t kNumBins = 64;
+
+  Histogram() : bins_(kNumBins, 0) {}
 
   /// Add `weight` samples of `value`. Throws InvalidArgument on a negative
   /// or non-finite value.
@@ -45,10 +37,7 @@ class Histogram {
   /// Fold `other` into this histogram. Counts land exactly where a
   /// sample-by-sample replay at the coarser of the two widths would put
   /// them, so merging is associative and commutative on the bin counts.
-  /// Throws InvalidArgument if the options differ.
   void merge(const Histogram& other);
-
-  [[nodiscard]] const HistogramOptions& options() const { return options_; }
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double sum() const { return sum_; }
@@ -64,13 +53,12 @@ class Histogram {
   [[nodiscard]] std::uint64_t bin_count(std::size_t bin) const;
   /// Inclusive lower edge of `bin`: bin * bin_width().
   [[nodiscard]] double bin_lower(std::size_t bin) const;
-  /// Exclusive upper edge of `bin` (the last bin also absorbs clamped
-  /// overflow when auto_range is off).
+  /// Exclusive upper edge of `bin`.
   [[nodiscard]] double bin_upper(std::size_t bin) const;
 
   /// Nearest-rank quantile resolved to the lower edge of the bin holding
   /// rank ceil(q * count); q outside [0, 1] is clamped. 0 when empty.
-  /// With bin_width 1 and integer samples this is the exact quantile.
+  /// While the width is still 1, integer samples give the exact quantile.
   [[nodiscard]] double quantile(double q) const;
 
   /// Bin-interpolated quantile: locate the bin holding rank q * count,
@@ -86,8 +74,7 @@ class Histogram {
   /// Double the bin width: merge adjacent bin pairs until `bucket` fits.
   void coarsen_until_fits(std::size_t bucket);
 
-  HistogramOptions options_;
-  double width_ = 1.0;  ///< current bin width: options_.bin_width * 2^k.
+  double width_ = 1.0;  ///< current bin width: 2^k.
   std::vector<std::uint64_t> bins_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

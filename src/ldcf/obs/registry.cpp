@@ -1,7 +1,5 @@
 #include "ldcf/obs/registry.hpp"
 
-#include "ldcf/common/error.hpp"
-
 namespace ldcf::obs {
 
 Counter& MetricsRegistry::counter(std::string_view name) {
@@ -10,42 +8,18 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return counters_.emplace(std::string(name), Counter{}).first->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return it->second;
-  return gauges_.emplace(std::string(name), Gauge{}).first->second;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      const HistogramOptions& options) {
+Histogram& MetricsRegistry::histogram(std::string_view name) {
   const auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    const HistogramOptions& have = it->second.options();
-    LDCF_REQUIRE(have.bin_width == options.bin_width &&
-                     have.max_bins == options.max_bins &&
-                     have.auto_range == options.auto_range,
-                 "histogram re-registered with different options: " +
-                     std::string(name));
-    return it->second;
-  }
-  return histograms_.emplace(std::string(name), Histogram(options))
-      .first->second;
+  if (it != histograms_.end()) return it->second;
+  return histograms_.emplace(std::string(name), Histogram{}).first->second;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, other_counter] : other.counters_) {
     counter(name).inc(other_counter.value());
   }
-  for (const auto& [name, other_gauge] : other.gauges_) {
-    const auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-      gauges_.emplace(name, other_gauge);  // absent: adopt, even negative.
-    } else if (other_gauge.value() > it->second.value()) {
-      it->second.set(other_gauge.value());
-    }
-  }
   for (const auto& [name, other_hist] : other.histograms_) {
-    histogram(name, other_hist.options()).merge(other_hist);
+    histogram(name).merge(other_hist);
   }
 }
 

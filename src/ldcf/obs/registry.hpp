@@ -1,17 +1,16 @@
-// Named-metric registry: counters, gauges, and histograms.
+// Named-metric registry: counters and histograms.
 //
 // A MetricsRegistry is the unit of telemetry exchange between layers: the
 // engine-side StatsObserver fills one per run, reduce_trials merges them
 // across repetitions (and the parallel executor's index-ordered reduction
 // keeps the merge bit-identical for any thread count), and the report
 // writer serializes one to JSON. Lookups happen once, at instrumentation
-// setup: counter()/gauge()/histogram() hand back references that stay
-// valid for the registry's lifetime (node-based storage), so the hot path
-// is a plain increment with no map walk and no allocation.
+// setup: counter()/histogram() hand back references that stay valid for
+// the registry's lifetime (node-based storage), so the hot path is a plain
+// increment with no map walk and no allocation.
 //
 // Merge semantics (exact, order-independent on integer data):
 //   counters   add
-//   gauges     keep the maximum
 //   histograms Histogram::merge (bin counts exactly preserved)
 #pragma once
 
@@ -34,38 +33,20 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// Last-set sampled value (merges by maximum).
-class Gauge {
- public:
-  void set(double value) { value_ = value; }
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
 class MetricsRegistry {
  public:
   /// Find-or-create. References remain valid for the registry's lifetime.
-  /// For an existing histogram the options argument must match the ones it
-  /// was created with (throws InvalidArgument otherwise).
   [[nodiscard]] Counter& counter(std::string_view name);
-  [[nodiscard]] Gauge& gauge(std::string_view name);
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     const HistogramOptions& options = {});
+  [[nodiscard]] Histogram& histogram(std::string_view name);
 
   /// Union-by-name fold of `other` into this registry; metrics absent here
-  /// are created first (histograms with other's options).
+  /// are created first.
   void merge(const MetricsRegistry& other);
 
   /// Name-ordered iteration for serialization and tests.
   [[nodiscard]] const std::map<std::string, Counter, std::less<>>& counters()
       const {
     return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, Gauge, std::less<>>& gauges()
-      const {
-    return gauges_;
   }
   [[nodiscard]] const std::map<std::string, Histogram, std::less<>>&
   histograms() const {
@@ -74,7 +55,6 @@ class MetricsRegistry {
 
  private:
   std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 

@@ -106,11 +106,6 @@ void write_registry(JsonWriter& json, const MetricsRegistry& registry) {
     json.field(name, counter.value());
   }
   json.end_object();
-  json.key("gauges").begin_object();
-  for (const auto& [name, gauge] : registry.gauges()) {
-    json.field(name, gauge.value());
-  }
-  json.end_object();
   json.key("histograms").begin_object();
   for (const auto& [name, histogram] : registry.histograms()) {
     json.key(name);

@@ -4,17 +4,9 @@
 
 namespace ldcf::obs {
 
-namespace {
-
-// Slot delays and per-node charge alike.
-constexpr HistogramOptions kHistogram{/*bin_width=*/1.0, /*max_bins=*/64,
-                                      /*auto_range=*/true};
-
-}  // namespace
-
 StatsObserver::StatsObserver(std::size_t num_nodes, std::uint32_t num_packets)
     : num_nodes_(num_nodes),
-      delay_per_hop_(registry_.histogram("delay.per_hop", kHistogram)),
+      delay_per_hop_(registry_.histogram("delay.per_hop")),
       overhear_heard_(registry_.counter("overhear.heard")),
       overhear_fresh_(registry_.counter("overhear.fresh")),
       generated_at_(num_packets, kNeverSlot),
@@ -60,10 +52,9 @@ void StatsObserver::on_run_end(const sim::SimResult& result) {
   // Histogram bins and sums depend only on the multiset of (integer)
   // samples, so recording in packet order matches recording as each
   // packet covered.
-  Histogram& total = registry_.histogram("delay.total", kHistogram);
-  Histogram& queueing = registry_.histogram("delay.queueing", kHistogram);
-  Histogram& transmission =
-      registry_.histogram("delay.transmission", kHistogram);
+  Histogram& total = registry_.histogram("delay.total");
+  Histogram& queueing = registry_.histogram("delay.queueing");
+  Histogram& transmission = registry_.histogram("delay.transmission");
   std::uint64_t generated = 0;
   std::uint64_t covered = 0;
   std::uint64_t deliveries = 0;
@@ -85,7 +76,7 @@ void StatsObserver::on_run_end(const sim::SimResult& result) {
   registry_.counter("packets.generated").inc(generated);
   registry_.counter("packets.covered").inc(covered);
 
-  Histogram& energy = registry_.histogram("energy.per_node", kHistogram);
+  Histogram& energy = registry_.histogram("energy.per_node");
   for (const double charge : result.energy.per_node) energy.record(charge);
   registry_.counter("slots.simulated").inc(result.metrics.end_slot);
   registry_.counter("runs.total").inc();

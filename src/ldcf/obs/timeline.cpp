@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "ldcf/common/error.hpp"
 #include "ldcf/obs/atomic_file.hpp"
 #include "ldcf/obs/trace_event_writer.hpp"
 
@@ -32,21 +31,9 @@ std::uint64_t next_timeline_id() {
 
 }  // namespace
 
-Timeline::Timeline(const TimelineOptions& options)
-    : options_(options),
-      id_(next_timeline_id()),
-      epoch_(std::chrono::steady_clock::now()) {
-  LDCF_REQUIRE(options_.span_capacity > 0, "span_capacity must be positive");
-  LDCF_REQUIRE(options_.counter_capacity > 0,
-               "counter_capacity must be positive");
-}
+Timeline::Timeline() : id_(next_timeline_id()), epoch_ns_(steady_now_ns()) {}
 
-std::uint64_t Timeline::now_ns() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-}
+std::uint64_t Timeline::now_ns() const { return steady_now_ns() - epoch_ns_; }
 
 Timeline::Lane& Timeline::lane() {
   if (t_lane_cache.owner == this && t_lane_cache.owner_id == id_) {
@@ -70,7 +57,7 @@ Timeline::Lane& Timeline::register_lane() {
   std::ostringstream label;
   label << "thread-" << tid;
   lanes_.emplace_back(
-      std::unique_ptr<Lane>(new Lane(tid, label.str(), options_)));
+      std::unique_ptr<Lane>(new Lane(tid, label.str())));
   lane_owners_.push_back(self);
   t_lane_cache = {this, id_, lanes_.back().get()};
   return *lanes_.back();

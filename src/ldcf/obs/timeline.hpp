@@ -50,6 +50,15 @@ namespace ldcf::obs {
 
 class TraceEventWriter;
 
+/// A raw steady-clock reading in nanoseconds: the clock behind every span,
+/// stage timing, heartbeat and watchdog wall budget.
+[[nodiscard]] inline std::uint64_t steady_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 /// One completed span. Fixed-size, no heap: names are borrowed pointers to
 /// static strings, args are two optional (name, u64) pairs.
 struct SpanRecord {
@@ -70,15 +79,13 @@ struct CounterRecord {
   double value = 0.0;
 };
 
-struct TimelineOptions {
-  std::size_t span_capacity = 1 << 16;     ///< spans kept per lane (>= 1).
-  std::size_t counter_capacity = 1 << 14;  ///< counter samples per lane.
-};
-
 /// Multi-lane span/counter collector. Thread-safe for recording (each
 /// thread writes its own lane); snapshot/flush require quiescence (above).
 class Timeline {
  public:
+  static constexpr std::size_t kSpanCapacity = 1 << 16;     ///< per lane.
+  static constexpr std::size_t kCounterCapacity = 1 << 14;  ///< per lane.
+
   /// Single-producer record ring. Obtain via Timeline::lane(); never share
   /// a Lane across threads.
   class Lane {
@@ -95,11 +102,11 @@ class Timeline {
 
    private:
     friend class Timeline;
-    Lane(std::uint32_t tid, std::string label, const TimelineOptions& options)
-        : tid_(tid), label_(std::move(label)) {
-      spans_.resize(options.span_capacity);
-      counters_.resize(options.counter_capacity);
-    }
+    Lane(std::uint32_t tid, std::string label)
+        : tid_(tid),
+          label_(std::move(label)),
+          spans_(kSpanCapacity),
+          counters_(kCounterCapacity) {}
 
     std::uint32_t tid_;
     std::string label_;
@@ -120,7 +127,7 @@ class Timeline {
     std::uint64_t dropped_counters = 0;
   };
 
-  explicit Timeline(const TimelineOptions& options = {});
+  Timeline();
 
   Timeline(const Timeline&) = delete;
   Timeline& operator=(const Timeline&) = delete;
@@ -132,14 +139,9 @@ class Timeline {
   /// Nanoseconds since the timeline epoch (steady clock; construction = 0).
   [[nodiscard]] std::uint64_t now_ns() const;
 
-  /// The epoch as a raw steady_clock reading in nanoseconds, for probes
-  /// that read the clock themselves: a reading r lies at r - epoch_ns().
-  [[nodiscard]] std::uint64_t epoch_ns() const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            epoch_.time_since_epoch())
-            .count());
-  }
+  /// The epoch as a raw steady_now_ns() reading, for probes that read the
+  /// clock themselves: a reading r lies at r - epoch_ns().
+  [[nodiscard]] std::uint64_t epoch_ns() const { return epoch_ns_; }
 
   /// Label the *calling thread's* lane in the exported trace (e.g.
   /// "engine", "trial-worker-3"). Later calls win.
@@ -173,9 +175,8 @@ class Timeline {
  private:
   [[nodiscard]] Lane& register_lane();
 
-  TimelineOptions options_;
   std::uint64_t id_;  ///< process-unique; defeats address reuse in caches.
-  std::chrono::steady_clock::time_point epoch_;
+  std::uint64_t epoch_ns_;  ///< steady_now_ns() at construction.
   mutable std::mutex mutex_;  ///< guards lanes_ registration + label edits.
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread::id> lane_owners_;  ///< parallel to lanes_.

@@ -16,7 +16,7 @@ namespace ldcf::obs {
 namespace {
 
 constexpr std::uint32_t kMaxTopK = 65536;
-constexpr std::size_t kAutoGridCells = 24;  ///< auto heat_cell: long side / 24.
+constexpr std::size_t kAutoGridCells = 24;  ///< heat cell: long side / 24.
 constexpr std::size_t kOutlierMinNodes = 8;
 
 std::uint64_t link_key(NodeId sender, NodeId receiver) {
@@ -54,21 +54,6 @@ void validate(const TimeSeriesOptions& options) {
     msg << "timeseries: top_k must be in [1, " << kMaxTopK << "], got "
         << options.top_k;
     throw InvalidArgument(msg.str());
-  }
-  if (options.max_windows < 2) {
-    throw InvalidArgument("timeseries: max_windows must be >= 2");
-  }
-  if (!std::isfinite(options.heat_cell) || options.heat_cell < 0.0) {
-    throw InvalidArgument("timeseries: heat_cell must be finite and >= 0");
-  }
-  if (!std::isfinite(options.spike_factor) || options.spike_factor < 0.0) {
-    throw InvalidArgument("timeseries: spike_factor must be finite and >= 0");
-  }
-  if (options.spike_baseline_windows == 0) {
-    throw InvalidArgument("timeseries: spike_baseline_windows must be >= 1");
-  }
-  if (!std::isfinite(options.outlier_sigma) || options.outlier_sigma < 0.0) {
-    throw InvalidArgument("timeseries: outlier_sigma must be finite and >= 0");
   }
 }
 
@@ -212,105 +197,96 @@ std::vector<NodeId> NetMap::top_nodes() const {
 // --- Anomaly rules --------------------------------------------------------
 
 std::vector<SeriesAnomaly> evaluate_anomalies(const TimeSeries& series,
-                                              const TimeSeriesOptions& options,
                                               const NetMap* netmap) {
   std::vector<SeriesAnomaly> found;
   const std::uint64_t width = series.window_slots;
 
-  // Coverage stall: a maximal streak of >= stall_windows consecutive
+  // Coverage stall: a maximal streak of >= kStallWindows consecutive
   // windows that had packets in flight yet produced no coverage and no new
   // holders. One anomaly per maximal streak.
-  if (options.stall_windows > 0) {
-    std::uint64_t generated = 0;
-    std::uint64_t covered = 0;
-    std::size_t streak_start = 0;
-    std::uint64_t streak = 0;
-    auto flush = [&](std::size_t end_index) {
-      if (streak < options.stall_windows) return;
-      SeriesAnomaly a;
-      a.rule = "coverage_stall";
-      a.start_slot = static_cast<std::uint64_t>(streak_start) * width;
-      a.window_slots = width;
-      a.value = static_cast<double>(streak);
-      a.baseline = static_cast<double>(options.stall_windows);
-      std::ostringstream msg;
-      msg << "no coverage progress across " << streak << " windows (slots "
-          << a.start_slot << ".."
-          << static_cast<std::uint64_t>(end_index) * width << ") with "
-          << (generated - covered) << " packets in flight";
-      a.message = msg.str();
-      found.push_back(std::move(a));
-    };
-    for (std::size_t i = 0; i < series.windows.size(); ++i) {
-      const SeriesWindow& w = series.windows[i];
-      const bool in_flight = generated > covered;
-      const bool stalled =
-          in_flight && w.covered == 0 && w.new_holders == 0 && w.generated == 0;
-      if (stalled) {
-        if (streak == 0) streak_start = i;
-        ++streak;
-      } else {
-        flush(i);
-        streak = 0;
-      }
-      generated += w.generated;
-      covered += w.covered;
+  std::uint64_t generated = 0;
+  std::uint64_t covered = 0;
+  std::size_t streak_start = 0;
+  std::uint64_t streak = 0;
+  auto flush = [&](std::size_t end_index) {
+    if (streak < kStallWindows) return;
+    SeriesAnomaly a;
+    a.rule = "coverage_stall";
+    a.start_slot = static_cast<std::uint64_t>(streak_start) * width;
+    a.window_slots = width;
+    a.value = static_cast<double>(streak);
+    a.baseline = static_cast<double>(kStallWindows);
+    std::ostringstream msg;
+    msg << "no coverage progress across " << streak << " windows (slots "
+        << a.start_slot << ".."
+        << static_cast<std::uint64_t>(end_index) * width << ") with "
+        << (generated - covered) << " packets in flight";
+    a.message = msg.str();
+    found.push_back(std::move(a));
+  };
+  for (std::size_t i = 0; i < series.windows.size(); ++i) {
+    const SeriesWindow& w = series.windows[i];
+    const bool in_flight = generated > covered;
+    const bool stalled =
+        in_flight && w.covered == 0 && w.new_holders == 0 && w.generated == 0;
+    if (stalled) {
+      if (streak == 0) streak_start = i;
+      ++streak;
+    } else {
+      flush(i);
+      streak = 0;
     }
-    flush(series.windows.size());
+    generated += w.generated;
+    covered += w.covered;
   }
+  flush(series.windows.size());
 
   // Collision-rate spike: a window whose collision rate exceeds
-  // spike_factor x the rate over the trailing baseline windows (those with
+  // kSpikeFactor x the rate over the trailing baseline windows (those with
   // attempts), or an absolute 0.5 when the baseline was collision-free.
-  if (options.spike_factor > 0.0) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> base;  // (coll, att)
-    for (std::size_t i = 0; i < series.windows.size(); ++i) {
-      const SeriesWindow& w = series.windows[i];
-      const std::uint64_t attempts = w.channel.attempts;
-      const std::uint64_t collisions = w.channel.collisions;
-      if (attempts >= options.spike_min_attempts && !base.empty()) {
-        std::uint64_t base_coll = 0;
-        std::uint64_t base_att = 0;
-        for (const auto& [coll, att] : base) {
-          base_coll += coll;
-          base_att += att;
-        }
-        const double rate = static_cast<double>(collisions) /
-                            static_cast<double>(attempts);
-        const double baseline = static_cast<double>(base_coll) /
-                                static_cast<double>(base_att);
-        const bool spike = baseline > 0.0
-                               ? rate > options.spike_factor * baseline
-                               : rate >= 0.5;
-        if (spike) {
-          SeriesAnomaly a;
-          a.rule = "collision_spike";
-          a.start_slot = static_cast<std::uint64_t>(i) * width;
-          a.window_slots = width;
-          a.value = rate;
-          a.baseline = baseline;
-          std::ostringstream msg;
-          msg << "collision rate " << rate << " in window at slot "
-              << a.start_slot << " vs trailing baseline " << baseline << " ("
-              << collisions << "/" << attempts << " attempts)";
-          a.message = msg.str();
-          found.push_back(std::move(a));
-        }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> base;  // (coll, att)
+  for (std::size_t i = 0; i < series.windows.size(); ++i) {
+    const SeriesWindow& w = series.windows[i];
+    const std::uint64_t attempts = w.channel.attempts;
+    const std::uint64_t collisions = w.channel.collisions;
+    if (attempts >= kSpikeMinAttempts && !base.empty()) {
+      std::uint64_t base_coll = 0;
+      std::uint64_t base_att = 0;
+      for (const auto& [coll, att] : base) {
+        base_coll += coll;
+        base_att += att;
       }
-      if (attempts > 0) {
-        base.emplace_back(collisions, attempts);
-        if (base.size() > options.spike_baseline_windows) {
-          base.erase(base.begin());
-        }
+      const double rate = static_cast<double>(collisions) /
+                          static_cast<double>(attempts);
+      const double baseline = static_cast<double>(base_coll) /
+                              static_cast<double>(base_att);
+      const bool spike =
+          baseline > 0.0 ? rate > kSpikeFactor * baseline : rate >= 0.5;
+      if (spike) {
+        SeriesAnomaly a;
+        a.rule = "collision_spike";
+        a.start_slot = static_cast<std::uint64_t>(i) * width;
+        a.window_slots = width;
+        a.value = rate;
+        a.baseline = baseline;
+        std::ostringstream msg;
+        msg << "collision rate " << rate << " in window at slot "
+            << a.start_slot << " vs trailing baseline " << baseline << " ("
+            << collisions << "/" << attempts << " attempts)";
+        a.message = msg.str();
+        found.push_back(std::move(a));
       }
+    }
+    if (attempts > 0) {
+      base.emplace_back(collisions, attempts);
+      if (base.size() > kSpikeBaselineWindows) base.erase(base.begin());
     }
   }
 
   // Energy-burn outliers: nodes above mean + sigma * stddev of the final
   // per-node charge. Only meaningful once run-end energy has landed in the
   // netmap, and only with enough nodes for the moments to mean anything.
-  if (options.outlier_sigma > 0.0 && netmap != nullptr &&
-      netmap->nodes.size() >= kOutlierMinNodes) {
+  if (netmap != nullptr && netmap->nodes.size() >= kOutlierMinNodes) {
     double sum = 0.0;
     for (const NodeTally& n : netmap->nodes) sum += n.energy;
     const auto count = static_cast<double>(netmap->nodes.size());
@@ -321,7 +297,7 @@ std::vector<SeriesAnomaly> evaluate_anomalies(const TimeSeries& series,
       var += d * d;
     }
     const double stddev = std::sqrt(var / count);
-    const double threshold = mean + options.outlier_sigma * stddev;
+    const double threshold = mean + kOutlierSigma * stddev;
     if (stddev > 0.0) {
       for (std::size_t n = 0; n < netmap->nodes.size(); ++n) {
         const double e = netmap->nodes[n].energy;
@@ -334,7 +310,7 @@ std::vector<SeriesAnomaly> evaluate_anomalies(const TimeSeries& series,
           a.baseline = threshold;
           std::ostringstream msg;
           msg << "node " << n << " burned " << e << " (mean " << mean
-              << ", threshold " << threshold << " at " << options.outlier_sigma
+              << ", threshold " << threshold << " at " << kOutlierSigma
               << " sigma)";
           a.message = msg.str();
           found.push_back(std::move(a));
@@ -349,37 +325,34 @@ std::vector<SeriesAnomaly> evaluate_anomalies(const TimeSeries& series,
 // --- TimeSeriesObserver ---------------------------------------------------
 
 TimeSeriesObserver::TimeSeriesObserver(const topology::Topology& topo,
-                                       const TimeSeriesOptions& options)
-    : options_(options) {
-  validate(options_);
+                                       const TimeSeriesOptions& options) {
+  validate(options);
   const std::span<const topology::Point2D> positions = topo.positions();
   if (positions.empty()) {
     throw InvalidArgument("timeseries: topology has no nodes");
   }
-  double cell = options_.heat_cell;
-  if (cell == 0.0) {
-    double min_x = positions[0].x, max_x = positions[0].x;
-    double min_y = positions[0].y, max_y = positions[0].y;
-    for (const topology::Point2D& p : positions) {
-      min_x = std::min(min_x, p.x);
-      max_x = std::max(max_x, p.x);
-      min_y = std::min(min_y, p.y);
-      max_y = std::max(max_y, p.y);
-    }
-    const double side = std::max(max_x - min_x, max_y - min_y);
-    cell = side > 0.0 ? side / static_cast<double>(kAutoGridCells) : 1.0;
+  double min_x = positions[0].x, max_x = positions[0].x;
+  double min_y = positions[0].y, max_y = positions[0].y;
+  for (const topology::Point2D& p : positions) {
+    min_x = std::min(min_x, p.x);
+    max_x = std::max(max_x, p.x);
+    min_y = std::min(min_y, p.y);
+    max_y = std::max(max_y, p.y);
   }
+  const double side = std::max(max_x - min_x, max_y - min_y);
+  const double cell =
+      side > 0.0 ? side / static_cast<double>(kAutoGridCells) : 1.0;
   const topology::SpatialHashGrid grid(positions, cell);
   cell_of_node_.resize(positions.size());
   for (std::size_t n = 0; n < positions.size(); ++n) {
     cell_of_node_[n] = static_cast<std::uint32_t>(grid.cell_of(positions[n]));
   }
 
-  series_.base_window_slots = options_.window_slots;
-  series_.window_slots = options_.window_slots;
-  series_.energy = options_.energy;
+  series_.base_window_slots = options.window_slots;
+  series_.window_slots = options.window_slots;
+  series_.energy = options.energy;
 
-  netmap_.top_k = options_.top_k;
+  netmap_.top_k = options.top_k;
   netmap_.grid_cols = grid.cols();
   netmap_.grid_rows = grid.rows();
   netmap_.cell_size = cell;
@@ -392,7 +365,7 @@ TimeSeriesObserver::TimeSeriesObserver(const topology::Topology& topo,
 
 SeriesWindow& TimeSeriesObserver::window_at(SlotIndex slot) {
   std::uint64_t index = slot / series_.window_slots;
-  while (index >= options_.max_windows) {
+  while (index >= kMaxWindows) {
     series_.coarsen();
     index = slot / series_.window_slots;
   }
@@ -507,13 +480,12 @@ void TimeSeriesObserver::on_run_end(const sim::SimResult& result) {
     netmap_.cells[cell_of_node_[n]].tx_attempts += result.tally.tx_attempts[n];
   }
   finalized_ = true;
-  series_.anomalies = evaluate_anomalies(series_, options_, &netmap_);
+  series_.anomalies = evaluate_anomalies(series_, &netmap_);
 }
 
 std::vector<std::string> TimeSeriesObserver::current_causes() const {
   const std::vector<SeriesAnomaly> anomalies =
-      finalized_ ? series_.anomalies
-                 : evaluate_anomalies(series_, options_, nullptr);
+      finalized_ ? series_.anomalies : evaluate_anomalies(series_, nullptr);
   std::vector<std::string> causes;
   causes.reserve(anomalies.size());
   for (const SeriesAnomaly& a : anomalies) {

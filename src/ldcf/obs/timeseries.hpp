@@ -20,7 +20,7 @@
 // skipped_by_phase_ tally settlement). The differential suite proves the
 // windows bit-identical between dense and compact execution.
 //
-// Window storage auto-coarsens: if a run outgrows max_windows, the width
+// Window storage auto-coarsens: if a run outgrows kMaxWindows, the width
 // doubles and adjacent windows merge (sums are preserved exactly), the same
 // trick as Histogram's auto-ranging. Merging across repetitions/threads is
 // elementwise integer addition — order-independent — with width alignment by
@@ -30,8 +30,8 @@
 // The anomaly rules (coverage stall, collision-rate spike vs a trailing
 // baseline, energy-burn outlier nodes) are pure functions of the finished
 // window array, evaluated at run end for the artifact and on demand via
-// AnomalySource::current_causes() so a tripped WatchdogObserver can embed
-// the likely cause into its ldcf.health.v1 diagnostic.
+// TimeSeriesObserver::current_causes() so a tripped WatchdogObserver can
+// embed the likely cause into its ldcf.health.v1 diagnostic.
 //
 // Serialization: `ldcf.timeseries.v1` (windows + totals + anomalies) and
 // `ldcf.netmap.v1` (grid heatmap + top-K contended links + hottest nodes),
@@ -48,7 +48,6 @@
 
 #include "ldcf/common/types.hpp"
 #include "ldcf/obs/json_writer.hpp"
-#include "ldcf/obs/watchdog.hpp"
 #include "ldcf/sim/engine.hpp"
 #include "ldcf/sim/observer.hpp"
 #include "ldcf/topology/topology.hpp"
@@ -60,36 +59,32 @@ struct TimeSeriesOptions {
   std::uint64_t window_slots = 1024;
   /// Rows in the contended-links / hottest-nodes tables; [1, 65536].
   std::uint32_t top_k = 10;
-  /// Window-count ceiling before the width doubles (auto-coarsening);
-  /// must be >= 2. The default bounds a 10M-slot run to ~64k windows.
-  std::uint64_t max_windows = std::uint64_t{1} << 16;
-  /// Heatmap cell side in meters; 0 picks the topology bounding box's long
-  /// side / 24 (a ~24x24 grid). Must be >= 0.
-  double heat_cell = 0.0;
   /// Cost model for the windowed energy burn series (listen/tx/rx terms;
   /// sleep is excluded — it is flat by construction). Pass the run's
   /// SimConfig::energy so the series sums match the run's EnergyReport.
   sim::EnergyModel energy{};
-
-  // Anomaly rules. Each is individually disableable.
-  /// Coverage stall: this many consecutive windows with packets in flight
-  /// but zero coverage progress and zero new holders; 0 disables.
-  std::uint32_t stall_windows = 8;
-  /// Collision-rate spike: a window's collisions/attempts exceeding
-  /// spike_factor x the trailing-baseline rate (or 0.5 absolute when the
-  /// baseline is collision-free); 0 disables.
-  double spike_factor = 4.0;
-  /// Attempts a window needs before the spike rule looks at it.
-  std::uint64_t spike_min_attempts = 64;
-  /// Trailing windows (with attempts) forming the spike baseline; >= 1.
-  std::uint32_t spike_baseline_windows = 8;
-  /// Energy-burn outlier: nodes above mean + sigma * stddev of per-node
-  /// energy (needs >= 8 nodes); 0 disables.
-  double outlier_sigma = 3.0;
 };
 
-/// Throws InvalidArgument on out-of-range options (window_slots == 0,
-/// top_k out of [1, 65536], max_windows < 2, negative rule parameters).
+/// Window-count ceiling before the width doubles (auto-coarsening): bounds
+/// a 10M-slot run to ~64k windows.
+inline constexpr std::uint64_t kMaxWindows = std::uint64_t{1} << 16;
+
+// Anomaly rule thresholds (see evaluate_anomalies).
+/// Coverage stall: consecutive windows with packets in flight but no
+/// coverage progress and no new holders.
+inline constexpr std::uint64_t kStallWindows = 8;
+/// Collision-rate spike: a window whose collisions/attempts exceed
+/// kSpikeFactor x the rate over the last kSpikeBaselineWindows windows with
+/// attempts (or 0.5 absolute when that baseline is collision-free). Windows
+/// with fewer than kSpikeMinAttempts attempts are not judged.
+inline constexpr double kSpikeFactor = 4.0;
+inline constexpr std::uint64_t kSpikeMinAttempts = 64;
+inline constexpr std::size_t kSpikeBaselineWindows = 8;
+/// Energy-burn outlier: nodes above mean + kOutlierSigma * stddev of the
+/// per-node energy (needs >= 8 nodes).
+inline constexpr double kOutlierSigma = 3.0;
+
+/// Throws InvalidArgument on window_slots == 0 or top_k out of [1, 65536].
 void validate(const TimeSeriesOptions& options);
 
 /// One window's counters. All event counts are exact integers so merges
@@ -188,7 +183,7 @@ struct NetMap {
   [[nodiscard]] bool empty() const { return trials == 0; }
 
   /// Elementwise merge; requires identical node count and grid shape
-  /// (same topology and heat_cell), throws InvalidArgument otherwise.
+  /// (same topology), throws InvalidArgument otherwise.
   void merge(const NetMap& other);
 
   /// Links ranked by contention desc (ties: attempts desc, then key asc —
@@ -204,15 +199,13 @@ struct NetMap {
 /// Evaluate the anomaly rules over `series` (and per-node energy when
 /// `netmap` is non-null). Pure: same inputs, same findings.
 [[nodiscard]] std::vector<SeriesAnomaly> evaluate_anomalies(
-    const TimeSeries& series, const TimeSeriesOptions& options,
-    const NetMap* netmap);
+    const TimeSeries& series, const NetMap* netmap);
 
 /// The observer. Construction validates options and bins the topology;
 /// attach to a run (alone or in a MultiObserver), then read series() and
 /// netmap() after on_run_end — or take_*() to move them into TrialStats.
 /// wants_every_slot() stays false: compact-time runs stay compact.
-class TimeSeriesObserver final : public sim::SimObserver,
-                                 public AnomalySource {
+class TimeSeriesObserver final : public sim::SimObserver {
  public:
   explicit TimeSeriesObserver(const topology::Topology& topo,
                               const TimeSeriesOptions& options = {});
@@ -231,7 +224,7 @@ class TimeSeriesObserver final : public sim::SimObserver,
 
   /// Anomalies for the run so far (energy outliers only after run end) —
   /// the watchdog's cause feed.
-  [[nodiscard]] std::vector<std::string> current_causes() const override;
+  [[nodiscard]] std::vector<std::string> current_causes() const;
 
   [[nodiscard]] const TimeSeries& series() const { return series_; }
   [[nodiscard]] const NetMap& netmap() const { return netmap_; }
@@ -241,7 +234,6 @@ class TimeSeriesObserver final : public sim::SimObserver,
  private:
   SeriesWindow& window_at(SlotIndex slot);
 
-  TimeSeriesOptions options_;
   TimeSeries series_;
   NetMap netmap_;
   std::vector<std::uint32_t> cell_of_node_;  ///< node -> heat cell.

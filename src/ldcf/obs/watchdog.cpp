@@ -1,6 +1,5 @@
 #include "ldcf/obs/watchdog.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -8,20 +7,11 @@
 #include "ldcf/common/error.hpp"
 #include "ldcf/obs/atomic_file.hpp"
 #include "ldcf/obs/json_writer.hpp"
+#include "ldcf/obs/timeline.hpp"
+#include "ldcf/obs/timeseries.hpp"
 #include "ldcf/sim/engine.hpp"
 
 namespace ldcf::obs {
-
-namespace {
-
-std::uint64_t wall_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 void write_health_report(std::ostream& out, const HealthDiagnostic& diag) {
   JsonWriter json(out);
@@ -53,22 +43,19 @@ WatchdogError::WatchdogError(HealthDiagnostic diag)
       diag_(std::move(diag)) {}
 
 WatchdogObserver::WatchdogObserver(const WatchdogConfig& config)
-    : config_(config), last_progress_wall_ns_(wall_now_ns()) {
+    : config_(config), last_progress_wall_ns_(steady_now_ns()) {
   LDCF_REQUIRE(config_.stall_wall_seconds >= 0.0,
                "stall_wall_seconds must be non-negative");
-  LDCF_REQUIRE(config_.max_failure_rate >= 0.0 &&
-                   config_.max_failure_rate <= 1.0,
-               "max_failure_rate must be in [0, 1]");
 }
 
 double WatchdogObserver::wall_seconds_since_progress() const {
-  return static_cast<double>(wall_now_ns() - last_progress_wall_ns_) * 1e-9;
+  return static_cast<double>(steady_now_ns() - last_progress_wall_ns_) * 1e-9;
 }
 
 void WatchdogObserver::progress(SlotIndex slot) {
   last_progress_slot_ = slot;
   executed_since_progress_ = 0;
-  last_progress_wall_ns_ = wall_now_ns();
+  last_progress_wall_ns_ = steady_now_ns();
 }
 
 void WatchdogObserver::fail(std::string invariant, std::string message,
@@ -121,19 +108,8 @@ void WatchdogObserver::on_generate(PacketId /*packet*/, SlotIndex slot) {
 }
 
 void WatchdogObserver::on_tx_result(const sim::TxResult& result,
-                                    SlotIndex slot) {
+                                    SlotIndex /*slot*/) {
   channel_.record(result.outcome, result.duplicate);
-  const std::uint64_t attempts = channel_.attempts;
-  if (config_.max_failure_rate > 0.0 && attempts >= config_.min_attempts) {
-    const double rate = static_cast<double>(channel_.failures()) /
-                        static_cast<double>(attempts);
-    if (rate > config_.max_failure_rate) {
-      std::ostringstream msg;
-      msg << "failure rate " << rate << " exceeds ceiling "
-          << config_.max_failure_rate << " after " << attempts << " attempts";
-      fail("drift", msg.str(), slot);
-    }
-  }
 }
 
 void WatchdogObserver::on_delivery(NodeId /*node*/, PacketId /*packet*/,
@@ -156,7 +132,6 @@ void WatchdogObserver::on_packet_covered(PacketId packet,
 }
 
 void WatchdogObserver::on_run_end(const sim::SimResult& result) {
-  if (!config_.check_run_end) return;
   for (std::size_t n = 0; n < result.energy.per_node.size(); ++n) {
     const double e = result.energy.per_node[n];
     if (!std::isfinite(e) || e < 0.0) {
@@ -169,12 +144,6 @@ void WatchdogObserver::on_run_end(const sim::SimResult& result) {
   if (!std::isfinite(result.energy.total) || result.energy.total < 0.0) {
     fail("run_end", "total energy is non-finite or negative",
          result.metrics.end_slot);
-  }
-  if (config_.fail_on_truncation && result.metrics.truncated) {
-    std::ostringstream msg;
-    msg << "run truncated by max_slots at slot " << result.metrics.end_slot
-        << " with " << covered_ << "/" << generated_ << " packets covered";
-    fail("run_end", msg.str(), result.metrics.end_slot);
   }
 }
 

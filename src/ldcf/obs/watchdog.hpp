@@ -3,14 +3,12 @@
 // The engine's own guards (max_slots, LDCF_REQUIRE on intents) catch hard
 // misuse, but a run can still go wrong *quietly*: a protocol that keeps the
 // loop dense without ever delivering anything (a busy-loop stall), coverage
-// that stops advancing, a failure rate that drifts far past the configured
-// channel's plausibility, a truncated run nobody notices until the sweep
-// finishes. The watchdog rides the observer stream and fails fast instead,
-// throwing WatchdogError with a structured `ldcf.health.v1` diagnostic that
-// callers (flood_sim --watchdog) serialize and turn into a distinct exit
-// code.
+// that stops advancing, energy accounting that goes non-finite. The
+// watchdog rides the observer stream and fails fast instead, throwing
+// WatchdogError with a structured `ldcf.health.v1` diagnostic that callers
+// (flood_sim --watchdog) serialize and turn into a distinct exit code.
 //
-// Invariants monitored (each individually switchable):
+// Invariants monitored:
 //   * stall        no progress event (generation, fresh delivery — addressed
 //                  or overheard — packet coverage) within a wall-clock budget
 //                  and/or an executed-slot budget. Catches busy-loop stalls; an
@@ -18,10 +16,8 @@
 //                  observer's reach — that is what heartbeats are for.
 //   * monotonic    covered-packet count never decreases and on_packet_covered
 //                  slots never move backwards.
-//   * drift        channel failure rate (failures / attempts) must stay
-//                  under max_failure_rate once min_attempts have resolved.
-//   * run_end      end-of-run structural checks: energy per-node values
-//                  finite and non-negative, truncation (optional).
+//   * run_end      end-of-run structural checks: per-node and total energy
+//                  finite and non-negative.
 //
 // The watchdog never mutates simulation state; attaching it cannot change
 // results (it can only end the run early by throwing).
@@ -40,18 +36,7 @@
 
 namespace ldcf::obs {
 
-/// Something that can explain *why* a run is unhealthy. The watchdog knows
-/// an invariant tripped; a richer observer riding the same run (e.g.
-/// TimeSeriesObserver's anomaly rules) knows what led up to it. Wire one in
-/// with WatchdogObserver::set_cause_source and its current findings are
-/// snapshotted into HealthDiagnostic::causes at the moment of failure.
-class AnomalySource {
- public:
-  virtual ~AnomalySource() = default;
-
-  /// Human-readable cause lines for the run so far, oldest first.
-  [[nodiscard]] virtual std::vector<std::string> current_causes() const = 0;
-};
+class TimeSeriesObserver;  // obs/timeseries.hpp: the cause feed.
 
 struct WatchdogConfig {
   /// Wall-clock seconds without a progress event before declaring a stall;
@@ -61,20 +46,12 @@ struct WatchdogConfig {
   /// 0 disables the slot budget. Deterministic (no clock), so tests and CI
   /// use this one.
   std::uint64_t stall_slot_budget = 0;
-  /// Failure-rate ceiling in (0, 1]; 0 disables drift checking.
-  double max_failure_rate = 0.0;
-  /// Attempts to resolve before the drift check arms (small-sample noise).
-  std::uint64_t min_attempts = 1000;
-  /// End-of-run checks: non-finite/negative energy, and optionally treat a
-  /// truncated run (max_slots hit) as a failure.
-  bool check_run_end = true;
-  bool fail_on_truncation = false;
 };
 
 /// Structured diagnostic carried by WatchdogError and serialized as
 /// `ldcf.health.v1`.
 struct HealthDiagnostic {
-  std::string invariant;  ///< "stall" | "monotonic" | "drift" | "run_end".
+  std::string invariant;  ///< "stall" | "monotonic" | "run_end".
   std::string message;    ///< human-readable explanation.
   SlotIndex slot = 0;     ///< slot the violation was detected at.
   std::uint64_t slots_since_progress = 0;
@@ -83,7 +60,7 @@ struct HealthDiagnostic {
   std::uint64_t packets_covered = 0;
   std::uint64_t tx_attempts = 0;
   std::uint64_t tx_failures = 0;
-  /// Structured causes from an attached AnomalySource (empty without one):
+  /// Anomaly findings of an attached TimeSeriesObserver (empty without one):
   /// e.g. "coverage_stall: no progress across 12 windows from slot 4096".
   std::vector<std::string> causes;
 };
@@ -111,8 +88,8 @@ class WatchdogObserver final : public sim::SimObserver {
   explicit WatchdogObserver(const WatchdogConfig& config);
 
   /// Attach a cause feed (borrowed; may be nullptr to detach). When an
-  /// invariant trips, current_causes() is copied into the diagnostic.
-  void set_cause_source(const AnomalySource* source) { causes_ = source; }
+  /// invariant trips, its current_causes() are copied into the diagnostic.
+  void set_cause_source(const TimeSeriesObserver* source) { causes_ = source; }
 
   void on_slot_begin(SlotIndex slot, std::span<const NodeId> active) override;
   void on_generate(PacketId packet, SlotIndex slot) override;
@@ -129,7 +106,7 @@ class WatchdogObserver final : public sim::SimObserver {
   [[nodiscard]] double wall_seconds_since_progress() const;
 
   WatchdogConfig config_;
-  const AnomalySource* causes_ = nullptr;
+  const TimeSeriesObserver* causes_ = nullptr;
   SlotIndex current_slot_ = 0;
   SlotIndex last_progress_slot_ = 0;
   std::uint64_t executed_since_progress_ = 0;
@@ -137,7 +114,7 @@ class WatchdogObserver final : public sim::SimObserver {
   SlotIndex last_covered_at_ = 0;
   std::uint64_t generated_ = 0;
   std::uint64_t covered_ = 0;
-  sim::ChannelCounters channel_;  ///< attempts and failures().
+  sim::ChannelCounters channel_;  ///< attempts and failures() for the report.
 };
 
 }  // namespace ldcf::obs

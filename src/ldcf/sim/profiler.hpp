@@ -20,7 +20,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <string_view>
 
@@ -129,13 +128,15 @@ class StageProfiler {
   }
 
   /// Clock reading for add_wall; 0 (and no clock read) with no sink set.
-  [[nodiscard]] std::uint64_t now() const { return timed() ? clock_ns() : 0; }
+  [[nodiscard]] std::uint64_t now() const {
+    return timed() ? obs::steady_now_ns() : 0;
+  }
 
   /// Close the slot loop opened at `t0`: adds the loop wall time and the
   /// executed slots to the profile, and records the enclosing "run" span.
   void add_wall(std::uint64_t t0, std::uint64_t slots) {
     if (!timed()) return;
-    const std::uint64_t ns = clock_ns() - t0;
+    const std::uint64_t ns = obs::steady_now_ns() - t0;
     if (enabled_) {
       profile_.wall_ns += ns;
       profile_.slots += slots;
@@ -200,17 +201,10 @@ class StageProfiler {
     return enabled_ || timeline_ != nullptr;
   }
 
-  [[nodiscard]] static std::uint64_t clock_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-
   // One clock read closes the interval for both sinks.
   void close(const Scope& scope) {
     if (!timed()) return;
-    const std::uint64_t ns = clock_ns() - scope.t0_;
+    const std::uint64_t ns = obs::steady_now_ns() - scope.t0_;
     const auto stage = static_cast<std::size_t>(scope.stage_);
     if (enabled_) profile_.stage_ns[stage] += ns;
     if (timeline_ == nullptr) return;

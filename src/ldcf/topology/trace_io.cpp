@@ -143,14 +143,24 @@ void write_dot(const Topology& topo, std::ostream& out) {
     // Graphviz "pos" is in points; scale meters 1:1 for neato -n2.
     out << "  " << n << " [pos=\"" << p.x << ',' << p.y << "!\"];\n";
   }
+  std::vector<NodeId> peers;
   for (NodeId a = 0; a < topo.num_nodes(); ++a) {
+    // Draw each unordered pair once, from its lower id, whichever way it
+    // links: the higher ids a reaches or is reached from, ascending.
+    peers.clear();
     for (const Link& link : topo.neighbors(a)) {
-      if (link.to < a) continue;  // draw each unordered pair once.
-      const double back = topo.prr(link.to, a).value_or(0.0);
-      const double best = std::max(link.prr, back);
+      if (link.to > a) peers.push_back(link.to);
+    }
+    for (const InLink& in : topo.in_links(a)) {
+      if (in.from > a) peers.push_back(in.from);
+    }
+    std::sort(peers.begin(), peers.end());
+    peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
+    for (const NodeId b : peers) {
+      const double best = std::max(topo.prr(a, b).value_or(0.0),
+                                   topo.prr(b, a).value_or(0.0));
       const int gray = static_cast<int>(90.0 - 80.0 * best);  // dark = good.
-      out << "  " << a << " -- " << link.to << " [color=gray" << gray
-          << "];\n";
+      out << "  " << a << " -- " << b << " [color=gray" << gray << "];\n";
     }
   }
   out << "}\n";

@@ -455,7 +455,6 @@ TEST(RunPath, EmptyOptionsAttachNothingForEveryProtocol) {
     SCOPED_TRACE(name);
     const TrialStats stats = run_trial(topo, name, config, TrialOptions{});
     EXPECT_TRUE(stats.metrics.counters().empty());
-    EXPECT_TRUE(stats.metrics.gauges().empty());
     EXPECT_TRUE(stats.metrics.histograms().empty());
     EXPECT_TRUE(stats.timeseries.empty());
     EXPECT_TRUE(stats.netmap.empty());

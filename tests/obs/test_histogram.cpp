@@ -11,13 +11,7 @@
 namespace ldcf::obs {
 namespace {
 
-HistogramOptions narrow(std::size_t max_bins, bool auto_range = true) {
-  HistogramOptions options;
-  options.bin_width = 1.0;
-  options.max_bins = max_bins;
-  options.auto_range = auto_range;
-  return options;
-}
+constexpr std::size_t kBins = Histogram::kNumBins;
 
 TEST(Histogram, EmptyHistogramIsAllZeros) {
   const Histogram h;
@@ -32,15 +26,10 @@ TEST(Histogram, EmptyHistogramIsAllZeros) {
   }
 }
 
-TEST(Histogram, RejectsBadOptionsAndSamples) {
-  HistogramOptions bad_width;
-  bad_width.bin_width = 0.0;
-  EXPECT_THROW(Histogram{bad_width}, InvalidArgument);
-  HistogramOptions no_bins;
-  no_bins.max_bins = 0;
-  EXPECT_THROW(Histogram{no_bins}, InvalidArgument);
-
+TEST(Histogram, RejectsBadSamples) {
   Histogram h;
+  EXPECT_EQ(h.num_bins(), kBins);
+  EXPECT_DOUBLE_EQ(h.bin_width(), 1.0);
   EXPECT_THROW(h.record(-1.0), InvalidArgument);
   EXPECT_THROW(h.record(std::numeric_limits<double>::infinity()),
                InvalidArgument);
@@ -52,7 +41,7 @@ TEST(Histogram, RejectsBadOptionsAndSamples) {
 }
 
 TEST(Histogram, RecordsIntoUnitBins) {
-  Histogram h(narrow(8));
+  Histogram h;
   h.record(0.0);
   h.record(0.5);
   h.record(3.0, 4);
@@ -70,58 +59,35 @@ TEST(Histogram, RecordsIntoUnitBins) {
 // Auto-range growth: overflow doubles the width by pairwise bin merging,
 // so not a single count may be lost or moved across a (coarse) bin edge.
 TEST(Histogram, AutoRangeGrowthPreservesCounts) {
-  Histogram h(narrow(4));
-  h.record(0.0);  // bin 0
-  h.record(1.0);  // bin 1
-  h.record(2.0);  // bin 2
-  h.record(3.0);  // bin 3
+  Histogram h;
+  for (std::size_t v = 0; v < kBins; ++v) h.record(static_cast<double>(v));
   EXPECT_DOUBLE_EQ(h.bin_width(), 1.0);
 
-  h.record(7.0);  // overflows [0,4): width doubles to 2.
+  h.record(127.0);  // overflows [0, 64): width doubles to 2.
   EXPECT_DOUBLE_EQ(h.bin_width(), 2.0);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);  // old bins 0+1.
-  EXPECT_EQ(h.bin_count(1), 2u);  // old bins 2+3.
-  EXPECT_EQ(h.bin_count(2), 0u);
-  EXPECT_EQ(h.bin_count(3), 1u);  // the new sample, [6,8).
+  EXPECT_EQ(h.count(), 65u);
+  for (std::size_t i = 0; i < kBins / 2; ++i) {
+    EXPECT_EQ(h.bin_count(i), 2u) << i;  // old bins 2i + (2i + 1).
+  }
+  EXPECT_EQ(h.bin_count(kBins / 2), 0u);
+  EXPECT_EQ(h.bin_count(kBins - 1), 1u);  // the new sample, [126, 128).
 
-  h.record(100.0);  // forces several more doublings: 100/width < 4.
-  EXPECT_DOUBLE_EQ(h.bin_width(), 32.0);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.bin_count(0), 5u);  // everything below 32.
-  EXPECT_EQ(h.bin_count(3), 1u);  // 100 in [96,128).
+  h.record(4000.0);  // forces several more doublings: 4000/width < 64.
+  EXPECT_DOUBLE_EQ(h.bin_width(), 64.0);
+  EXPECT_EQ(h.count(), 66u);
+  EXPECT_EQ(h.bin_count(0), 64u);   // everything below 64.
+  EXPECT_EQ(h.bin_count(1), 1u);    // 127 in [64, 128).
+  EXPECT_EQ(h.bin_count(62), 1u);   // 4000 in [3968, 4032).
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < h.num_bins(); ++i) total += h.bin_count(i);
   EXPECT_EQ(total, h.count());
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-}
-
-// With auto_range off the bins never move: overflow saturates into the
-// last bin while the exact aggregates keep the true values.
-TEST(Histogram, FixedRangeSaturatesIntoLastBin) {
-  Histogram h(narrow(4, /*auto_range=*/false));
-  h.record(2.0);
-  h.record(50.0);
-  h.record(1e9);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 1.0);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(3), 2u);  // both overflow samples clamp here.
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.max(), 1e9);  // aggregates are not clamped.
-}
-
-TEST(Histogram, SingleBinHistogramCollectsEverything) {
-  Histogram h(narrow(1, /*auto_range=*/false));
-  h.record(0.0);
-  h.record(123.0);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.count(), 2u);
+  EXPECT_DOUBLE_EQ(h.max(), 4000.0);
 }
 
 TEST(Histogram, MergeWithEmptyIsIdentityBothWays) {
-  Histogram a(narrow(8));
+  Histogram a;
   a.record(3.0, 5);
-  const Histogram empty(narrow(8));
+  const Histogram empty;
 
   Histogram a_copy = a;
   a_copy.merge(empty);  // no-op.
@@ -129,35 +95,23 @@ TEST(Histogram, MergeWithEmptyIsIdentityBothWays) {
   EXPECT_EQ(a_copy.bin_count(3), 5u);
   EXPECT_DOUBLE_EQ(a_copy.bin_width(), 1.0);
 
-  Histogram adopt(narrow(8));
+  Histogram adopt;
   adopt.merge(a);  // empty adopts the populated side exactly.
   EXPECT_EQ(adopt.count(), 5u);
   EXPECT_EQ(adopt.bin_count(3), 5u);
   EXPECT_DOUBLE_EQ(adopt.min(), 3.0);
   EXPECT_DOUBLE_EQ(adopt.max(), 3.0);
 
-  Histogram both(narrow(8));
+  Histogram both;
   both.merge(empty);  // empty into empty stays empty.
   EXPECT_EQ(both.count(), 0u);
 }
 
-TEST(Histogram, MergeRefusesDifferentOptions) {
-  Histogram a(narrow(8));
-  const Histogram wider(narrow(16));
-  EXPECT_THROW(a.merge(wider), InvalidArgument);
-  HistogramOptions other_width = narrow(8);
-  other_width.bin_width = 2.0;
-  const Histogram b(other_width);
-  EXPECT_THROW(a.merge(b), InvalidArgument);
-  const Histogram fixed(narrow(8, /*auto_range=*/false));
-  EXPECT_THROW(a.merge(fixed), InvalidArgument);
-}
-
 TEST(Histogram, MergeAlignsToTheCoarserWidth) {
-  Histogram fine(narrow(4));
+  Histogram fine;
   fine.record(1.0);  // width stays 1.
-  Histogram coarse(narrow(4));
-  coarse.record(7.0);  // width 2 after one doubling.
+  Histogram coarse;
+  coarse.record(127.0);  // width 2 after one doubling.
   ASSERT_DOUBLE_EQ(coarse.bin_width(), 2.0);
 
   // Coarse into fine: the fine side must coarsen itself first.
@@ -165,16 +119,16 @@ TEST(Histogram, MergeAlignsToTheCoarserWidth) {
   fine_copy.merge(coarse);
   EXPECT_DOUBLE_EQ(fine_copy.bin_width(), 2.0);
   EXPECT_EQ(fine_copy.bin_count(0), 1u);
-  EXPECT_EQ(fine_copy.bin_count(3), 1u);
+  EXPECT_EQ(fine_copy.bin_count(63), 1u);
 
   // Fine into coarse: the fine counts fold pairwise on the way in.
   coarse.merge(fine);
   EXPECT_DOUBLE_EQ(coarse.bin_width(), 2.0);
   EXPECT_EQ(coarse.bin_count(0), 1u);
-  EXPECT_EQ(coarse.bin_count(3), 1u);
+  EXPECT_EQ(coarse.bin_count(63), 1u);
 
   // Both orders produced the same bins.
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < kBins; ++i) {
     EXPECT_EQ(fine_copy.bin_count(i), coarse.bin_count(i));
   }
 }
@@ -184,17 +138,17 @@ TEST(Histogram, MergeAlignsToTheCoarserWidth) {
 TEST(Histogram, MergeIsOrderIndependentOnIntegerData) {
   const std::vector<std::vector<double>> trials = {
       {0, 1, 2, 3},           // width 1.
-      {10, 11, 12},           // width 4 (max_bins 4).
-      {100},                  // width 32.
-      {5, 5, 5, 6},           // width 2.
+      {160, 170, 180},        // width 4.
+      {1600},                 // width 32.
+      {80, 80, 80, 90},       // width 2.
   };
   const auto build = [&](const std::vector<double>& samples) {
-    Histogram h(narrow(4));
+    Histogram h;
     for (const double v : samples) h.record(v);
     return h;
   };
   const auto fold = [&](const std::vector<std::size_t>& order) {
-    Histogram acc(narrow(4));
+    Histogram acc;
     for (const std::size_t t : order) acc.merge(build(trials[t]));
     return acc;
   };
@@ -215,37 +169,36 @@ TEST(Histogram, MergeIsOrderIndependentOnIntegerData) {
 }
 
 TEST(Histogram, QuantileIsNearestRankOnUnitBins) {
-  Histogram h(narrow(128));
-  for (int v = 1; v <= 100; ++v) h.record(v);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 50.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.95), 95.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
+  Histogram h;
+  for (int v = 1; v <= 60; ++v) h.record(v);
+  ASSERT_DOUBLE_EQ(h.bin_width(), 1.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 30.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.95), 57.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 60.0);
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);   // clamped to rank 1.
   EXPECT_DOUBLE_EQ(h.quantile(-3.0), 1.0);  // out-of-range clamps.
-  EXPECT_DOUBLE_EQ(h.quantile(7.0), 100.0);
+  EXPECT_DOUBLE_EQ(h.quantile(7.0), 60.0);
 }
 
 TEST(Histogram, InterpolatedQuantileLandsInsideTheBin) {
-  // 10 samples in one [0, 10) bin: rank q*10 interpolates linearly.
-  HistogramOptions options;
-  options.bin_width = 10.0;
-  options.max_bins = 4;
-  Histogram h(options);
+  // 10 samples in one [5, 6) bin: rank q*10 interpolates linearly.
+  Histogram h;
   for (int i = 0; i < 10; ++i) h.record(5.0);
-  EXPECT_DOUBLE_EQ(h.quantile_interp(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(h.quantile_interp(0.9), 9.0);
-  EXPECT_DOUBLE_EQ(h.quantile_interp(0.1), 1.0);
-  EXPECT_DOUBLE_EQ(h.quantile_interp(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(h.quantile_interp(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(h.quantile_interp(0.5), 5.5);
+  EXPECT_DOUBLE_EQ(h.quantile_interp(0.9), 5.9);
+  EXPECT_DOUBLE_EQ(h.quantile_interp(0.1), 5.1);
+  EXPECT_DOUBLE_EQ(h.quantile_interp(1.0), 6.0);
+  EXPECT_DOUBLE_EQ(h.quantile_interp(0.0), 5.0);
 }
 
 TEST(Histogram, InterpolatedQuantileConvergesOnUniformSamples) {
-  // Samples 0..99 on unit bins: the estimator tracks the exact quantile.
-  Histogram h(narrow(128));
-  for (int v = 0; v < 100; ++v) h.record(v);
-  EXPECT_NEAR(h.quantile_interp(0.50), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile_interp(0.90), 90.0, 1.0);
-  EXPECT_NEAR(h.quantile_interp(0.99), 99.0, 1.0);
+  // Samples 0..63 on unit bins: the estimator tracks the exact quantile.
+  Histogram h;
+  for (int v = 0; v < 64; ++v) h.record(v);
+  ASSERT_DOUBLE_EQ(h.bin_width(), 1.0);
+  EXPECT_NEAR(h.quantile_interp(0.50), 32.0, 1.0);
+  EXPECT_NEAR(h.quantile_interp(0.90), 57.6, 1.0);
+  EXPECT_NEAR(h.quantile_interp(0.99), 63.4, 1.0);
   // The interpolated value sits inside the nearest-rank quantile's bin.
   for (const double q : {0.25, 0.5, 0.75, 0.9, 0.99}) {
     const double coarse = h.quantile(q);
@@ -256,7 +209,7 @@ TEST(Histogram, InterpolatedQuantileConvergesOnUniformSamples) {
 }
 
 TEST(Histogram, InterpolatedQuantileSkipsEmptyBins) {
-  Histogram h(narrow(64));
+  Histogram h;
   for (int i = 0; i < 4; ++i) h.record(2.5);   // bin [2, 3).
   for (int i = 0; i < 4; ++i) h.record(40.5);  // bin [40, 41).
   // Median rank 4 completes inside the first occupied bin.
@@ -266,21 +219,21 @@ TEST(Histogram, InterpolatedQuantileSkipsEmptyBins) {
 }
 
 TEST(Histogram, InterpolatedQuantileOfEmptyHistogramIsZero) {
-  Histogram h(narrow(8));
+  Histogram h;
   EXPECT_DOUBLE_EQ(h.quantile_interp(0.5), 0.0);
 }
 
 TEST(Histogram, InterpolatedQuantilePinnedAndMonotoneAfterCoarsening) {
-  // 0..7 into 4 unit bins auto-coarsens to width 2: {[0,2):2, [2,4):2,
-  // [4,6):2, [6,8):2}. Interpolation must keep working on the coarsened
-  // grid with the same rank arithmetic as on the original one.
-  Histogram h(narrow(4));
-  for (int v = 0; v < 8; ++v) h.record(v);
+  // 0..127 into 64 unit bins auto-coarsens to width 2, two samples per
+  // bin. Interpolation must keep working on the coarsened grid with the
+  // same rank arithmetic as on the original one.
+  Histogram h;
+  for (int v = 0; v < 128; ++v) h.record(v);
   ASSERT_DOUBLE_EQ(h.bin_width(), 2.0);
-  EXPECT_DOUBLE_EQ(h.quantile_interp(0.25), 2.0);   // rank 2: top of bin 0.
-  EXPECT_DOUBLE_EQ(h.quantile_interp(0.375), 3.0);  // rank 3: mid bin 1.
-  EXPECT_DOUBLE_EQ(h.quantile_interp(0.5), 4.0);    // rank 4: top of bin 1.
-  EXPECT_DOUBLE_EQ(h.quantile_interp(1.0), 8.0);
+  EXPECT_DOUBLE_EQ(h.quantile_interp(2.0 / 128), 2.0);  // top of bin 0.
+  EXPECT_DOUBLE_EQ(h.quantile_interp(3.0 / 128), 3.0);  // mid bin 1.
+  EXPECT_DOUBLE_EQ(h.quantile_interp(0.5), 64.0);       // top of bin 31.
+  EXPECT_DOUBLE_EQ(h.quantile_interp(1.0), 128.0);
   // The estimator is monotone in q — the property that makes it usable as
   // a percentile curve — on this grid and within every coarse bin.
   double prev = h.quantile_interp(0.0);

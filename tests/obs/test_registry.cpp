@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ldcf/common/error.hpp"
-
 namespace ldcf::obs {
 namespace {
 
@@ -22,34 +20,24 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableReferences) {
   EXPECT_EQ(again.value(), 3u);
 }
 
-TEST(MetricsRegistry, GaugesAndHistogramsRegister) {
+TEST(MetricsRegistry, HistogramsRegister) {
   MetricsRegistry registry;
-  registry.gauge("load").set(0.75);
-  EXPECT_DOUBLE_EQ(registry.gauge("load").value(), 0.75);
-
-  HistogramOptions options;
-  options.max_bins = 8;
-  Histogram& h = registry.histogram("delay", options);
+  Histogram& h = registry.histogram("delay");
   h.record(3.0);
-  EXPECT_EQ(registry.histogram("delay", options).count(), 1u);
-
-  // Re-registration with different options is a programming error.
-  HistogramOptions different = options;
-  different.max_bins = 16;
-  EXPECT_THROW((void)registry.histogram("delay", different), InvalidArgument);
+  EXPECT_EQ(&registry.histogram("delay"), &h);
+  EXPECT_EQ(registry.histogram("delay").count(), 1u);
+  EXPECT_EQ(registry.histograms().size(), 1u);
 }
 
-TEST(MetricsRegistry, MergeAddsCountersKeepsMaxGaugeMergesHistograms) {
+TEST(MetricsRegistry, MergeAddsCountersAndMergesHistograms) {
   MetricsRegistry a;
   a.counter("shared").inc(3);
   a.counter("only_a").inc(1);
-  a.gauge("peak").set(2.0);
   a.histogram("delay").record(1.0);
 
   MetricsRegistry b;
   b.counter("shared").inc(4);
   b.counter("only_b").inc(7);
-  b.gauge("peak").set(5.0);
   b.histogram("delay").record(2.0);
   b.histogram("only_b_hist").record(9.0);
 
@@ -57,32 +45,23 @@ TEST(MetricsRegistry, MergeAddsCountersKeepsMaxGaugeMergesHistograms) {
   EXPECT_EQ(a.counter("shared").value(), 7u);
   EXPECT_EQ(a.counter("only_a").value(), 1u);
   EXPECT_EQ(a.counter("only_b").value(), 7u);  // created by the merge.
-  EXPECT_DOUBLE_EQ(a.gauge("peak").value(), 5.0);
   EXPECT_EQ(a.histogram("delay").count(), 2u);
   EXPECT_EQ(a.histogram("only_b_hist").count(), 1u);
-
-  // Merging the other way keeps the gauge maximum.
-  MetricsRegistry c;
-  c.gauge("peak").set(1.0);
-  a.merge(c);
-  EXPECT_DOUBLE_EQ(a.gauge("peak").value(), 5.0);
 }
 
 TEST(MetricsRegistry, MergeIntoEmptyCopiesEverything) {
   MetricsRegistry src;
   src.counter("n").inc(5);
-  src.gauge("g").set(-1.5);
-  HistogramOptions options;
-  options.bin_width = 2.0;
-  src.histogram("h", options).record(6.0);
+  src.histogram("h").record(600.0);  // coarsened to width 16.
 
   MetricsRegistry dst;
   dst.merge(src);
   EXPECT_EQ(dst.counter("n").value(), 5u);
-  EXPECT_DOUBLE_EQ(dst.gauge("g").value(), -1.5);
-  // The histogram was created with the source's options.
-  EXPECT_DOUBLE_EQ(dst.histogram("h", options).options().bin_width, 2.0);
-  EXPECT_EQ(dst.histogram("h", options).count(), 1u);
+  // The histogram arrives with the source's bins and width.
+  const Histogram& h = dst.histogram("h");
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_DOUBLE_EQ(h.bin_width(), 16.0);
+  EXPECT_EQ(h.bin_count(37), 1u);
 }
 
 TEST(MetricsRegistry, IterationIsNameOrdered) {

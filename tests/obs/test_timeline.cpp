@@ -44,18 +44,25 @@ TEST(Timeline, RecordsAppearInSnapshotInOrder) {
 }
 
 TEST(Timeline, RingKeepsLatestWindowAndCountsDrops) {
-  obs::TimelineOptions options;
-  options.span_capacity = 4;
-  obs::Timeline timeline(options);
-  for (std::uint64_t i = 0; i < 10; ++i) {
+  constexpr std::uint64_t kCap = obs::Timeline::kSpanCapacity;
+  obs::Timeline timeline;
+  // A full ring drops nothing...
+  for (std::uint64_t i = 0; i < kCap; ++i) {
+    timeline.lane().record_span(make_span("s", i, 1));
+  }
+  EXPECT_EQ(timeline.dropped_spans(), 0u);
+  // ...and one span past it (65,537 in all) overwrites the oldest.
+  timeline.lane().record_span(make_span("s", kCap, 1));
+  EXPECT_EQ(timeline.dropped_spans(), 1u);
+  for (std::uint64_t i = kCap + 1; i < kCap + 6; ++i) {
     timeline.lane().record_span(make_span("s", i, 1));
   }
   const auto lanes = timeline.snapshot();
   ASSERT_EQ(lanes.size(), 1u);
-  ASSERT_EQ(lanes[0].spans.size(), 4u);
-  // Oldest first within the surviving window: starts 6, 7, 8, 9.
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(lanes[0].spans[i].start_ns, 6 + i);
+  ASSERT_EQ(lanes[0].spans.size(), kCap);
+  // Oldest first within the surviving window: starts 6 .. kCap + 5.
+  for (std::uint64_t i = 0; i < kCap; ++i) {
+    ASSERT_EQ(lanes[0].spans[i].start_ns, 6 + i) << i;
   }
   EXPECT_EQ(lanes[0].dropped_spans, 6u);
   EXPECT_EQ(timeline.dropped_spans(), 6u);
@@ -149,18 +156,20 @@ TEST(Timeline, ChromeTraceHasEventsMetadataCountersAndSchema) {
 }
 
 TEST(Timeline, CounterRingDropsAreCountedSeparately) {
-  obs::TimelineOptions options;
-  options.counter_capacity = 2;
-  obs::Timeline timeline(options);
-  for (int i = 0; i < 5; ++i) {
+  constexpr std::size_t kCap = obs::Timeline::kCounterCapacity;
+  obs::Timeline timeline;
+  for (std::size_t i = 0; i < kCap + 3; ++i) {
     timeline.counter("t", static_cast<double>(i));
   }
   const auto lanes = timeline.snapshot();
   ASSERT_EQ(lanes.size(), 1u);
-  ASSERT_EQ(lanes[0].counters.size(), 2u);
+  ASSERT_EQ(lanes[0].counters.size(), kCap);
   EXPECT_DOUBLE_EQ(lanes[0].counters[0].value, 3.0);
-  EXPECT_DOUBLE_EQ(lanes[0].counters[1].value, 4.0);
+  EXPECT_DOUBLE_EQ(lanes[0].counters[kCap - 1].value,
+                   static_cast<double>(kCap + 2));
   EXPECT_EQ(lanes[0].dropped_counters, 3u);
+  EXPECT_EQ(lanes[0].dropped_spans, 0u);
+  EXPECT_EQ(timeline.dropped_spans(), 0u);
 }
 
 }  // namespace

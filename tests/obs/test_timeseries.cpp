@@ -58,21 +58,8 @@ TEST(TimeSeriesOptions, ValidateRejectsOutOfRangeKnobs) {
   EXPECT_THROW(obs::validate(options), InvalidArgument);
   options.top_k = 65537;
   EXPECT_THROW(obs::validate(options), InvalidArgument);
-  options = {};
-  options.max_windows = 1;
-  EXPECT_THROW(obs::validate(options), InvalidArgument);
-  options = {};
-  options.heat_cell = -1.0;
-  EXPECT_THROW(obs::validate(options), InvalidArgument);
-  options = {};
-  options.spike_factor = -0.5;
-  EXPECT_THROW(obs::validate(options), InvalidArgument);
-  options = {};
-  options.spike_baseline_windows = 0;
-  EXPECT_THROW(obs::validate(options), InvalidArgument);
-  options = {};
-  options.outlier_sigma = -3.0;
-  EXPECT_THROW(obs::validate(options), InvalidArgument);
+  options.top_k = 65536;
+  EXPECT_NO_THROW(obs::validate(options));
 }
 
 TEST(TimeSeries, EventsLandInTheirWindows) {
@@ -163,18 +150,33 @@ TEST(TimeSeries, AutoCoarseningPreservesSumsAndCapsWindowCount) {
   const topology::Topology topo = line_topology(3);
   obs::TimeSeriesOptions options;
   options.window_slots = 1;
-  options.max_windows = 4;
   obs::TimeSeriesObserver observer(topo, options);
-  for (SlotIndex t = 0; t < 16; ++t) observer.on_generate(0, t);
-
   const obs::TimeSeries& series = observer.series();
-  EXPECT_LE(series.windows.size(), 4u);
+  const SlotIndex cap = obs::kMaxWindows;
+
+  // Exactly kMaxWindows one-slot windows fit without coarsening...
+  for (SlotIndex t = 0; t < cap; ++t) observer.on_generate(0, t);
+  EXPECT_EQ(series.window_slots, 1u);
+  EXPECT_EQ(series.windows.size(), cap);
+  // ...and the next slot doubles the width, pairwise-merging windows.
+  observer.on_generate(0, cap);
+  EXPECT_EQ(series.window_slots, 2u);
+  EXPECT_EQ(series.windows.size(), cap / 2 + 1);
+  EXPECT_EQ(series.windows[0].generated, 2u);  // slots 0 and 1.
+  EXPECT_EQ(series.windows[cap / 2].generated, 1u);
+
+  for (SlotIndex t = cap + 1; t < 4 * cap; ++t) observer.on_generate(0, t);
+  EXPECT_EQ(series.windows.size(), cap);
   EXPECT_EQ(series.base_window_slots, 1u);
   EXPECT_EQ(series.window_slots, 4u);  // doubled twice past the cap.
   std::uint64_t total = 0;
-  for (const auto& w : series.windows) total += w.generated;
-  EXPECT_EQ(total, 16u);
-  EXPECT_EQ(series.windows[0].generated, 4u);  // slots 0..3 pairwise-merged.
+  std::size_t uneven = 0;  // every window now spans 4 generating slots.
+  for (const auto& w : series.windows) {
+    total += w.generated;
+    if (w.generated != 4) ++uneven;
+  }
+  EXPECT_EQ(total, 4 * cap);
+  EXPECT_EQ(uneven, 0u);
 }
 
 TEST(TimeSeries, MergeIsOrderIndependentAndAlignsWidths) {
@@ -228,6 +230,7 @@ TEST(TimeSeries, CoverageStallRuleFindsMaximalStreaks) {
   obs::TimeSeries series;
   series.base_window_slots = series.window_slots = 100;
   series.trials = 1;
+  static_assert(obs::kStallWindows == 8);
   series.windows.resize(12);
   series.windows[0].generated = 5;
   series.windows[0].new_holders = 3;
@@ -235,20 +238,17 @@ TEST(TimeSeries, CoverageStallRuleFindsMaximalStreaks) {
   series.windows[9].covered = 1;
   series.windows[9].new_holders = 2;
 
-  obs::TimeSeriesOptions options;
-  options.stall_windows = 8;
-  options.spike_factor = 0.0;   // isolate the stall rule.
-  options.outlier_sigma = 0.0;
-  const auto found = obs::evaluate_anomalies(series, options, nullptr);
+  // No window has attempts, so the spike rule stays out of the way.
+  const auto found = obs::evaluate_anomalies(series, nullptr);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].rule, "coverage_stall");
   EXPECT_EQ(found[0].start_slot, 100u);  // window 1.
   EXPECT_EQ(found[0].value, 8.0);
+  EXPECT_EQ(found[0].baseline, 8.0);
 
-  options.stall_windows = 9;  // streak too short now.
-  EXPECT_TRUE(obs::evaluate_anomalies(series, options, nullptr).empty());
-  options.stall_windows = 0;  // rule disabled.
-  EXPECT_TRUE(obs::evaluate_anomalies(series, options, nullptr).empty());
+  // Progress in window 8 cuts the streak to 7 windows: too short.
+  series.windows[8].new_holders = 1;
+  EXPECT_TRUE(obs::evaluate_anomalies(series, nullptr).empty());
 
   // A trailing stall (no progress window after it) must still flush.
   obs::TimeSeries trailing;
@@ -256,8 +256,7 @@ TEST(TimeSeries, CoverageStallRuleFindsMaximalStreaks) {
   trailing.trials = 1;
   trailing.windows.resize(10);
   trailing.windows[0].generated = 1;
-  options.stall_windows = 8;
-  const auto tail = obs::evaluate_anomalies(trailing, options, nullptr);
+  const auto tail = obs::evaluate_anomalies(trailing, nullptr);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].value, 9.0);  // windows 1..9.
 }
@@ -274,12 +273,8 @@ TEST(TimeSeries, CollisionSpikeRuleComparesAgainstTrailingBaseline) {
   series.windows[5].channel.attempts = 100;
   series.windows[5].channel.collisions = 40;  // 40% > 4 x 5%.
 
-  obs::TimeSeriesOptions options;
-  options.stall_windows = 0;
-  options.outlier_sigma = 0.0;
-  options.spike_factor = 4.0;
-  options.spike_min_attempts = 64;
-  const auto found = obs::evaluate_anomalies(series, options, nullptr);
+  // Nothing is generated, so the stall rule stays out of the way.
+  const auto found = obs::evaluate_anomalies(series, nullptr);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].rule, "collision_spike");
   EXPECT_EQ(found[0].start_slot, 500u);
@@ -290,13 +285,15 @@ TEST(TimeSeries, CollisionSpikeRuleComparesAgainstTrailingBaseline) {
   obs::TimeSeries quiet = series;
   for (std::size_t i = 0; i < 5; ++i) quiet.windows[i].channel.collisions = 0;
   quiet.windows[5].channel.collisions = 49;
-  EXPECT_TRUE(obs::evaluate_anomalies(quiet, options, nullptr).empty());
+  EXPECT_TRUE(obs::evaluate_anomalies(quiet, nullptr).empty());
   quiet.windows[5].channel.collisions = 50;
-  EXPECT_EQ(obs::evaluate_anomalies(quiet, options, nullptr).size(), 1u);
+  EXPECT_EQ(obs::evaluate_anomalies(quiet, nullptr).size(), 1u);
 
-  // Below min attempts the rule stays silent.
-  series.windows[5].channel.attempts = 50;
-  EXPECT_TRUE(obs::evaluate_anomalies(series, options, nullptr).empty());
+  // Below kSpikeMinAttempts (64) the rule stays silent.
+  series.windows[5].channel.attempts = 63;
+  EXPECT_TRUE(obs::evaluate_anomalies(series, nullptr).empty());
+  series.windows[5].channel.attempts = 64;
+  EXPECT_EQ(obs::evaluate_anomalies(series, nullptr).size(), 1u);
 }
 
 TEST(TimeSeries, EnergyOutlierRuleNeedsEnoughNodesAndSpread) {
@@ -305,23 +302,27 @@ TEST(TimeSeries, EnergyOutlierRuleNeedsEnoughNodesAndSpread) {
   series.base_window_slots = series.window_slots = 100;
   obs::NetMap map;
   map.trials = 1;
-  map.nodes.resize(9);
-  for (std::size_t n = 0; n < 8; ++n) map.nodes[n].energy = 100.0;
-  map.nodes[8].energy = 5000.0;
+  // One hot node among 16: its z-score is sqrt(15) ~ 3.9 > 3 sigma.
+  map.nodes.resize(16);
+  for (std::size_t n = 0; n < 15; ++n) map.nodes[n].energy = 100.0;
+  map.nodes[15].energy = 5000.0;
 
-  obs::TimeSeriesOptions options;
-  options.stall_windows = 0;
-  options.spike_factor = 0.0;
-  options.outlier_sigma = 2.0;
-  const auto found = obs::evaluate_anomalies(series, options, &map);
+  const auto found = obs::evaluate_anomalies(series, &map);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].rule, "energy_outlier");
   EXPECT_DOUBLE_EQ(found[0].value, 5000.0);
-  EXPECT_NE(found[0].message.find("node 8"), std::string::npos);
+  EXPECT_NE(found[0].message.find("node 15"), std::string::npos);
+  EXPECT_NE(found[0].message.find("at 3 sigma"), std::string::npos);
+
+  // Among 9 nodes the same spread is only sqrt(8) ~ 2.8 sigma.
+  map.nodes.resize(9);
+  map.nodes[8].energy = 5000.0;
+  EXPECT_TRUE(obs::evaluate_anomalies(series, &map).empty());
 
   map.nodes.resize(7);  // below the 8-node floor.
-  EXPECT_TRUE(obs::evaluate_anomalies(series, options, &map).empty());
-  EXPECT_TRUE(obs::evaluate_anomalies(series, options, nullptr).empty());
+  map.nodes[6].energy = 1e9;
+  EXPECT_TRUE(obs::evaluate_anomalies(series, &map).empty());
+  EXPECT_TRUE(obs::evaluate_anomalies(series, nullptr).empty());
 }
 
 TEST(NetMap, TopLinksRankByContentionWithDeterministicTies) {
@@ -353,14 +354,13 @@ TEST(NetMap, TopLinksRankByContentionWithDeterministicTies) {
 
 TEST(NetMap, ObserverBinsNodesOntoTheHeatGrid) {
   const topology::Topology topo = line_topology(8);
-  obs::TimeSeriesOptions options;
-  options.heat_cell = 20.0;  // two nodes per cell along the line.
-  obs::TimeSeriesObserver observer(topo, options);
+  obs::TimeSeriesObserver observer(topo);
   observer.on_tx_result(unicast(0, 1, sim::TxOutcome::kDelivered), 0);
   observer.on_tx_result(unicast(7, 6, sim::TxOutcome::kLostChannel, false), 0);
 
   const obs::NetMap& map = observer.netmap();
   EXPECT_EQ(map.nodes.size(), 8u);
+  EXPECT_DOUBLE_EQ(map.cell_size, 70.0 / 24.0);  // long side / 24.
   std::uint64_t binned = 0;
   for (const auto& cell : map.cells) binned += cell.nodes;
   EXPECT_EQ(binned, 8u);  // every node lands in exactly one cell.
@@ -439,10 +439,9 @@ TEST(MultiObserverStack, WatchdogDiagnosticCarriesSeriesCauses) {
   const topology::Topology topo = line_topology(4);
   obs::TimeSeriesOptions options;
   options.window_slots = 10;
-  options.stall_windows = 4;
   obs::TimeSeriesObserver series(topo, options);
   obs::WatchdogConfig config;
-  config.stall_slot_budget = 80;
+  config.stall_slot_budget = 120;  // trips with windows 1..12 stalled.
   obs::WatchdogObserver watchdog(config);
   watchdog.set_cause_source(&series);
 

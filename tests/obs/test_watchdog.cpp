@@ -27,6 +27,8 @@ TEST(Watchdog, SlotBudgetTripsAfterSilentSlots) {
   obs::WatchdogConfig config;
   config.stall_slot_budget = 10;
   obs::WatchdogObserver watchdog(config);
+  // Failed transmissions are not progress, but the diagnostic counts them.
+  for (int i = 0; i < 3; ++i) watchdog.on_tx_result(failed_tx(), 0);
   try {
     for (SlotIndex t = 0; t < 100; ++t) watchdog.on_slot_begin(t, {});
     FAIL() << "expected WatchdogError";
@@ -34,6 +36,8 @@ TEST(Watchdog, SlotBudgetTripsAfterSilentSlots) {
     EXPECT_EQ(error.diagnostic().invariant, "stall");
     EXPECT_EQ(error.diagnostic().slots_since_progress, 11u);
     EXPECT_EQ(error.diagnostic().slot, 10u);
+    EXPECT_EQ(error.diagnostic().tx_attempts, 3u);
+    EXPECT_EQ(error.diagnostic().tx_failures, 3u);
   }
 }
 
@@ -60,46 +64,11 @@ TEST(Watchdog, CoverageMovingBackwardsTripsMonotonic) {
   }
 }
 
-TEST(Watchdog, FailureRateDriftTripsOnceArmed) {
-  obs::WatchdogConfig config;
-  config.max_failure_rate = 0.5;
-  config.min_attempts = 20;
-  obs::WatchdogObserver watchdog(config);
-  // 19 straight failures: rate 1.0, but below min_attempts — still armed.
-  for (int i = 0; i < 19; ++i) watchdog.on_tx_result(failed_tx(), 1);
-  try {
-    watchdog.on_tx_result(failed_tx(), 2);
-    FAIL() << "expected WatchdogError";
-  } catch (const obs::WatchdogError& error) {
-    EXPECT_EQ(error.diagnostic().invariant, "drift");
-    EXPECT_EQ(error.diagnostic().tx_attempts, 20u);
-    EXPECT_EQ(error.diagnostic().tx_failures, 20u);
-  }
-}
-
 TEST(Watchdog, NegativeEnergyTripsRunEnd) {
   obs::WatchdogObserver watchdog(obs::WatchdogConfig{});
   sim::SimResult result;
   result.energy.per_node = {1.0, -0.5};
   EXPECT_THROW(watchdog.on_run_end(result), obs::WatchdogError);
-}
-
-TEST(Watchdog, TruncationTripsOnlyWhenOptedIn) {
-  sim::SimResult result;
-  result.metrics.truncated = true;
-  {
-    obs::WatchdogObserver relaxed(obs::WatchdogConfig{});
-    relaxed.on_run_end(result);  // default: truncation is not a failure.
-  }
-  obs::WatchdogConfig strict;
-  strict.fail_on_truncation = true;
-  obs::WatchdogObserver watchdog(strict);
-  try {
-    watchdog.on_run_end(result);
-    FAIL() << "expected WatchdogError";
-  } catch (const obs::WatchdogError& error) {
-    EXPECT_EQ(error.diagnostic().invariant, "run_end");
-  }
 }
 
 TEST(Watchdog, HealthReportIsSchemaStampedJson) {
@@ -136,8 +105,6 @@ TEST(Watchdog, HealthyRunPassesUnderTightScrutiny) {
 
   obs::WatchdogConfig watchdog_config;
   watchdog_config.stall_slot_budget = 1u << 20;
-  watchdog_config.max_failure_rate = 0.999;
-  watchdog_config.min_attempts = 100;
   obs::WatchdogObserver watchdog(watchdog_config);
 
   const auto proto = protocols::make_protocol("dbao");

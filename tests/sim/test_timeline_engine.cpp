@@ -29,9 +29,9 @@ namespace {
 
 using namespace ldcf;
 
-topology::Topology small_topology() {
+topology::Topology small_topology(std::uint32_t sensors = 60) {
   topology::ClusterConfig config;
-  config.base.num_sensors = 60;
+  config.base.num_sensors = sensors;
   config.base.area_side_m = 260.0;
   config.base.radio.path_loss_exponent = 3.3;
   config.base.seed = 5;
@@ -96,9 +96,13 @@ TEST(TimelineEngine, TracingOnIsBitIdenticalForEveryProtocol) {
 // [25%, 110%] of its profiler total, for stages big enough that scheduling
 // noise cannot dominate — is the looser form of the same contract.
 TEST(TimelineEngine, SpanSumsTrackProfilerStageTotals) {
-  const topology::Topology topo = small_topology();
+  // Sized so that several stages clear both gates below (0.2 ms in total,
+  // 0.5 us per call) by a wide margin even on a fast host; nearer the gates,
+  // whether any stage gets compared depends on the host's speed.
+  const topology::Topology topo = small_topology(200);
   obs::Timeline timeline;
   sim::SimConfig config = base_config();
+  config.num_packets = 24;
   config.profiling = true;
   config.timeline = &timeline;
   const auto proto = protocols::make_protocol("dbao");

@@ -118,10 +118,12 @@ void expect_same_netmap(const obs::NetMap& a, const obs::NetMap& b,
 }
 
 /// Run `protocol` under `config` twice — dense and compact — each with a
-/// fresh TimeSeriesObserver, and require identical telemetry.
+/// fresh TimeSeriesObserver, and require identical telemetry. A non-null
+/// `dense_series` receives the dense run's series.
 void run_differential(const topology::Topology& topo, sim::SimConfig config,
                       const std::string& protocol,
-                      const obs::TimeSeriesOptions& options) {
+                      const obs::TimeSeriesOptions& options,
+                      obs::TimeSeries* dense_series = nullptr) {
   obs::TimeSeriesOptions series_options = options;
   series_options.energy = config.energy;
 
@@ -146,6 +148,7 @@ void run_differential(const topology::Topology& topo, sim::SimConfig config,
 
   expect_same_series(dense.series(), compact.series(), protocol);
   expect_same_netmap(dense.netmap(), compact.netmap(), protocol);
+  if (dense_series != nullptr) *dense_series = dense.take_series();
 }
 
 TEST(TimeSeriesDifferential, AllProtocolsDenseVsCompact) {
@@ -182,16 +185,21 @@ TEST(TimeSeriesDifferential, PerturbedConfigsWithNodeKills) {
 }
 
 TEST(TimeSeriesDifferential, TinyWindowsForceCoarsening) {
-  // window_slots=1 with a small cap: the observer coarsens repeatedly
-  // mid-run on both paths and must still agree bit-for-bit.
+  // window_slots=1 over a run of more than 2 x kMaxWindows slots: the
+  // observer coarsens twice mid-run on both paths (inside idle gaps on the
+  // compact one) and must still agree bit-for-bit.
   const topology::Topology topo = small_topology(3, 40);
   sim::SimConfig config;
   config.num_packets = 6;
+  config.packet_spacing = 30'000;  // the last packet enters at slot 150k.
   config.seed = 17;
   obs::TimeSeriesOptions options;
   options.window_slots = 1;
-  options.max_windows = 8;
-  run_differential(topo, config, "opt", options);
+  obs::TimeSeries series;
+  run_differential(topo, config, "opt", options, &series);
+  EXPECT_GT(series.end_slot, 2 * obs::kMaxWindows);
+  EXPECT_EQ(series.window_slots, 4u);
+  EXPECT_LE(series.windows.size(), obs::kMaxWindows);
 }
 
 TEST(TimeSeriesDifferential, ExperimentMergeIsThreadCountInvariant) {

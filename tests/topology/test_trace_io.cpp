@@ -213,6 +213,22 @@ TEST(TraceIo, DotExportContainsNodesAndEdges) {
   EXPECT_LT(strong_gray, weak_gray);
 }
 
+TEST(TraceIo, DotExportDrawsOneWayLinksToLowerIds) {
+  // Node 1 reaches both neighbours, neither answers: the pair {0, 1} is
+  // drawn from its lower id although only 1 -> 0 exists.
+  std::stringstream trace(
+      "# ldcf-trace v1\nnode,0,0,0\nnode,1,10,0\nnode,2,20,0\n"
+      "link,1,0,0.75\nlink,1,2,0.25\n");
+  const Topology topo = read_trace(trace);
+  std::stringstream stream;
+  write_dot(topo, stream);
+  const std::string dot = stream.str();
+  EXPECT_NE(dot.find("  0 -- 1 [color=gray30];\n"), std::string::npos) << dot;
+  EXPECT_NE(dot.find("  1 -- 2 [color=gray70];\n"), std::string::npos) << dot;
+  EXPECT_EQ(dot.find("1 -- 0"), std::string::npos);
+  EXPECT_EQ(dot.find("2 -- 1"), std::string::npos);
+}
+
 TEST(TraceIo, DotFileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/ldcf_dot_test.dot";
   write_dot_file(make_greenorbs_like(2), path);
