@@ -1,7 +1,7 @@
 // Minimal streaming JSON emitter with comma/nesting management and string
 // escaping. The single JSON writer behind every machine-readable artifact
 // the project emits: run/sweep reports (obs/report.hpp, analysis/report.hpp),
-// the bench harness, Chrome trace_event timelines (trace_event_writer.hpp),
+// the bench harness, Chrome trace_event timelines (timeline.hpp),
 // watchdog health diagnostics, and heartbeat JSONL records.
 //
 // Lives in the telemetry core (no dependency on sim/), so low-level

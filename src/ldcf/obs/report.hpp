@@ -8,8 +8,8 @@
 // delay CDF and check it against Theorems 1-2 (EXPERIMENTS.md shows how).
 //
 // The JSON plumbing (JsonWriter) lives in obs/json_writer.hpp so that
-// telemetry-core code (timeline, trace_event_writer) can serialize without
-// depending on sim/.
+// telemetry-core code (the timeline) can serialize without depending on
+// sim/.
 //
 // Schema (`ldcf.run_report.v2`): top-level keys `schema`, `tool`,
 // `provenance`, `config`, `topology`, `result`, `profiler`, `metrics`.

@@ -4,9 +4,10 @@
 #include <atomic>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "ldcf/obs/atomic_file.hpp"
-#include "ldcf/obs/trace_event_writer.hpp"
+#include "ldcf/obs/json_writer.hpp"
 
 namespace ldcf::obs {
 
@@ -27,6 +28,58 @@ thread_local LaneCache t_lane_cache;
 std::uint64_t next_timeline_id() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+constexpr double kNsToUs = 1e-3;  // trace_event timestamps are microseconds.
+
+// Opens one trace event: its phase, the single process, the lane's tid.
+void event_header(JsonWriter& json, std::string_view ph, std::uint32_t tid) {
+  json.begin_object();
+  json.field("ph", ph);
+  json.field("pid", std::uint64_t{1});
+  json.field("tid", static_cast<std::uint64_t>(tid));
+}
+
+// ph "M" thread_name metadata: names lane `tid` in the trace UI.
+void write_thread_name(JsonWriter& json, std::uint32_t tid,
+                       std::string_view name) {
+  event_header(json, "M", tid);
+  json.field("name", "thread_name");
+  json.key("args");
+  json.begin_object();
+  json.field("name", name);
+  json.end_object();
+  json.end_object();
+}
+
+// ph "X" complete event for one finished span.
+void write_span(JsonWriter& json, std::uint32_t tid, const SpanRecord& span) {
+  event_header(json, "X", tid);
+  json.field("name", span.name != nullptr ? span.name : "?");
+  json.field("cat", span.category != nullptr ? span.category : "ldcf");
+  json.field("ts", static_cast<double>(span.start_ns) * kNsToUs);
+  json.field("dur", static_cast<double>(span.dur_ns) * kNsToUs);
+  if (span.arg0_name != nullptr || span.arg1_name != nullptr) {
+    json.key("args");
+    json.begin_object();
+    if (span.arg0_name != nullptr) json.field(span.arg0_name, span.arg0);
+    if (span.arg1_name != nullptr) json.field(span.arg1_name, span.arg1);
+    json.end_object();
+  }
+  json.end_object();
+}
+
+// ph "C" counter sample.
+void write_counter(JsonWriter& json, std::uint32_t tid,
+                   const CounterRecord& counter) {
+  event_header(json, "C", tid);
+  json.field("name", counter.track != nullptr ? counter.track : "?");
+  json.field("ts", static_cast<double>(counter.ts_ns) * kNsToUs);
+  json.key("args");
+  json.begin_object();
+  json.field("value", counter.value);
+  json.end_object();
+  json.end_object();
 }
 
 }  // namespace
@@ -67,11 +120,6 @@ void Timeline::label_current_thread(std::string label) {
   Lane& mine = lane();
   const std::lock_guard<std::mutex> lock(mutex_);
   mine.label_ = std::move(label);
-}
-
-std::size_t Timeline::num_lanes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return lanes_.size();
 }
 
 std::vector<Timeline::LaneView> Timeline::snapshot() const {
@@ -119,16 +167,30 @@ std::uint64_t Timeline::dropped_spans() const {
   return dropped;
 }
 
+// The "JSON Array Format" inside a {"traceEvents": [...]} envelope, as
+// Perfetto and chrome://tracing read it: per lane its thread_name, spans
+// and counters, all under pid 1 with the lane id as tid; then the schema
+// stamp and the ring drop count.
 void Timeline::write_chrome_trace(std::ostream& out) const {
-  TraceEventWriter writer(out);
+  JsonWriter json(out);
+  json.begin_object();
+  json.key("traceEvents");
+  json.begin_array();
   for (const auto& view : snapshot()) {
-    writer.thread_metadata(view.tid, view.label);
-    for (const auto& span : view.spans) writer.complete_event(view.tid, span);
+    write_thread_name(json, view.tid, view.label);
+    for (const auto& span : view.spans) write_span(json, view.tid, span);
     for (const auto& counter : view.counters) {
-      writer.counter_event(view.tid, counter);
+      write_counter(json, view.tid, counter);
     }
   }
-  writer.finish(dropped_spans());
+  json.end_array();
+  json.field("displayTimeUnit", "ms");
+  json.key("otherData");
+  json.begin_object();
+  json.field("schema", "ldcf.timeline.v1");
+  json.field("dropped_records", dropped_spans());
+  json.end_object();
+  json.end_object();
 }
 
 void Timeline::write_chrome_trace_file(const std::string& path) const {

@@ -10,7 +10,7 @@
 // CounterRecords. The engine's stage spans come from the same probe as the
 // stage totals (StageProfiler::Scope); TimelineSpan below covers the
 // regions outside the slot loop (trials, reductions). The whole capture
-// flushes to Chrome trace_event JSON (trace_event_writer.hpp) loadable in
+// flushes to Chrome trace_event JSON (write_chrome_trace) loadable in
 // Perfetto / chrome://tracing.
 //
 // Concurrency model — single-producer lanes, quiescent flush:
@@ -47,8 +47,6 @@
 #include <vector>
 
 namespace ldcf::obs {
-
-class TraceEventWriter;
 
 /// A raw steady-clock reading in nanoseconds: the clock behind every span,
 /// stage timing, heartbeat and watchdog wall budget.
@@ -155,8 +153,6 @@ class Timeline {
     rec.value = value;
     lane().record_counter(rec);
   }
-
-  [[nodiscard]] std::size_t num_lanes() const;
 
   /// Copy out every lane's records in chronological (recording) order.
   /// Quiescence required: no thread may be recording during the call.

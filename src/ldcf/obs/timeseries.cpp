@@ -8,6 +8,7 @@
 #include "ldcf/common/error.hpp"
 #include "ldcf/obs/atomic_file.hpp"
 #include "ldcf/obs/report.hpp"
+#include "ldcf/schedule/calendar_queue.hpp"
 #include "ldcf/topology/geometry.hpp"
 #include "ldcf/topology/spatial_hash.hpp"
 
@@ -22,25 +23,6 @@ constexpr std::size_t kOutlierMinNodes = 8;
 std::uint64_t link_key(NodeId sender, NodeId receiver) {
   return (static_cast<std::uint64_t>(sender) << 32) |
          static_cast<std::uint64_t>(receiver);
-}
-
-/// Sum of live[(s % period)] over s in [from, to): whole periods contribute
-/// the full phase sum, the residual contributes the phases it actually
-/// touches. O(period) — this is the same closed form the engine uses to
-/// settle skipped_by_phase_, re-derived per window so windowed listen
-/// accounting matches dense execution bit for bit.
-std::uint64_t listens_in(SlotIndex from, SlotIndex to,
-                         std::span<const std::uint64_t> live_by_phase) {
-  const auto period = static_cast<std::uint64_t>(live_by_phase.size());
-  std::uint64_t total = 0;
-  for (const std::uint64_t l : live_by_phase) total += l;
-  const std::uint64_t count = to - from;
-  std::uint64_t sum = (count / period) * total;
-  const std::uint64_t rem = count % period;
-  for (std::uint64_t i = 0; i < rem; ++i) {
-    sum += live_by_phase[(from + i) % period];
-  }
-  return sum;
 }
 
 }  // namespace
@@ -445,14 +427,20 @@ void TimeSeriesObserver::on_idle_gap(
     SlotIndex from, SlotIndex to,
     std::span<const std::uint64_t> live_by_phase) {
   // Settle the gap's listen account window by window: each overlapped
-  // window gets the closed-form phase sum of its slice of [from, to).
-  // window_at may coarsen mid-loop, so the width is re-read per iteration.
+  // window gets the live listeners of every phase in its slice of
+  // [from, to), in the engine's closed form, so windowed listen accounting
+  // matches dense execution bit for bit. window_at may coarsen mid-loop,
+  // so the width is re-read per iteration.
+  const auto period = static_cast<std::uint32_t>(live_by_phase.size());
   SlotIndex a = from;
   while (a < to) {
     SeriesWindow& w = window_at(a);
     const std::uint64_t width = series_.window_slots;
     const SlotIndex b = std::min<SlotIndex>(to, (a / width + 1) * width);
-    w.listen_slots += listens_in(a, b, live_by_phase);
+    schedule::for_each_phase_in(
+        period, a, b, [&](std::uint32_t phase, std::uint64_t count) {
+          w.listen_slots += count * live_by_phase[phase];
+        });
     a = b;
   }
   if (to > series_.end_slot) {

@@ -47,10 +47,6 @@ class PhaseCalendar {
     total_ -= k;
   }
 
-  [[nodiscard]] std::uint64_t count_at(std::uint32_t phase) const {
-    return counts_[phase];
-  }
-
   [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] bool empty() const { return total_ == 0; }
 
@@ -72,5 +68,28 @@ class PhaseCalendar {
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };
+
+/// Visit every phase (slot mod `period`) that occurs in the slots
+/// [from, to), as visit(phase, count) with count = how many slots of the
+/// range have that phase; nothing when to <= from. Whole periods add the
+/// same count to every phase, so this is O(min(to - from, period)). The
+/// compact-time fast-forward settles skipped gaps with it: the engine's
+/// per-phase skip counters and the time series' windowed listen tally.
+template <typename Visit>
+void for_each_phase_in(std::uint32_t period, SlotIndex from, SlotIndex to,
+                       Visit&& visit) {
+  if (to <= from) return;
+  const SlotIndex gap = to - from;
+  const std::uint64_t whole = gap / period;
+  const SlotIndex rem = gap % period;
+  // After the whole periods, the residual rem slots touch the rem phases
+  // starting at from's phase, wrapping at most once.
+  const SlotIndex visits = whole > 0 ? period : rem;
+  auto phase = static_cast<std::uint32_t>(from % period);
+  for (SlotIndex i = 0; i < visits; ++i) {
+    visit(phase, whole + (i < rem ? 1 : 0));
+    if (++phase == period) phase = 0;
+  }
+}
 
 }  // namespace ldcf::schedule

@@ -95,35 +95,6 @@ SlotIndex ScheduleSet::next_active_slot(NodeId n, SlotIndex t) const {
   return t + (duty_.period - phase) + slots.front();
 }
 
-std::uint64_t ScheduleSet::active_count_in(NodeId n, SlotIndex from,
-                                           SlotIndex to) const {
-  const std::span<const std::uint32_t> slots = active_slots(n);
-  if (to <= from) return 0;
-  // Count per active phase: occurrences of phase p in [from, to) equal
-  // floor((to - 1 - p') / T) - floor((from - 1 - p') / T) for any anchor,
-  // but the simplest exact form counts whole periods plus the partial tail.
-  const auto period = static_cast<SlotIndex>(duty_.period);
-  const SlotIndex span = to - from;
-  const SlotIndex whole = span / period;
-  const SlotIndex rem = span % period;
-  const auto start_phase = static_cast<std::uint32_t>(from % period);
-  std::uint64_t count = whole * static_cast<std::uint64_t>(slots.size());
-  for (const std::uint32_t p : slots) {
-    // Phase p falls in the residual window [from + whole*T, to) iff its
-    // offset from start_phase (mod T) is below rem.
-    const SlotIndex offset = p >= start_phase
-                                 ? p - start_phase
-                                 : period - start_phase + p;
-    if (offset < rem) ++count;
-  }
-  return count;
-}
-
-std::vector<NodeId> ScheduleSet::active_nodes(SlotIndex t) const {
-  const std::span<const NodeId> nodes = active_nodes_at(t);
-  return {nodes.begin(), nodes.end()};
-}
-
 std::span<const NodeId> ScheduleSet::active_nodes_at(SlotIndex t) const {
   const std::size_t phase = t % duty_.period;
   return {bucket_nodes_.data() + bucket_offsets_[phase],

@@ -79,19 +79,8 @@ class ScheduleSet {
   /// synchronization; the gap t' - t is the sleep latency.
   [[nodiscard]] SlotIndex next_active_slot(NodeId n, SlotIndex t) const;
 
-  /// Number of slots in [from, to) at which node `n` is active, computed in
-  /// closed form from the periodic schedule (O(k), no per-slot scan). This
-  /// is the fast-forward primitive: the engine's compact-time loop uses it
-  /// to settle per-slot accounting across a skipped gap exactly.
-  [[nodiscard]] std::uint64_t active_count_in(NodeId n, SlotIndex from,
-                                              SlotIndex to) const;
-
-  /// Nodes active in slot `t`, ascending by id.
-  [[nodiscard]] std::vector<NodeId> active_nodes(SlotIndex t) const;
-
-  /// Allocation-free view of the nodes active in slot `t` (ascending by
-  /// id), valid as long as the ScheduleSet lives. The engine's slot loop
-  /// uses this to iterate the phase bucket without copying it.
+  /// Nodes active in slot `t`, ascending by id: a view of the phase
+  /// bucket, valid as long as the ScheduleSet lives.
   [[nodiscard]] std::span<const NodeId> active_nodes_at(SlotIndex t) const;
 
   /// Expected sleep latency (slots) from a uniformly random instant to a

@@ -63,19 +63,11 @@ class ArtifactCache {
   /// allocation limit.
   explicit ArtifactCache(std::size_t budget_bytes);
 
-  /// Look up (kind, key); on a miss run `build` (outside the cache lock)
-  /// and insert its result with the size it reports. Concurrent fetches of
-  /// the same key wait for the in-flight build instead of duplicating it.
-  /// A build that throws wakes the waiters (they retry the build) and
+  /// Look up (kind, key); on a miss build T via `make` (outside the cache
+  /// lock) and insert it with `bytes(value)` as its size. Concurrent gets
+  /// of the same key wait for the in-flight build instead of duplicating
+  /// it. A build that throws wakes the waiters (they retry the build) and
   /// propagates the exception to its own caller.
-  using Builder =
-      std::function<std::shared_ptr<const void>(std::size_t& bytes)>;
-  [[nodiscard]] std::shared_ptr<const void> fetch(const std::string& kind,
-                                                  std::uint64_t key,
-                                                  const Builder& build);
-
-  /// Typed convenience over fetch(): builds T via `make` and reports
-  /// `bytes(value)` as its size.
   template <typename T, typename Make, typename Bytes>
   [[nodiscard]] std::shared_ptr<const T> get(const std::string& kind,
                                              std::uint64_t key, Make&& make,
@@ -91,6 +83,13 @@ class ArtifactCache {
   [[nodiscard]] CacheStats stats() const;
 
  private:
+  // The type-erased lookup behind get().
+  using Builder =
+      std::function<std::shared_ptr<const void>(std::size_t& bytes)>;
+  [[nodiscard]] std::shared_ptr<const void> fetch(const std::string& kind,
+                                                  std::uint64_t key,
+                                                  const Builder& build);
+
   using Key = std::pair<std::string, std::uint64_t>;
 
   struct Entry {

@@ -87,10 +87,6 @@ analysis::ExperimentConfig make_experiment(const JobSpec& spec) {
   experiment.base.seed = spec.seed;
   experiment.base.max_slots = spec.max_slots;
   experiment.base.coverage_fraction = spec.coverage_fraction;
-  // The determinism contract: identical jobs produce byte-identical
-  // reports, so wall-clock-dependent stage profiling stays off whatever
-  // the build default is.
-  experiment.base.profiling = false;
   experiment.repetitions = spec.reps;
   experiment.threads = spec.threads;
   experiment.trial.collect_stats = spec.collect_stats;

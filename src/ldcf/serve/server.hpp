@@ -22,8 +22,8 @@
 // built topologies, per-trial working schedules, OF energy trees — are
 // memoized in an ArtifactCache keyed on content fingerprints, and results
 // are byte-identical whether artifacts came from the cache or were built
-// cold (profiling is forced off and report wall_seconds pinned to zero, so
-// identical jobs produce identical bytes).
+// cold (stage profiling stays off and report wall_seconds pinned to zero,
+// so identical jobs produce identical bytes).
 #pragma once
 
 #include <atomic>

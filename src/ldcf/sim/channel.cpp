@@ -170,45 +170,31 @@ void Channel::resolve(std::span<const TxIntent> intents,
   // transmission decodes with the link PRR; with capture on, a dominant one
   // may survive a crowd.
   //
-  // Two equivalent evaluation orders, chosen per slot by estimated work:
-  // scattering each transmission's neighborhood into per-listener stats is
-  // O(active + sum of sender degrees) and wins when many nodes listen (high
-  // duty); scanning the intents per active listener is O(active * intents)
-  // PRR lookups and wins in the sparse low-duty regime. Both accumulate the
-  // per-listener stats in intent order, so decodability and the draw
-  // sequence are bit-identical either way. The scatter writes only awake
-  // listeners' stats: listener_candidate reads nothing else, and at low
-  // duty nearly every neighbor of a sender is asleep.
+  // Each transmission's neighborhood is scattered into per-listener stats
+  // in intent order, O(active + sum of sender degrees). Only awake
+  // listeners' stats are written: listener_candidate reads nothing else,
+  // and at low duty nearly every neighbor of a sender is asleep.
   const bool need_listeners =
       config.overhearing || !broadcast_senders_.empty();
-  bool scatter = false;
   if (need_listeners) {
-    std::size_t scatter_work = active_receivers.size();
-    for (const TxIntent& intent : intents) {
-      scatter_work += topo_.neighbors(intent.sender).size();
-    }
-    scatter = scatter_work < active_receivers.size() * intents.size();
-    if (scatter) {
-      for (const NodeId l : active_receivers) awake_[l] = 1;
-      for (std::uint32_t i = 0; i < intents.size(); ++i) {
-        for (const topology::Link& link :
-             topo_.neighbors(intents[i].sender)) {
-          const NodeId l = link.to;
-          if (awake_[l] == 0) continue;
-          if (audible_count_[l] == 0) listen_dirty_.push_back(l);
-          ++audible_count_[l];
-          listen_last_intent_[l] = i;
-          if (link.prr > listen_best_prr_[l]) {
-            listen_second_prr_[l] = listen_best_prr_[l];
-            listen_best_prr_[l] = link.prr;
-            listen_best_intent_[l] = i;
-          } else if (link.prr > listen_second_prr_[l]) {
-            listen_second_prr_[l] = link.prr;
-          }
+    for (const NodeId l : active_receivers) awake_[l] = 1;
+    for (std::uint32_t i = 0; i < intents.size(); ++i) {
+      for (const topology::Link& link : topo_.neighbors(intents[i].sender)) {
+        const NodeId l = link.to;
+        if (awake_[l] == 0) continue;
+        if (audible_count_[l] == 0) listen_dirty_.push_back(l);
+        ++audible_count_[l];
+        listen_last_intent_[l] = i;
+        if (link.prr > listen_best_prr_[l]) {
+          listen_second_prr_[l] = listen_best_prr_[l];
+          listen_best_prr_[l] = link.prr;
+          listen_best_intent_[l] = i;
+        } else if (link.prr > listen_second_prr_[l]) {
+          listen_second_prr_[l] = link.prr;
         }
       }
-      for (const NodeId l : active_receivers) awake_[l] = 0;
     }
+    for (const NodeId l : active_receivers) awake_[l] = 0;
     listen_hit_.assign(active_receivers.size(), kNoIntent);
   }
 
@@ -217,7 +203,7 @@ void Channel::resolve(std::span<const TxIntent> intents,
   uni_bits_.assign((n_uni + 63) / 64, 0);
 
   // Decodability and draw probability for one listener: a pure function of
-  // the phase-1 scratch (or a read-only intent scan).
+  // the phase-1 scratch.
   struct ListenerDraw {
     std::uint32_t hit;
     double prob;
@@ -227,35 +213,13 @@ void Channel::resolve(std::span<const TxIntent> intents,
     if (intents_on_receiver_[listener] > 0) {
       return {kNoIntent, 0.0};  // it is an addressee.
     }
-    std::uint32_t audible_count = 0;
-    double best_prr = 0.0;
-    double second_prr = 0.0;
-    std::uint32_t best_intent = kNoIntent;
-    std::uint32_t last_intent = kNoIntent;
-    if (scatter) {
-      audible_count = audible_count_[listener];
-      best_prr = listen_best_prr_[listener];
-      second_prr = listen_second_prr_[listener];
-      best_intent = listen_best_intent_[listener];
-      last_intent = listen_last_intent_[listener];
-    } else {
-      for (std::uint32_t i = 0; i < intents.size(); ++i) {
-        const auto prr = topo_.prr(intents[i].sender, listener);
-        if (!prr.has_value()) continue;
-        ++audible_count;
-        last_intent = i;
-        if (*prr > best_prr) {
-          second_prr = best_prr;
-          best_prr = *prr;
-          best_intent = i;
-        } else if (*prr > second_prr) {
-          second_prr = *prr;
-        }
-      }
-    }
+    const std::uint32_t audible_count = audible_count_[listener];
+    const double best_prr = listen_best_prr_[listener];
+    const double second_prr = listen_second_prr_[listener];
+    const std::uint32_t best_intent = listen_best_intent_[listener];
     std::uint32_t decodable = kNoIntent;
     if (audible_count == 1) {
-      decodable = last_intent;
+      decodable = listen_last_intent_[listener];
     } else if (audible_count > 1 && config.capture_ratio > 0.0 &&
                best_intent != kNoIntent && second_prr > 0.0 &&
                best_prr >= config.capture_ratio * second_prr) {

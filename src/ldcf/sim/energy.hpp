@@ -39,13 +39,6 @@ struct EnergyReport {
   std::vector<double> per_node;  ///< consumed charge per node.
   double total = 0.0;
   double max_node = 0.0;  ///< hottest node (limits network lifetime).
-
-  /// Mean consumed charge per node per slot.
-  [[nodiscard]] double mean_per_node_per_slot(SlotIndex slots) const {
-    if (slots == 0 || per_node.empty()) return 0.0;
-    return total / static_cast<double>(per_node.size()) /
-           static_cast<double>(slots);
-  }
 };
 
 /// Compute the report for a run of `slots` slots.

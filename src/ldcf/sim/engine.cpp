@@ -6,6 +6,7 @@
 
 #include "ldcf/common/error.hpp"
 #include "ldcf/obs/timeline.hpp"
+#include "ldcf/schedule/calendar_queue.hpp"
 
 namespace ldcf::sim {
 
@@ -542,22 +543,12 @@ SlotIndex SimEngine::next_event_slot(SlotIndex t) const {
 // Account for the idle gap [from, to): bump the per-phase skip counters
 // that back listen_credit, in closed form (O(min(gap, T))).
 void SimEngine::fast_forward(SlotIndex from, SlotIndex to) {
-  const auto period = static_cast<SlotIndex>(config_.duty.period);
-  const SlotIndex gap = to - from;
-  if (gap < period) {
-    for (SlotIndex s = from; s < to; ++s) {
-      ++skipped_by_phase_[s % period];
-    }
-  } else {
-    const SlotIndex whole = gap / period;
-    const SlotIndex rem = gap % period;
-    const SlotIndex start = from % period;
-    for (SlotIndex p = 0; p < period; ++p) {
-      const SlotIndex offset = p >= start ? p - start : period - start + p;
-      skipped_by_phase_[p] += whole + (offset < rem ? 1 : 0);
-    }
-  }
-  profiler_.add_skip(gap);
+  schedule::for_each_phase_in(
+      config_.duty.period, from, to,
+      [&](std::uint32_t phase, std::uint64_t count) {
+        skipped_by_phase_[phase] += count;
+      });
+  profiler_.add_skip(to - from);
   if (observer_ != nullptr) observer_->on_idle_gap(from, to, live_by_phase_);
 }
 

@@ -64,9 +64,9 @@ struct SimConfig {
   /// draws order-independent at the cost of a different — statistically
   /// equivalent — realization.
   ChannelRngMode channel_rng = ChannelRngMode::kSequential;
-  /// Time the engine's stages (see profiler.hpp). Default from the
-  /// LDCF_PROFILING build option; never affects simulation results.
-  bool profiling = profiling_default();
+  /// Time the engine's stages (see profiler.hpp); never affects simulation
+  /// results.
+  bool profiling = false;
   /// Compact time scale (paper §III): fast-forward over slots where no
   /// packet generation, fault, or protocol activity can occur, instead of
   /// executing them one by one. Bit-identical to the dense loop — the

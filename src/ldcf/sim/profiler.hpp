@@ -13,9 +13,8 @@
 // throughput. Because both sinks share the clock pair, each stage's span
 // durations sum to exactly its profiler total.
 //
-// The profiling gate is SimConfig::profiling, whose default comes from the
-// LDCF_PROFILING CMake option (-DLDCF_PROFILING=ON compiles it to on via
-// LDCF_PROFILING_DEFAULT_ON). Neither sink touches simulation state or RNG
+// The profiling gate is SimConfig::profiling, off unless the caller sets it
+// (flood_sim --report does). Neither sink touches simulation state or RNG
 // draws: results are bit-identical with either on or off.
 #pragma once
 
@@ -104,15 +103,6 @@ struct StageProfile {
     gaps += other.gaps;
   }
 };
-
-/// The build default for SimConfig::profiling.
-inline constexpr bool profiling_default() {
-#ifdef LDCF_PROFILING_DEFAULT_ON
-  return true;
-#else
-  return false;
-#endif
-}
 
 /// Accumulates one run's stage timings and spans. Stages are timed through
 /// Scope RAII probes; with neither sink set the probes read no clock.

@@ -2,6 +2,7 @@
 // null-probe contract, and the Chrome trace_event JSON shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -81,7 +82,7 @@ TEST(Timeline, EachThreadGetsItsOwnLane) {
   }
   for (auto& t : threads) t.join();
 
-  EXPECT_EQ(timeline.num_lanes(), 4u);
+  EXPECT_EQ(timeline.snapshot().size(), 4u);
   const auto lanes = timeline.snapshot();
   std::set<std::string> labels;
   std::set<std::uint32_t> tids;
@@ -153,6 +154,70 @@ TEST(Timeline, ChromeTraceHasEventsMetadataCountersAndSchema) {
   EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":"), std::string::npos);
   EXPECT_NE(json.find("\"dur\":"), std::string::npos);
+}
+
+TEST(Timeline, ChromeTraceBytesArePinned) {
+  // Fixed records straight into a lane, so every byte of the export is
+  // known: the lane label as thread metadata, spans in ring order (the
+  // oldest one dropped) with their optional args and the "?"/"ldcf"
+  // fallbacks for missing names, then counters, then the envelope's
+  // schema stamp and drop count. Times are ns in, fractional µs out.
+  constexpr std::uint64_t kCap = obs::Timeline::kSpanCapacity;
+  obs::Timeline timeline;
+  timeline.label_current_thread("engine");
+  obs::Timeline::Lane& lane = timeline.lane();
+  lane.record_span(make_span("dropped", 0, 1));
+  for (std::uint64_t i = 0; i < kCap - 3; ++i) {
+    lane.record_span(make_span("fill", 1000, 250));
+  }
+  obs::SpanRecord both = make_span("stage", 2500, 1500);
+  both.category = "engine";
+  both.arg0_name = "slot";
+  both.arg0 = 42;
+  both.arg1_name = "items";
+  both.arg1 = 7;
+  lane.record_span(both);
+  lane.record_span(obs::SpanRecord{});  // no name, no category, no args.
+  obs::SpanRecord second_only = make_span("draw", 4000, 500);
+  second_only.category = "channel";
+  second_only.arg1_name = "items";
+  second_only.arg1 = 3;
+  lane.record_span(second_only);
+  lane.record_counter(obs::CounterRecord{"engine.packets_covered", 2000, 5.0});
+  lane.record_counter(obs::CounterRecord{nullptr, 3500, 0.25});
+
+  std::string expected =
+      R"({"traceEvents":[{"ph":"M","pid":1,"tid":1,"name":"thread_name",)"
+      R"("args":{"name":"engine"}})";
+  for (std::uint64_t i = 0; i < kCap - 3; ++i) {
+    expected +=
+        R"(,{"ph":"X","pid":1,"tid":1,"name":"fill","cat":"test","ts":1,)"
+        R"("dur":0.25})";
+  }
+  expected +=
+      R"(,{"ph":"X","pid":1,"tid":1,"name":"stage","cat":"engine",)"
+      R"("ts":2.5,"dur":1.5,"args":{"slot":42,"items":7}})"
+      R"(,{"ph":"X","pid":1,"tid":1,"name":"?","cat":"ldcf","ts":0,"dur":0})"
+      R"(,{"ph":"X","pid":1,"tid":1,"name":"draw","cat":"channel","ts":4,)"
+      R"("dur":0.5,"args":{"items":3}})"
+      R"(,{"ph":"C","pid":1,"tid":1,"name":"engine.packets_covered","ts":2,)"
+      R"("args":{"value":5}})"
+      R"(,{"ph":"C","pid":1,"tid":1,"name":"?","ts":3.5,"args":{"value":0.25}})"
+      R"(],"displayTimeUnit":"ms","otherData":{"schema":"ldcf.timeline.v1",)"
+      R"("dropped_records":1}})";
+
+  std::ostringstream out;
+  timeline.write_chrome_trace(out);
+  const std::string json = out.str();
+  // Report the first differing byte rather than two multi-MB strings.
+  const auto diff = std::mismatch(json.begin(), json.end(), expected.begin(),
+                                  expected.end());
+  const auto at = static_cast<std::size_t>(diff.first - json.begin());
+  EXPECT_EQ(json.size(), expected.size());
+  EXPECT_TRUE(diff.first == json.end() && diff.second == expected.end())
+      << "first difference at byte " << at << ": got '"
+      << json.substr(at, 80) << "', expected '" << expected.substr(at, 80)
+      << "'";
 }
 
 TEST(Timeline, CounterRingDropsAreCountedSeparately) {

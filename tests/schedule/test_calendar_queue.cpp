@@ -1,9 +1,11 @@
-// Property tests for the compact-time calendar queue: PhaseCalendar and the
-// ScheduleSet queries the engine's fast-forward relies on, each checked
-// against a brute-force slot-by-slot model, plus engine-level regressions
-// proving no wake event is lost across gaps that span fault/burst edges.
+// Property tests for the compact-time calendar queue: PhaseCalendar, the
+// idle-gap phase visitor and the ScheduleSet query the engine's
+// fast-forward relies on, each checked against a brute-force slot-by-slot
+// model, plus engine-level regressions proving no wake event is lost across
+// gaps that span fault/burst edges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -102,32 +104,45 @@ TEST(ScheduleSet, NextActiveSlotMatchesBruteForceScan) {
   }
 }
 
-TEST(ScheduleSet, ActiveCountInMatchesBruteForceScan) {
-  Rng master(7);
-  for (int trial = 0; trial < 30; ++trial) {
-    const auto period = static_cast<std::uint32_t>(1 + master.below(40));
-    const auto k = static_cast<std::uint32_t>(1 + master.below(period));
-    Rng rng(master.fork_seed());
-    const ScheduleSet schedules(8, DutyCycle{period}, rng, k);
-    for (NodeId n = 0; n < 8; ++n) {
-      for (int window = 0; window < 12; ++window) {
-        const SlotIndex from = master.below(5 * period);
-        const SlotIndex to = from + master.below(4 * period + 1);
-        std::uint64_t expect = 0;
-        for (SlotIndex s = from; s < to; ++s) {
-          if (schedules.is_active(n, s)) ++expect;
-        }
-        ASSERT_EQ(schedules.active_count_in(n, from, to), expect)
-            << "T=" << period << " k=" << k << " [" << from << "," << to
-            << ")";
+TEST(PhaseCalendar, ForEachPhaseInMatchesASlotBySlotTally) {
+  // Periods from always-on (T = 1) to the duty floor (T = 10000); gaps
+  // shorter than, equal to and many times the period, from aligned and
+  // unaligned starts. Every phase the range touches is visited exactly
+  // once with its slot count, and nothing else is visited.
+  const std::uint32_t periods[] = {1, 2, 3, 7, 16, 97, 1000, 9999, 10000};
+  for (const std::uint32_t period : periods) {
+    const SlotIndex t = period;
+    const SlotIndex gaps[] = {1,         t / 2 + 1, t - 1, t,    t + 1,
+                              2 * t - 1, 2 * t,     3 * t + t / 3, 7 * t};
+    const SlotIndex froms[] = {0, t - 1, 5 * t, 5 * t + t / 2, 123457};
+    for (const SlotIndex from : froms) {
+      for (const SlotIndex gap : gaps) {
+        std::vector<std::uint64_t> expect(period, 0);
+        for (SlotIndex s = from; s < from + gap; ++s) ++expect[s % period];
+        std::vector<std::uint64_t> got(period, 0);
+        std::uint64_t visits = 0;
+        schedule::for_each_phase_in(
+            period, from, from + gap,
+            [&](std::uint32_t phase, std::uint64_t count) {
+              ASSERT_LT(phase, period);
+              ASSERT_EQ(got[phase], 0u) << "phase visited twice";
+              ASSERT_GT(count, 0u);
+              got[phase] = count;
+              ++visits;
+            });
+        ASSERT_EQ(got, expect) << "T=" << period << " [" << from << ", "
+                               << from + gap << ")";
+        EXPECT_EQ(visits, std::min<SlotIndex>(gap, t));
       }
     }
   }
-  // Degenerate windows.
-  Rng rng(1);
-  const ScheduleSet schedules(2, DutyCycle{5}, rng);
-  EXPECT_EQ(schedules.active_count_in(0, 10, 10), 0u);
-  EXPECT_EQ(schedules.active_count_in(0, 10, 9), 0u);
+  // Empty and reversed ranges visit nothing.
+  std::uint64_t visits = 0;
+  const auto count_visits = [&](std::uint32_t, std::uint64_t) { ++visits; };
+  schedule::for_each_phase_in(5, 10, 10, count_visits);
+  schedule::for_each_phase_in(5, 10, 9, count_visits);
+  schedule::for_each_phase_in(10000, 0, 0, count_visits);
+  EXPECT_EQ(visits, 0u);
 }
 
 // Engine-level regression: fast-forward gaps that span fault and burst

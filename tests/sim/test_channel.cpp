@@ -291,33 +291,6 @@ TEST(Channel, ReusedChannelMatchesFreshResolvesAcrossSlots) {
   }
 }
 
-TEST(Channel, ListenerPassIsIdenticalUnderBothEvaluationOrders) {
-  // The listener pass picks scatter (per-sender neighborhoods) or gather
-  // (per-listener intent scan) by estimated work: scatter iff
-  // sum(sender degrees) < active * intents. With perfect links the outcome
-  // carries no RNG sensitivity, so both paths must report the exact same
-  // overhear. Sender 0 has degree 2, so active {1,2,3,4} (2 < 4) takes
-  // scatter while active {2} (2 < 1 is false) takes gather.
-  Topology topo = test_support::undirected(5, {{0, 1, 1.0}, {0, 2, 1.0}});
-  const std::vector<TxIntent> intents{unicast(topo, 0, 1, 0)};
-  const ChannelConfig config{true, true};
-
-  const auto overhears_with = [&](const std::vector<NodeId>& active) {
-    Rng rng(29);
-    return resolve_slot(topo, intents, active, config, rng).overhears;
-  };
-  const auto scatter = overhears_with({1, 2, 3, 4});
-  const auto gather = overhears_with({2});
-  ASSERT_EQ(scatter.size(), 1u);  // only node 2 is audible and not addressed.
-  ASSERT_EQ(gather.size(), 1u);
-  EXPECT_EQ(scatter[0].listener, 2u);
-  EXPECT_EQ(gather[0].listener, 2u);
-  EXPECT_EQ(scatter[0].sender, 0u);
-  EXPECT_EQ(gather[0].sender, 0u);
-  EXPECT_EQ(scatter[0].packet, 0u);
-  EXPECT_EQ(gather[0].packet, 0u);
-}
-
 TEST(Channel, EmptySlotIsEmpty) {
   const Topology topo = chain4();
   Rng rng(9);

@@ -327,7 +327,7 @@ TEST(CompactDifferential, ClosedFormAccrualsMatchPerSlotDefinitions) {
     EXPECT_EQ(burst.active_at(t), phase < burst.duration) << "t=" << t;
   }
   // The listening credit: a run whose gaps were fast-forwarded must charge
-  // each node exactly its active_count_in over the skipped ranges. Checked
+  // each node exactly its wake slots in the skipped ranges. Checked
   // end-to-end: total listening + transmitting + dormant slots equals
   // end_slot for every node, in both engine modes.
   const topology::Topology topo = small_topology(5, 24);

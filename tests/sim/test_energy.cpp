@@ -36,12 +36,6 @@ TEST(Energy, MismatchedTallyThrows) {
   EXPECT_THROW((void)compute_energy(t, EnergyModel{}), InvalidArgument);
 }
 
-TEST(Energy, MeanPerNodePerSlot) {
-  const EnergyReport report = compute_energy(tally2(), EnergyModel{});
-  EXPECT_GT(report.mean_per_node_per_slot(100), 0.0);
-  EXPECT_DOUBLE_EQ(report.mean_per_node_per_slot(0), 0.0);
-}
-
 TEST(Energy, LifetimeInverselyProportionalToDraw) {
   EnergyModel model;
   model.battery_capacity = 1000.0;

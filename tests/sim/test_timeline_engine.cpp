@@ -86,7 +86,7 @@ TEST(TimelineEngine, TracingOnIsBitIdenticalForEveryProtocol) {
     const sim::SimResult on = sim::run_simulation(topo, traced, *proto_traced);
 
     expect_identical(off, on);
-    EXPECT_GE(timeline.num_lanes(), 1u);
+    EXPECT_GE(timeline.snapshot().size(), 1u);
   }
 }
 
