@@ -1,7 +1,6 @@
 #include "ldcf/analysis/experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iostream>
 #include <memory>
@@ -197,10 +196,8 @@ TrialOptions trial_options(const ExperimentConfig& config,
   return options;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+double seconds_since(std::uint64_t start_ns) {
+  return static_cast<double>(obs::steady_now_ns() - start_ns) * 1e-9;
 }
 
 /// The one-line truncation warning: silently-truncated sweeps otherwise
@@ -228,7 +225,7 @@ std::vector<ProtocolPoint> run_grid(const topology::Topology& topo,
                                     const ExperimentConfig& config,
                                     const char* tool) {
   LDCF_REQUIRE(config.repetitions >= 1, "need at least one repetition");
-  const auto wall_start = std::chrono::steady_clock::now();
+  const auto wall_start = obs::steady_now_ns();
   const std::size_t reps = config.repetitions;
   const std::size_t cells = protocols.size() * duties.size();
   std::vector<TrialStats> trials(cells * reps);
@@ -330,7 +327,7 @@ std::vector<ScalePoint> run_scale_sweep(
   std::vector<ScalePoint> points;
   points.reserve(sensor_counts.size());
   for (const std::uint32_t n : sensor_counts) {
-    const auto build_start = std::chrono::steady_clock::now();
+    const auto build_start = obs::steady_now_ns();
     const topology::Topology topo = topology::make_network(
         "clustered", n, config.base.seed, topology::LinkRngMode::kPairKeyed);
     ScalePoint sp;

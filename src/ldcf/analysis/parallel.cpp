@@ -2,26 +2,25 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "ldcf/analysis/cancel.hpp"
+#include "ldcf/obs/timeline.hpp"
 
 namespace ldcf::analysis {
 
 namespace {
 
 Progress make_progress(std::size_t completed, std::size_t total,
-                       std::chrono::steady_clock::time_point start) {
+                       std::uint64_t start_ns) {
   Progress p;
   p.completed = completed;
   p.total = total;
   p.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+      static_cast<double>(obs::steady_now_ns() - start_ns) * 1e-9;
   if (p.elapsed_seconds > 0.0) {
     p.tasks_per_sec = static_cast<double>(completed) / p.elapsed_seconds;
   }
@@ -44,7 +43,7 @@ void parallel_for_indexed(std::size_t count, std::uint32_t threads,
                           const ProgressFn& progress) {
   const std::size_t workers =
       std::min<std::size_t>(resolve_threads(threads), count);
-  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t start = obs::steady_now_ns();
   if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) {
       if (cancel_requested()) throw CancelledError();

@@ -1,6 +1,7 @@
-// Small numeric helpers used across the theory and analysis modules.
+// Small numeric helpers used across the modules.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -23,16 +24,30 @@ namespace ldcf {
                             double hi, double tol = 1e-12,
                             int max_iter = 200);
 
-/// Sample mean of a range accessed through a projection.
-template <typename Range, typename Proj>
-[[nodiscard]] double mean_of(const Range& range, Proj proj) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& v : range) {
-    sum += static_cast<double>(proj(v));
-    ++n;
+/// FNV-1a (64-bit) offset basis: the hash of the empty input.
+inline constexpr std::uint64_t kFnv1aOffset = 14695981039346656037ull;
+
+/// FNV-1a over a byte range, continuing from `seed`: the one hash behind
+/// the topology fingerprint and every artifact-cache key.
+[[nodiscard]] inline std::uint64_t fnv1a(const void* data, std::size_t size,
+                                         std::uint64_t seed = kFnv1aOffset) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint64_t hash = seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ull;
   }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  return hash;
+}
+
+/// Fold one 64-bit word into an FNV-1a state (byte-wise, little-endian).
+[[nodiscard]] inline std::uint64_t fnv1a_mix(std::uint64_t state,
+                                             std::uint64_t word) {
+  unsigned char bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<unsigned char>(word >> (8 * i));
+  }
+  return fnv1a(bytes, sizeof(bytes), state);
 }
 
 }  // namespace ldcf

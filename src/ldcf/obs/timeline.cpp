@@ -157,26 +157,18 @@ std::vector<Timeline::LaneView> Timeline::snapshot() const {
   return views;
 }
 
-std::uint64_t Timeline::dropped_spans() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t dropped = 0;
-  for (const auto& lane : lanes_) {
-    const std::uint64_t cap = lane->spans_.size();
-    dropped += lane->span_count_ - std::min(lane->span_count_, cap);
-  }
-  return dropped;
-}
-
 // The "JSON Array Format" inside a {"traceEvents": [...]} envelope, as
 // Perfetto and chrome://tracing read it: per lane its thread_name, spans
 // and counters, all under pid 1 with the lane id as tid; then the schema
-// stamp and the ring drop count.
+// stamp and the records both rings of every lane dropped.
 void Timeline::write_chrome_trace(std::ostream& out) const {
   JsonWriter json(out);
   json.begin_object();
   json.key("traceEvents");
   json.begin_array();
+  std::uint64_t dropped = 0;
   for (const auto& view : snapshot()) {
+    dropped += view.dropped_spans + view.dropped_counters;
     write_thread_name(json, view.tid, view.label);
     for (const auto& span : view.spans) write_span(json, view.tid, span);
     for (const auto& counter : view.counters) {
@@ -188,7 +180,7 @@ void Timeline::write_chrome_trace(std::ostream& out) const {
   json.key("otherData");
   json.begin_object();
   json.field("schema", "ldcf.timeline.v1");
-  json.field("dropped_records", dropped_spans());
+  json.field("dropped_records", dropped);
   json.end_object();
   json.end_object();
 }

@@ -7,9 +7,10 @@
 // instrumented region records a SpanRecord (name, category, start, duration,
 // two numeric args) into a ring buffer owned by the recording thread;
 // counter tracks (coverage, holders, tx outcomes) ride alongside as sampled
-// CounterRecords. The engine's stage spans come from the same probe as the
-// stage totals (StageProfiler::Scope); TimelineSpan below covers the
-// regions outside the slot loop (trials, reductions). The whole capture
+// CounterRecords. Every span comes from one probe, TimelineSpan below: the
+// executor's trials and reductions, the engine's setup and slot loop, and
+// (through StageProfiler::Scope) each engine stage and channel phase, where
+// the same clock pair also feeds the stage totals. The whole capture
 // flushes to Chrome trace_event JSON (write_chrome_trace) loadable in
 // Perfetto / chrome://tracing.
 //
@@ -29,7 +30,7 @@
 // Determinism contract: recording never touches simulation state or RNG —
 // results are bit-identical with tracing on or off, enforced the same way
 // profiling is (tests/sim/test_timeline_engine.cpp). With no Timeline
-// attached (and, for stage probes, profiling off) every probe is one
+// attached and no total to add to (profiling off) every probe is one
 // branch: zero clock reads, zero allocation on the hot path.
 //
 // Span names must be string literals (or otherwise outlive the Timeline):
@@ -158,9 +159,6 @@ class Timeline {
   /// Quiescence required: no thread may be recording during the call.
   [[nodiscard]] std::vector<LaneView> snapshot() const;
 
-  /// Total records the rings overwrote, summed over lanes.
-  [[nodiscard]] std::uint64_t dropped_spans() const;
-
   /// Serialize the capture as Chrome trace_event JSON (Perfetto /
   /// chrome://tracing). Same quiescence requirement as snapshot().
   void write_chrome_trace(std::ostream& out) const;
@@ -178,34 +176,32 @@ class Timeline {
   std::vector<std::thread::id> lane_owners_;  ///< parallel to lanes_.
 };
 
-/// RAII span probe. A null timeline makes construction and destruction a
-/// pointer check — the disabled path reads no clock and writes nothing.
+/// RAII span probe: the one way a region is timed. Takes one
+/// steady_now_ns() pair and feeds two optional sinks from it: `total_ns`
+/// (a running total the duration is added to) and `timeline` (a span at
+/// t0 - epoch_ns() on the calling thread's lane). With neither set,
+/// construction and destruction are a pointer check: no clock read, no
+/// allocation, no lane.
 class TimelineSpan {
  public:
-  TimelineSpan(Timeline* timeline, const char* name, const char* category)
-      : timeline_(timeline) {
-    if (timeline_ == nullptr) return;
-    span_.name = name;
-    span_.category = category;
-    span_.start_ns = timeline_->now_ns();
-  }
   TimelineSpan(Timeline* timeline, const char* name, const char* category,
-               const char* arg0_name, std::uint64_t arg0)
-      : TimelineSpan(timeline, name, category) {
-    span_.arg0_name = arg0_name;
-    span_.arg0 = arg0;
-  }
-  TimelineSpan(Timeline* timeline, const char* name, const char* category,
-               const char* arg0_name, std::uint64_t arg0,
-               const char* arg1_name, std::uint64_t arg1)
-      : TimelineSpan(timeline, name, category, arg0_name, arg0) {
-    span_.arg1_name = arg1_name;
-    span_.arg1 = arg1;
+               const char* arg0_name = nullptr, std::uint64_t arg0 = 0,
+               const char* arg1_name = nullptr, std::uint64_t arg1 = 0,
+               std::uint64_t* total_ns = nullptr)
+      : timeline_(timeline),
+        total_ns_(total_ns),
+        span_{name, category, 0, 0, arg0_name, arg0, arg1_name, arg1} {
+    if (timeline_ != nullptr || total_ns_ != nullptr) {
+      span_.start_ns = steady_now_ns();
+    }
   }
 
   ~TimelineSpan() {
+    if (timeline_ == nullptr && total_ns_ == nullptr) return;
+    span_.dur_ns = steady_now_ns() - span_.start_ns;
+    if (total_ns_ != nullptr) *total_ns_ += span_.dur_ns;
     if (timeline_ == nullptr) return;
-    span_.dur_ns = timeline_->now_ns() - span_.start_ns;
+    span_.start_ns -= timeline_->epoch_ns();
     timeline_->lane().record_span(span_);
   }
 
@@ -224,7 +220,8 @@ class TimelineSpan {
 
  private:
   Timeline* timeline_;
-  SpanRecord span_{};
+  std::uint64_t* total_ns_;
+  SpanRecord span_;
 };
 
 }  // namespace ldcf::obs

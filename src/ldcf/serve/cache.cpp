@@ -4,24 +4,6 @@
 
 namespace ldcf::serve {
 
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a_mix(std::uint64_t state, std::uint64_t word) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>(word >> (8 * i));
-  }
-  return fnv1a(bytes, sizeof(bytes), state);
-}
-
 ArtifactCache::ArtifactCache(std::size_t budget_bytes)
     : budget_bytes_(budget_bytes) {}
 

@@ -32,14 +32,6 @@
 
 namespace ldcf::serve {
 
-/// FNV-1a over a byte range; the same constants as the topology
-/// fingerprint in obs/report.cpp, reusable for any artifact key.
-[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t size,
-                                  std::uint64_t seed = 14695981039346656037ull);
-
-/// Fold one 64-bit word into an FNV-1a state (byte-wise, little-endian).
-[[nodiscard]] std::uint64_t fnv1a_mix(std::uint64_t state, std::uint64_t word);
-
 struct CacheKindStats {
   std::string kind;
   std::uint64_t hits = 0;

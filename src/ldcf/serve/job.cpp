@@ -4,9 +4,9 @@
 #include <sstream>
 
 #include "ldcf/analysis/knobs.hpp"
+#include "ldcf/common/math_utils.hpp"
 #include "ldcf/common/options.hpp"
 #include "ldcf/obs/json_writer.hpp"
-#include "ldcf/serve/cache.hpp"
 #include "ldcf/topology/generators.hpp"
 
 namespace ldcf::serve {

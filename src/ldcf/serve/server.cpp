@@ -9,6 +9,7 @@
 #include "ldcf/analysis/cancel.hpp"
 #include "ldcf/analysis/report.hpp"
 #include "ldcf/common/error.hpp"
+#include "ldcf/common/math_utils.hpp"
 #include "ldcf/obs/atomic_file.hpp"
 #include "ldcf/obs/json_reader.hpp"
 #include "ldcf/obs/json_writer.hpp"

@@ -222,9 +222,6 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
   const bool use_compact =
       config_.compact_time &&
       (observer == nullptr || !observer->wants_every_slot());
-  // The slot loop's wall time; add_wall closes it and records the "run"
-  // span that encloses every stage span.
-  const std::uint64_t run_t0 = profiler_.now();
   // The run's only counter tracks: coverage, in-flight, generated and every
   // ChannelCounters field, all read from the engine's own accounts.
   const auto publish_counters = [&] {
@@ -248,64 +245,72 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
   };
   std::uint64_t sampled_slots = 0;
   SlotIndex t = 0;
-  while (covered_count_ < config_.num_packets && t < config_.max_slots) {
-    if (use_compact) {
-      StageProfiler::Scope timed(profiler_, Stage::kCompact, "slot", t);
-      const SlotIndex next = next_event_slot(t);
-      if (next > t) {
-        const SlotIndex stop = std::min(next, config_.max_slots);
-        fast_forward(t, stop);
-        timed.arg1("skipped", stop - t);
-        t = stop;
-        continue;
+  {
+    // The slot loop's probe: its "run" span encloses every stage span and the
+    // last counter sample, and its duration is the loop wall time.
+    obs::TimelineSpan run(tl, "run", "engine", "slots", 0, nullptr, 0,
+                          profiler_.wall_ns());
+    while (covered_count_ < config_.num_packets && t < config_.max_slots) {
+      if (use_compact) {
+        StageProfiler::Scope timed(profiler_, Stage::kCompact, "slot", t);
+        const SlotIndex next = next_event_slot(t);
+        if (next > t) {
+          const SlotIndex stop = std::min(next, config_.max_slots);
+          fast_forward(t, stop);
+          timed.arg1("skipped", stop - t);
+          t = stop;
+          continue;
+        }
       }
+      std::span<const NodeId> active;
+      {
+        StageProfiler::Scope timed(profiler_, Stage::kFaults, "slot", t);
+        stage_faults(t);
+        active = stage_active(t);
+      }
+      notify([&](auto& o) { o.on_slot_begin(t, active); });
+      {
+        StageProfiler::Scope timed(profiler_, Stage::kGeneration, "slot", t);
+        stage_generation(t);
+      }
+      {
+        StageProfiler::Scope timed(profiler_, Stage::kIntents, "slot", t,
+                                   "active", active.size());
+        stage_intents(t, active);
+      }
+      {
+        StageProfiler::Scope timed(profiler_, Stage::kSyncMiss, "slot", t);
+        stage_sync_miss();
+      }
+      // Not wrapped in a kChannel scope: the kernel times its own
+      // gather/draw/apply phases, and stage_channel scopes the residual, so
+      // the stage buckets stay mutually exclusive (shares sum to 1).
+      stage_channel(t, active);
+      {
+        StageProfiler::Scope timed(profiler_, Stage::kEnergy, "slot", t);
+        stage_energy(t, active);
+      }
+      {
+        StageProfiler::Scope timed(profiler_, Stage::kApply, "slot", t,
+                                   "results", ws_.resolution.results.size());
+        stage_apply(t);
+      }
+      {
+        StageProfiler::Scope timed(profiler_, Stage::kCoverage, "slot", t);
+        stage_coverage(t);
+      }
+      if (tl != nullptr && sampled_slots++ % kCounterStride == 0) {
+        publish_counters();
+      }
+      ++t;
     }
-    std::span<const NodeId> active;
-    {
-      StageProfiler::Scope timed(profiler_, Stage::kFaults, "slot", t);
-      stage_faults(t);
-      active = stage_active(t);
-    }
-    notify([&](auto& o) { o.on_slot_begin(t, active); });
-    {
-      StageProfiler::Scope timed(profiler_, Stage::kGeneration, "slot", t);
-      stage_generation(t);
-    }
-    {
-      StageProfiler::Scope timed(profiler_, Stage::kIntents, "slot", t,
-                                 "active", active.size());
-      stage_intents(t, active);
-    }
-    {
-      StageProfiler::Scope timed(profiler_, Stage::kSyncMiss, "slot", t);
-      stage_sync_miss();
-    }
-    // Not wrapped in a kChannel scope: the kernel times its own
-    // gather/draw/apply phases, and stage_channel scopes the residual, so
-    // the stage buckets stay mutually exclusive (shares sum to 1).
-    stage_channel(t, active);
-    {
-      StageProfiler::Scope timed(profiler_, Stage::kEnergy, "slot", t);
-      stage_energy(t, active);
-    }
-    {
-      StageProfiler::Scope timed(profiler_, Stage::kApply, "slot", t,
-                                 "results", ws_.resolution.results.size());
-      stage_apply(t);
-    }
-    {
-      StageProfiler::Scope timed(profiler_, Stage::kCoverage, "slot", t);
-      stage_coverage(t);
-    }
-    if (tl != nullptr && sampled_slots++ % kCounterStride == 0) {
-      publish_counters();
-    }
-    ++t;
+    if (tl != nullptr) publish_counters();
+    // "slots" means slots the staged loop actually executed: skipped slots
+    // are accounted separately, so executed + skipped == end_slot.
+    const std::uint64_t executed = t - profiler_.profile().slots_skipped;
+    run.arg0("slots", executed);
+    profiler_.add_slots(executed);
   }
-  if (tl != nullptr) publish_counters();
-  // "slots" means slots the staged loop actually executed: skipped slots
-  // are accounted separately, so executed + skipped == end_slot.
-  profiler_.add_wall(run_t0, t - profiler_.profile().slots_skipped);
 
   collector.metrics.end_slot = t;
   collector.metrics.all_covered = covered_count_ == config_.num_packets;

@@ -3,11 +3,13 @@
 // SimEngine::run times each of its named stages (faults incl. the
 // active-set scan, generation, intents, sync-miss, the channel kernel's
 // gather/draw/apply phases plus the channel residual, energy, apply,
-// coverage, plus the compact-time next-event/fast-forward step) through one
-// probe, StageProfiler::Scope, which feeds two optional sinks from a single
-// pair of steady_clock reads:
-//   * the stage totals (StageProfile::stage_ns), when profiling is on;
-//   * a span named after the stage on an attached obs::Timeline.
+// coverage, plus the compact-time next-event/fast-forward step) through
+// StageProfiler::Scope, and the whole slot loop through one "run" span.
+// Both are obs::TimelineSpan, the one probe type, whose single pair of
+// steady-clock reads feeds two optional sinks:
+//   * a running total in the StageProfile (stage_ns, or wall_ns for the
+//     loop), when profiling is on;
+//   * a span on an attached obs::Timeline.
 // With neither sink set — the default — a probe is one well-predicted
 // branch and reads no clock, so the hot loop stays at its benched
 // throughput. Because both sinks share the clock pair, each stage's span
@@ -105,40 +107,24 @@ struct StageProfile {
 };
 
 /// Accumulates one run's stage timings and spans. Stages are timed through
-/// Scope RAII probes; with neither sink set the probes read no clock.
+/// Scope probes; with neither sink set the probes read no clock.
 class StageProfiler {
  public:
-  /// Start a run: `enabled` gates the stage totals, `timeline` (nullable)
+  /// Start a run: `enabled` gates the totals, `timeline` (nullable)
   /// receives one span per probe.
   void reset(bool enabled, obs::Timeline* timeline = nullptr) {
-    enabled_ = enabled;
     timeline_ = timeline;
     profile_ = StageProfile{};
     profile_.enabled = enabled;
   }
 
-  /// Clock reading for add_wall; 0 (and no clock read) with no sink set.
-  [[nodiscard]] std::uint64_t now() const {
-    return timed() ? obs::steady_now_ns() : 0;
-  }
+  /// The slot loop's total, for its "run" probe; null with profiling off.
+  [[nodiscard]] std::uint64_t* wall_ns() { return sink(profile_.wall_ns); }
 
-  /// Close the slot loop opened at `t0`: adds the loop wall time and the
-  /// executed slots to the profile, and records the enclosing "run" span.
-  void add_wall(std::uint64_t t0, std::uint64_t slots) {
-    if (!timed()) return;
-    const std::uint64_t ns = obs::steady_now_ns() - t0;
-    if (enabled_) {
-      profile_.wall_ns += ns;
-      profile_.slots += slots;
-    }
-    if (timeline_ != nullptr) {
-      obs::SpanRecord span;
-      span.name = "run";
-      span.category = "engine";
-      span.arg0_name = "slots";
-      span.arg0 = slots;
-      record(span, t0, ns);
-    }
+  /// Count the slots the loop executed (profiling on only, like the
+  /// timings).
+  void add_slots(std::uint64_t slots) {
+    if (profile_.enabled) profile_.slots += slots;
   }
 
   /// Record one fast-forward jump over `skipped` idle slots. Ungated: the
@@ -151,73 +137,30 @@ class StageProfiler {
   [[nodiscard]] const StageProfile& profile() const { return profile_; }
 
   /// Times one stage from construction to destruction, with up to two
-  /// numeric span args.
-  class Scope {
+  /// numeric span args: a span named after the stage, summed into its
+  /// stage total.
+  class Scope : public obs::TimelineSpan {
    public:
     Scope(StageProfiler& profiler, Stage stage,
           const char* arg0_name = nullptr, std::uint64_t arg0 = 0,
           const char* arg1_name = nullptr, std::uint64_t arg1 = 0)
-        : profiler_(profiler),
-          stage_(stage),
-          t0_(profiler.now()),
-          arg0_name_(arg0_name),
-          arg0_(arg0),
-          arg1_name_(arg1_name),
-          arg1_(arg1) {}
-    ~Scope() { profiler_.close(*this); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-    /// Set the second span arg once its value is known.
-    void arg1(const char* name, std::uint64_t value) {
-      arg1_name_ = name;
-      arg1_ = value;
-    }
-
-   private:
-    friend class StageProfiler;
-
-    StageProfiler& profiler_;
-    Stage stage_;
-    std::uint64_t t0_;
-    const char* arg0_name_;
-    std::uint64_t arg0_;
-    const char* arg1_name_;
-    std::uint64_t arg1_;
+        : TimelineSpan(
+              profiler.timeline_,
+              kStageNames[static_cast<std::size_t>(stage)].data(),
+              stage >= Stage::kChannelGather && stage <= Stage::kChannelApply
+                  ? "channel"
+                  : "engine",
+              arg0_name, arg0, arg1_name, arg1,
+              profiler.sink(
+                  profiler.profile_
+                      .stage_ns[static_cast<std::size_t>(stage)])) {}
   };
 
  private:
-  [[nodiscard]] bool timed() const {
-    return enabled_ || timeline_ != nullptr;
+  [[nodiscard]] std::uint64_t* sink(std::uint64_t& total) {
+    return profile_.enabled ? &total : nullptr;
   }
 
-  // One clock read closes the interval for both sinks.
-  void close(const Scope& scope) {
-    if (!timed()) return;
-    const std::uint64_t ns = obs::steady_now_ns() - scope.t0_;
-    const auto stage = static_cast<std::size_t>(scope.stage_);
-    if (enabled_) profile_.stage_ns[stage] += ns;
-    if (timeline_ == nullptr) return;
-    obs::SpanRecord span;
-    span.name = kStageNames[stage].data();
-    span.category = scope.stage_ >= Stage::kChannelGather &&
-                            scope.stage_ <= Stage::kChannelApply
-                        ? "channel"
-                        : "engine";
-    span.arg0_name = scope.arg0_name_;
-    span.arg0 = scope.arg0_;
-    span.arg1_name = scope.arg1_name_;
-    span.arg1 = scope.arg1_;
-    record(span, scope.t0_, ns);
-  }
-
-  void record(obs::SpanRecord& span, std::uint64_t t0, std::uint64_t ns) {
-    span.start_ns = t0 - timeline_->epoch_ns();
-    span.dur_ns = ns;
-    timeline_->lane().record_span(span);
-  }
-
-  bool enabled_ = false;
   obs::Timeline* timeline_ = nullptr;
   StageProfile profile_;
 };

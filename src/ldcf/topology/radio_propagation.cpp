@@ -23,10 +23,6 @@ double RadioModel::prr_of_rssi(double rssi_dbm) const {
   return 1.0 / (1.0 + std::exp(-z));
 }
 
-double RadioModel::sample_prr(double dist, Rng& rng) const {
-  return prr_of_rssi(sample_rssi_dbm(dist, rng));
-}
-
 double RadioModel::range_at_prr(double prr) const {
   LDCF_REQUIRE(prr > 0.0 && prr < 1.0, "prr must be in (0, 1)");
   // Invert the logistic, then the path-loss law.

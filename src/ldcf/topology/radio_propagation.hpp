@@ -38,9 +38,6 @@ struct RadioModel {
   /// sensitivity threshold.
   [[nodiscard]] double prr_of_rssi(double rssi_dbm) const;
 
-  /// Convenience: sampled PRR for a link of length `dist`.
-  [[nodiscard]] double sample_prr(double dist, Rng& rng) const;
-
   /// Distance at which the *mean* PRR crosses `prr` (ignoring shadowing);
   /// used by generators to size deployments for a target degree.
   [[nodiscard]] double range_at_prr(double prr) const;

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "ldcf/common/error.hpp"
+#include "ldcf/common/math_utils.hpp"
 
 namespace ldcf::topology {
 
@@ -18,22 +19,13 @@ namespace {
 /// CSR order.
 std::uint64_t hash_csr(std::span<const std::size_t> offsets,
                        std::span<const Link> links) {
-  constexpr std::uint64_t kOffset = 14695981039346656037ull;
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  const auto mix = [](std::uint64_t hash, std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xff;
-      hash *= kPrime;
-    }
-    return hash;
-  };
   const std::size_t n = offsets.size() - 1;
-  std::uint64_t hash = mix(kOffset, n);
+  std::uint64_t hash = fnv1a_mix(kFnv1aOffset, n);
   for (std::size_t from = 0; from < n; ++from) {
     for (std::size_t i = offsets[from]; i < offsets[from + 1]; ++i) {
-      hash = mix(hash, from);
-      hash = mix(hash, links[i].to);
-      hash = mix(hash, std::bit_cast<std::uint64_t>(links[i].prr));
+      hash = fnv1a_mix(hash, from);
+      hash = fnv1a_mix(hash, links[i].to);
+      hash = fnv1a_mix(hash, std::bit_cast<std::uint64_t>(links[i].prr));
     }
   }
   return hash;

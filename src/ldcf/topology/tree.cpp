@@ -45,26 +45,6 @@ Tree dijkstra(const Topology& topo, NodeId root, WeightFn&& link_weight) {
 
 }  // namespace
 
-std::vector<std::uint64_t> Tree::depths() const {
-  std::vector<std::uint64_t> depth(parent.size(), kNeverSlot);
-  depth[root] = 0;
-  // Parents always have strictly smaller cost, so a few passes settle all
-  // depths; the loop below is O(V * diameter) worst case which is fine at
-  // sensor-network scale.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (NodeId v = 0; v < parent.size(); ++v) {
-      if (parent[v] == kNoNode || depth[v] != kNeverSlot) continue;
-      if (depth[parent[v]] != kNeverSlot) {
-        depth[v] = depth[parent[v]] + 1;
-        changed = true;
-      }
-    }
-  }
-  return depth;
-}
-
 Tree build_etx_tree(const Topology& topo, NodeId root) {
   return dijkstra(topo, root, [](double prr) { return 1.0 / prr; });
 }

@@ -8,7 +8,6 @@
 // delay statistics (mean and variance of the tree delivery time in slots).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "ldcf/common/types.hpp"
@@ -27,9 +26,6 @@ struct Tree {
   [[nodiscard]] bool reached(NodeId v) const {
     return v == root || parent[v] != kNoNode;
   }
-
-  /// Depth (hop count) of each node in the tree; unreachable: kNeverSlot.
-  [[nodiscard]] std::vector<std::uint64_t> depths() const;
 };
 
 /// Dijkstra with per-link weight 1/PRR: minimizes expected transmissions,

@@ -1,6 +1,7 @@
 #include "ldcf/common/math_utils.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -73,12 +74,17 @@ TEST(Bisect, RejectsNonBracketingInterval) {
   EXPECT_THROW((void)bisect([](double) { return 1.0; }, 2.0, 1.0), InvalidArgument);
 }
 
-TEST(MeanOf, Projection) {
-  const std::vector<int> v{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(mean_of(v, [](int x) { return x; }), 2.5);
-  EXPECT_DOUBLE_EQ(mean_of(v, [](int x) { return 2 * x; }), 5.0);
-  const std::vector<int> empty;
-  EXPECT_DOUBLE_EQ(mean_of(empty, [](int x) { return x; }), 0.0);
+TEST(Fnv1a, MatchesKnownVectors) {
+  // FNV-1a 64-bit reference values.
+  EXPECT_EQ(fnv1a("", 0), 14695981039346656037ull);
+  EXPECT_EQ(fnv1a("a", 1), 12638187200555641996ull);
+  EXPECT_EQ(fnv1a("foobar", 6), 9625390261332436968ull);
+}
+
+TEST(Fnv1a, MixIsOrderSensitive) {
+  const std::uint64_t a = fnv1a_mix(fnv1a_mix(fnv1a("k", 1), 1), 2);
+  const std::uint64_t b = fnv1a_mix(fnv1a_mix(fnv1a("k", 1), 2), 1);
+  EXPECT_NE(a, b);
 }
 
 }  // namespace

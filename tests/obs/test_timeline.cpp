@@ -41,7 +41,6 @@ TEST(Timeline, RecordsAppearInSnapshotInOrder) {
   EXPECT_STREQ(lanes[0].counters[0].track, "track");
   EXPECT_DOUBLE_EQ(lanes[0].counters[0].value, 3.0);
   EXPECT_EQ(lanes[0].dropped_spans, 0u);
-  EXPECT_EQ(timeline.dropped_spans(), 0u);
 }
 
 TEST(Timeline, RingKeepsLatestWindowAndCountsDrops) {
@@ -51,10 +50,10 @@ TEST(Timeline, RingKeepsLatestWindowAndCountsDrops) {
   for (std::uint64_t i = 0; i < kCap; ++i) {
     timeline.lane().record_span(make_span("s", i, 1));
   }
-  EXPECT_EQ(timeline.dropped_spans(), 0u);
+  EXPECT_EQ(timeline.snapshot()[0].dropped_spans, 0u);
   // ...and one span past it (65,537 in all) overwrites the oldest.
   timeline.lane().record_span(make_span("s", kCap, 1));
-  EXPECT_EQ(timeline.dropped_spans(), 1u);
+  EXPECT_EQ(timeline.snapshot()[0].dropped_spans, 1u);
   for (std::uint64_t i = kCap + 1; i < kCap + 6; ++i) {
     timeline.lane().record_span(make_span("s", i, 1));
   }
@@ -66,7 +65,6 @@ TEST(Timeline, RingKeepsLatestWindowAndCountsDrops) {
     ASSERT_EQ(lanes[0].spans[i].start_ns, 6 + i) << i;
   }
   EXPECT_EQ(lanes[0].dropped_spans, 6u);
-  EXPECT_EQ(timeline.dropped_spans(), 6u);
 }
 
 TEST(Timeline, EachThreadGetsItsOwnLane) {
@@ -129,6 +127,24 @@ TEST(TimelineSpan, RecordsNameCategoryArgsAndDuration) {
   EXPECT_EQ(rec.arg0, 7u);
   EXPECT_STREQ(rec.arg1_name, "extra");
   EXPECT_EQ(rec.arg1, 9u);
+}
+
+TEST(TimelineSpan, TotalSinkWithoutTimelineAccumulates) {
+  // A total but no timeline: the probe still takes its clock pair and adds
+  // each duration to the total, and records no span anywhere.
+  std::uint64_t total = 0;
+  std::uint64_t last = 0;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    {
+      obs::TimelineSpan span(nullptr, "work", "cat", "i", i, nullptr, 0,
+                             &total);
+      const std::uint64_t t0 = obs::steady_now_ns();
+      while (obs::steady_now_ns() == t0) {
+      }
+    }
+    EXPECT_GT(total, last) << i;
+    last = total;
+  }
 }
 
 TEST(Timeline, ChromeTraceHasEventsMetadataCountersAndSchema) {
@@ -234,7 +250,11 @@ TEST(Timeline, CounterRingDropsAreCountedSeparately) {
                    static_cast<double>(kCap + 2));
   EXPECT_EQ(lanes[0].dropped_counters, 3u);
   EXPECT_EQ(lanes[0].dropped_spans, 0u);
-  EXPECT_EQ(timeline.dropped_spans(), 0u);
+
+  // The trace's one drop count covers both rings.
+  std::ostringstream out;
+  timeline.write_chrome_trace(out);
+  EXPECT_NE(out.str().find(R"("dropped_records":3})"), std::string::npos);
 }
 
 }  // namespace

@@ -17,8 +17,6 @@ namespace {
 using ldcf::serve::ArtifactCache;
 using ldcf::serve::CacheKindStats;
 using ldcf::serve::CacheStats;
-using ldcf::serve::fnv1a;
-using ldcf::serve::fnv1a_mix;
 
 const CacheKindStats* kind_stats(const CacheStats& stats,
                                  const std::string& kind) {
@@ -26,19 +24,6 @@ const CacheKindStats* kind_stats(const CacheStats& stats,
     if (k.kind == kind) return &k;
   }
   return nullptr;
-}
-
-TEST(Fnv1a, MatchesKnownVectors) {
-  // FNV-1a 64-bit reference values.
-  EXPECT_EQ(fnv1a("", 0), 14695981039346656037ull);
-  EXPECT_EQ(fnv1a("a", 1), 12638187200555641996ull);
-  EXPECT_EQ(fnv1a("foobar", 6), 9625390261332436968ull);
-}
-
-TEST(Fnv1a, MixIsOrderSensitive) {
-  const std::uint64_t a = fnv1a_mix(fnv1a_mix(fnv1a("k", 1), 1), 2);
-  const std::uint64_t b = fnv1a_mix(fnv1a_mix(fnv1a("k", 1), 2), 1);
-  EXPECT_NE(a, b);
 }
 
 TEST(ArtifactCacheTest, HitAfterMissReturnsTheSameObject) {

@@ -46,13 +46,24 @@ TEST(StageProfile, MergeSumsEveryField) {
   EXPECT_DOUBLE_EQ(a.stage_share(Stage::kCoverage), 50.0 / 175.0);
 }
 
+// The slot loop's probe as the engine opens it: a "run" span on the
+// profiler's wall total, its slot count set as the loop ends.
+void time_loop(StageProfiler& profiler, obs::Timeline* timeline,
+               std::uint64_t slots, const auto& body) {
+  obs::TimelineSpan run(timeline, "run", "engine", "slots", 0, nullptr, 0,
+                        profiler.wall_ns());
+  body();
+  run.arg0("slots", slots);
+  profiler.add_slots(slots);
+}
+
 TEST(StageProfiler, DisabledProfilerRecordsNothing) {
   StageProfiler profiler;
   profiler.reset(false);
-  {
+  time_loop(profiler, nullptr, 42, [&] {
     StageProfiler::Scope timed(profiler, Stage::kChannel);
-  }
-  profiler.add_wall(profiler.now(), 42);
+  });
+  EXPECT_EQ(profiler.wall_ns(), nullptr);
   EXPECT_FALSE(profiler.profile().enabled);
   EXPECT_EQ(profiler.profile().total_stage_ns(), 0u);
   EXPECT_EQ(profiler.profile().slots, 0u);
@@ -61,11 +72,11 @@ TEST(StageProfiler, DisabledProfilerRecordsNothing) {
 TEST(StageProfiler, EnabledScopesAccumulateAndResetClears) {
   StageProfiler profiler;
   profiler.reset(true);
-  const std::uint64_t t0 = profiler.now();
-  for (int i = 0; i < 100; ++i) {
-    StageProfiler::Scope timed(profiler, Stage::kApply);
-  }
-  profiler.add_wall(t0, 100);
+  time_loop(profiler, nullptr, 100, [&] {
+    for (int i = 0; i < 100; ++i) {
+      StageProfiler::Scope timed(profiler, Stage::kApply);
+    }
+  });
   EXPECT_TRUE(profiler.profile().enabled);
   EXPECT_EQ(profiler.profile().slots, 100u);
   EXPECT_GT(profiler.profile().wall_ns, 0u);
@@ -88,19 +99,33 @@ TEST(StageProfiler, OneProbeFeedsTotalsAndSpansFromOneClockPair) {
   StageProfiler profiler;
   profiler.reset(true, &timeline);
   std::vector<std::uint64_t> increments;
-  for (std::uint64_t slot = 0; slot < 50; ++slot) {
-    const std::uint64_t before = profiler.profile().stage_ns[kDraw];
-    {
-      StageProfiler::Scope timed(profiler, Stage::kChannelDraw, "slot", slot);
-      timed.arg1("items", 2 * slot);
+  time_loop(profiler, &timeline, 50, [&] {
+    for (std::uint64_t slot = 0; slot < 50; ++slot) {
+      const std::uint64_t before = profiler.profile().stage_ns[kDraw];
+      {
+        StageProfiler::Scope timed(profiler, Stage::kChannelDraw, "slot",
+                                   slot);
+        timed.arg1("items", 2 * slot);
+      }
+      increments.push_back(profiler.profile().stage_ns[kDraw] - before);
     }
-    increments.push_back(profiler.profile().stage_ns[kDraw] - before);
-  }
+  });
   std::vector<obs::SpanRecord> spans;
   for (const auto& lane : timeline.snapshot()) {
     spans.insert(spans.end(), lane.spans.begin(), lane.spans.end());
   }
-  ASSERT_EQ(spans.size(), increments.size());
+  // The loop's "run" span closes last, encloses every stage span, and is
+  // exactly the loop total.
+  ASSERT_EQ(spans.size(), increments.size() + 1);
+  const obs::SpanRecord run = spans.back();
+  spans.pop_back();
+  EXPECT_STREQ(run.name, "run");
+  EXPECT_EQ(run.arg0, 50u);
+  EXPECT_EQ(run.dur_ns, profiler.profile().wall_ns);
+  EXPECT_EQ(profiler.profile().slots, 50u);
+  EXPECT_LE(run.start_ns, spans.front().start_ns);
+  EXPECT_GE(run.start_ns + run.dur_ns,
+            spans.back().start_ns + spans.back().dur_ns);
   for (std::size_t i = 0; i < spans.size(); ++i) {
     EXPECT_STREQ(spans[i].name, "channel_draw");
     EXPECT_STREQ(spans[i].category, "channel");
@@ -113,11 +138,10 @@ TEST(StageProfiler, OneProbeFeedsTotalsAndSpansFromOneClockPair) {
   obs::Timeline unused;
   profiler.reset(true, &unused);
   profiler.reset(false);
-  {
+  time_loop(profiler, nullptr, 7, [&] {
     StageProfiler::Scope timed(profiler, Stage::kApply, "slot", 1);
-  }
-  profiler.add_wall(profiler.now(), 7);
-  EXPECT_EQ(profiler.now(), 0u);
+  });
+  EXPECT_EQ(profiler.wall_ns(), nullptr);
   EXPECT_EQ(profiler.profile().total_stage_ns(), 0u);
   EXPECT_EQ(profiler.profile().wall_ns, 0u);
   EXPECT_EQ(profiler.profile().slots, 0u);

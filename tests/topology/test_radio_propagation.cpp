@@ -76,7 +76,8 @@ TEST(RadioModel, SamplePrrSpreadCoversQualityMix) {
   int good = 0;
   int bad = 0;
   for (int i = 0; i < 2000; ++i) {
-    const double prr = radio.sample_prr(knee_dist, rng);
+    const double prr =
+        radio.prr_of_rssi(radio.sample_rssi_dbm(knee_dist, rng));
     if (prr > 0.9) ++good;
     if (prr < 0.1) ++bad;
   }

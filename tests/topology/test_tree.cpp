@@ -60,15 +60,6 @@ TEST(DelayTree, SameShapeAsEtxForUniformPeriod) {
   }
 }
 
-TEST(TreeStructure, DepthsFollowParentChain) {
-  const Tree tree = build_etx_tree(diamond(), 0);
-  const auto depth = tree.depths();
-  EXPECT_EQ(depth[0], 0u);
-  EXPECT_EQ(depth[1], 1u);
-  EXPECT_EQ(depth[2], 1u);
-  EXPECT_EQ(depth[3], 2u);
-}
-
 TEST(TreeStructure, GreenOrbsTreeSpansReachableNodes) {
   const Topology topo = make_greenorbs_like(1);
   const Tree tree = build_etx_tree(topo, 0);
