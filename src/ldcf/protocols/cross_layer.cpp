@@ -10,8 +10,8 @@ void CrossLayerFlooding::initialize(const SimContext& ctx) {
       topology::build_delay_tree(*ctx.topo, ctx.source, ctx.duty);
   gambles_.build(
       ctx, topology::tree_delay_distribution(*ctx.topo, delay_tree, ctx.duty),
-      GambleFilter{.min_link_prr = config_.min_link_prr,
-                   .quantile_z = config_.quantile_z,
+      GambleFilter{.min_link_prr = kMinLinkPrr,
+                   .quantile_z = kQuantileZ,
                    .every_active_slot = true});
   claimed_.assign(ctx.topo->num_nodes(), 0);
 }
@@ -33,10 +33,10 @@ void CrossLayerFlooding::propose_transmissions(
 
   // Opportunistic layer: idle nodes may gamble their newest packet toward
   // an awake, untargeted neighbor while its optimistic tree ETA is still at
-  // least min_remaining_periods * T away (duty-aware window).
+  // least kMinRemainingPeriods * T away (duty-aware window).
   const double horizon =
       static_cast<double>(slot) +
-      config_.min_remaining_periods * static_cast<double>(ctx().duty.period);
+      kMinRemainingPeriods * static_cast<double>(ctx().duty.period);
   slot_gambles_.clear();
   for (auto links = gambles_.candidates_at(slot); !links.empty();) {
     const NodeId node = links.front().sender;

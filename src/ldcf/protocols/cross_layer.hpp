@@ -26,23 +26,17 @@
 
 namespace ldcf::protocols {
 
-struct CrossLayerConfig {
-  DbaoConfig mac{};
+/// The MAC layer is the default DbaoFlooding.
+class CrossLayerFlooding final : public DbaoFlooding {
+ public:
   /// Gamble only toward links at least this good.
-  double min_link_prr = 0.4;
+  static constexpr double kMinLinkPrr = 0.4;
   /// Gamble only while the target's expected remaining tree delay exceeds
   /// this many periods (duty-aware gating: the threshold is denominated in
   /// T, so the opportunism window adapts to the duty-cycle configuration).
-  double min_remaining_periods = 1.0;
+  static constexpr double kMinRemainingPeriods = 1.0;
   /// Confidence z for the remaining-delay quantile (as in OF).
-  double quantile_z = 0.84;
-};
-
-class CrossLayerFlooding final : public DbaoFlooding {
- public:
-  CrossLayerFlooding() : DbaoFlooding(CrossLayerConfig{}.mac) {}
-  explicit CrossLayerFlooding(const CrossLayerConfig& config)
-      : DbaoFlooding(config.mac), config_(config) {}
+  static constexpr double kQuantileZ = 0.84;
 
   [[nodiscard]] std::string_view name() const override { return "xlayer"; }
 
@@ -56,14 +50,13 @@ class CrossLayerFlooding final : public DbaoFlooding {
   /// draw its decision Bernoulli); outside the windows only the inherited
   /// DBAO MAC traffic remains, indexed by the pending calendar.
   [[nodiscard]] SlotIndex next_busy_slot(SlotIndex from) const override {
-    const double window = config_.min_remaining_periods *
-                          static_cast<double>(ctx().duty.period);
+    const double window =
+        kMinRemainingPeriods * static_cast<double>(ctx().duty.period);
     if (static_cast<double>(from) + window < gambles_.deadline()) return from;
     return DbaoFlooding::next_busy_slot(from);
   }
 
  private:
-  CrossLayerConfig config_{};
   /// Awake gamble links (every active slot of each receiver), the delay
   /// tree's quantiles, and the gambles already made.
   GambleIndex gambles_;

@@ -7,9 +7,8 @@ namespace ldcf::protocols {
 void FlashFlooding::initialize(const SimContext& ctx) {
   ctx_ = &ctx;
   rng_.emplace(ctx.seed);
-  budget_per_packet_ = static_cast<std::uint64_t>(std::ceil(
-      config_.budget_periods * static_cast<double>(ctx.duty.period)));
-  if (budget_per_packet_ == 0) budget_per_packet_ = 1;
+  budget_per_packet_ = static_cast<std::uint64_t>(
+      std::ceil(kBudgetPeriods * static_cast<double>(ctx.duty.period)));
   budget_.assign(
       static_cast<std::size_t>(ctx.topo->num_nodes()) * ctx.num_packets, 0);
 }
@@ -32,7 +31,7 @@ void FlashFlooding::propose_transmissions(
   // After the main budget drains, a slow "trickle" re-advertisement keeps
   // the flood live (real broadcast floods periodically re-announce; without
   // this, unlucky sleepers would never hear the packet at all).
-  const double trickle = config_.fire_probability /
+  const double trickle = kFireProbability /
                          (16.0 * static_cast<double>(ctx_->duty.period));
   for (NodeId node = 0; node < n; ++node) {
     std::uint64_t* budget = &budget_[static_cast<std::size_t>(node) * packets];
@@ -40,7 +39,7 @@ void FlashFlooding::propose_transmissions(
     bool fired = false;
     for (PacketId p = 0; p < packets && !fired; ++p) {
       if (budget[p] == 0) continue;
-      if (!rng_->bernoulli(config_.fire_probability)) break;
+      if (!rng_->bernoulli(kFireProbability)) break;
       --budget[p];
       out.push_back(TxIntent{node, kNoNode, p});
       fired = true;

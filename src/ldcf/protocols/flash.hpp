@@ -19,22 +19,17 @@
 
 namespace ldcf::protocols {
 
-struct FlashConfig {
-  /// Re-broadcast budget per (node, packet), in multiples of the period:
-  /// budget = ceil(budget_periods * T). With one listener expected per
-  /// ~T/degree slots, a couple of periods' worth of shots reaches most
-  /// neighbors.
-  double budget_periods = 3.0;
-  /// Probability of actually firing in an eligible slot (desynchronizes
-  /// neighbors that obtained the packet in the same slot).
-  double fire_probability = 0.35;
-};
-
 /// Broadcast-only, so it keeps no pending sets.
 class FlashFlooding final : public FloodingProtocol {
  public:
-  FlashFlooding() = default;
-  explicit FlashFlooding(const FlashConfig& config) : config_(config) {}
+  /// Re-broadcast budget per (node, packet), in multiples of the period:
+  /// budget = ceil(kBudgetPeriods * T). With one listener expected per
+  /// ~T/degree slots, a couple of periods' worth of shots reaches most
+  /// neighbors.
+  static constexpr double kBudgetPeriods = 3.0;
+  /// Probability of actually firing in an eligible slot (desynchronizes
+  /// neighbors that obtained the packet in the same slot).
+  static constexpr double kFireProbability = 0.35;
 
   [[nodiscard]] std::string_view name() const override { return "flash"; }
 
@@ -56,7 +51,6 @@ class FlashFlooding final : public FloodingProtocol {
   }
 
  private:
-  FlashConfig config_{};
   const SimContext* ctx_ = nullptr;
   std::optional<Rng> rng_;
   std::uint64_t budget_per_packet_ = 0;

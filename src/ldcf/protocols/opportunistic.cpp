@@ -68,8 +68,7 @@ void OpportunisticFlooding::propose_transmissions(
           return next <
                  static_cast<double>(generated) + gambles_.tree_delay(j).lower;
         });
-    if (gamble.prr > 0.0 &&
-        rng().bernoulli(config_.decision_scale * gamble.prr)) {
+    if (gamble.prr > 0.0 && rng().bernoulli(gamble.prr)) {
       gambles_.mark_gambled(gamble);
       out.push_back(gamble.intent());
     }

@@ -29,8 +29,6 @@ struct OpportunisticConfig {
   /// Confidence z: forward only if t+1 < gen + mean - z * stddev of the
   /// receiver's tree-delay distribution (z = 0.84 ~ 80% confidence).
   double quantile_z = 0.84;
-  /// Scale on the Bernoulli forwarding decision (p = scale * prr).
-  double decision_scale = 1.0;
 };
 
 class OpportunisticFlooding final : public PendingSetProtocol {

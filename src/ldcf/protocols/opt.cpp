@@ -36,7 +36,7 @@ void OptFlooding::initialize(const SimContext& ctx) {
       }
     }
   }
-  for (double& f : floors) f *= config_.quality_floor_factor;
+  for (double& f : floors) f *= kQualityFloorFactor;
   // Keep the links that reach their receiver's floor, from both sides: the
   // topology's rows already ascend by sender and by receiver.
   in_ = {};

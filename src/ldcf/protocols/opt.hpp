@@ -16,20 +16,15 @@
 
 namespace ldcf::protocols {
 
-struct OptConfig {
-  /// Link-selectivity floor: a receiver only accepts senders whose link is
-  /// at least this fraction of its best upstream link, waiting a period
-  /// otherwise. 0 accepts anything (pure greedy); 1 waits for the best.
-  /// 0.3 minimizes delay while keeping failures flat across duty cycles.
-  double quality_floor_factor = 0.3;
-};
-
 /// Receiver-driven and RNG-free, so it keeps no pending sets: it uses only
 /// the energy tree lookup of protocol.hpp.
 class OptFlooding final : public FloodingProtocol {
  public:
-  OptFlooding() = default;
-  explicit OptFlooding(const OptConfig& config) : config_(config) {}
+  /// Link-selectivity floor: a receiver only accepts senders whose link is
+  /// at least this fraction of its best upstream link, waiting a period
+  /// otherwise. 0 would accept anything (pure greedy), 1 wait for the best;
+  /// 0.3 minimizes delay while keeping failures flat across duty cycles.
+  static constexpr double kQualityFloorFactor = 0.3;
 
   [[nodiscard]] std::string_view name() const override { return "opt"; }
   [[nodiscard]] bool collision_free_oracle() const override { return true; }
@@ -83,7 +78,6 @@ class OptFlooding final : public FloodingProtocol {
     }
   };
 
-  OptConfig config_{};
   const SimContext* ctx_ = nullptr;
   /// first_missing_[v]: v's oldest missing packet, generated_ once v has
   /// caught up (kept exact on every generation and fresh copy). v is on

@@ -120,14 +120,6 @@ const PendingEntry* PendingSetProtocol::fcfs_entry(NodeId node,
   return best;
 }
 
-std::size_t PendingSetProtocol::pending_count(NodeId node) const {
-  std::size_t total = 0;
-  for (std::uint32_t phase = 0; phase < ctx_->duty.period; ++phase) {
-    total += pending_at_phase(node, phase).size();
-  }
-  return total;
-}
-
 void PendingSetProtocol::enqueue_forwarding(NodeId node, PacketId packet,
                                             NodeId from) {
   topology::LinkId id = ctx_->topo->first_link(node);

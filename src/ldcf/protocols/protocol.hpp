@@ -193,9 +193,6 @@ class PendingSetProtocol : public FloodingProtocol {
     return TxIntent{node, e->neighbor, e->packet, e->link};
   }
 
-  /// Total queued pairs at a node (diagnostics/tests).
-  [[nodiscard]] std::size_t pending_count(NodeId node) const;
-
   /// Hook: which neighbors to queue when `node` obtains `packet` from
   /// `from`. Default: every out-neighbor except `from`.
   virtual void enqueue_forwarding(NodeId node, PacketId packet, NodeId from);

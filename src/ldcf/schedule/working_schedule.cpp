@@ -86,25 +86,10 @@ void ScheduleSet::build_buckets() {
   }
 }
 
-SlotIndex ScheduleSet::next_active_slot(NodeId n, SlotIndex t) const {
-  const auto phase = static_cast<std::uint32_t>(t % duty_.period);
-  const std::span<const std::uint32_t> slots = active_slots(n);
-  // First active slot at or after the current phase, else wrap around.
-  const auto it = std::lower_bound(slots.begin(), slots.end(), phase);
-  if (it != slots.end()) return t + (*it - phase);
-  return t + (duty_.period - phase) + slots.front();
-}
-
 std::span<const NodeId> ScheduleSet::active_nodes_at(SlotIndex t) const {
   const std::size_t phase = t % duty_.period;
   return {bucket_nodes_.data() + bucket_offsets_[phase],
           bucket_nodes_.data() + bucket_offsets_[phase + 1]};
-}
-
-double ScheduleSet::expected_sleep_latency() const {
-  const auto t = static_cast<double>(period());
-  const auto k = static_cast<double>(slots_per_period_);
-  return (t / k - 1.0) / 2.0;
 }
 
 }  // namespace ldcf::schedule

@@ -9,7 +9,7 @@
 // receiving is what requires being active.
 //
 // Local synchronization (paper assumption) means every node knows its
-// neighbors' schedules; `next_active_slot` is exactly that query.
+// neighbors' schedules; `is_active` and `active_slot` are that knowledge.
 #pragma once
 
 #include <algorithm>
@@ -74,19 +74,9 @@ class ScheduleSet {
     return std::binary_search(slots.begin(), slots.end(), phase);
   }
 
-  /// Smallest t' >= t at which node `n` is active. This is the sender-side
-  /// "when can I reach this neighbor" query enabled by local
-  /// synchronization; the gap t' - t is the sleep latency.
-  [[nodiscard]] SlotIndex next_active_slot(NodeId n, SlotIndex t) const;
-
   /// Nodes active in slot `t`, ascending by id: a view of the phase
   /// bucket, valid as long as the ScheduleSet lives.
   [[nodiscard]] std::span<const NodeId> active_nodes_at(SlotIndex t) const;
-
-  /// Expected sleep latency (slots) from a uniformly random instant to a
-  /// node's next active slot. (T - 1) / 2 in the single-slot model; with k
-  /// evenly spread slots roughly (T/k - 1) / 2.
-  [[nodiscard]] double expected_sleep_latency() const;
 
   /// Bytes the schedule's arrays hold: the cache charges this.
   [[nodiscard]] std::size_t memory_bytes() const {

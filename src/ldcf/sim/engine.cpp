@@ -47,25 +47,26 @@ const SimConfig& validate_config(const topology::Topology& topo,
 
 // Substream derivation order is part of the determinism contract: the
 // master seed forks schedules first, then the channel, then the protocol
-// substream, exactly as the original run_simulation did. When the caller
-// supplies cached schedules, the schedule fork is still burned — that keeps
-// the channel and protocol seeds identical to a cold run — and the shape
-// of the injected set is validated against the config.
+// substream, exactly as the original run_simulation did. `master` is fresh
+// here, so derive_schedule_set (which forks a new master with the same
+// seed) yields this engine's schedules. The fork is burned even when the
+// caller supplies cached schedules — that keeps the channel and protocol
+// seeds identical to a cold run — and the injected set's shape is
+// validated against the config.
 std::shared_ptr<const schedule::ScheduleSet> build_schedules(
     const topology::Topology& topo, const SimConfig& config, Rng& master) {
-  const std::uint64_t schedule_seed = master.fork_seed();
-  if (config.shared_schedules != nullptr) {
-    const schedule::ScheduleSet& s = *config.shared_schedules;
-    LDCF_REQUIRE(s.num_nodes() == topo.num_nodes(),
-                 "shared_schedules built for a different node count");
-    LDCF_REQUIRE(s.duty() == config.duty &&
-                     s.slots_per_period() == config.slots_per_period,
-                 "shared_schedules built for a different duty cycle");
-    return config.shared_schedules;
+  (void)master.fork_seed();
+  if (config.shared_schedules == nullptr) {
+    return std::make_shared<const schedule::ScheduleSet>(
+        derive_schedule_set(topo, config));
   }
-  Rng schedule_rng(schedule_seed);
-  return std::make_shared<const schedule::ScheduleSet>(
-      topo.num_nodes(), config.duty, schedule_rng, config.slots_per_period);
+  const schedule::ScheduleSet& s = *config.shared_schedules;
+  LDCF_REQUIRE(s.num_nodes() == topo.num_nodes(),
+               "shared_schedules built for a different node count");
+  LDCF_REQUIRE(s.duty() == config.duty &&
+                   s.slots_per_period() == config.slots_per_period,
+               "shared_schedules built for a different duty cycle");
+  return config.shared_schedules;
 }
 
 void validate_intents(const topology::Topology& topo,
@@ -186,7 +187,6 @@ SimResult SimEngine::run(FloodingProtocol& protocol, SimObserver* observer) {
   next_death_ = 0;
   alive_sensors_ = topo_.num_sensors();
   dead_holders_.assign(config_.num_packets, 0);
-  covered_.assign(config_.num_packets, 0);
   uncovered_.clear();
   uncovered_.reserve(config_.num_packets);
   covered_count_ = 0;
@@ -581,7 +581,6 @@ void SimEngine::stage_coverage(SlotIndex t) {
     const std::uint64_t achievable = alive_sensors_ + dead_holders_[p];
     const std::uint64_t required = std::min(coverage_target_, achievable);
     if (possession_.sensor_holders(p) >= required) {
-      covered_[p] = 1;
       ++covered_count_;
       notify([&](auto& o) { o.on_packet_covered(p, t + 1); });
     } else {
@@ -593,10 +592,6 @@ void SimEngine::stage_coverage(SlotIndex t) {
 
 schedule::ScheduleSet derive_schedule_set(const topology::Topology& topo,
                                           const SimConfig& config) {
-  // Mirrors build_schedules above: fork the schedule substream off a fresh
-  // master seeded with config.seed. Any drift between the two derivations
-  // would silently break the cache's bit-identity guarantee, which the
-  // shared-artifact test suite pins.
   Rng master(config.seed);
   Rng schedule_rng(master.fork_seed());
   return schedule::ScheduleSet(topo.num_nodes(), config.duty, schedule_rng,

@@ -159,14 +159,6 @@ class SimEngine {
   [[nodiscard]] SimResult run(FloodingProtocol& protocol,
                               SimObserver* observer = nullptr);
 
-  [[nodiscard]] const SimConfig& config() const { return config_; }
-  [[nodiscard]] const schedule::ScheduleSet& schedules() const {
-    return *schedules_;
-  }
-  [[nodiscard]] std::uint64_t coverage_target() const {
-    return coverage_target_;
-  }
-
  private:
   // Stages, in slot order. Each operates on ws_ and the per-run state;
   // `collector` is the built-in observer, `observer` the optional extra.
@@ -224,7 +216,6 @@ class SimEngine {
   std::size_t next_death_ = 0;
   std::uint64_t alive_sensors_ = 0;
   std::vector<std::uint64_t> dead_holders_;
-  std::vector<std::uint8_t> covered_;
   std::vector<PacketId> uncovered_;  ///< ascending; compacted as packets cover.
   std::uint64_t covered_count_ = 0;
   std::uint32_t generated_ = 0;
@@ -240,10 +231,11 @@ class SimEngine {
   std::vector<std::uint64_t> live_by_phase_;
 };
 
-/// Build exactly the ScheduleSet a SimEngine would derive from (topo,
-/// config): same master seed, same substream order. A cache may build the
-/// artifact once, share it via SimConfig::shared_schedules across any
-/// number of engines, and every run stays bit-identical to a cold one.
+/// The ScheduleSet a SimEngine derives from (topo, config): the schedule
+/// substream is the master seed's first fork. The engine builds its own
+/// through this function, so a cache may build the artifact once, share it
+/// via SimConfig::shared_schedules across any number of engines, and every
+/// run stays bit-identical to a cold one.
 [[nodiscard]] schedule::ScheduleSet derive_schedule_set(
     const topology::Topology& topo, const SimConfig& config);
 

@@ -23,20 +23,19 @@ struct NodeHoldings {
 
 }  // namespace
 
-PacketId select_transmission(const std::vector<HeldPacket>& held,
+PacketId select_transmission(std::span<const CompactSlot> received_at,
                              CompactSlot slot, std::uint64_t num_sensors) {
   PacketId best = kNoPacket;
   CompactSlot best_time = 0;
-  for (const HeldPacket& h : held) {
-    if (h.packet == kNoPacket) continue;
+  for (PacketId p = 0; p < received_at.size(); ++p) {
+    const CompactSlot r = received_at[p];
+    if (r == kNeverSlot) continue;
     // Expired once slot >= K_p + m (paper's expired time).
-    if (slot >= expired_time(num_sensors, h.packet)) continue;
-    const bool newer =
-        best == kNoPacket || h.received_at > best_time ||
-        (h.received_at == best_time && h.packet > best);
-    if (newer) {
-      best = h.packet;
-      best_time = h.received_at;
+    if (slot >= expired_time(num_sensors, p)) continue;
+    // Packets ascend, so an equal receive slot means a newer packet.
+    if (best == kNoPacket || r >= best_time) {
+      best = p;
+      best_time = r;
     }
   }
   return best;
@@ -101,19 +100,8 @@ CompactRunResult run_compact_flooding(const CompactRunConfig& config) {
     std::vector<Tx> txs;
     const std::uint64_t stride = 1ULL << (n == 0 ? 0 : (c % n));
     for (NodeId i = 0; i < n_sensors; ++i) {
-      // f(i, c): most recently received non-expired packet at node i.
-      PacketId pick = kNoPacket;
-      CompactSlot pick_time = 0;
-      for (PacketId p = 0; p < big_m; ++p) {
-        const CompactSlot r = nodes[i].received_at[p];
-        if (r == kNeverSlot) continue;
-        if (c >= expired_time(n_sensors, p)) continue;
-        if (pick == kNoPacket || r > pick_time ||
-            (r == pick_time && p > pick)) {
-          pick = p;
-          pick_time = r;
-        }
-      }
+      const PacketId pick =
+          select_transmission(nodes[i].received_at, c, n_sensors);
       if (pick == kNoPacket) continue;
       NodeId target = static_cast<NodeId>((stride + i) % n_sensors);
       if (target == 0) target = static_cast<NodeId>(n_sensors);  // line 7 note.

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ldcf/common/types.hpp"
@@ -86,17 +87,13 @@ struct CompactRunResult {
 /// not a power of two or num_packets == 0.
 [[nodiscard]] CompactRunResult run_compact_flooding(const CompactRunConfig& config);
 
-/// The f(i, c) transmission-selection rule in isolation, for testing: given
-/// the (receive-slot, packet) pairs a node holds, pick the most recently
-/// received packet that is not expired at slot c (ties broken toward the
-/// newer packet index). Returns kNoPacket if none.
-struct HeldPacket {
-  PacketId packet = kNoPacket;
-  CompactSlot received_at = 0;
-};
-[[nodiscard]] PacketId select_transmission(const std::vector<HeldPacket>& held,
-                                           CompactSlot slot,
-                                           std::uint64_t num_sensors);
+/// The f(i, c) transmission-selection rule: given a node's receive slot
+/// per packet (indexed by packet id; kNeverSlot = not held), pick the most
+/// recently received packet that is not expired at slot c (ties broken
+/// toward the newer packet index). Returns kNoPacket if none.
+[[nodiscard]] PacketId select_transmission(
+    std::span<const CompactSlot> received_at, CompactSlot slot,
+    std::uint64_t num_sensors);
 
 /// Replay a run's events through Eq. (2) and return the possession counts
 /// |X_p(c)| for packet `packet` at the beginning of each compact slot

@@ -68,42 +68,6 @@ TEST(CrossLayer, NotSlowerThanPlainDbao) {
             1.10 * res_dbao.metrics.mean_total_delay());
 }
 
-TEST(CrossLayer, GamblingWindowScalesWithPeriod) {
-  // The duty-aware gate is denominated in periods: with an enormous
-  // min_remaining_periods no gamble ever fires and xlayer degenerates to
-  // DBAO exactly (same RNG consumption aside).
-  const auto topo = trace();
-  CrossLayerConfig never;
-  never.min_remaining_periods = 1e9;
-  CrossLayerFlooding frozen(never);
-  DbaoFlooding dbao;
-  const auto res_frozen = run(topo, frozen, 10);
-  const auto res_dbao = run(topo, dbao, 10);
-  ASSERT_TRUE(res_frozen.metrics.all_covered);
-  // No extra attempts beyond what DBAO's machinery schedules.
-  EXPECT_NEAR(static_cast<double>(res_frozen.metrics.channel.attempts),
-              static_cast<double>(res_dbao.metrics.channel.attempts),
-              0.05 * static_cast<double>(res_dbao.metrics.channel.attempts));
-}
-
-TEST(CrossLayer, BoldGamblingAddsTraffic) {
-  const auto topo = trace();
-  CrossLayerConfig shy;
-  shy.min_link_prr = 0.99;
-  CrossLayerConfig bold;
-  bold.min_link_prr = 0.2;
-  bold.min_remaining_periods = 0.0;
-  bold.quantile_z = 0.0;
-  CrossLayerFlooding shy_proto(shy);
-  CrossLayerFlooding bold_proto(bold);
-  const auto res_shy = run(topo, shy_proto, 10);
-  const auto res_bold = run(topo, bold_proto, 10);
-  ASSERT_TRUE(res_shy.metrics.all_covered);
-  ASSERT_TRUE(res_bold.metrics.all_covered);
-  EXPECT_GT(res_bold.metrics.channel.attempts,
-            res_shy.metrics.channel.attempts);
-}
-
 TEST(CrossLayer, RegisteredInTheFactory) {
   const auto proto = make_protocol("xlayer");
   EXPECT_EQ(proto->name(), "xlayer");
@@ -111,12 +75,10 @@ TEST(CrossLayer, RegisteredInTheFactory) {
 
 // The opportunistic layer as it was before the phase index: a full scan of
 // every node x neighbor x packet per slot over freshly allocated veto
-// vectors. Kept verbatim as the specification CrossLayerFlooding must match.
+// vectors. Kept verbatim as the specification CrossLayerFlooding must match,
+// with the thresholds read from CrossLayerFlooding's constants.
 class ReferenceXlayer final : public DbaoFlooding {
  public:
-  explicit ReferenceXlayer(const CrossLayerConfig& config)
-      : DbaoFlooding(config.mac), config_(config) {}
-
   void initialize(const SimContext& ctx) override {
     DbaoFlooding::initialize(ctx);
     delay_tree_ = topology::build_delay_tree(*ctx.topo, ctx.source, ctx.duty);
@@ -131,7 +93,8 @@ class ReferenceXlayer final : public DbaoFlooding {
       if (std::isinf(mean)) continue;
       max_quantile_ = std::max(
           max_quantile_,
-          mean - config_.quantile_z * std::sqrt(delay_.variance[r]));
+          mean - CrossLayerFlooding::kQuantileZ *
+                     std::sqrt(delay_.variance[r]));
     }
     gamble_deadline_ = -std::numeric_limits<double>::infinity();
   }
@@ -144,7 +107,7 @@ class ReferenceXlayer final : public DbaoFlooding {
   }
 
   [[nodiscard]] SlotIndex next_busy_slot(SlotIndex from) const override {
-    const double window = config_.min_remaining_periods *
+    const double window = CrossLayerFlooding::kMinRemainingPeriods *
                           static_cast<double>(ctx().duty.period);
     if (static_cast<double>(from) + window < gamble_deadline_) return from;
     return DbaoFlooding::next_busy_slot(from);
@@ -207,26 +170,29 @@ class ReferenceXlayer final : public DbaoFlooding {
         gambled_[gambles[i].sender][gambles[i].packet].push_back(
             gambles[i].receiver);
         out.push_back(gambles[i]);
+        ++gambles_made;
       }
     }
   }
 
+  /// Gambles proposed so far (the opportunistic layer's intents).
+  std::size_t gambles_made = 0;
+
  private:
   [[nodiscard]] bool gamble_worthwhile(NodeId receiver, PacketId packet,
                                        SlotIndex slot, double link_prr) const {
-    if (link_prr < config_.min_link_prr) return false;
+    if (link_prr < CrossLayerFlooding::kMinLinkPrr) return false;
     if (generated_at_[packet] == kNeverSlot) return false;
     const double mean = delay_.mean[receiver];
     if (std::isinf(mean)) return false;
     const double eta =
         static_cast<double>(generated_at_[packet]) + mean -
-        config_.quantile_z * std::sqrt(delay_.variance[receiver]);
-    const double window =
-        config_.min_remaining_periods * static_cast<double>(ctx().duty.period);
+        CrossLayerFlooding::kQuantileZ * std::sqrt(delay_.variance[receiver]);
+    const double window = CrossLayerFlooding::kMinRemainingPeriods *
+                          static_cast<double>(ctx().duty.period);
     return static_cast<double>(slot) + window < eta;
   }
 
-  CrossLayerConfig config_{};
   topology::Tree delay_tree_;
   topology::DelayDistribution delay_;
   std::vector<SlotIndex> generated_at_;
@@ -237,49 +203,45 @@ class ReferenceXlayer final : public DbaoFlooding {
 
 // The indexed opportunistic layer files each receiver under every active
 // slot of its schedule; multi-slot schedules (k/T duty) exercise that, and
-// faults exercise the MAC veto around dead nodes.
+// faults exercise the MAC veto around dead nodes. Unperturbed runs must
+// gamble, so the differential covers the opportunistic layer itself.
 TEST(CrossLayer, IndexedProposalsMatchTheFullScan) {
   const auto topo = trace();
-  CrossLayerConfig bold;
-  bold.min_link_prr = 0.2;
-  bold.min_remaining_periods = 0.0;
-  bold.quantile_z = 0.0;
   for (const std::uint32_t period : {20u, 5u}) {
     for (const std::uint32_t slots_per_period : {1u, 3u}) {
       for (const bool perturbed : {false, true}) {
-        for (const bool is_bold : {false, true}) {
-          for (const bool compact : {false, true}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "period " << period << " k " << slots_per_period
-                         << " perturbed " << perturbed << " bold " << is_bold
-                         << " compact " << compact);
-            sim::SimConfig config;
-            config.num_packets = 8;
-            config.duty = DutyCycle{period};
-            config.slots_per_period = slots_per_period;
-            config.packet_spacing = perturbed ? 3 : 1;
-            config.seed = 29;
-            config.max_slots = 400'000;
-            config.compact_time = compact;
-            if (perturbed) {
-              config.capture_ratio = 2.0;
-              config.sync_miss_prob = 0.05;
-              config.perturbations.node_failures.push_back(
-                  sim::NodeFailure{13, 40});
-              config.perturbations.burst = sim::LinkBurst{0.5, 50, 25, 200};
-              config.max_slots = 20'000;
-            }
-            const CrossLayerConfig xconf =
-                is_bold ? bold : CrossLayerConfig{};
-            ReferenceXlayer reference(xconf);
-            test::Recorder reference_log(reference);
-            const auto expected =
-                sim::run_simulation(topo, config, reference_log);
-            CrossLayerFlooding indexed(xconf);
-            test::Recorder indexed_log(indexed);
-            const auto actual = sim::run_simulation(topo, config, indexed_log);
-            EXPECT_EQ(indexed_log.log, reference_log.log);
-            test::expect_identical(expected, actual);
+        for (const bool compact : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "period " << period << " k " << slots_per_period
+                       << " perturbed " << perturbed << " compact "
+                       << compact);
+          sim::SimConfig config;
+          config.num_packets = 8;
+          config.duty = DutyCycle{period};
+          config.slots_per_period = slots_per_period;
+          config.packet_spacing = perturbed ? 3 : 1;
+          config.seed = 29;
+          config.max_slots = 400'000;
+          config.compact_time = compact;
+          if (perturbed) {
+            config.capture_ratio = 2.0;
+            config.sync_miss_prob = 0.05;
+            config.perturbations.node_failures.push_back(
+                sim::NodeFailure{13, 40});
+            config.perturbations.burst = sim::LinkBurst{0.5, 50, 25, 200};
+            config.max_slots = 20'000;
+          }
+          ReferenceXlayer reference;
+          test::Recorder reference_log(reference);
+          const auto expected =
+              sim::run_simulation(topo, config, reference_log);
+          CrossLayerFlooding indexed;
+          test::Recorder indexed_log(indexed);
+          const auto actual = sim::run_simulation(topo, config, indexed_log);
+          EXPECT_EQ(indexed_log.log, reference_log.log);
+          test::expect_identical(expected, actual);
+          if (!perturbed) {
+            EXPECT_GT(reference.gambles_made, 0u);
           }
         }
       }

@@ -33,10 +33,18 @@ class Harness final : public PendingSetProtocol {
     }
   }
 
+  /// Queued pairs at `node`: its pending entries summed over all phases.
+  [[nodiscard]] std::size_t pending_count(NodeId node) const {
+    std::size_t total = 0;
+    for (std::uint32_t phase = 0; phase < ctx().duty.period; ++phase) {
+      total += pending_at_phase(node, phase).size();
+    }
+    return total;
+  }
+
   using PendingSetProtocol::node_has;
   using PendingSetProtocol::pend;
   using PendingSetProtocol::pending_at_phase;
-  using PendingSetProtocol::pending_count;
   using PendingSetProtocol::pending_next_busy_slot;
   using PendingSetProtocol::pending_senders_at;
   using PendingSetProtocol::select_fcfs;

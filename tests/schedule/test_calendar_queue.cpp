@@ -1,8 +1,8 @@
-// Property tests for the compact-time calendar queue: PhaseCalendar, the
-// idle-gap phase visitor and the ScheduleSet query the engine's
-// fast-forward relies on, each checked against a brute-force slot-by-slot
-// model, plus engine-level regressions proving no wake event is lost across
-// gaps that span fault/burst edges.
+// Property tests for the compact-time calendar queue: PhaseCalendar and
+// the idle-gap phase visitor the engine's fast-forward relies on, each
+// checked against a brute-force slot-by-slot model, plus engine-level
+// regressions proving no wake event is lost across gaps that span
+// fault/burst edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "ldcf/common/rng.hpp"
 #include "ldcf/protocols/registry.hpp"
 #include "ldcf/schedule/calendar_queue.hpp"
-#include "ldcf/schedule/working_schedule.hpp"
 #include "ldcf/sim/engine.hpp"
 #include "ldcf/topology/generators.hpp"
 
@@ -20,7 +19,6 @@ namespace {
 
 using namespace ldcf;
 using schedule::PhaseCalendar;
-using schedule::ScheduleSet;
 
 // Brute-force reference: scan slots one by one.
 SlotIndex brute_next_busy(const std::vector<std::uint64_t>& counts,
@@ -76,32 +74,6 @@ TEST(PhaseCalendar, EmptyAndTotalAccounting) {
   cal.remove(7);
   EXPECT_TRUE(cal.empty());
   EXPECT_EQ(cal.next_busy_slot(8), kNeverSlot);
-}
-
-TEST(ScheduleSet, NextActiveSlotMatchesBruteForceScan) {
-  Rng master(99);
-  for (int trial = 0; trial < 40; ++trial) {
-    const auto period = static_cast<std::uint32_t>(2 + master.below(60));
-    // Sparse and dense k both exercised (dense flips the sampler).
-    const auto k = static_cast<std::uint32_t>(1 + master.below(period));
-    Rng rng(master.fork_seed());
-    const ScheduleSet schedules(12, DutyCycle{period}, rng, k);
-    for (NodeId n = 0; n < 12; ++n) {
-      const SlotIndex starts[] = {0, period - 1, period,
-                                  3 * static_cast<SlotIndex>(period) +
-                                      master.below(period)};
-      for (const SlotIndex from : starts) {
-        const SlotIndex got = schedules.next_active_slot(n, from);
-        // Brute force: first active slot at or after `from`.
-        SlotIndex expect = from;
-        while (!schedules.is_active(n, expect)) ++expect;
-        ASSERT_EQ(got, expect) << "T=" << period << " k=" << k << " n=" << n
-                               << " from=" << from;
-        ASSERT_GE(got, from);
-        ASSERT_TRUE(schedules.is_active(n, got));
-      }
-    }
-  }
 }
 
 TEST(PhaseCalendar, ForEachPhaseInMatchesASlotBySlotTally) {

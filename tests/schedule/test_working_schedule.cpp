@@ -11,6 +11,21 @@
 namespace ldcf::schedule {
 namespace {
 
+/// Mean sleep latency by brute force: from every phase of the period, the
+/// slots each node waits until it is active, averaged over nodes and
+/// phases.
+double mean_wait(const ScheduleSet& sched) {
+  double total = 0.0;
+  for (NodeId n = 0; n < sched.num_nodes(); ++n) {
+    for (SlotIndex t = 0; t < sched.period(); ++t) {
+      SlotIndex s = t;
+      while (!sched.is_active(n, s)) ++s;
+      total += static_cast<double>(s - t);
+    }
+  }
+  return total / static_cast<double>(sched.num_nodes() * sched.period());
+}
+
 TEST(ScheduleSet, ExplicitSchedulesValidate) {
   const ScheduleSet sched({0, 3, 4}, DutyCycle{5});
   EXPECT_EQ(sched.num_nodes(), 3u);
@@ -25,32 +40,6 @@ TEST(ScheduleSet, IsActiveIsPeriodic) {
   const ScheduleSet sched({2}, DutyCycle{5});
   for (SlotIndex t = 0; t < 30; ++t) {
     EXPECT_EQ(sched.is_active(0, t), t % 5 == 2) << "t=" << t;
-  }
-}
-
-TEST(ScheduleSet, NextActiveSlotIsTheSleepLatencyQuery) {
-  const ScheduleSet sched({2}, DutyCycle{5});
-  EXPECT_EQ(sched.next_active_slot(0, 0), 2u);   // wait 2.
-  EXPECT_EQ(sched.next_active_slot(0, 2), 2u);   // already active.
-  EXPECT_EQ(sched.next_active_slot(0, 3), 7u);   // missed: wait a period.
-  EXPECT_EQ(sched.next_active_slot(0, 7), 7u);
-  EXPECT_EQ(sched.next_active_slot(0, 8), 12u);
-  EXPECT_EQ(sched.next_active_slot(0, 100), 102u);
-}
-
-TEST(ScheduleSet, NextActiveSlotAlwaysActiveAndMinimal) {
-  Rng rng(3);
-  const ScheduleSet sched(20, DutyCycle{7}, rng);
-  for (NodeId n = 0; n < 20; ++n) {
-    for (SlotIndex t = 0; t < 40; ++t) {
-      const SlotIndex next = sched.next_active_slot(n, t);
-      EXPECT_GE(next, t);
-      EXPECT_LT(next - t, 7u);  // never waits more than one period.
-      EXPECT_TRUE(sched.is_active(n, next));
-      for (SlotIndex s = t; s < next; ++s) {
-        EXPECT_FALSE(sched.is_active(n, s));
-      }
-    }
   }
 }
 
@@ -92,10 +81,8 @@ TEST(ScheduleSet, RandomSlotsAreRoughlyUniform) {
 
 TEST(ScheduleSet, ExpectedSleepLatency) {
   Rng rng(5);
-  EXPECT_DOUBLE_EQ(ScheduleSet(3, DutyCycle{20}, rng).expected_sleep_latency(),
-                   9.5);
-  EXPECT_DOUBLE_EQ(ScheduleSet(3, DutyCycle{1}, rng).expected_sleep_latency(),
-                   0.0);
+  EXPECT_DOUBLE_EQ(mean_wait(ScheduleSet(3, DutyCycle{20}, rng)), 9.5);
+  EXPECT_DOUBLE_EQ(mean_wait(ScheduleSet(3, DutyCycle{1}, rng)), 0.0);
 }
 
 TEST(ScheduleSet, AlwaysOnDegenerateCase) {
@@ -104,7 +91,6 @@ TEST(ScheduleSet, AlwaysOnDegenerateCase) {
   for (NodeId n = 0; n < 5; ++n) {
     for (SlotIndex t = 0; t < 10; ++t) {
       EXPECT_TRUE(sched.is_active(n, t));
-      EXPECT_EQ(sched.next_active_slot(n, t), t);
     }
   }
   EXPECT_EQ(sched.active_nodes_at(0).size(), 5u);
@@ -114,7 +100,6 @@ TEST(ScheduleSet, OutOfRangeNodeThrows) {
   const ScheduleSet sched({0}, DutyCycle{5});
   EXPECT_THROW((void)sched.active_slot(1), InvalidArgument);
   EXPECT_THROW((void)sched.is_active(1, 0), InvalidArgument);
-  EXPECT_THROW((void)sched.next_active_slot(1, 0), InvalidArgument);
 }
 
 class SleepLatencyStats : public ::testing::TestWithParam<std::uint32_t> {};
@@ -123,17 +108,11 @@ TEST_P(SleepLatencyStats, EmpiricalMeanMatchesClosedForm) {
   const std::uint32_t period = GetParam();
   Rng rng(42);
   const ScheduleSet sched(200, DutyCycle{period}, rng);
-  double total = 0.0;
-  std::size_t samples = 0;
-  for (NodeId n = 0; n < 200; ++n) {
-    for (SlotIndex t = 0; t < period; ++t) {
-      total += static_cast<double>(sched.next_active_slot(n, t) - t);
-      ++samples;
-    }
-  }
-  // Averaging over all phases gives exactly (T-1)/2 for every node.
-  EXPECT_NEAR(total / static_cast<double>(samples),
-              sched.expected_sleep_latency(), 1e-9);
+  // Averaging over all phases gives exactly (T/k - 1)/2 with k = 1 active
+  // slot, for every node wherever its slot falls.
+  const double k = 1.0;
+  EXPECT_NEAR(mean_wait(sched), (static_cast<double>(period) / k - 1.0) / 2.0,
+              1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Periods, SleepLatencyStats,
@@ -166,26 +145,11 @@ TEST(MultiSlotSchedule, IsActiveMatchesEachSlot) {
   }
 }
 
-TEST(MultiSlotSchedule, NextActiveSlotIsMinimal) {
-  Rng rng(15);
-  const ScheduleSet sched(20, DutyCycle{12}, rng, 3);
-  for (NodeId n = 0; n < 20; ++n) {
-    for (SlotIndex t = 0; t < 36; ++t) {
-      const SlotIndex next = sched.next_active_slot(n, t);
-      EXPECT_GE(next, t);
-      EXPECT_TRUE(sched.is_active(n, next));
-      for (SlotIndex s = t; s < next; ++s) {
-        EXPECT_FALSE(sched.is_active(n, s));
-      }
-    }
-  }
-}
-
 TEST(MultiSlotSchedule, SleepLatencyShrinksWithMoreSlots) {
   Rng rng(2);
   const ScheduleSet one(10, DutyCycle{20}, rng, 1);
   const ScheduleSet four(10, DutyCycle{20}, rng, 4);
-  EXPECT_GT(one.expected_sleep_latency(), four.expected_sleep_latency());
+  EXPECT_GT(mean_wait(one), mean_wait(four));
 }
 
 TEST(MultiSlotSchedule, DenseSlotCountsStayDistinct) {

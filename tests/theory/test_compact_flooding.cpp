@@ -187,25 +187,26 @@ TEST(CompactFlooding, SingleSensorDegenerateCase) {
 
 TEST(SelectTransmission, PrefersMostRecentNonExpired) {
   const std::uint64_t n = 16;  // m = 5.
-  std::vector<HeldPacket> held{
-      {0, 0},  // old packet, received long ago.
-      {3, 4},  // newer packet, received recently.
-  };
-  EXPECT_EQ(select_transmission(held, 4, n), PacketId{3});
+  // Packet 0 received long ago, packet 3 recently; 1 and 2 not held.
+  const std::vector<CompactSlot> received_at{0, kNeverSlot, kNeverSlot, 4};
+  EXPECT_EQ(select_transmission(received_at, 4, n), PacketId{3});
   // At slot 9, packet 3 expires (3 + 5 = 8 <= 9) and packet 0 expired long
   // ago: nothing to send.
-  EXPECT_EQ(select_transmission(held, 9, n), kNoPacket);
+  EXPECT_EQ(select_transmission(received_at, 9, n), kNoPacket);
 }
 
 TEST(SelectTransmission, TieBreaksTowardNewerPacket) {
   const std::uint64_t n = 64;
-  std::vector<HeldPacket> held{{2, 3}, {5, 3}};
-  EXPECT_EQ(select_transmission(held, 4, n), PacketId{5});
+  std::vector<CompactSlot> received_at(6, kNeverSlot);
+  received_at[2] = 3;
+  received_at[5] = 3;
+  EXPECT_EQ(select_transmission(received_at, 4, n), PacketId{5});
 }
 
 TEST(SelectTransmission, EmptyAndNilHoldings) {
   EXPECT_EQ(select_transmission({}, 0, 16), kNoPacket);
-  EXPECT_EQ(select_transmission({{kNoPacket, 0}}, 0, 16), kNoPacket);
+  const std::vector<CompactSlot> none(3, kNeverSlot);
+  EXPECT_EQ(select_transmission(none, 0, 16), kNoPacket);
 }
 
 class CompactSweep
